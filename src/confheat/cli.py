@@ -71,8 +71,8 @@ def run_experiment(config: dict, threads: int = 1):
     exp = EXPERIMENTS[config["experiment"]]
     try:
         result: ExperimentResult = exp.run(config["params"], config["seed"], config["replicas"], threads)
-    except (CapacityError, CapabilityError, SolverError, EvaluationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, CapabilityError, SolverError, EvaluationError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2, {"error": str(exc), "config": config}
     summary = {
         "experiment": config["experiment"],

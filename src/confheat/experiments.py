@@ -76,6 +76,14 @@ def _dim_ok(x):
     return None if 1 <= x <= 3 else "dimension must be 1, 2, or 3"
 
 
+def _configuration_ok(doc):
+    try:
+        Configuration.from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"bad configuration ({type(exc).__name__}: {exc})"
+    return None
+
+
 def _coerce(kind: str, value):
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -579,7 +587,7 @@ _register(
         "dim": Field("int", check=_dim_ok),
         "t": Field("float", check=_positive),
         "phi": Field("dict"),
-        "gamma": Field("dict", None),
+        "gamma": Field("dict", None, check=_configuration_ok),
         "gamma_radius": Field("float", 2.0, check=_positive),
         "gamma_intensity": Field("float", 1.0, check=_positive),
     },
@@ -607,7 +615,7 @@ _register(
     {
         "outer": Field("str"),
         "bumps": Field("list"),
-        "gamma": Field("dict"),
+        "gamma": Field("dict", check=_configuration_ok),
         "t_list": Field("list", [0.1, 0.05, 0.025]),
     },
     run_generator,
@@ -619,7 +627,7 @@ _register(
         "dim": Field("int", check=_dim_ok),
         "functional": Field("str"),
         "phi": Field("dict"),
-        "gamma": Field("dict"),
+        "gamma": Field("dict", check=_configuration_ok),
         "schedule": Field("str", "shift"),
         "metric": Field("str", "rho"),
         "levels": Field("int", 10, check=_positive),
@@ -631,15 +639,15 @@ _register(
 )
 _register(
     "rho",
-    {"g1": Field("dict"), "g2": Field("dict")},
+    {"g1": Field("dict", check=_configuration_ok), "g2": Field("dict", check=_configuration_ok)},
     run_rho,
     2,
 )
 _register(
     "flat-metric",
     {
-        "g1": Field("dict"),
-        "g2": Field("dict"),
+        "g1": Field("dict", check=_configuration_ok),
+        "g2": Field("dict", check=_configuration_ok),
         "i": Field("int", 5, check=_positive),
         "sum_scales": Field("bool", False),
         "i_max": Field("int", GLOBAL_DEFAULTS["i_max"], check=_positive),
@@ -653,7 +661,7 @@ _register(
         "dim": Field("int", check=_dim_ok),
         "coeffs": Field("dict"),
         "profile": Field("dict"),
-        "gamma": Field("dict"),
+        "gamma": Field("dict", check=_configuration_ok),
     },
     run_ktransform,
     2,
@@ -661,7 +669,7 @@ _register(
 _register(
     "correlation",
     {
-        "gamma": Field("dict"),
+        "gamma": Field("dict", check=_configuration_ok),
         "theta": Field("list"),
         "t": Field("float", check=_positive),
     },
@@ -686,7 +694,7 @@ _register(
         "dt": Field("float", 0.001, check=_positive),
         "dt_coarse": Field("float", 0.01, check=_positive),
         "n": Field("int", 1, check=_positive),
-        "gamma": Field("dict", None),
+        "gamma": Field("dict", None, check=_configuration_ok),
         "bn_replicas": Field("int", 100, check=_positive),
     },
     run_process,

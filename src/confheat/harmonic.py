@@ -1,7 +1,8 @@
 """K-transform calculus and the correlation structure of heat-flowed configurations.
 
-The K-transform sums a graded kernel function over all finite sub-configurations;
-its inverse is the alternating Moebius sum; the star-convolution is the product
+The K-transform sums a graded kernel function over all finite sub-configurations
+(for product kernels, in closed form by elementary symmetric polynomials); its
+inverse is the alternating Moebius sum; the star-convolution is the product
 operation on the kernel side.  Correlation functions of the one-step heat flow
 are permanent-type sums of heat-kernel products, computed by direct injective
 enumeration or by a Ryser-style inclusion-exclusion, and the symmetric square
@@ -211,10 +212,15 @@ def k_transform_finite(G: KernelFunction, positions) -> float:
 def k_transform(G: KernelFunction, gamma: Configuration) -> float:
     """(KG)(gamma) = sum over sub-configurations eta of gamma of G(eta).
 
-    Exact subset enumeration up to G.max_order; requires a simple configuration.
+    Product kernels sum elementary symmetric polynomials of the per-point
+    profile values (k_transform_product_batch); other kernels use exact subset
+    enumeration up to G.max_order (k_transform_finite, also the oracle for the
+    product route).  Requires a simple configuration.
     """
     if not gamma.is_simple:
         raise ValueError("k_transform requires a simple configuration")
+    if G.is_product:
+        return float(k_transform_product_batch(G, gamma.positions[None])[0])
     return k_transform_finite(G, gamma.positions)
 
 

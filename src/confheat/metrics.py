@@ -3,9 +3,12 @@
 * b_n: sum of exp(-|x|/n) over particles; finiteness for all n is the membership
   test for the computational state space.
 * flat_metric: the scale-i dual-Lipschitz distance d_{K,i}, computed exactly for
-  finite point measures by a small LP (values of the test function on the
-  weighted support; the cutoff |f(x)| <= max(0, i - |x|) encodes the vanishing
-  condition plus 1-Lipschitz extension).
+  finite point measures as an assignment problem: the Kantorovich-Rubinstein
+  transport between the two configurations with the sphere |x| = i as a free
+  boundary.  flat_metric_lp is its oracle, the LP in the values of the test
+  function on the weighted support (the cutoff |f(x)| <= max(0, i - |x|)
+  encodes the vanishing condition plus 1-Lipschitz extension), solved by the
+  dense simplex.
 * d_k / d1 / d_infty: the summed-scale flat metric and its B_n-augmented variants,
   with explicit truncation errors.
 * rho: the L2 matching (Wasserstein-type) distance, infinite across unequal
@@ -24,8 +27,9 @@ from .errors import CapacityError
 from .points import Configuration, as_multiset
 from .simplex import solve_lp
 
-#: largest weighted-support size accepted by the flat-metric LP
-FLAT_METRIC_MAX_SUPPORT = 120
+#: largest number of unit particles (positive plus negative, with multiplicity)
+#: in g1 - g2 accepted by the flat-metric assignment
+FLAT_METRIC_MAX_SUPPORT = 2000
 
 
 @dataclass(frozen=True)
@@ -71,44 +75,39 @@ def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
     """d_{K,i}(g1, g2): sup of |integral of f d(g1 - g2)| over 1-Lipschitz f
     vanishing outside B(0, i).
 
-    Solved as an LP in the f-values on the weighted support; exact for point
-    measures by Lipschitz extension of any feasible assignment.
+    By Kantorovich-Rubinstein duality this is the optimal transport cost between
+    the positive and negative parts of g1 - g2 when mass may also be sent to or
+    taken from the sphere |x| = i, at cost cap(x) = max(0, i - |x|).  The signed
+    support is expanded by multiplicity into p positive and n negative unit
+    particles; each row (a positive particle or one of n ground copies) is
+    assigned a column (a negative particle or one of p ground copies).  Pairs
+    cost min(|x - y|, cap(x) + cap(y)), a particle and a ground copy cost its
+    cap, two ground copies cost 0.  The assignment polytope is integral, so the
+    assignment optimum is the exact value; flat_metric_lp is the LP oracle.
     """
     if i < 1:
         raise ValueError("scale index i must be a positive integer")
     pts, w = _weighted_support(g1, g2)
-    k = pts.shape[0]
-    if k == 0:
+    counts = np.abs(w).astype(np.int64)
+    size = int(counts.sum())
+    if size == 0:
         return 0.0
-    if k > FLAT_METRIC_MAX_SUPPORT:
-        raise CapacityError(f"flat-metric support of {k} points exceeds {FLAT_METRIC_MAX_SUPPORT}")
+    if size > FLAT_METRIC_MAX_SUPPORT:
+        raise CapacityError(f"flat-metric support of {size} particles exceeds {FLAT_METRIC_MAX_SUPPORT}")
     caps = np.maximum(0.0, i - np.linalg.norm(pts, axis=1))
-    if caps.max() == 0.0:
-        return 0.0
-    # variables g_j = f_j + cap_j >= 0; every RHS below is >= 0 because the cap
-    # profile is itself 1-Lipschitz
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    rows = []
-    rhs = []
-    for j in range(k):
-        for l in range(k):
-            if j == l:
-                continue
-            row = np.zeros(k)
-            row[j] = 1.0
-            row[l] = -1.0
-            rows.append(row)
-            rhs.append(dist[j, l] + caps[j] - caps[l])
-    for j in range(k):
-        row = np.zeros(k)
-        row[j] = 1.0
-        rows.append(row)
-        rhs.append(2.0 * caps[j])
-    result = solve_lp(w, np.array(rows), np.array(rhs))
-    value = result.value - float(w @ caps)
-    if value < -1.0e-6:
-        raise AssertionError(f"flat-metric LP returned {value}; optimum must be >= 0")
-    return max(value, 0.0)
+    pos, neg = w > 0, w < 0
+    x = np.repeat(pts[pos], counts[pos], axis=0)
+    y = np.repeat(pts[neg], counts[neg], axis=0)
+    cap_x = np.repeat(caps[pos], counts[pos])
+    cap_y = np.repeat(caps[neg], counts[neg])
+    p, n = x.shape[0], y.shape[0]
+    cost = np.zeros((size, size))
+    dist = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    cost[:p, :n] = np.minimum(dist, cap_x[:, None] + cap_y[None, :])
+    cost[:p, n:] = cap_x[:, None]
+    cost[p:, :n] = cap_y[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
 
 
 def d_k(g1: Configuration, g2: Configuration, i_max: int = 20) -> MetricValue:
@@ -175,3 +174,47 @@ def rho_bruteforce(g1: Configuration, g2: Configuration, max_points: int = 8) ->
         if total < best:
             best = total
     return math.sqrt(best)
+
+
+def flat_metric_lp(g1: Configuration, g2: Configuration, i: int) -> float:
+    """LP oracle for flat_metric: maximize sum_j w_j f_j over the f-values on the
+    weighted support, subject to |f_j - f_l| <= |x_j - x_l| and
+    |f_j| <= max(0, i - |x_j|); exact for point measures by Lipschitz extension
+    of any feasible assignment.  Solved by the dense simplex, on at most 120
+    support points.
+    """
+    if i < 1:
+        raise ValueError("scale index i must be a positive integer")
+    pts, w = _weighted_support(g1, g2)
+    k = pts.shape[0]
+    if k == 0:
+        return 0.0
+    if k > 120:
+        raise CapacityError(f"flat-metric LP support of {k} points exceeds 120")
+    caps = np.maximum(0.0, i - np.linalg.norm(pts, axis=1))
+    if caps.max() == 0.0:
+        return 0.0
+    # variables g_j = f_j + cap_j >= 0; every RHS below is >= 0 because the cap
+    # profile is itself 1-Lipschitz
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    rows = []
+    rhs = []
+    for j in range(k):
+        for l in range(k):
+            if j == l:
+                continue
+            row = np.zeros(k)
+            row[j] = 1.0
+            row[l] = -1.0
+            rows.append(row)
+            rhs.append(dist[j, l] + caps[j] - caps[l])
+    for j in range(k):
+        row = np.zeros(k)
+        row[j] = 1.0
+        rows.append(row)
+        rhs.append(2.0 * caps[j])
+    result = solve_lp(w, np.array(rows), np.array(rhs))
+    value = result.value - float(w @ caps)
+    if value < -1.0e-6:
+        raise AssertionError(f"flat-metric LP returned {value}; optimum must be >= 0")
+    return max(value, 0.0)

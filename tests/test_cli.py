@@ -185,6 +185,28 @@ def test_capacity_error_surfaces_as_exit_2(tmp_path):
     assert main(["run", cfg]) == 2
 
 
+def test_flat_metric_config_missing_window_radius_is_exit_2(tmp_path, capsys):
+    doc = {
+        "experiment": "flat-metric",
+        "output": str(tmp_path / "fm"),
+        "params": {
+            "g1": {"dim": 1, "points": [[[0.0], 1]]},
+            "g2": {"dim": 1, "window_radius": 2.0, "points": []},
+        },
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "params.g1" in err and "window_radius" in err and "Traceback" not in err
+    assert not (tmp_path / "fm.json").exists()
+    # a runner that meets the same bad document unvalidated also exits 2
+    code, summary = run_experiment({"experiment": "flat-metric", "seed": 0, "replicas": 2,
+                                    "output": str(tmp_path / "fm"),
+                                    "params": {**doc["params"], "i": 5, "sum_scales": False, "i_max": 20}})
+    assert code == 2 and "window_radius" in summary["error"]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "confheat.cli", "--help"], capture_output=True, text=True

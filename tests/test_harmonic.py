@@ -78,10 +78,31 @@ def test_k_transform_requires_simple():
 
 
 def test_k_transform_capacity_guard():
+    # subset enumeration (non-product kernels) over 2^33 - 1 subsets is refused
     gamma = simple_cfg(np.linspace(-1, 1, 33), radius=2.0)
-    big = const_kernel(1, list(range(1, 34)))
     with pytest.raises(CapacityError):
-        k_transform(big, gamma)
+        k_transform(wavy_kernel(1, 33, 5), gamma)
+
+
+def test_k_transform_product_route_beyond_enumeration_capacity():
+    gamma = simple_cfg(np.linspace(-1, 1, 33), radius=2.0)
+    assert k_transform(const_kernel(1, list(range(1, 34))), gamma) == 2**33 - 1
+
+
+def test_k_transform_product_route_matches_enumeration_random():
+    rng = substream(8, 1)
+    for trial in range(60):
+        dim = 1 + trial % 3
+        orders = sorted({int(k) for k in rng.integers(1, 6, size=int(rng.integers(1, 4)))})
+        coeffs = {k: float(rng.uniform(0.1, 1.0)) for k in orders}
+        bump = GaussianBump(float(rng.uniform(0.3, 1.2)), tuple(rng.uniform(-0.5, 0.5, dim)),
+                            float(rng.uniform(0.6, 1.5)))
+        G = product_kernel(dim, coeffs, bump, value_at_empty=float(rng.uniform(0.0, 0.5)))
+        n = trial % 5 if trial < 10 else int(rng.integers(0, 9))  # n = 0 and orders above n
+        gamma = simple_cfg(rng.uniform(-2, 2, size=(n, dim)), dim=dim, radius=2.0 * math.sqrt(dim) + 1)
+        assert G.is_product
+        want = k_transform_finite(G, gamma.positions)
+        assert k_transform(G, gamma) == pytest.approx(want, rel=1e-12, abs=0.0), (trial, n, orders)
 
 
 def test_k_transform_product_batch_matches_enumeration():

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
+from confheat.errors import CapacityError
 from confheat.metrics import (
+    FLAT_METRIC_MAX_SUPPORT,
     MetricValue,
     b_n,
     d1,
     d_infty,
     d_k,
     flat_metric,
+    flat_metric_lp,
     rho,
     rho_bruteforce,
 )
@@ -101,6 +106,83 @@ def test_flat_metric_triangle_inequality_random():
         bc = flat_metric(b, c, i)
         ac = flat_metric(a, c, i)
         assert ac <= ab + bc + 1e-7
+
+
+def _signed_instance(rng, dim):
+    """Two configurations with multiplicities 1-3, some points outside B(0, 4)
+    and some sites shared between the sides (partly or fully cancelling)."""
+    def side():
+        n = int(rng.integers(0, 6))
+        return rng.uniform(-6.0, 6.0, size=(n, dim)), rng.integers(1, 4, size=n)
+
+    (p1, m1), (p2, m2) = side(), side()
+    if p1.shape[0] and p2.shape[0] and rng.random() < 0.5:
+        k = int(rng.integers(1, min(p1.shape[0], p2.shape[0]) + 1))
+        p2[:k] = p1[:k]
+    if p1.shape[0] > 1 and rng.random() < 0.3:
+        p1[1] = p1[0]  # coincident sites on one side
+    radius = 6.0 * math.sqrt(dim) + 1.0
+    return cfg(p1, dim, m1, radius), cfg(p2, dim, m2, radius)
+
+
+def test_flat_metric_assignment_matches_lp_oracle_random():
+    rng = substream(43, 1)
+    for trial in range(240):
+        dim = 1 + trial % 3
+        g1, g2 = _signed_instance(rng, dim)
+        if trial % 10 == 0:
+            g2 = Configuration.empty(dim)
+        i = int(rng.integers(1, 7))
+        assert flat_metric(g1, g2, i) == pytest.approx(flat_metric_lp(g1, g2, i), abs=1e-9), (trial, i)
+
+
+def _flat_metric_highs(pts, w, i):
+    """The flat-metric LP in the f-values on the weighted support, by HiGHS."""
+    k = pts.shape[0]
+    caps = np.maximum(0.0, i - np.linalg.norm(pts, axis=1))
+    rows, cols = np.nonzero(~np.eye(k, dtype=bool))
+    n_rows = rows.size
+    a_ub = sparse.csr_matrix(
+        (np.concatenate([np.ones(n_rows), -np.ones(n_rows)]),
+         (np.tile(np.arange(n_rows), 2), np.concatenate([rows, cols]))),
+        shape=(n_rows, k),
+    )
+    b_ub = np.linalg.norm(pts[rows] - pts[cols], axis=1)
+    res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(-caps, caps)), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def test_flat_metric_above_old_lp_cap_matches_highs():
+    rng = substream(44, 1)
+    p1, p2 = rng.uniform(-4.0, 4.0, size=(2, 125, 2))
+    m1, m2 = rng.integers(1, 4, size=(2, 125))
+    g1, g2 = cfg(p1, 2, m1, 6.0), cfg(p2, 2, m2, 6.0)
+    assert 450 <= m1.sum() + m2.sum() <= 550
+    with pytest.raises(CapacityError):
+        flat_metric_lp(g1, g2, 3)
+    pts = np.vstack([p1, p2])
+    w = np.concatenate([m1, -m2]).astype(float)
+    assert flat_metric(g1, g2, 3) == pytest.approx(_flat_metric_highs(pts, w, 3), abs=1e-7)
+
+
+def test_flat_metric_capacity_boundary():
+    a, b = [[0.0, 0.0]], [[1.0, 0.0]]
+    half = FLAT_METRIC_MAX_SUPPORT // 2
+    assert FLAT_METRIC_MAX_SUPPORT == 2000
+    at_cap = flat_metric(cfg(a, 2, [half], 3.0), cfg(b, 2, [half], 3.0), 2)
+    assert at_cap == pytest.approx(half * 1.0, abs=1e-9)
+    with pytest.raises(CapacityError):
+        flat_metric(cfg(a, 2, [half + 1], 3.0), cfg(b, 2, [half], 3.0), 2)
+
+
+def test_flat_metric_lp_oracle_capacity():
+    # the dense simplex takes minutes at its 120-point cap, so only the guard is exercised
+    line = np.linspace(-1.0, 1.0, 121)
+    with pytest.raises(CapacityError):
+        flat_metric_lp(cfg(line[:60]), cfg(line[60:]), 2)
+    assert flat_metric(cfg(line[:60]), cfg(line[60:]), 2) > 0.0
 
 
 # ---------------------------------------------------------------------------
