@@ -39,6 +39,7 @@ def main() -> int:
 
     failures = run_all(args.threads)
     if args.check_determinism:
+        shutil.rmtree("reports_first", ignore_errors=True)
         shutil.move("reports", "reports_first")
         failures += run_all(max(args.threads, 4))
         mismatches = []

@@ -32,7 +32,6 @@ from .rng import TAG_EXPERIMENT, substream
 from .semigroup import (
     CylinderFunction,
     ExpFunctional,
-    SmoothBump,
     WindowedConstant,
     WindowedCount,
     WindowedExponential,
@@ -76,12 +75,21 @@ def _dim_ok(x):
     return None if 1 <= x <= 3 else "dimension must be 1, 2, or 3"
 
 
-def _configuration_ok(doc):
-    try:
-        Configuration.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        return f"bad configuration ({type(exc).__name__}: {exc})"
-    return None
+def _parses(parse, what):
+    """Field check that reports the error ``parse(value)`` raises."""
+
+    def check(value):
+        try:
+            parse(value)
+        except (KeyError, TypeError, ValueError) as exc:
+            return f"bad {what} ({type(exc).__name__}: {exc})"
+        return None
+
+    return check
+
+
+def _one_of(*values):
+    return lambda x: None if x in values else f"unknown value {x!r}; valid: {', '.join(values)}"
 
 
 def _coerce(kind: str, value):
@@ -138,7 +146,8 @@ def validate_params(schema: dict[str, Field], params: dict, errors: list[str]) -
     return out
 
 
-def parse_profile(doc: dict, dim: int, errors: list[str], where: str):
+def parse_profile(doc: dict, dim: int):
+    """The profile a ``phi``/``profile`` param describes; ValueError if it is malformed."""
     family = doc.get("family")
     try:
         if family == "gaussian_bump":
@@ -150,11 +159,24 @@ def parse_profile(doc: dict, dim: int, errors: list[str], where: str):
             return SmoothedIndicator(float(doc["amp"]), float(doc["radius"]), float(doc["width"]), dim)
         if family == "constant":
             return ConstantProfile(float(doc["value"]), dim)
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"{where}: bad profile ({exc})")
-        return None
-    errors.append(f"{where}: unknown profile family {family!r}")
-    return None
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
+    raise ValueError(f"unknown profile family {family!r}")
+
+
+def parse_bumps(docs: list) -> tuple[GaussianBump, ...]:
+    """The Gaussian bumps of a generator ``bumps`` param (at least one)."""
+    if not docs:
+        raise ValueError("at least one bump required")
+    return tuple(GaussianBump(float(b["amp"]), tuple(b["center"]), float(b["width"])) for b in docs)
+
+
+_configuration_ok = _parses(Configuration.from_dict, "configuration")
+# the dimension only fills defaults (center, ndim), so any dimension finds the same errors
+_profile_ok = _parses(lambda doc: parse_profile(doc, 1), "profile")
+_bumps_ok = _parses(parse_bumps, "bumps")
 
 
 @dataclass
@@ -245,11 +267,7 @@ def _gamma_from_params(p, dim, seed, errors_ok=True):
 
 def run_semigroup_exp(p, seed, replicas, threads):
     dim = p["dim"]
-    errors: list[str] = []
-    phi = parse_profile(p["phi"], dim, errors, "params.phi")
-    if errors:
-        raise ValueError("; ".join(errors))
-    ef = ExpFunctional(phi)
+    ef = ExpFunctional(parse_profile(p["phi"], dim))
     gamma = _gamma_from_params(p, dim, seed)
     exact = apply_exact_exponential(ef, gamma, p["t"])
     est = apply_mc(ef.functional(), gamma, p["t"], replicas, seed, threads=threads)
@@ -297,15 +315,12 @@ def run_invariance(p, seed, replicas, threads):
 
 
 _OUTERS = {"linear": outer_linear, "exp_neg_sum": outer_exp_neg_sum, "square": outer_square}
+_METRICS = {"rho": metrics.rho, "d1": metrics.d1}
 
 
 def run_generator(p, seed, replicas, threads):
-    bumps = tuple(
-        SmoothBump(float(b["amp"]), tuple(b["center"]), float(b["width"])) for b in p["bumps"]
-    )
+    bumps = parse_bumps(p["bumps"])
     outer_name = p["outer"]
-    if outer_name not in _OUTERS:
-        raise ValueError(f"unknown outer function {outer_name!r}")
     outer = _OUTERS[outer_name](len(bumps)) if outer_name == "exp_neg_sum" else _OUTERS[outer_name]()
     F = CylinderFunction(outer, bumps)
     gamma = Configuration.from_dict(p["gamma"])
@@ -321,17 +336,11 @@ def run_generator(p, seed, replicas, threads):
 
 def run_feller(p, seed, replicas, threads):
     dim = p["dim"]
-    errors: list[str] = []
     gamma = Configuration.from_dict(p["gamma"])
+    phi = parse_profile(p["phi"], dim)
     if p["functional"] == "kernel":
-        phi = parse_profile(p["phi"], dim, errors, "params.phi")
-        if errors:
-            raise ValueError("; ".join(errors))
         F_spec = product_kernel(dim, {1: 1.0}, phi, d_class="auto")
     elif p["functional"] == "exponential":
-        phi = parse_profile(p["phi"], dim, errors, "params.phi")
-        if errors:
-            raise ValueError("; ".join(errors))
         F_spec = ExpFunctional(phi)
     else:
         raise ValueError(f"unknown functional {p['functional']!r}")
@@ -352,7 +361,7 @@ def run_feller(p, seed, replicas, threads):
             schedule.append(Configuration.from_points(dim, pts, None, max(gamma.window_radius, r) + 1.0))
     else:
         raise ValueError(f"unknown schedule {p['schedule']!r}")
-    metric = {"rho": metrics.rho, "d1": metrics.d1}[p["metric"]]
+    metric = _METRICS[p["metric"]]
     rep = feller_probe(F_spec, gamma, schedule, metric, t=p["t"], ratio_tol=p["ratio_tol"],
                        replicas=replicas, seed=seed)
     rows = [
@@ -403,10 +412,7 @@ def run_flat_metric(p, seed, replicas, threads):
 
 def run_ktransform(p, seed, replicas, threads):
     dim = p["dim"]
-    errors: list[str] = []
-    profile = parse_profile(p["profile"], dim, errors, "params.profile")
-    if errors:
-        raise ValueError("; ".join(errors))
+    profile = parse_profile(p["profile"], dim)
     coeffs = {int(k): float(v) for k, v in p["coeffs"].items()}
     G = product_kernel(dim, coeffs, profile)
     gamma = Configuration.from_dict(p["gamma"])
@@ -549,10 +555,6 @@ class Experiment:
     default_replicas: int
 
 
-def _known_functional(x):
-    return None if x in ("constant", "count", "exponential") else "unknown functional"
-
-
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
@@ -586,7 +588,7 @@ _register(
     {
         "dim": Field("int", check=_dim_ok),
         "t": Field("float", check=_positive),
-        "phi": Field("dict"),
+        "phi": Field("dict", check=_profile_ok),
         "gamma": Field("dict", None, check=_configuration_ok),
         "gamma_radius": Field("float", 2.0, check=_positive),
         "gamma_intensity": Field("float", 1.0, check=_positive),
@@ -598,7 +600,7 @@ _register(
     "invariance",
     {
         "dim": Field("int", check=_dim_ok),
-        "functional": Field("str", check=_known_functional),
+        "functional": Field("str", check=_one_of("constant", "count", "exponential")),
         "intensity": Field("float", 1.0, check=_positive),
         "t": Field("float", check=_positive),
         "inner_radius": Field("float", 1.0, check=_positive),
@@ -613,8 +615,8 @@ _register(
 _register(
     "generator",
     {
-        "outer": Field("str"),
-        "bumps": Field("list"),
+        "outer": Field("str", check=_one_of(*_OUTERS)),
+        "bumps": Field("list", check=_bumps_ok),
         "gamma": Field("dict", check=_configuration_ok),
         "t_list": Field("list", [0.1, 0.05, 0.025]),
     },
@@ -625,11 +627,11 @@ _register(
     "feller",
     {
         "dim": Field("int", check=_dim_ok),
-        "functional": Field("str"),
-        "phi": Field("dict"),
+        "functional": Field("str", check=_one_of("kernel", "exponential")),
+        "phi": Field("dict", check=_profile_ok),
         "gamma": Field("dict", check=_configuration_ok),
-        "schedule": Field("str", "shift"),
-        "metric": Field("str", "rho"),
+        "schedule": Field("str", "shift", check=_one_of("shift", "far-point")),
+        "metric": Field("str", "rho", check=_one_of(*_METRICS)),
         "levels": Field("int", 10, check=_positive),
         "t": Field("float", 0.5, check=_positive),
         "ratio_tol": Field("float", 1e-3, check=_positive),
@@ -660,7 +662,7 @@ _register(
     {
         "dim": Field("int", check=_dim_ok),
         "coeffs": Field("dict"),
-        "profile": Field("dict"),
+        "profile": Field("dict", check=_profile_ok),
         "gamma": Field("dict", check=_configuration_ok),
     },
     run_ktransform,

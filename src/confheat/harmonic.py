@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, CapabilityError
 from .kernel import HeatKernelParams
-from .points import Configuration, Window
+from .points import Configuration, Window, uniform_ball
 from .rng import TAG_INTEGRAL, substream
 from .special import exp_radial_integral, ball_volume
 
@@ -561,7 +561,7 @@ def lebesgue_poisson_integral(
         vol = ball_volume(G.dim, radius)
         draws = np.array(
             [
-                level(_canonical_rows(_uniform_ball_rows(rng, order, G.dim, radius)))
+                level(_canonical_rows(uniform_ball(rng, order, G.dim, radius)))
                 for _ in range(spec.mc_samples)
             ]
         )
@@ -588,14 +588,6 @@ def lebesgue_poisson_integral(
         warnings=tuple(warnings),
         per_order=tuple(per_order),
     )
-
-
-def _uniform_ball_rows(rng, n, dim, radius):
-    g = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = radius * rng.random(n) ** (1.0 / dim)
-    return g * (radii / norms)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +651,7 @@ def verify_d_class(
     worst = 0.0
     for order in G.level_orders():
         for _ in range(samples_per_order):
-            pts = _uniform_ball_rows(rng, order, G.dim, radius)
+            pts = uniform_ball(rng, order, G.dim, radius)
             val = abs(G.value(pts))
             bound = cert.c**order * math.exp(-(1.0 + cert.eps) * float(np.linalg.norm(pts, axis=1).sum()))
             if val > 0.0:

@@ -1,10 +1,12 @@
 """Single-point function families with known heat-flow behavior.
 
-These profiles serve two roles: as the per-argument factors of product kernel
-functions (harmonic module) and as the phi of exponential functionals
-(semigroup module).  Gaussian bumps and axis-aligned boxes convolve with the
-heat kernel in closed form; the smoothed radial indicator convolves by adaptive
-quadrature.  All profiles evaluate vectorized over trailing point axes.
+These profiles serve three roles: as the per-argument factors of product kernel
+functions (harmonic module), as the phi of exponential functionals, and, for
+the Gaussian bump, which carries its analytic gradient and Laplacian, as the
+inner test functions of cylinder functions (both in the semigroup module).
+Gaussian bumps and axis-aligned boxes convolve with the heat kernel in closed
+form; the smoothed radial indicator convolves by adaptive quadrature.  All
+profiles evaluate vectorized over trailing point axes.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ def _norms(x: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """amp * exp(-|x - center|^2 / (2 width^2))."""
+    """amp * exp(-|x - center|^2 / (2 width^2)), with analytic gradient and Laplacian."""
 
     amp: float
     center: tuple[float, ...]
@@ -47,6 +49,15 @@ class GaussianBump:
         x = np.asarray(x, dtype=float)
         sq = np.sum((x - np.asarray(self.center)) ** 2, axis=-1)
         return self.amp * np.exp(-sq / (2.0 * self.width**2))
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        return self(x)[..., None] * (-(x - np.asarray(self.center)) / self.width**2)
+
+    def laplacian(self, x):
+        x = np.asarray(x, dtype=float)
+        sq = np.sum((x - np.asarray(self.center)) ** 2, axis=-1)
+        return self(x) * (sq / self.width**4 - self.dim / self.width**2)
 
     def heat_convolve(self, t: float) -> "GaussianBump":
         w2 = self.width**2

@@ -3,9 +3,12 @@
 Two evaluation routes exist side by side: Monte Carlo over independent heat
 steps of every particle (apply_mc), and closed forms where the functional
 family permits (the exponential-functional identity, and the kernel lift
-K-side convolution).  Reports name their route.  All Monte Carlo is chunked
-over counter-based substreams, so results are reproducible and independent of
-thread count.
+K-side convolution).  Reports name their route.  Every Monte Carlo estimate
+(apply_mc, invariance_test, generator_residual) goes through one chunked
+estimator: each chunk draws from its own counter-based substream and reduces
+to a count, mean and centred sum of squares, and the chunks are merged in
+chunk order.  Results are reproducible, independent of thread count, and
+stable when the variance is tiny next to the mean.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from .harmonic import DClassCertificate, KernelFunction, k_transform_product_bat
 from .kernel import HeatKernelParams, tail_mass
 from .points import Configuration, truncation_tail_bound, uniform_ball
 from .profiles import ConstantProfile, GaussianBump, SmoothedIndicator
+from .profiles import GaussianBump as SmoothBump  # noqa: F401  (former name of the cylinder test functions)
 from .rng import (
     TAG_APPLY_MC,
     TAG_GENERATOR,
@@ -160,6 +164,43 @@ def apply_exact_exponential(ef: ExpFunctional, gamma: Configuration, t: float) -
 
 
 # ---------------------------------------------------------------------------
+# the chunked Monte Carlo estimator
+
+
+def _chunked_mean_se(sample, replicas: int, seed: int, tag: int, threads: int, chunk: int):
+    """Means and standard errors of k Monte Carlo quantities over ``replicas`` draws.
+
+    ``sample(rng, m)`` returns the values of m replicas as a (k, m) array.
+    Chunk ci draws from ``substream(seed, tag, ci)`` and reduces along its
+    contiguous last axis to (count, mean, centred sum of squares); the chunks
+    are merged in chunk order by the pairwise update of Chan, Golub & LeVeque,
+    so the result is the same for any thread count and does not cancel when
+    the variance is tiny next to the mean.
+    """
+    if replicas < 2:
+        raise ValueError("replicas must be >= 2")
+    sizes = chunk_sizes(replicas, chunk)
+
+    def worker(ci: int):
+        vals = np.asarray(sample(substream(seed, tag, ci), sizes[ci]), dtype=float)
+        if not np.isfinite(vals).all():
+            bad = int(np.flatnonzero(~np.isfinite(vals).all(axis=0))[0])
+            raise EvaluationError(f"functional returned a non-finite value at replica {ci * chunk + bad}")
+        mean = vals.mean(axis=1)
+        dev = vals - mean[:, None]
+        return sizes[ci], mean, np.einsum("km,km->k", dev, dev)
+
+    n, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in map_chunks(worker, len(sizes), threads):
+        total = n + n_b
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+        n = total
+    return mean, np.sqrt(m2 / (n - 1) / n)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo application of the semigroup
 
 
@@ -196,31 +237,18 @@ def apply_mc(
     Deterministic for a fixed seed, for any thread count: replica chunks draw
     from substreams keyed by (seed, chunk index) and are reduced in chunk order.
     """
-    if replicas < 2:
-        raise ValueError("replicas must be >= 2")
     HeatKernelParams(gamma.dim, t)
     base = gamma.expand()
     scale = math.sqrt(2.0 * t)
-    sizes = chunk_sizes(replicas, chunk)
 
-    def worker(ci: int):
-        m = sizes[ci]
-        rng = substream(seed, TAG_APPLY_MC, ci)
+    def sample(rng, m):
         disp = rng.standard_normal((m, base.shape[0], gamma.dim))
-        vals = np.asarray(F.batch(base[None, :, :] + scale * disp), dtype=float)
-        bad = np.nonzero(~np.isfinite(vals))[0]
-        if bad.size:
-            raise EvaluationError(f"functional returned a non-finite value at replica {ci * chunk + int(bad[0])}")
-        return float(vals.sum()), float(np.dot(vals, vals))
+        return np.asarray(F.batch(base[None, :, :] + scale * disp), dtype=float)[None, :]
 
-    parts = map_chunks(worker, len(sizes), threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / replicas
-    var = max(0.0, (s2 - replicas * mean * mean) / (replicas - 1))
+    (mean,), (se,) = _chunked_mean_se(sample, replicas, seed, TAG_APPLY_MC, threads, chunk)
     return SemigroupEstimate(
-        mean=mean,
-        std_error=math.sqrt(var / replicas),
+        mean=float(mean),
+        std_error=float(se),
         replicas=replicas,
         seed=seed,
         truncation_note=_truncation_note(gamma),
@@ -360,27 +388,18 @@ def invariance_test(
         )
     mean_count = intensity * ball_volume(dim, outer_radius)
     scale = math.sqrt(2.0 * t)
-    sizes = chunk_sizes(replicas, chunk)
 
-    def worker(ci: int):
-        m = sizes[ci]
-        rng = substream(seed, TAG_INVARIANCE, ci)
+    def sample(rng, m):
         counts = rng.poisson(mean_count, size=m)
         total = int(counts.sum())
         pos = uniform_ball(rng, total, dim, outer_radius)
         rep_idx = np.repeat(np.arange(m), counts)
         before = F.segments(pos, rep_idx, m)
         moved = pos + scale * rng.standard_normal((total, dim))
-        after = F.segments(moved, rep_idx, m)
-        d = after - before
-        return float(d.sum()), float(np.dot(d, d))
+        return (F.segments(moved, rep_idx, m) - before)[None, :]
 
-    parts = map_chunks(worker, len(sizes), threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / replicas
-    var = max(0.0, (s2 - replicas * mean * mean) / (replicas - 1))
-    se = math.sqrt(var / replicas)
+    (mean,), (se,) = _chunked_mean_se(sample, replicas, seed, TAG_INVARIANCE, threads, chunk)
+    mean, se = float(mean), float(se)
     passed = abs(mean) <= 4.0 * se + leakage
     return InvarianceReport(
         mean_diff=mean,
@@ -435,33 +454,6 @@ def outer_square() -> OuterFunction:
     )
 
 
-@dataclass(frozen=True)
-class SmoothBump:
-    """Test function a * exp(-|x-c|^2/(2 s^2)) with analytic gradient and Laplacian."""
-
-    amp: float
-    center: tuple[float, ...]
-    width: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        sq = np.sum((x - np.asarray(self.center)) ** 2, axis=-1)
-        return self.amp * np.exp(-sq / (2.0 * self.width**2))
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return self(x)[..., None] * (-(x - np.asarray(self.center)) / self.width**2)
-
-    def laplacian(self, x):
-        x = np.asarray(x, dtype=float)
-        sq = np.sum((x - np.asarray(self.center)) ** 2, axis=-1)
-        return self(x) * (sq / self.width**4 - self.dim / self.width**2)
-
-
 def _fd_gradient(f, x, h=1.0e-5):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -481,7 +473,7 @@ class CylinderFunction:
     """
 
     outer: OuterFunction
-    inner: tuple[SmoothBump, ...]
+    inner: tuple[GaussianBump, ...]
     _check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
@@ -600,31 +592,17 @@ def generator_residual(
     base = gamma.expand()
     f0 = functional.value(base)
     hf = F.generator_value(gamma)
-    sizes = chunk_sizes(replicas, chunk)
 
-    def worker(ci: int):
-        m = sizes[ci]
-        rng = substream(seed, TAG_GENERATOR, ci)
+    def sample(rng, m):
         z = rng.standard_normal((m, base.shape[0], gamma.dim))
-        out = []
-        for t in ts:
-            vals = functional.batch(base[None, :, :] + math.sqrt(2.0 * t) * z)
-            if not np.all(np.isfinite(vals)):
-                raise EvaluationError(f"non-finite functional value in chunk {ci}")
-            out.append((float(vals.sum()), float(np.dot(vals, vals))))
-        return out
+        return np.stack([functional.batch(base[None, :, :] + math.sqrt(2.0 * t) * z) for t in ts])
 
-    parts = map_chunks(worker, len(sizes), threads)
+    means, ses = _chunked_mean_se(sample, replicas, seed, TAG_GENERATOR, threads, chunk)
     entries = []
-    for k, t in enumerate(ts):
-        s1 = sum(p[k][0] for p in parts)
-        s2 = sum(p[k][1] for p in parts)
-        mean = s1 / replicas
-        var = max(0.0, (s2 - replicas * mean * mean) / (replicas - 1))
-        se_mean = math.sqrt(var / replicas)
-        quotient = (f0 - mean) / t
+    for t, mean, se_mean in zip(ts, means, ses):
+        quotient = (f0 - float(mean)) / t
         residual = quotient - hf
-        se_q = se_mean / t
+        se_q = float(se_mean) / t
         entries.append(GeneratorEntry(t, quotient, residual, se_q, se_q > abs(residual) / 2.0))
     ratios = tuple(
         entries[k].residual / entries[k + 1].residual if entries[k + 1].residual != 0.0 else math.inf

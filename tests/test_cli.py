@@ -1,8 +1,13 @@
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from confheat.cli import main, run_experiment, validate_config
+
+CONFIG_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -205,6 +210,64 @@ def test_flat_metric_config_missing_window_radius_is_exit_2(tmp_path, capsys):
                                     "output": str(tmp_path / "fm"),
                                     "params": {**doc["params"], "i": 5, "sum_scales": False, "i_max": 20}})
     assert code == 2 and "window_radius" in summary["error"]
+
+
+def shipped(name, tmp_path):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doc["output"] = str(tmp_path / name)
+    return doc
+
+
+def _drop_phi_width(doc):
+    del doc["params"]["phi"]["width"]
+
+
+def _drop_bump_width(doc):
+    del doc["params"]["bumps"][0]["width"]
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc["params"][key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, mutate, field",
+    [
+        ("semigroup_exp", _drop_phi_width, "params.phi"),
+        ("semigroup_exp", _set("phi", {"family": "spline", "amp": -0.3}), "params.phi"),
+        ("generator", _drop_bump_width, "params.bumps"),
+        ("generator", _set("bumps", []), "params.bumps"),
+        ("generator", _set("outer", "cubic"), "params.outer"),
+        ("ktransform", _set("profile", {"family": "box", "amp": 0.5, "lo": [0.0]}), "params.profile"),
+        ("feller", _set("functional", "count"), "params.functional"),
+        ("feller", _set("schedule", "spiral"), "params.schedule"),
+        ("feller", _set("metric", "d2"), "params.metric"),
+    ],
+    ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
+         "box-no-hi", "feller-functional", "feller-schedule", "feller-metric"],
+)
+def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
+    doc = shipped(name, tmp_path)
+    mutate(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / f"{name}.json").exists()
+
+
+def test_semigroup_exp_tiny_amplitude_passes(tmp_path):
+    # variance ~1e-18 of the squared mean: the standard error must not cancel to 0
+    doc = shipped("semigroup_exp", tmp_path)
+    doc["params"]["phi"]["amp"] = -1.0e-8
+    doc["replicas"] = 20000
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    rows = json.loads((tmp_path / "semigroup_exp.json").read_text())["results"]
+    assert rows[0]["std_error"] > 0.0
 
 
 def test_console_entry_point_runs():

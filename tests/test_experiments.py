@@ -104,3 +104,25 @@ def test_each_experiment_runs_and_passes(name, tmp_path):
     parsed = json.loads((tmp_path / "r.json").read_text())
     assert parsed["experiment"] == name
     assert parsed["config"]["seed"] == 7
+
+
+def test_battery_determinism_check_repeats_in_one_directory(tmp_path, monkeypatch, capsys):
+    import importlib.util
+    import pathlib
+    import shutil
+    import sys
+
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "run_battery.py"
+    spec = importlib.util.spec_from_file_location("run_battery", script)
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    shutil.copy(battery.CONFIG_DIR / "rho.json", configs)
+    monkeypatch.setattr(battery, "CONFIG_DIR", configs)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["run_battery.py", "--check-determinism"])
+    for _ in range(2):
+        assert battery.main() == 0
+        assert "determinism check: byte-identical" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "reports_first").iterdir()) == ["rho.csv", "rho.json"]

@@ -7,7 +7,7 @@ from confheat.errors import CapabilityError, EvaluationError
 from confheat.harmonic import k_transform, product_kernel, verify_d_class
 from confheat.points import Configuration
 from confheat.profiles import GaussianBump, SmoothedIndicator
-from confheat.rng import substream
+from confheat.rng import TAG_APPLY_MC, chunk_sizes, substream
 from confheat.semigroup import (
     BallCountFunctional,
     ConfigurationFunctional,
@@ -86,6 +86,24 @@ def test_apply_mc_reports_bad_functional():
 
     with pytest.raises(EvaluationError, match="replica 3"):
         apply_mc(Bad(), cfg([0.0]), 0.5, replicas=10, seed=0)
+
+
+def test_apply_mc_se_stable_for_tiny_variance():
+    # amp -1e-8: the variance is ~1e-18 of the squared mean, where a
+    # sum-of-squares reduction cancels to 0; compare a two-pass std on the
+    # same substream draws
+    F = ExpFunctional(GaussianBump(-1.0e-8, (0.0,), 1.0)).functional()
+    gamma = cfg([0.0, 0.8], radius=2.0)
+    t, replicas, seed = 0.5, 20000, 103
+    est = apply_mc(F, gamma, t, replicas=replicas, seed=seed)
+    base = gamma.expand()
+    vals = np.concatenate([
+        F.batch(base[None] + math.sqrt(2.0 * t) * substream(seed, TAG_APPLY_MC, ci).standard_normal((m, 2, 1)))
+        for ci, m in enumerate(chunk_sizes(replicas, 4096))
+    ])
+    assert est.mean == pytest.approx(vals.mean(), rel=1e-14)
+    assert est.std_error == pytest.approx(np.std(vals, ddof=1) / math.sqrt(replicas), rel=1e-6)
+    assert est.std_error > 0.0
 
 
 def test_apply_mc_empty_configuration():
@@ -247,6 +265,14 @@ def test_invariance_count_and_exponential_pass():
         assert rep.leakage_bound < 1e-6
 
 
+def test_invariance_thread_invariant_across_chunks():
+    kw = dict(dim=2, intensity=1.0, t=0.5, inner_radius=1.0, outer_radius=4.0, replicas=6000, seed=23, chunk=1000)
+    a = invariance_test(WindowedCount(1.0), threads=1, **kw)
+    b = invariance_test(WindowedCount(1.0), threads=3, **kw)
+    assert (a.mean_diff, a.std_error) == (b.mean_diff, b.std_error)
+    assert a.std_error > 0.0
+
+
 def test_invariance_pad_too_small_is_config_error():
     with pytest.raises(ValueError, match="leakage"):
         invariance_test(
@@ -290,6 +316,35 @@ def test_generator_residual_linear_case():
     if report.verdict == "inconclusive":
         report = generator_residual(F, cfg([0.0]), (0.1, 0.05, 0.025), replicas=800000, seed=31)
     assert report.verdict == "pass", report
+
+
+def test_generator_residual_thread_invariant_across_chunks():
+    F = CylinderFunction(outer_linear(1.0), (SmoothBump(1.0, (0.0,), 0.7),))
+    a = generator_residual(F, cfg([0.0, 0.4]), (0.1, 0.05), replicas=6000, seed=32, threads=1, chunk=1000)
+    b = generator_residual(F, cfg([0.0, 0.4]), (0.1, 0.05), replicas=6000, seed=32, threads=3, chunk=1000)
+    assert a.entries == b.entries and a.ratios == b.ratios
+
+
+def test_invariance_and_generator_need_two_replicas():
+    with pytest.raises(ValueError, match="replicas"):
+        invariance_test(WindowedCount(1.0), dim=1, intensity=1.0, t=0.5, inner_radius=1.0,
+                        outer_radius=4.0, replicas=1, seed=0)
+    F = CylinderFunction(outer_linear(1.0), (SmoothBump(1.0, (0.0,), 1.0),))
+    with pytest.raises(ValueError, match="replicas"):
+        generator_residual(F, cfg([0.0]), (0.1, 0.05), replicas=1, seed=0)
+
+
+def test_generator_residual_reports_non_finite_replica():
+    def fn(v):
+        out = v[..., 0].copy()
+        if out.shape[0] == 2:  # the ragged last chunk: replicas 8 and 9
+            out[1] = np.nan
+        return out
+
+    outer = OuterFunction(name="nan", fn=fn, grad=lambda v: np.array([1.0]), hess=lambda v: np.zeros((1, 1)))
+    F = CylinderFunction(outer, (SmoothBump(1.0, (0.0,), 1.0),), _check=False)
+    with pytest.raises(EvaluationError, match="replica 9"):
+        generator_residual(F, cfg([0.0]), (0.1, 0.05), replicas=10, seed=0, chunk=4)
 
 
 def test_generator_residual_validates_t_list():
