@@ -44,7 +44,7 @@ from .semigroup import (
     outer_linear,
     outer_square,
 )
-from .special import ball_volume
+from .special import ball_volume, binomial_se
 
 _REQUIRED = object()
 
@@ -143,6 +143,7 @@ def validate_params(schema: dict[str, Field], params: dict, errors: list[str]) -
                 errors.append(f"params.{key}: {msg}")
                 continue
         out[key] = val
+    _check_dimensions(out, errors)
     return out
 
 
@@ -171,6 +172,23 @@ def parse_bumps(docs: list) -> tuple[GaussianBump, ...]:
     if not docs:
         raise ValueError("at least one bump required")
     return tuple(GaussianBump(float(b["amp"]), tuple(b["center"]), float(b["width"])) for b in docs)
+
+
+def _check_dimensions(p: dict, errors: list[str]) -> None:
+    """Cross-field pass over the params that passed their own checks: ``phi``,
+    ``profile``, ``gamma`` and the ``bumps`` centres share one dimension, which
+    is ``dim`` where the experiment has one and that of ``gamma`` otherwise."""
+    dims = {}
+    if p.get("gamma") is not None:
+        dims["gamma"] = Configuration.from_dict(p["gamma"]).dim
+    want = p.get("dim", dims.get("gamma"))
+    if want is None:
+        return
+    dims.update((key, parse_profile(p[key], want).dim) for key in ("phi", "profile") if key in p)
+    if "bumps" in p:
+        dims.update((f"bumps[{k}]", bump.dim) for k, bump in enumerate(parse_bumps(p["bumps"])))
+    errors.extend(f"params.{key}: dimension {d} does not match the experiment's dimension {want}"
+                  for key, d in dims.items() if d != want)
 
 
 _configuration_ok = _parses(Configuration.from_dict, "configuration")
@@ -258,7 +276,7 @@ def run_diffuse(p, seed, replicas, threads):
     return ExperimentResult(rows, {"draws": n_draws}, _verdict_all(checks))
 
 
-def _gamma_from_params(p, dim, seed, errors_ok=True):
+def _gamma_from_params(p, dim, seed):
     if p.get("gamma") is not None:
         return Configuration.from_dict(p["gamma"])
     rng = substream(seed, TAG_EXPERIMENT, 3)
@@ -281,19 +299,19 @@ def run_semigroup_exp(p, seed, replicas, threads):
     return ExperimentResult(rows, {"particles": gamma.total_count}, "pass" if ok else "fail")
 
 
+_INVARIANCE_FUNCTIONALS = {
+    "constant": lambda p: WindowedConstant(1.0),
+    "count": lambda p: WindowedCount(p["inner_radius"]),
+    "exponential": lambda p: WindowedExponential(
+        GaussianBump(-abs(p["a"]), tuple([0.0] * p["dim"]), p["width"]), p["inner_radius"]
+    ),
+}
+
+
 def run_invariance(p, seed, replicas, threads):
     dim = p["dim"]
     kind = p["functional"]
-    if kind == "constant":
-        F = WindowedConstant(1.0)
-    elif kind == "count":
-        F = WindowedCount(p["inner_radius"])
-    elif kind == "exponential":
-        F = WindowedExponential(
-            GaussianBump(-abs(p["a"]), tuple([0.0] * dim), p["width"]), p["inner_radius"]
-        )
-    else:
-        raise ValueError(f"unknown functional {kind!r}")
+    F = _INVARIANCE_FUNCTIONALS[kind](p)
     rep = invariance_test(
         F,
         dim=dim,
@@ -334,33 +352,33 @@ def run_generator(p, seed, replicas, threads):
     return ExperimentResult(rows, {"outer": outer_name}, report.verdict)
 
 
+def _shift(gamma, j):
+    pts = gamma.positions.copy()
+    pts[0, 0] += 2.0**-j
+    return Configuration.from_points(gamma.dim, pts, None, gamma.window_radius + 1.0)
+
+
+def _far_point(gamma, j):
+    r = j * math.log(2.0)
+    extra = np.zeros((1, gamma.dim))
+    extra[0, 0] = r
+    pts = np.vstack([gamma.positions, extra])
+    return Configuration.from_points(gamma.dim, pts, None, max(gamma.window_radius, r) + 1.0)
+
+
+_FELLER_FUNCTIONALS = {
+    "kernel": lambda dim, phi: product_kernel(dim, {1: 1.0}, phi, d_class="auto"),
+    "exponential": lambda dim, phi: ExpFunctional(phi),
+}
+_SCHEDULES = {"shift": _shift, "far-point": _far_point}
+
+
 def run_feller(p, seed, replicas, threads):
     dim = p["dim"]
     gamma = Configuration.from_dict(p["gamma"])
-    phi = parse_profile(p["phi"], dim)
-    if p["functional"] == "kernel":
-        F_spec = product_kernel(dim, {1: 1.0}, phi, d_class="auto")
-    elif p["functional"] == "exponential":
-        F_spec = ExpFunctional(phi)
-    else:
-        raise ValueError(f"unknown functional {p['functional']!r}")
-    levels = p["levels"]
-    schedule = []
-    base_points = gamma.positions.copy()
-    if p["schedule"] == "shift":
-        for j in range(1, levels + 1):
-            pts = base_points.copy()
-            pts[0, 0] += 2.0**-j
-            schedule.append(Configuration.from_points(dim, pts, None, gamma.window_radius + 1.0))
-    elif p["schedule"] == "far-point":
-        for j in range(1, levels + 1):
-            r = j * math.log(2.0)
-            extra = np.zeros((1, dim))
-            extra[0, 0] = r
-            pts = np.vstack([base_points, extra])
-            schedule.append(Configuration.from_points(dim, pts, None, max(gamma.window_radius, r) + 1.0))
-    else:
-        raise ValueError(f"unknown schedule {p['schedule']!r}")
+    F_spec = _FELLER_FUNCTIONALS[p["functional"]](dim, parse_profile(p["phi"], dim))
+    level = _SCHEDULES[p["schedule"]]
+    schedule = [level(gamma, j) for j in range(1, p["levels"] + 1)]
     metric = _METRICS[p["metric"]]
     rep = feller_probe(F_spec, gamma, schedule, metric, t=p["t"], ratio_tol=p["ratio_tol"],
                        replicas=replicas, seed=seed)
@@ -511,7 +529,7 @@ def run_collision(p, seed, replicas, threads):
         rows.append(_row("crossing_fraction", rep.crossing_fraction, bound=rep.crossing_reference,
                          note="reflection-principle reference"))
         if rep.crossing_reference is not None:
-            se = math.sqrt(max(rep.crossing_reference * (1 - rep.crossing_reference), 1.0 / replicas) / replicas)
+            se = binomial_se(rep.crossing_reference, replicas)
             verdict = "pass" if abs(rep.crossing_fraction - rep.crossing_reference) <= 4 * se else "fail"
         else:
             verdict = "pass"
@@ -528,15 +546,13 @@ def run_tail_tau(p, seed, replicas, threads):
     for r in p["r_list"]:
         exact = tail_mass(params, float(r))
         emp = float(np.mean(norms > r))
-        se = math.sqrt(max(exact * (1 - exact), 1.0 / replicas) / replicas)
+        se = binomial_se(exact, replicas)
         checks.append(abs(emp - exact) <= 4 * se)
         rows.append(_se_row(f"tail_r={r:g}", emp, se, bound=exact, note="closed form Q(d/2, r^2/4t)"))
     if p["check_certificate"]:
         cert = fit_condition_certificate(HeatKernelParams(dim, max(t, 0.5)))
-        worst = max(
-            tau(dim, cert.tail_delta, float(r)) / (cert.tail_c * math.exp(-float(r)))
-            for r in np.linspace(0.0, 20.0, 201)
-        )
+        radii = np.linspace(0.0, 20.0, 201)
+        worst = float(np.max(tau(dim, cert.tail_delta, radii) / (cert.tail_c * np.exp(-radii))))
         rows.append(_row("c3_worst_ratio", worst, bound=1.0,
                          note=f"tau({cert.tail_delta:g}, r) vs {cert.tail_c:.4g} e^-r"))
         checks.append(worst <= 1.0)
@@ -600,7 +616,7 @@ _register(
     "invariance",
     {
         "dim": Field("int", check=_dim_ok),
-        "functional": Field("str", check=_one_of("constant", "count", "exponential")),
+        "functional": Field("str", check=_one_of(*_INVARIANCE_FUNCTIONALS)),
         "intensity": Field("float", 1.0, check=_positive),
         "t": Field("float", check=_positive),
         "inner_radius": Field("float", 1.0, check=_positive),
@@ -627,10 +643,10 @@ _register(
     "feller",
     {
         "dim": Field("int", check=_dim_ok),
-        "functional": Field("str", check=_one_of("kernel", "exponential")),
+        "functional": Field("str", check=_one_of(*_FELLER_FUNCTIONALS)),
         "phi": Field("dict", check=_profile_ok),
         "gamma": Field("dict", check=_configuration_ok),
-        "schedule": Field("str", "shift", check=_one_of("shift", "far-point")),
+        "schedule": Field("str", "shift", check=_one_of(*_SCHEDULES)),
         "metric": Field("str", "rho", check=_one_of(*_METRICS)),
         "levels": Field("int", 10, check=_positive),
         "t": Field("float", 0.5, check=_positive),

@@ -17,7 +17,7 @@ from .errors import CapacityError
 from .kernel import tau
 from .points import Configuration
 from .rng import TAG_COLLISION, TAG_OSCILLATION, TAG_PATHS, substream
-from .special import ks_two_sample, normal_sf
+from .special import binomial_se, ks_two_sample, normal_sf
 
 PATH_CAPACITY = 100_000_000
 
@@ -187,7 +187,7 @@ def oscillation_check(
         exceed += int(np.sum(diam > r))
         done += m
     p_hat = exceed / replicas
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / replicas) / replicas)
+    se = binomial_se(p_hat, replicas)
     bound = 2.0 * tau(dim, delta, r / 4.0)
     return OscillationReport(delta, r, p_hat, se, bound, replicas, p_hat <= bound + 4.0 * se)
 

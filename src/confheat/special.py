@@ -1,79 +1,16 @@
-"""Scalar special functions used by the closed-form kernel formulas.
+"""Scalar geometry and statistics helpers used by the closed-form formulas.
 
-The regularized incomplete gamma functions are implemented with the classic
-numerically stable split: power series below z = a + 1, continued fraction
-above it.  Everything here is pure scalar math on finite inputs.
+Ball volumes, sphere areas, the normal tail, the radial integral of an
+exponential, the binomial standard error and the two-sample Kolmogorov-Smirnov
+test.  Incomplete gamma values and the Kolmogorov distribution are taken from
+``scipy.special`` directly (``gammainc`` here, ``gammaincc`` in ``kernel``).
 """
 from __future__ import annotations
 
 import math
 
-_EPS = 1.0e-15
-_FPMIN = 1.0e-300
-_MAX_ITER = 600
-
-
-def _lower_series(a: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(a, z) by series, valid for z < a + 1."""
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= z / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-z + a * math.log(z) - math.lgamma(a))
-    raise ArithmeticError(f"incomplete gamma series failed to converge (a={a}, z={z})")
-
-
-def _upper_cf(a: float, z: float) -> float:
-    """Regularized upper incomplete gamma Q(a, z) by modified Lentz continued fraction."""
-    b = z + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b if b != 0.0 else 1.0 / _FPMIN
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-z + a * math.log(z) - math.lgamma(a))
-    raise ArithmeticError(f"incomplete gamma continued fraction failed (a={a}, z={z})")
-
-
-def regularized_gamma_q(a: float, z: float) -> float:
-    """Q(a, z) = Γ(a, z) / Γ(a), the regularized upper incomplete gamma function."""
-    if a <= 0.0 or not math.isfinite(a):
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if z < 0.0 or not math.isfinite(z):
-        raise ValueError(f"argument must be finite and nonnegative, got {z}")
-    if z == 0.0:
-        return 1.0
-    if z < a + 1.0:
-        return 1.0 - _lower_series(a, z)
-    return _upper_cf(a, z)
-
-
-def regularized_gamma_p(a: float, z: float) -> float:
-    """P(a, z) = γ(a, z) / Γ(a), the regularized lower incomplete gamma function."""
-    if a <= 0.0 or not math.isfinite(a):
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if z < 0.0 or not math.isfinite(z):
-        raise ValueError(f"argument must be finite and nonnegative, got {z}")
-    if z == 0.0:
-        return 0.0
-    if z < a + 1.0:
-        return _lower_series(a, z)
-    return 1.0 - _upper_cf(a, z)
+import numpy as np
+from scipy.special import gammainc, kolmogorov
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
@@ -103,29 +40,16 @@ def exp_radial_integral(alpha: float, dim: int, radius: float = math.inf) -> flo
     """
     if alpha <= 0.0:
         raise ValueError("decay rate must be positive")
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be nonnegative, got {radius!r}")
     full = sphere_area(dim) * math.gamma(dim) / alpha**dim
     if math.isinf(radius):
         return full
-    return full * regularized_gamma_p(dim, alpha * radius)
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution, Q_KS(lam)."""
-    if lam < 1.0e-9:
-        return 1.0
-    total = 0.0
-    for k in range(1, 200):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-        total += term
-        if abs(term) < 1.0e-14:
-            break
-    return min(max(total, 0.0), 1.0)
+    return full * float(gammainc(dim, alpha * radius))
 
 
 def ks_two_sample(x, y) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
-    import numpy as np
-
+    """Two-sample Kolmogorov-Smirnov statistic and Stephens-corrected asymptotic p-value."""
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     n1, n2 = len(x), len(y)
@@ -137,4 +61,9 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     d = float(np.max(np.abs(cdf1 - cdf2)))
     ne = n1 * n2 / (n1 + n2)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
-    return d, kolmogorov_sf(lam)
+    return d, float(kolmogorov(lam))
+
+
+def binomial_se(p: float, n: int) -> float:
+    """Standard error of a proportion p over n trials, floored at the 1/n resolution."""
+    return math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)

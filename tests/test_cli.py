@@ -233,6 +233,13 @@ def _set(key, value):
     return mutate
 
 
+def _set_phi_center(doc):
+    doc["params"]["phi"]["center"] = [0.0, 0.0]
+
+
+GAMMA_2D = {"dim": 2, "window_radius": 2.0, "points": [[[0.0, 0.0], 1]]}
+
+
 @pytest.mark.parametrize(
     "name, mutate, field",
     [
@@ -245,9 +252,18 @@ def _set(key, value):
         ("feller", _set("functional", "count"), "params.functional"),
         ("feller", _set("schedule", "spiral"), "params.schedule"),
         ("feller", _set("metric", "d2"), "params.metric"),
+        ("semigroup_exp", _set_phi_center, "params.phi"),
+        ("semigroup_exp", _set("gamma", GAMMA_2D), "params.gamma"),
+        ("feller", _set("gamma", GAMMA_2D), "params.gamma"),
+        ("ktransform", _set("profile", {"family": "box", "amp": 0.5, "lo": [0.0, 0.0], "hi": [1.0, 1.0]}),
+         "params.profile"),
+        ("process", _set("gamma", GAMMA_2D), "params.gamma"),
+        ("generator", _set("gamma", GAMMA_2D), "params.bumps"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
-         "box-no-hi", "feller-functional", "feller-schedule", "feller-metric"],
+         "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
+         "semigroup-gamma-dim", "feller-gamma-dim", "ktransform-profile-dim", "process-gamma-dim",
+         "generator-bump-dim"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)

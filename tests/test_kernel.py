@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -172,3 +174,28 @@ def test_fitted_certificate_verifies(dim):
     assert cert.tail_delta == 0.25
     for r in np.linspace(0.0, 20.0, 201):
         assert tau(dim, 0.25, float(r)) <= cert.tail_c * math.exp(-float(r))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_constants_match_scalar_loop(dim):
+    # reference: per-radius scalar loops; np.exp may differ from math.exp in the last ulp
+    p = HeatKernelParams(dim, 1.0)
+    cert = fit_condition_certificate(p, margin=1.0)
+    loop_c = max(tau(dim, 0.25, float(r)) * math.exp(float(r)) for r in np.arange(0.0, 25.01, 0.01))
+    assert cert.tail_c == pytest.approx(loop_c, rel=1e-14)
+    radii = np.linspace(0.0, 20.0, 81)
+    report = verify_dominating_bound(p, [(1.0, float(r)) for r in radii], cert)
+    ratios = [tau(dim, 0.25, float(r)) / (cert.tail_c * math.exp(-float(r))) for r in radii]
+    k = int(np.argmax(ratios))
+    assert report.tail_worst_ratio == pytest.approx(ratios[k], rel=1e-14)
+    assert report.tail_worst_r == float(radii[k])
+
+
+def test_fit_certificates_script_passes(capsys):
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "fit_certificates.py"
+    spec = importlib.util.spec_from_file_location("fit_certificates", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main() == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 13 and "FAIL" not in out  # header + 3 dims x 4 times

@@ -1,57 +1,77 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special as sps
-from hypothesis import given, strategies as st
 
+from confheat.kernel import HeatKernelParams, tail_mass, tau
 from confheat.special import (
     ball_volume,
     exp_radial_integral,
-    kolmogorov_sf,
     ks_two_sample,
     normal_sf,
-    regularized_gamma_p,
-    regularized_gamma_q,
     sphere_area,
 )
+
+# At t = 1/4 the tail mass in R^d is Q(d/2, r^2): the closed forms below are
+# Q(1/2, z) = erfc(sqrt z), Q(1, z) = e^-z and Q(3/2, z) = erfc(sqrt z) + 2 sqrt(z/pi) e^-z.
+QUARTER = 0.25
 
 
 @pytest.mark.parametrize("z", [1e-6, 0.01, 0.3, 1.0, 2.5, 10.0, 40.0])
 def test_gamma_q_half_is_erfc(z):
-    assert regularized_gamma_q(0.5, z) == pytest.approx(math.erfc(math.sqrt(z)), rel=1e-12)
+    r = math.sqrt(z)
+    assert tail_mass(HeatKernelParams(1, QUARTER), r) == pytest.approx(math.erfc(r), rel=1e-12)
 
 
 @pytest.mark.parametrize("z", [0.0, 0.4, 1.0, 3.7, 25.0])
 def test_gamma_q_one_is_exp(z):
-    assert regularized_gamma_q(1.0, z) == pytest.approx(math.exp(-z), rel=1e-13)
+    r = math.sqrt(z)
+    assert tail_mass(HeatKernelParams(2, QUARTER), r) == pytest.approx(math.exp(-r * r), rel=1e-13)
 
 
 @pytest.mark.parametrize("z", [0.1, 1.0, 4.0, 16.0])
 def test_gamma_q_three_halves_closed_form(z):
-    expected = math.erfc(math.sqrt(z)) + 2.0 * math.sqrt(z / math.pi) * math.exp(-z)
-    assert regularized_gamma_q(1.5, z) == pytest.approx(expected, rel=1e-12)
+    r = math.sqrt(z)
+    expected = math.erfc(r) + 2.0 * r / math.sqrt(math.pi) * math.exp(-r * r)
+    assert tail_mass(HeatKernelParams(3, QUARTER), r) == pytest.approx(expected, rel=1e-12)
 
 
-@given(
-    st.floats(min_value=0.1, max_value=30.0),
-    st.floats(min_value=0.0, max_value=80.0),
-)
-def test_gamma_against_scipy(a, z):
-    assert regularized_gamma_q(a, z) == pytest.approx(float(sps.gammaincc(a, z)), rel=1e-10, abs=1e-300)
-    assert regularized_gamma_p(a, z) == pytest.approx(float(sps.gammainc(a, z)), rel=1e-10, abs=1e-300)
+@mpmath.workdps(40)
+def test_tail_mass_and_radial_integral_against_mpmath():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        t, r = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.0, 12.0))
+        z = mpmath.mpf(r) ** 2 / (4 * mpmath.mpf(t))
+        exact = mpmath.gammainc(mpmath.mpf(d) / 2, z, mpmath.inf, regularized=True)
+        assert tail_mass(HeatKernelParams(d, t), r) == pytest.approx(float(exact), rel=1e-12)
+        alpha, radius = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.01, 10.0))
+        area = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        exact = area * mpmath.gammainc(d, 0, alpha * mpmath.mpf(radius)) / mpmath.mpf(alpha) ** d
+        assert exp_radial_integral(alpha, d, radius) == pytest.approx(float(exact), rel=1e-12)
 
 
-@given(st.floats(min_value=0.2, max_value=10.0), st.floats(min_value=0.0, max_value=30.0))
-def test_gamma_p_plus_q_is_one(a, z):
-    assert regularized_gamma_p(a, z) + regularized_gamma_q(a, z) == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_mass_array_matches_scalar_calls(dim):
+    params = HeatKernelParams(dim, 0.7)
+    radii = np.random.default_rng(dim).uniform(0.0, 12.0, size=(40, 5))
+    values = tail_mass(params, radii)
+    assert isinstance(values, np.ndarray) and values.shape == radii.shape
+    assert np.array_equal(values, [[tail_mass(params, float(r)) for r in row] for row in radii])
+    assert np.array_equal(tau(dim, 0.7, radii), values)
+    assert type(tail_mass(params, 1.5)) is float and type(tau(dim, 0.7, np.float64(1.5))) is float
 
 
 def test_gamma_rejects_bad_inputs():
+    params = HeatKernelParams(1, 1.0)
+    for bad in (-0.5, math.nan, math.inf, [0.5, -0.5], np.array([[1.0], [math.nan]])):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            tail_mass(params, bad)
     with pytest.raises(ValueError):
-        regularized_gamma_q(0.0, 1.0)
+        HeatKernelParams(0, 1.0)
     with pytest.raises(ValueError):
-        regularized_gamma_q(1.0, -0.5)
+        exp_radial_integral(1.0, 2, -1.0)
 
 
 def test_ball_volume_low_dims():
@@ -89,11 +109,22 @@ def test_exp_radial_integral_d3_quadrature():
     assert exp_radial_integral(alpha, 3, R) == pytest.approx(val, rel=1e-10)
 
 
-def test_kolmogorov_sf_reference():
-    # classic critical value: Q(1.36) is close to 0.049
-    assert kolmogorov_sf(1.36) == pytest.approx(0.049, abs=0.002)
-    assert kolmogorov_sf(1e-12) == 1.0
-    assert kolmogorov_sf(5.0) < 1e-10
+def _kolmogorov_series(lam):
+    """2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2), the Kolmogorov tail, at the working precision."""
+    lam = mpmath.mpf(lam)
+    return 2 * mpmath.fsum((-1) ** (k - 1) * mpmath.exp(-2 * k * k * lam * lam) for k in range(1, 400))
+
+
+@mpmath.workdps(40)
+def test_ks_two_sample_p_value_against_kolmogorov_series():
+    rng = np.random.default_rng(11)
+    for n1, n2, shift in [(50, 70, 0.0), (200, 150, 0.2), (400, 400, 0.3), (300, 500, 0.6), (1000, 1000, 0.4)]:
+        a, b = rng.standard_normal(n1), rng.standard_normal(n2) + shift
+        d, p = ks_two_sample(a, b)
+        ne = n1 * n2 / (n1 + n2)
+        lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
+        assert p == pytest.approx(float(_kolmogorov_series(lam)), rel=1e-12)
+    assert ks_two_sample([0.0, 1.0], [0.0, 1.0]) == (0.0, 1.0)
 
 
 def test_ks_two_sample_same_and_different():
