@@ -174,14 +174,24 @@ def parse_bumps(docs: list) -> tuple[GaussianBump, ...]:
     return tuple(GaussianBump(float(b["amp"]), tuple(b["center"]), float(b["width"])) for b in docs)
 
 
+def _point_rows(value) -> np.ndarray:
+    """The points of a ``starts``/``eta``/``theta`` param, one row of coordinates each."""
+    pos = np.asarray(value, dtype=float)
+    if pos.ndim != 2 or pos.shape[0] == 0:
+        raise ValueError("expected a nonempty list of points, each a list of coordinates")
+    return pos
+
+
 def _check_dimensions(p: dict, errors: list[str]) -> None:
     """Cross-field pass over the params that passed their own checks: ``phi``,
-    ``profile``, ``gamma`` and the ``bumps`` centres share one dimension, which
-    is ``dim`` where the experiment has one and that of ``gamma`` otherwise."""
+    ``profile``, ``gamma``, the ``bumps`` centres and the point lists share one
+    dimension (``dim``, else that of ``gamma``, else that of ``eta``), and the
+    permanent's ``eta`` and ``theta`` hold equally many points."""
     dims = {}
     if p.get("gamma") is not None:
         dims["gamma"] = Configuration.from_dict(p["gamma"]).dim
-    want = p.get("dim", dims.get("gamma"))
+    dims.update((key, _point_rows(p[key]).shape[1]) for key in ("eta", "theta", "starts") if key in p)
+    want = p.get("dim", dims.get("gamma", dims.get("eta")))
     if want is None:
         return
     dims.update((key, parse_profile(p[key], want).dim) for key in ("phi", "profile") if key in p)
@@ -189,12 +199,15 @@ def _check_dimensions(p: dict, errors: list[str]) -> None:
         dims.update((f"bumps[{k}]", bump.dim) for k, bump in enumerate(parse_bumps(p["bumps"])))
     errors.extend(f"params.{key}: dimension {d} does not match the experiment's dimension {want}"
                   for key, d in dims.items() if d != want)
+    if "eta" in p and "theta" in p and len(p["eta"]) != len(p["theta"]):
+        errors.append(f"params.theta: {len(p['theta'])} points, but eta has {len(p['eta'])}")
 
 
 _configuration_ok = _parses(Configuration.from_dict, "configuration")
 # the dimension only fills defaults (center, ndim), so any dimension finds the same errors
 _profile_ok = _parses(lambda doc: parse_profile(doc, 1), "profile")
 _bumps_ok = _parses(parse_bumps, "bumps")
+_points_ok = _parses(_point_rows, "point list")
 
 
 @dataclass
@@ -318,17 +331,11 @@ def run_invariance(p, seed, replicas, threads):
         intensity=p["intensity"],
         t=p["t"],
         inner_radius=p["inner_radius"],
-        outer_radius=p["outer_radius"],
         replicas=replicas,
         seed=seed,
-        leakage_tol=p["leakage_tol"],
         threads=threads,
     )
-    rows = [
-        _se_row("paired_difference", rep.mean_diff, rep.std_error,
-                bound=4 * rep.std_error + rep.leakage_bound, note=rep.note),
-        _row("leakage_bound", rep.leakage_bound),
-    ]
+    rows = [_se_row("paired_difference", rep.mean_diff, rep.std_error, bound=4 * rep.std_error, note=rep.note)]
     return ExperimentResult(rows, {"functional": kind}, "pass" if rep.passed else "fail")
 
 
@@ -515,7 +522,7 @@ def run_oscillation(p, seed, replicas, threads):
 
 def run_collision(p, seed, replicas, threads):
     dim = p["dim"]
-    starts = np.asarray(p["starts"], dtype=float).reshape(-1, dim)
+    starts = _point_rows(p["starts"])
     radius = float(np.linalg.norm(starts, axis=1).max()) + 1.0
     gamma = Configuration.from_points(dim, starts, None, radius)
     rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, tuple(p["epsilon_list"]))
@@ -620,8 +627,6 @@ _register(
         "intensity": Field("float", 1.0, check=_positive),
         "t": Field("float", check=_positive),
         "inner_radius": Field("float", 1.0, check=_positive),
-        "outer_radius": Field("float", 7.0, check=_positive),
-        "leakage_tol": Field("float", 1e-3, check=_positive),
         "a": Field("float", 0.5, check=_unit_interval),
         "width": Field("float", 0.7, check=_positive),
     },
@@ -688,7 +693,7 @@ _register(
     "correlation",
     {
         "gamma": Field("dict", check=_configuration_ok),
-        "theta": Field("list"),
+        "theta": Field("list", check=_points_ok),
         "t": Field("float", check=_positive),
     },
     run_correlation,
@@ -697,8 +702,8 @@ _register(
 _register(
     "permanent",
     {
-        "eta": Field("list"),
-        "theta": Field("list"),
+        "eta": Field("list", check=_points_ok),
+        "theta": Field("list", check=_points_ok),
         "t": Field("float", check=_positive),
     },
     run_permanent,
@@ -733,7 +738,7 @@ _register(
     "collision",
     {
         "dim": Field("int", check=_dim_ok),
-        "starts": Field("list"),
+        "starts": Field("list", check=_points_ok),
         "horizon": Field("float", 1.0, check=_positive),
         "dt": Field("float", 0.01, check=_positive),
         "epsilon_list": Field("list", [0.1, 0.01, 0.001]),

@@ -162,47 +162,47 @@ def chapman_kolmogorov_residual(params_t: HeatKernelParams, params_s: HeatKernel
     return abs(convolved - direct)
 
 
-def _check_bound_ratios(params: HeatKernelParams, grid, cert: BoundCertificate):
-    worst = -math.inf
-    worst_pair = None
-    for s, r in grid:
-        if s <= 0:
-            raise ValueError(f"grid time must be positive, got {s}")
-        if r < 0:
-            raise ValueError(f"grid radius must be nonnegative, got {r}")
-        if cert.theta_t is not None:
-            if not (params.t - cert.theta_t < s < params.t + cert.theta_t):
-                raise ValueError(
-                    f"grid time {s} outside the certified window "
-                    f"({params.t - cert.theta_t}, {params.t + cert.theta_t})"
-                )
-        elif abs(s - params.t) > 1.0e-12 * max(1.0, params.t):
-            raise ValueError(f"certificate without theta_t only covers s = t, got s = {s}")
-        ratio = density_at_distance(params, r, t=s) / (cert.c_t * math.exp(-(r ** (1.0 + cert.eps_t))))
-        if ratio > worst:
-            worst, worst_pair = ratio, (float(s), float(r))
-    return worst, worst_pair
-
-
 def verify_dominating_bound(params: HeatKernelParams, grid, cert: BoundCertificate) -> BoundReport:
     """Check the certificate on every (s, r) grid pair; report the worst ratio.
 
-    When the certificate carries tail constants, tau(tail_delta, r) <= tail_c * e^{-r}
-    is additionally checked on the r-values of the grid.
+    The first pair, in grid order, with a nonpositive time, a negative radius
+    or a time outside the certified window raises.  When the certificate
+    carries tail constants, tau(tail_delta, r) <= tail_c * e^{-r} is
+    additionally checked on the r-values of the grid.
     """
     grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    worst, worst_pair = _check_bound_ratios(params, grid, cert)
+    pairs = np.asarray(grid, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("grid must be a nonempty sequence of (s, r) pairs")
+    s, r = pairs.T
+    theta = cert.theta_t
+    if theta is not None:
+        outside = ~((params.t - theta < s) & (s < params.t + theta))
+    else:
+        outside = np.abs(s - params.t) > 1.0e-12 * max(1.0, params.t)
+    bad = (s <= 0) | (r < 0) | outside
+    if bad.any():
+        gs, gr = grid[int(np.argmax(bad))]
+        if gs <= 0:
+            raise ValueError(f"grid time must be positive, got {gs}")
+        if gr < 0:
+            raise ValueError(f"grid radius must be nonnegative, got {gr}")
+        if theta is not None:
+            raise ValueError(f"grid time {gs} outside the certified window ({params.t - theta}, {params.t + theta})")
+        raise ValueError(f"certificate without theta_t only covers s = t, got s = {gs}")
+    ratios = (4.0 * math.pi * s) ** (-params.dim / 2.0) * np.exp(-r * r / (4.0 * s)) / (
+        cert.c_t * np.exp(-(r ** (1.0 + cert.eps_t)))
+    )
+    k = int(np.argmax(ratios))
+    worst, worst_pair = float(ratios[k]), (float(s[k]), float(r[k]))
     tail_worst = None
     tail_worst_r = None
     if cert.tail_c is not None:
-        radii = np.array([r for _, r in grid], dtype=float)
-        ratios = tau(params.dim, cert.tail_delta, radii) / (cert.tail_c * np.exp(-radii))
-        k = int(np.argmax(ratios))
-        tail_worst, tail_worst_r = float(ratios[k]), float(radii[k])
+        tail = tau(params.dim, cert.tail_delta, r) / (cert.tail_c * np.exp(-r))
+        k = int(np.argmax(tail))
+        tail_worst, tail_worst_r = float(tail[k]), float(r[k])
     passed = worst <= 1.0 and (tail_worst is None or tail_worst <= 1.0)
-    return BoundReport(passed, float(worst), worst_pair, tail_worst, tail_worst_r)
+    return BoundReport(passed, worst, worst_pair, tail_worst, tail_worst_r)
 
 
 def fit_condition_certificate(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapabilityError, EvaluationError
 from .harmonic import DClassCertificate, KernelFunction, k_transform_product_batch, product_kernel
-from .kernel import HeatKernelParams, tail_mass
+from .kernel import HeatKernelParams
 from .points import Configuration, truncation_tail_bound, uniform_ball
 from .profiles import ConstantProfile, GaussianBump, SmoothedIndicator
 from .profiles import GaussianBump as SmoothBump  # noqa: F401  (former name of the cylinder test functions)
@@ -295,10 +295,10 @@ def lift_kernel(G: KernelFunction, t: float) -> KernelFunction:
 
 
 class WindowedFunctional:
-    """Functional of the particles inside an inner ball, evaluable per replica
-    segment: positions of many replicas concatenated with a replica index."""
+    """Functional of the particles inside the ball B(0, radius), evaluable per
+    replica segment: positions of many replicas concatenated with a replica index."""
 
-    leak_sensitivity: float = 1.0
+    radius: float = 0.0
 
     def segments(self, positions: np.ndarray, rep_idx: np.ndarray, n_rep: int) -> np.ndarray:
         raise NotImplementedError
@@ -307,7 +307,6 @@ class WindowedFunctional:
 @dataclass(frozen=True)
 class WindowedConstant(WindowedFunctional):
     c: float = 1.0
-    leak_sensitivity: float = 0.0
 
     def segments(self, positions, rep_idx, n_rep):
         return np.full(n_rep, self.c)
@@ -316,7 +315,6 @@ class WindowedConstant(WindowedFunctional):
 @dataclass(frozen=True)
 class WindowedCount(WindowedFunctional):
     radius: float
-    leak_sensitivity: float = 1.0
 
     def segments(self, positions, rep_idx, n_rep):
         if positions.shape[0] == 0:
@@ -327,14 +325,10 @@ class WindowedCount(WindowedFunctional):
 
 @dataclass(frozen=True)
 class WindowedExponential(WindowedFunctional):
-    """prod over inner-ball particles of (1 + phi(x)); bounded by 1, sensitivity |amp|."""
+    """prod over inner-ball particles of (1 + phi(x)); bounded by 1."""
 
     phi: object
     radius: float
-
-    @property
-    def leak_sensitivity(self) -> float:  # type: ignore[override]
-        return abs(self.phi.amp)
 
     def segments(self, positions, rep_idx, n_rep):
         if positions.shape[0] == 0:
@@ -356,60 +350,69 @@ class InvarianceReport:
     note: str
 
 
+def _displacement_sample(rng, m: int, dim: int, intensity: float, t: float, radius: float):
+    """Particles of m independent Poisson(intensity) fields on R^dim that are in
+    B = B(0, radius) before or after one heat step of time t, as (starts in B,
+    replica index) and (ends, replica index).  By the displacement and thinning
+    theorems they form two independent Poisson(intensity |B|) families: uniform
+    starts in B stepped forward, and uniform ends in B stepped backward (the
+    kernel is symmetric), kept when they started outside B."""
+    lam = intensity * ball_volume(dim, radius)
+    scale = math.sqrt(2.0 * t)
+    counts_a = rng.poisson(lam, size=m)
+    starts = uniform_ball(rng, int(counts_a.sum()), dim, radius)
+    ends_a = starts + scale * rng.standard_normal(starts.shape)
+    counts_b = rng.poisson(lam, size=m)
+    ends_b = uniform_ball(rng, int(counts_b.sum()), dim, radius)
+    from_outside = np.linalg.norm(ends_b + scale * rng.standard_normal(ends_b.shape), axis=1) > radius
+    idx_a = np.repeat(np.arange(m), counts_a)
+    idx_b = np.repeat(np.arange(m), counts_b)[from_outside]
+    return (starts, idx_a), (np.concatenate([ends_a, ends_b[from_outside]]), np.concatenate([idx_a, idx_b]))
+
+
 def invariance_test(
     F: WindowedFunctional,
     dim: int,
     intensity: float,
     t: float,
     inner_radius: float,
-    outer_radius: float,
+    *,
     replicas: int,
     seed: int,
-    leakage_tol: float | None = None,
     threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
+    outer_radius: float | None = None,
+    leakage_tol: float | None = None,
 ) -> InvarianceReport:
-    """Paired test of E[F] against E[P_t F] under the Poisson law.
+    """Paired test of E[F] against E[P_t F] under the Poisson law pi_z.
 
-    The same Poisson draws are evaluated before and after one heat step, so the
-    difference carries no between-sample noise.  Truncating the ambient process
-    at the outer window admits a leakage error bounded by
-    sensitivity * z * vol(inner ball) * tail_mass(t, pad).
+    Each replica draws only the particles of a Poisson field on all of R^dim
+    that are in B(0, inner_radius) before or after one heat step
+    (``_displacement_sample``) and evaluates F on both sides, so the difference
+    carries no between-sample noise.  Nothing is truncated, so there is no
+    leakage term: the gate is |mean| <= 4 SE.  F must read no particle beyond
+    ``inner_radius``.
     """
-    if outer_radius <= inner_radius:
-        raise ValueError("outer radius must exceed the inner radius")
-    pad = outer_radius - inner_radius
-    leakage = F.leak_sensitivity * intensity * ball_volume(dim, inner_radius) * tail_mass(
-        HeatKernelParams(dim, t), pad
-    )
-    if leakage_tol is not None and leakage > leakage_tol:
-        raise ValueError(
-            f"window pad {pad:g} admits leakage bound {leakage:.3g} above the requested {leakage_tol:g}"
-        )
-    mean_count = intensity * ball_volume(dim, outer_radius)
-    scale = math.sqrt(2.0 * t)
+    # perfbench/workloads.py passes outer_radius and leakage_tol (ignored) and reads the report's fields
+    HeatKernelParams(dim, t)
+    if F.radius > inner_radius:
+        raise ValueError(f"functional radius {F.radius:g} exceeds the inner radius {inner_radius:g}")
 
     def sample(rng, m):
-        counts = rng.poisson(mean_count, size=m)
-        total = int(counts.sum())
-        pos = uniform_ball(rng, total, dim, outer_radius)
-        rep_idx = np.repeat(np.arange(m), counts)
-        before = F.segments(pos, rep_idx, m)
-        moved = pos + scale * rng.standard_normal((total, dim))
-        return (F.segments(moved, rep_idx, m) - before)[None, :]
+        (before, idx_before), (after, idx_after) = _displacement_sample(rng, m, dim, intensity, t, inner_radius)
+        return (F.segments(after, idx_after, m) - F.segments(before, idx_before, m))[None, :]
 
     (mean,), (se,) = _chunked_mean_se(sample, replicas, seed, TAG_INVARIANCE, threads, chunk)
     mean, se = float(mean), float(se)
-    passed = abs(mean) <= 4.0 * se + leakage
     return InvarianceReport(
         mean_diff=mean,
         std_error=se,
-        leakage_bound=leakage,
+        leakage_bound=0.0,
         replicas=replicas,
         inner_radius=inner_radius,
-        outer_radius=outer_radius,
-        passed=passed,
-        note=f"paired Monte Carlo; leakage bound {leakage:.3g} from pad {pad:g}",
+        outer_radius=math.inf,
+        passed=abs(mean) <= 4.0 * se,
+        note=f"paired Monte Carlo, displacement route over B(0, {inner_radius:g}); no window, no leakage",
     )
 
 

@@ -93,7 +93,8 @@ def test_run_rho_infinite_value_passes(tmp_path):
     assert "rho,inf" in csv_text.replace("\r\n", "\n")
 
 
-def test_run_invariance_pad_too_small_is_error(tmp_path):
+def test_run_invariance_pad_too_small_is_error(tmp_path, capsys):
+    # the invariance route has no window: window keys are unknown params
     doc = {
         "experiment": "invariance",
         "replicas": 100,
@@ -102,9 +103,13 @@ def test_run_invariance_pad_too_small_is_error(tmp_path):
                    "outer_radius": 1.2, "leakage_tol": 1e-6},
     }
     config, errors = validate_config(json.dumps(doc))
-    assert errors == []
-    code, summary = run_experiment(config)
-    assert code == 2 and "error" in summary
+    assert config is None
+    assert any("params.outer_radius" in e for e in errors) and any("params.leakage_tol" in e for e in errors)
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 2
+    assert main(["run", cfg]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "inv.json").exists()
 
 
 def test_cli_main_run_and_overrides(tmp_path, capsys):
@@ -259,11 +264,18 @@ GAMMA_2D = {"dim": 2, "window_radius": 2.0, "points": [[[0.0, 0.0], 1]]}
          "params.profile"),
         ("process", _set("gamma", GAMMA_2D), "params.gamma"),
         ("generator", _set("gamma", GAMMA_2D), "params.bumps"),
+        ("collision", _set("starts", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), "params.starts"),
+        ("collision", _set("starts", [[0.0, 0.0], [0.5]]), "params.starts"),
+        ("collision", _set("starts", []), "params.starts"),
+        ("correlation", _set("theta", [[0.2, 0.0], [0.9, 0.0]]), "params.theta"),
+        ("permanent", _set("theta", [[0.5, 0.0], [1.5, 0.0], [2.5, 0.0], [3.5, 0.0]]), "params.theta"),
+        ("permanent", _set("theta", [[0.5], [1.5], [2.5]]), "params.theta"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
          "semigroup-gamma-dim", "feller-gamma-dim", "ktransform-profile-dim", "process-gamma-dim",
-         "generator-bump-dim"],
+         "generator-bump-dim", "collision-starts-dim", "collision-starts-ragged", "collision-no-starts",
+         "correlation-theta-dim", "permanent-theta-dim", "permanent-counts"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)

@@ -24,7 +24,7 @@ SMALL_CONFIGS = {
     },
     "invariance": {
         "replicas": 20000,
-        "params": {"dim": 2, "functional": "count", "t": 0.1, "inner_radius": 1.0, "outer_radius": 5.0},
+        "params": {"dim": 2, "functional": "count", "t": 0.1, "inner_radius": 1.0},
     },
     "generator": {
         "replicas": 300000,

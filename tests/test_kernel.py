@@ -11,6 +11,7 @@ from confheat.kernel import (
     HeatKernelParams,
     chapman_kolmogorov_residual,
     density,
+    density_at_distance,
     fit_condition_certificate,
     gaussian_tail_1d,
     sample_transition,
@@ -189,6 +190,73 @@ def test_tail_constants_match_scalar_loop(dim):
     k = int(np.argmax(ratios))
     assert report.tail_worst_ratio == pytest.approx(ratios[k], rel=1e-14)
     assert report.tail_worst_r == float(radii[k])
+
+
+def scalar_bound_ratios(params, grid, cert):
+    """Reference: the per-pair loop over the grid, with math.exp."""
+    worst, worst_pair = -math.inf, None
+    for s, r in grid:
+        if s <= 0:
+            raise ValueError(f"grid time must be positive, got {s}")
+        if r < 0:
+            raise ValueError(f"grid radius must be nonnegative, got {r}")
+        if cert.theta_t is not None:
+            if not (params.t - cert.theta_t < s < params.t + cert.theta_t):
+                raise ValueError(
+                    f"grid time {s} outside the certified window "
+                    f"({params.t - cert.theta_t}, {params.t + cert.theta_t})"
+                )
+        elif abs(s - params.t) > 1.0e-12 * max(1.0, params.t):
+            raise ValueError(f"certificate without theta_t only covers s = t, got s = {s}")
+        ratio = density_at_distance(params, r, t=s) / (cert.c_t * math.exp(-(r ** (1.0 + cert.eps_t))))
+        if ratio > worst:
+            worst, worst_pair = ratio, (float(s), float(r))
+    return worst, worst_pair
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bound_ratios_match_scalar_loop(dim):
+    rng = np.random.default_rng(50 + dim)
+    for t in (0.25, 1.0, 2.0):
+        params = HeatKernelParams(dim, t)
+        cert = fit_condition_certificate(params, eps_t=float(rng.uniform(0.2, 0.5)))
+        s_values = params.t + cert.theta_t * 0.98 * np.linspace(-1.0, 1.0, 9)
+        grid = [(float(s), float(r)) for s in s_values for r in np.linspace(0.0, 20.0, 81)]
+        grid += [(float(s), float(r)) for s, r in zip(rng.choice(s_values, 50), rng.uniform(0.0, 20.0, 50))]
+        report = verify_dominating_bound(params, grid, cert)
+        worst, worst_pair = scalar_bound_ratios(params, grid, cert)
+        assert report.worst_ratio == pytest.approx(worst, rel=1e-14)
+        assert report.worst_pair == worst_pair
+        plain = BoundCertificate(c_t=cert.c_t, eps_t=cert.eps_t)
+        at_t = [(params.t, r) for _, r in grid]
+        report = verify_dominating_bound(params, at_t, plain)
+        worst, worst_pair = scalar_bound_ratios(params, at_t, plain)
+        assert report.worst_ratio == pytest.approx(worst, rel=1e-14) and report.worst_pair == worst_pair
+
+
+def test_bound_ratio_errors_match_scalar_loop():
+    params = HeatKernelParams(1, 1.0)
+    windowed = BoundCertificate(c_t=10.0, eps_t=0.5, theta_t=0.25)
+    plain = BoundCertificate(c_t=10.0, eps_t=0.5)
+    wide = BoundCertificate(c_t=10.0, eps_t=0.5, theta_t=2.0)  # its window reaches below s = 0
+    ok = (1.1, 2.0)
+    cases = [
+        (wide, [ok, (-0.5, 1.0)]),
+        (wide, [ok, (0.0, 1.0)]),
+        (windowed, [ok, (0.0, 1.0), (2.0, -1.0)]),
+        (windowed, [ok, (-1.0, -1.0)]),
+        (windowed, [ok, (1.2, -0.5), (0.0, 1.0)]),
+        (windowed, [ok, (2.0, 1.0)]),
+        (windowed, [(1.0, 0.0), (0.75, 1.0)]),
+        (plain, [(1.0, 0.0), (1.1, 1.0)]),
+        (plain, [(1, 0), (0, 1)]),
+    ]
+    for cert, grid in cases:
+        with pytest.raises(ValueError) as ref:
+            scalar_bound_ratios(params, grid, cert)
+        with pytest.raises(ValueError) as info:
+            verify_dominating_bound(params, grid, cert)
+        assert str(info.value) == str(ref.value)
 
 
 def test_fit_certificates_script_passes(capsys):

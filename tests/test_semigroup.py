@@ -5,10 +5,12 @@ import pytest
 
 from confheat.errors import CapabilityError, EvaluationError
 from confheat.harmonic import k_transform, product_kernel, verify_d_class
-from confheat.points import Configuration
+from confheat.kernel import HeatKernelParams, tail_mass
+from confheat.points import Configuration, uniform_ball
 from confheat.profiles import GaussianBump, SmoothedIndicator
-from confheat.rng import TAG_APPLY_MC, chunk_sizes, substream
+from confheat.rng import TAG_APPLY_MC, TAG_INVARIANCE, chunk_sizes, substream
 from confheat.semigroup import (
+    DEFAULT_CHUNK,
     BallCountFunctional,
     ConfigurationFunctional,
     ConstantFunctional,
@@ -20,6 +22,8 @@ from confheat.semigroup import (
     WindowedConstant,
     WindowedCount,
     WindowedExponential,
+    _chunked_mean_se,
+    _displacement_sample,
     apply_exact_exponential,
     apply_mc,
     feller_probe,
@@ -28,7 +32,7 @@ from confheat.semigroup import (
     lift_kernel,
     outer_linear,
 )
-from confheat.special import normal_sf
+from confheat.special import ball_volume, normal_sf
 
 
 def cfg(points, dim=1, radius=None):
@@ -244,29 +248,108 @@ def test_weak_formula_order_one():
 # invariance
 
 
+def leak_sensitivity(F) -> float:
+    """Largest change of F when one particle enters or leaves its ball."""
+    if isinstance(F, WindowedConstant):
+        return 0.0
+    if isinstance(F, WindowedExponential):
+        return abs(F.phi.amp)
+    return 1.0
+
+
+def windowed_invariance(F, dim, intensity, t, inner_radius, outer_radius, replicas, seed,
+                        leakage_tol=None, chunk=DEFAULT_CHUNK):
+    """Oracle: the paired invariance estimate over a Poisson field truncated to
+    B(0, outer_radius).  Returns (mean, se, leakage bound); the truncation biases
+    the mean by at most sensitivity * z * |B(0, inner_radius)| * tail_mass(t, pad)."""
+    if outer_radius <= inner_radius:
+        raise ValueError("outer radius must exceed the inner radius")
+    pad = outer_radius - inner_radius
+    leakage = leak_sensitivity(F) * intensity * ball_volume(dim, inner_radius) * tail_mass(
+        HeatKernelParams(dim, t), pad
+    )
+    if leakage_tol is not None and leakage > leakage_tol:
+        raise ValueError(
+            f"window pad {pad:g} admits leakage bound {leakage:.3g} above the requested {leakage_tol:g}"
+        )
+    mean_count = intensity * ball_volume(dim, outer_radius)
+    scale = math.sqrt(2.0 * t)
+
+    def sample(rng, m):
+        counts = rng.poisson(mean_count, size=m)
+        total = int(counts.sum())
+        pos = uniform_ball(rng, total, dim, outer_radius)
+        rep_idx = np.repeat(np.arange(m), counts)
+        before = F.segments(pos, rep_idx, m)
+        moved = pos + scale * rng.standard_normal((total, dim))
+        return (F.segments(moved, rep_idx, m) - before)[None, :]
+
+    (mean,), (se,) = _chunked_mean_se(sample, replicas, seed, TAG_INVARIANCE, 1, chunk)
+    return float(mean), float(se), leakage
+
+
+def invariance_functionals(dim):
+    return (
+        WindowedConstant(2.0),
+        WindowedCount(1.0),
+        WindowedExponential(GaussianBump(-0.5, (0.0,) * dim, 0.7), 1.0),
+    )
+
+
 def test_invariance_constant_functional_exact_zero():
     rep = invariance_test(
-        WindowedConstant(2.0), dim=2, intensity=1.0, t=0.5, inner_radius=1.0,
-        outer_radius=6.0, replicas=2000, seed=21,
+        WindowedConstant(2.0), dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=2000, seed=21,
     )
     assert rep.mean_diff == 0.0 and rep.std_error == 0.0 and rep.passed
 
 
 def test_invariance_count_and_exponential_pass():
-    for F in (
-        WindowedCount(1.0),
-        WindowedExponential(GaussianBump(-0.5, (0.0, 0.0), 0.7), 1.0),
-    ):
-        rep = invariance_test(
-            F, dim=2, intensity=1.0, t=0.5, inner_radius=1.0,
-            outer_radius=7.0, replicas=30000, seed=22,
-        )
-        assert rep.passed, (rep.mean_diff, rep.std_error, rep.leakage_bound)
-        assert rep.leakage_bound < 1e-6
+    for F in invariance_functionals(2)[1:]:
+        rep = invariance_test(F, dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=30000, seed=22)
+        assert rep.passed, (rep.mean_diff, rep.std_error)
+        assert rep.leakage_bound == 0.0 and rep.outer_radius == math.inf
+        assert "displacement" in rep.note
+        # the window keywords are accepted and change nothing
+        legacy = invariance_test(F, dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=30000, seed=22,
+                                 outer_radius=7.0, leakage_tol=1e-3)
+        assert legacy == rep
+
+
+def test_invariance_agrees_with_windowed_oracle():
+    # randomized t, z and seeds for every dimension and functional; the gate is
+    # 4 SE of the difference of two independent estimates plus the oracle's leakage
+    pick = np.random.default_rng(2024)
+    for dim in (1, 2, 3):
+        for F in invariance_functionals(dim):
+            t = float(pick.uniform(0.1, 0.6))
+            z = float(pick.uniform(0.5, 1.5))
+            seed_a, seed_b = (int(s) for s in pick.integers(0, 2**31, size=2))
+            rep = invariance_test(F, dim=dim, intensity=z, t=t, inner_radius=1.0, replicas=2000, seed=seed_a)
+            mean, se, leakage = windowed_invariance(F, dim, z, t, 1.0, 1.0 + 5.0 * math.sqrt(2.0 * t),
+                                                    2000, seed_b, chunk=500)
+            gap = abs(rep.mean_diff - mean)
+            assert gap <= 4.0 * math.hypot(rep.std_error, se) + leakage, (dim, F, t, z, rep, mean, se, leakage)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_displacement_sample_after_count_is_poisson_mean(dim):
+    # the particles in B after the step form a Poisson(z) field restricted to B
+    z, t, m = 1.3, 0.4, 20000
+    (before, idx_before), (after, idx_after) = _displacement_sample(substream(41, dim), m, dim, z, t, 1.0)
+    expected = z * ball_volume(dim, 1.0)
+    for pos, idx in ((before, idx_before), (after, idx_after)):
+        counts = np.bincount(idx[np.linalg.norm(pos, axis=1) <= 1.0], minlength=m)
+        se = counts.std(ddof=1) / math.sqrt(m)
+        assert abs(counts.mean() - expected) <= 4.0 * se, (counts.mean(), expected, se)
+
+
+def test_invariance_rejects_functional_beyond_inner_ball():
+    with pytest.raises(ValueError, match="radius"):
+        invariance_test(WindowedCount(1.5), dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=100, seed=0)
 
 
 def test_invariance_thread_invariant_across_chunks():
-    kw = dict(dim=2, intensity=1.0, t=0.5, inner_radius=1.0, outer_radius=4.0, replicas=6000, seed=23, chunk=1000)
+    kw = dict(dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=6000, seed=23, chunk=1000)
     a = invariance_test(WindowedCount(1.0), threads=1, **kw)
     b = invariance_test(WindowedCount(1.0), threads=3, **kw)
     assert (a.mean_diff, a.std_error) == (b.mean_diff, b.std_error)
@@ -275,10 +358,7 @@ def test_invariance_thread_invariant_across_chunks():
 
 def test_invariance_pad_too_small_is_config_error():
     with pytest.raises(ValueError, match="leakage"):
-        invariance_test(
-            WindowedCount(1.0), dim=2, intensity=1.0, t=0.5, inner_radius=1.0,
-            outer_radius=1.5, replicas=100, seed=0, leakage_tol=1e-6,
-        )
+        windowed_invariance(WindowedCount(1.0), 2, 1.0, 0.5, 1.0, 1.5, replicas=100, seed=0, leakage_tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +407,7 @@ def test_generator_residual_thread_invariant_across_chunks():
 
 def test_invariance_and_generator_need_two_replicas():
     with pytest.raises(ValueError, match="replicas"):
-        invariance_test(WindowedCount(1.0), dim=1, intensity=1.0, t=0.5, inner_radius=1.0,
-                        outer_radius=4.0, replicas=1, seed=0)
+        invariance_test(WindowedCount(1.0), dim=1, intensity=1.0, t=0.5, inner_radius=1.0, replicas=1, seed=0)
     F = CylinderFunction(outer_linear(1.0), (SmoothBump(1.0, (0.0,), 1.0),))
     with pytest.raises(ValueError, match="replicas"):
         generator_residual(F, cfg([0.0]), (0.1, 0.05), replicas=1, seed=0)
