@@ -14,6 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import metrics
+from .errors import CapabilityError
 from .harmonic import (
     correlation_function,
     correlation_product_bound,
@@ -75,13 +76,36 @@ def _dim_ok(x):
     return None if 1 <= x <= 3 else "dimension must be 1, 2, or 3"
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _decreasing_positives(at_least: int):
+    def check(xs):
+        ok = len(xs) >= at_least and all(_is_number(x) and x > 0 for x in xs)
+        ok = ok and all(a > b for a, b in zip(xs, xs[1:]))
+        return None if ok else f"must be at least {at_least} positive numbers, strictly decreasing"
+
+    return check
+
+
+def _nonnegatives(xs):
+    return None if all(_is_number(x) and x >= 0 for x in xs) else "must hold finite nonnegative numbers"
+
+
+def _coeffs_ok(doc):
+    # plain digits with no leading zero, so no two keys name the same order
+    ok = all(k.isascii() and k.isdecimal() and k[0] != "0" and _is_number(v) for k, v in doc.items())
+    return None if ok else "keys must be integers >= 1 (no leading zeros) and values numbers"
+
+
 def _parses(parse, what):
     """Field check that reports the error ``parse(value)`` raises."""
 
     def check(value):
         try:
             parse(value)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (CapabilityError, KeyError, TypeError, ValueError) as exc:
             return f"bad {what} ({type(exc).__name__}: {exc})"
         return None
 
@@ -143,8 +167,15 @@ def validate_params(schema: dict[str, Field], params: dict, errors: list[str]) -
                 errors.append(f"params.{key}: {msg}")
                 continue
         out[key] = val
-    _check_dimensions(out, errors)
+    _cross_check(out, errors)
     return out
+
+
+def _coords(values) -> tuple[float, ...]:
+    """The coordinates of one point; TypeError unless each is a finite number."""
+    if not all(_is_number(v) for v in values):
+        raise TypeError(f"coordinates must be finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def parse_profile(doc: dict, dim: int):
@@ -152,10 +183,10 @@ def parse_profile(doc: dict, dim: int):
     family = doc.get("family")
     try:
         if family == "gaussian_bump":
-            center = tuple(doc.get("center", [0.0] * dim))
+            center = _coords(doc.get("center", [0.0] * dim))
             return GaussianBump(float(doc["amp"]), center, float(doc["width"]))
         if family == "box":
-            return BoxIndicator(float(doc["amp"]), tuple(doc["lo"]), tuple(doc["hi"]))
+            return BoxIndicator(float(doc["amp"]), _coords(doc["lo"]), _coords(doc["hi"]))
         if family == "smoothed_indicator":
             return SmoothedIndicator(float(doc["amp"]), float(doc["radius"]), float(doc["width"]), dim)
         if family == "constant":
@@ -171,22 +202,28 @@ def parse_bumps(docs: list) -> tuple[GaussianBump, ...]:
     """The Gaussian bumps of a generator ``bumps`` param (at least one)."""
     if not docs:
         raise ValueError("at least one bump required")
-    return tuple(GaussianBump(float(b["amp"]), tuple(b["center"]), float(b["width"])) for b in docs)
+    return tuple(GaussianBump(float(b["amp"]), _coords(b["center"]), float(b["width"])) for b in docs)
 
 
-def _point_rows(value) -> np.ndarray:
+def _point_rows(value, at_least: int = 1) -> np.ndarray:
     """The points of a ``starts``/``eta``/``theta`` param, one row of coordinates each."""
     pos = np.asarray(value, dtype=float)
-    if pos.ndim != 2 or pos.shape[0] == 0:
-        raise ValueError("expected a nonempty list of points, each a list of coordinates")
+    if pos.ndim != 2 or pos.shape[0] < at_least:
+        raise ValueError(f"expected a list of at least {at_least} points, each a list of coordinates")
     return pos
 
 
-def _check_dimensions(p: dict, errors: list[str]) -> None:
+def _cross_check(p: dict, errors: list[str]) -> None:
     """Cross-field pass over the params that passed their own checks: ``phi``,
     ``profile``, ``gamma``, the ``bumps`` centres and the point lists share one
-    dimension (``dim``, else that of ``gamma``, else that of ``eta``), and the
-    permanent's ``eta`` and ``theta`` hold equally many points."""
+    dimension (``dim``, else that of ``gamma``, else that of ``eta``), the
+    permanent's ``eta`` and ``theta`` hold equally many points, and the feller
+    probe's exponential functional and shift schedule can use its ``phi`` and
+    ``gamma``."""
+    if p.get("functional") == "exponential" and "phi" in p and (msg := _exp_phi_ok(p["phi"])):
+        errors.append(f"params.phi: {msg}")
+    if p.get("schedule") == "shift" and p.get("gamma") is not None and not p["gamma"].get("points"):
+        errors.append("params.gamma: the shift schedule needs at least one particle")
     dims = {}
     if p.get("gamma") is not None:
         dims["gamma"] = Configuration.from_dict(p["gamma"]).dim
@@ -208,6 +245,8 @@ _configuration_ok = _parses(Configuration.from_dict, "configuration")
 _profile_ok = _parses(lambda doc: parse_profile(doc, 1), "profile")
 _bumps_ok = _parses(parse_bumps, "bumps")
 _points_ok = _parses(_point_rows, "point list")
+_starts_ok = _parses(lambda value: _point_rows(value, at_least=2), "point list")
+_exp_phi_ok = _parses(lambda doc: ExpFunctional(parse_profile(doc, 1)), "exponential phi")
 
 
 @dataclass
@@ -611,7 +650,7 @@ _register(
     {
         "dim": Field("int", check=_dim_ok),
         "t": Field("float", check=_positive),
-        "phi": Field("dict", check=_profile_ok),
+        "phi": Field("dict", check=_exp_phi_ok),
         "gamma": Field("dict", None, check=_configuration_ok),
         "gamma_radius": Field("float", 2.0, check=_positive),
         "gamma_intensity": Field("float", 1.0, check=_positive),
@@ -639,7 +678,7 @@ _register(
         "outer": Field("str", check=_one_of(*_OUTERS)),
         "bumps": Field("list", check=_bumps_ok),
         "gamma": Field("dict", check=_configuration_ok),
-        "t_list": Field("list", [0.1, 0.05, 0.025]),
+        "t_list": Field("list", [0.1, 0.05, 0.025], check=_decreasing_positives(2)),
     },
     run_generator,
     1000000,
@@ -682,7 +721,7 @@ _register(
     "ktransform",
     {
         "dim": Field("int", check=_dim_ok),
-        "coeffs": Field("dict"),
+        "coeffs": Field("dict", check=_coeffs_ok),
         "profile": Field("dict", check=_profile_ok),
         "gamma": Field("dict", check=_configuration_ok),
     },
@@ -738,10 +777,10 @@ _register(
     "collision",
     {
         "dim": Field("int", check=_dim_ok),
-        "starts": Field("list", check=_points_ok),
+        "starts": Field("list", check=_starts_ok),
         "horizon": Field("float", 1.0, check=_positive),
         "dt": Field("float", 0.01, check=_positive),
-        "epsilon_list": Field("list", [0.1, 0.01, 0.001]),
+        "epsilon_list": Field("list", [0.1, 0.01, 0.001], check=_decreasing_positives(1)),
     },
     run_collision,
     10000,
@@ -751,7 +790,7 @@ _register(
     {
         "dim": Field("int", check=_dim_ok),
         "t": Field("float", check=_positive),
-        "r_list": Field("list", [0.5, 1.0, 2.0]),
+        "r_list": Field("list", [0.5, 1.0, 2.0], check=_nonnegatives),
         "check_certificate": Field("bool", True),
     },
     run_tail_tau,

@@ -7,8 +7,8 @@
   transport between the two configurations with the sphere |x| = i as a free
   boundary.  flat_metric_lp is its oracle, the LP in the values of the test
   function on the weighted support (the cutoff |f(x)| <= max(0, i - |x|)
-  encodes the vanishing condition plus 1-Lipschitz extension), solved by the
-  dense simplex.
+  encodes the vanishing condition plus 1-Lipschitz extension), solved by
+  HiGHS on at most FLAT_METRIC_LP_MAX_SUPPORT = 500 support points.
 * d_k / d1 / d_infty: the summed-scale flat metric and its B_n-augmented variants,
   with explicit truncation errors.
 * rho: the L2 matching (Wasserstein-type) distance, infinite across unequal
@@ -21,15 +21,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import CapacityError
+from .errors import CapacityError, SolverError
 from .points import Configuration, as_multiset
-from .simplex import solve_lp
 
 #: largest number of unit particles (positive plus negative, with multiplicity)
 #: in g1 - g2 accepted by the flat-metric assignment
 FLAT_METRIC_MAX_SUPPORT = 2000
+
+#: largest number of distinct support points accepted by the LP oracle
+FLAT_METRIC_LP_MAX_SUPPORT = 500
 
 
 @dataclass(frozen=True)
@@ -176,12 +179,21 @@ def rho_bruteforce(g1: Configuration, g2: Configuration, max_points: int = 8) ->
     return math.sqrt(best)
 
 
+def solve_lp(c, a_ub, b_ub, bounds):
+    """Optimal value of max c.x s.t. a_ub x <= b_ub, lo_j <= x_j <= hi_j, by HiGHS."""
+    res = linprog(-np.asarray(c, dtype=float), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise SolverError(f"HiGHS did not solve the LP: {res.message}")
+    return -float(res.fun)
+
+
 def flat_metric_lp(g1: Configuration, g2: Configuration, i: int) -> float:
     """LP oracle for flat_metric: maximize sum_j w_j f_j over the f-values on the
-    weighted support, subject to |f_j - f_l| <= |x_j - x_l| and
+    weighted support, subject to f_j - f_l <= |x_j - x_l| for j != l and
     |f_j| <= max(0, i - |x_j|); exact for point measures by Lipschitz extension
-    of any feasible assignment.  Solved by the dense simplex, on at most 120
-    support points.
+    of any feasible assignment.  Solved by HiGHS, on at most
+    FLAT_METRIC_LP_MAX_SUPPORT (500) support points.
     """
     if i < 1:
         raise ValueError("scale index i must be a positive integer")
@@ -189,32 +201,12 @@ def flat_metric_lp(g1: Configuration, g2: Configuration, i: int) -> float:
     k = pts.shape[0]
     if k == 0:
         return 0.0
-    if k > 120:
-        raise CapacityError(f"flat-metric LP support of {k} points exceeds 120")
+    if k > FLAT_METRIC_LP_MAX_SUPPORT:
+        raise CapacityError(f"flat-metric LP support of {k} points exceeds {FLAT_METRIC_LP_MAX_SUPPORT}")
     caps = np.maximum(0.0, i - np.linalg.norm(pts, axis=1))
-    if caps.max() == 0.0:
-        return 0.0
-    # variables g_j = f_j + cap_j >= 0; every RHS below is >= 0 because the cap
-    # profile is itself 1-Lipschitz
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    rows = []
-    rhs = []
-    for j in range(k):
-        for l in range(k):
-            if j == l:
-                continue
-            row = np.zeros(k)
-            row[j] = 1.0
-            row[l] = -1.0
-            rows.append(row)
-            rhs.append(dist[j, l] + caps[j] - caps[l])
-    for j in range(k):
-        row = np.zeros(k)
-        row[j] = 1.0
-        rows.append(row)
-        rhs.append(2.0 * caps[j])
-    result = solve_lp(w, np.array(rows), np.array(rhs))
-    value = result.value - float(w @ caps)
-    if value < -1.0e-6:
-        raise AssertionError(f"flat-metric LP returned {value}; optimum must be >= 0")
-    return max(value, 0.0)
+    # one row f_j - f_l <= |x_j - x_l| per ordered pair j != l
+    rows, cols = np.nonzero(~np.eye(k, dtype=bool))
+    unit = sparse.identity(k, format="csr")
+    a_ub = unit[rows] - unit[cols]
+    b_ub = np.linalg.norm(pts[rows] - pts[cols], axis=1)
+    return max(solve_lp(w, a_ub, b_ub, np.column_stack([-caps, caps])), 0.0)

@@ -164,16 +164,10 @@ def as_multiset(gamma: Configuration) -> Configuration:
     order = np.lexsort(gamma.positions.T[::-1])
     pos = gamma.positions[order]
     mult = gamma.multiplicities[order]
-    keep = [0]
-    for i in range(1, pos.shape[0]):
-        if np.array_equal(pos[i], pos[keep[-1]]):
-            continue
-        keep.append(i)
-    merged_mult = np.zeros(len(keep), dtype=np.int64)
-    bounds = keep + [pos.shape[0]]
-    for j in range(len(keep)):
-        merged_mult[j] = mult[bounds[j] : bounds[j + 1]].sum()
-    return replace(gamma, positions=pos[keep], multiplicities=merged_mult)
+    # first row of each run of equal sorted rows
+    starts = np.flatnonzero(np.concatenate([[True], np.any(pos[1:] != pos[:-1], axis=1)]))
+    merged_mult = np.add.reduceat(mult, starts)
+    return replace(gamma, positions=pos[starts], multiplicities=merged_mult)
 
 
 def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

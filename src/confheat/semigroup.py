@@ -81,23 +81,14 @@ class BallCountFunctional(ConfigurationFunctional):
 
 @dataclass(frozen=True)
 class ExpProductFunctional(ConfigurationFunctional):
-    """F(gamma) = prod over particles of (1 + phi(x)), optionally windowed.
-
-    With ``window_radius`` set, phi is replaced by phi * 1[|x| <= window_radius],
-    making F local to the inner ball.
-    """
+    """F(gamma) = prod over particles of (1 + phi(x))."""
 
     phi: object
-    window_radius: float | None = None
 
     def batch(self, positions):
         if positions.shape[1] == 0:
             return np.ones(positions.shape[0])
-        vals = np.asarray(self.phi(positions), dtype=float)
-        if self.window_radius is not None:
-            inside = np.linalg.norm(positions, axis=2) <= self.window_radius
-            vals = np.where(inside, vals, 0.0)
-        return np.prod(1.0 + vals, axis=1)
+        return np.prod(1.0 + np.asarray(self.phi(positions), dtype=float), axis=1)
 
 
 @dataclass(frozen=True)
@@ -142,8 +133,8 @@ class ExpFunctional:
     def dim(self) -> int:
         return self.phi.dim
 
-    def functional(self, window_radius: float | None = None) -> ExpProductFunctional:
-        return ExpProductFunctional(self.phi, window_radius)
+    def functional(self) -> ExpProductFunctional:
+        return ExpProductFunctional(self.phi)
 
     def convolved_profile(self, t: float):
         return self.phi.heat_convolve(t)

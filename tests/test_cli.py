@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confheat.cli import main, run_experiment, validate_config
 
@@ -270,12 +274,25 @@ GAMMA_2D = {"dim": 2, "window_radius": 2.0, "points": [[[0.0, 0.0], 1]]}
         ("correlation", _set("theta", [[0.2, 0.0], [0.9, 0.0]]), "params.theta"),
         ("permanent", _set("theta", [[0.5, 0.0], [1.5, 0.0], [2.5, 0.0], [3.5, 0.0]]), "params.theta"),
         ("permanent", _set("theta", [[0.5], [1.5], [2.5]]), "params.theta"),
+        ("generator", _set("t_list", [0.1, 0.2]), "params.t_list"),
+        ("collision", _set("epsilon_list", [0.01, 0.1]), "params.epsilon_list"),
+        ("collision", _set("epsilon_list", ["a"]), "params.epsilon_list"),
+        ("tail_tau", _set("r_list", [-1.0]), "params.r_list"),
+        ("ktransform", _set("coeffs", {"x": 1.0}), "params.coeffs"),
+        ("ktransform", _set("coeffs", {"1": 1.0, "01": 0.5}), "params.coeffs"),
+        ("feller", _set("gamma", {"dim": 1, "window_radius": 3.0, "points": []}), "params.gamma"),
+        ("collision", _set("starts", [[0.0, 0.0]]), "params.starts"),
+        ("generator", _set("bumps", [{"amp": 1.0, "center": ["x"], "width": 0.5}]), "params.bumps"),
+        ("semigroup_exp", _set("phi", {"family": "gaussian_bump", "amp": -1.5, "width": 1.0}), "params.phi"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
          "semigroup-gamma-dim", "feller-gamma-dim", "ktransform-profile-dim", "process-gamma-dim",
          "generator-bump-dim", "collision-starts-dim", "collision-starts-ragged", "collision-no-starts",
-         "correlation-theta-dim", "permanent-theta-dim", "permanent-counts"],
+         "correlation-theta-dim", "permanent-theta-dim", "permanent-counts", "generator-t-increasing",
+         "collision-eps-increasing", "collision-eps-string", "tail-negative-r", "ktransform-coeff-key",
+         "ktransform-coeff-twice", "feller-shift-empty-gamma", "collision-one-start", "bump-center-string",
+         "semigroup-amp-below-minus-one"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)
@@ -304,3 +321,73 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "validate" in proc.stdout
+
+
+def _node_paths(node, path=()):
+    """Paths to every value below ``node`` (dict keys and list indices)."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _wrong_type(value):
+    if isinstance(value, bool):
+        return "yes"
+    if isinstance(value, (int, float)):
+        return "x"
+    if isinstance(value, str):
+        return 1.5
+    if isinstance(value, list):
+        return {"a": 1}
+    return [1.0]
+
+
+def _mutate(value, kind):
+    """The value that replaces ``value`` under mutation ``kind`` (None: drop it)."""
+    if kind == "drop":
+        return None
+    if kind == "wrong-type":
+        return _wrong_type(value)
+    if kind == "empty":
+        return {} if isinstance(value, dict) else []
+    if kind in ("zero", "negative"):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return 0 if kind == "zero" else -abs(value) - 1
+        return value
+    # a point row one coordinate too long, or one too short
+    if isinstance(value, list):
+        return value + [0.5] if kind == "row-longer" else value[:-1]
+    return value
+
+
+MUTATIONS = ("drop", "wrong-type", "empty", "zero", "negative", "row-longer", "row-shorter")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))), st.data())
+def test_mutated_shipped_configs_exit_honestly(name, data):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    paths = [p for p in _node_paths(doc) if p[0] != "output"]
+    path = data.draw(st.sampled_from(paths), label="path")
+    kind = data.draw(st.sampled_from(MUTATIONS), label="kind")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    new = _mutate(parent[path[-1]], kind)
+    if new is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["output"] = str(pathlib.Path(tmp) / "report")
+        cfg = write_config(pathlib.Path(tmp), doc)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", cfg, "--replicas", "20"])
+        assert code in (0, 1, 2, 3), (path, kind)
+        assert "Traceback" not in err.getvalue()
+        report = pathlib.Path(tmp) / "report.json"
+        if code != 2:
+            verdict = json.loads(report.read_text())["verdict"]
+            assert verdict == {0: "pass", 1: "fail", 3: "inconclusive"}[code], (path, kind)

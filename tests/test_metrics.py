@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
-from scipy.optimize import linprog
 
-from confheat.errors import CapacityError
+from confheat.errors import CapacityError, SolverError
 from confheat.metrics import (
+    FLAT_METRIC_LP_MAX_SUPPORT,
     FLAT_METRIC_MAX_SUPPORT,
     MetricValue,
     b_n,
@@ -18,6 +17,7 @@ from confheat.metrics import (
     flat_metric_lp,
     rho,
     rho_bruteforce,
+    solve_lp,
 )
 from confheat.points import Configuration
 from confheat.rng import substream
@@ -136,35 +136,13 @@ def test_flat_metric_assignment_matches_lp_oracle_random():
         assert flat_metric(g1, g2, i) == pytest.approx(flat_metric_lp(g1, g2, i), abs=1e-9), (trial, i)
 
 
-def _flat_metric_highs(pts, w, i):
-    """The flat-metric LP in the f-values on the weighted support, by HiGHS."""
-    k = pts.shape[0]
-    caps = np.maximum(0.0, i - np.linalg.norm(pts, axis=1))
-    rows, cols = np.nonzero(~np.eye(k, dtype=bool))
-    n_rows = rows.size
-    a_ub = sparse.csr_matrix(
-        (np.concatenate([np.ones(n_rows), -np.ones(n_rows)]),
-         (np.tile(np.arange(n_rows), 2), np.concatenate([rows, cols]))),
-        shape=(n_rows, k),
-    )
-    b_ub = np.linalg.norm(pts[rows] - pts[cols], axis=1)
-    res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(-caps, caps)), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
-    assert res.status == 0, res.message
-    return -float(res.fun)
-
-
 def test_flat_metric_above_old_lp_cap_matches_highs():
     rng = substream(44, 1)
     p1, p2 = rng.uniform(-4.0, 4.0, size=(2, 125, 2))
     m1, m2 = rng.integers(1, 4, size=(2, 125))
     g1, g2 = cfg(p1, 2, m1, 6.0), cfg(p2, 2, m2, 6.0)
     assert 450 <= m1.sum() + m2.sum() <= 550
-    with pytest.raises(CapacityError):
-        flat_metric_lp(g1, g2, 3)
-    pts = np.vstack([p1, p2])
-    w = np.concatenate([m1, -m2]).astype(float)
-    assert flat_metric(g1, g2, 3) == pytest.approx(_flat_metric_highs(pts, w, 3), abs=1e-7)
+    assert flat_metric(g1, g2, 3) == pytest.approx(flat_metric_lp(g1, g2, 3), abs=1e-7)
 
 
 def test_flat_metric_capacity_boundary():
@@ -178,11 +156,21 @@ def test_flat_metric_capacity_boundary():
 
 
 def test_flat_metric_lp_oracle_capacity():
-    # the dense simplex takes minutes at its 120-point cap, so only the guard is exercised
     line = np.linspace(-1.0, 1.0, 121)
+    value = flat_metric_lp(cfg(line[:60]), cfg(line[60:]), 2)
+    assert value == pytest.approx(flat_metric(cfg(line[:60]), cfg(line[60:]), 2), abs=1e-7)
+    assert value == pytest.approx(61.0, abs=1e-7)
+    assert FLAT_METRIC_LP_MAX_SUPPORT == 500
+    line = np.linspace(-1.0, 1.0, FLAT_METRIC_LP_MAX_SUPPORT + 1)
     with pytest.raises(CapacityError):
-        flat_metric_lp(cfg(line[:60]), cfg(line[60:]), 2)
-    assert flat_metric(cfg(line[:60]), cfg(line[60:]), 2) > 0.0
+        flat_metric_lp(cfg(line[:250]), cfg(line[250:]), 2)
+
+
+def test_solve_lp_optimum_and_unbounded():
+    # max x + y s.t. x + 2y <= 4, 3x + y <= 6, x, y >= 0: optimum 2.8 at (1.6, 1.2)
+    assert solve_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0], [(0, None)] * 2) == pytest.approx(2.8)
+    with pytest.raises(SolverError):
+        solve_lp([1.0, 0.0], [[0.0, 1.0]], [1.0], [(0, None)] * 2)
 
 
 # ---------------------------------------------------------------------------

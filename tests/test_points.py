@@ -52,6 +52,23 @@ def test_as_multiset_examples():
     assert np.array_equal(again.multiplicities, merged.multiplicities)
 
 
+def test_as_multiset_matches_dict_merge_random():
+    rng = substream(61, 1)
+    for trial in range(60):
+        dim = 1 + trial % 3
+        n = int(rng.integers(1, 30))
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float)  # many coincident rows
+        mults = rng.integers(1, 4, size=n)
+        merged: dict[tuple, int] = {}
+        for p, m in zip(pts, mults):
+            merged[tuple(p)] = merged.get(tuple(p), 0) + int(m)
+        keys = sorted(merged)
+        canon = as_multiset(Configuration.from_points(dim, pts, mults, 4.0))
+        assert np.array_equal(canon.positions, np.array(keys).reshape(-1, dim))
+        assert canon.multiplicities.dtype == np.int64
+        assert canon.multiplicities.tolist() == [merged[k] for k in keys]
+
+
 @settings(max_examples=60)
 @given(
     st.lists(
