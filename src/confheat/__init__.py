@@ -32,9 +32,9 @@ from .harmonic import (
     k_transform,
     k_transform_finite,
     lebesgue_poisson_integral,
+    permanent,
     permanent_kernel,
     product_kernel,
-    ryser_permanent,
     star_convolution,
     star_kernel,
     transfer_expectation,

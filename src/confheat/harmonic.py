@@ -4,9 +4,10 @@ The K-transform sums a graded kernel function over all finite sub-configurations
 (for product kernels, in closed form by elementary symmetric polynomials); its
 inverse is the alternating Moebius sum; the star-convolution is the product
 operation on the kernel side.  Correlation functions of the one-step heat flow
-are permanent-type sums of heat-kernel products, computed by direct injective
-enumeration or by a Ryser-style inclusion-exclusion, and the symmetric square
-case is the matrix permanent with Gray-code iteration.
+and the permanent kernel are permanent-type sums of heat-kernel products over
+injective index tuples; both run through one dynamic programme over column
+subsets (``permanent``), whose terms are products of entries only.  Injective
+enumeration and inclusion-exclusion remain as oracles.
 """
 from __future__ import annotations
 
@@ -318,37 +319,37 @@ def star_kernel(G1: KernelFunction, G2: KernelFunction) -> KernelFunction:
 # permanents and correlation functions
 
 
-def ryser_permanent(matrix: np.ndarray) -> float:
-    """Permanent of a square matrix by Ryser's formula with Gray-code updates."""
+def permanent(matrix: np.ndarray) -> float:
+    """Permanent of an r x n matrix: the sum over injective row choices
+    (i_1..i_n) of prod_k M[i_k, k]; the ordinary permanent when r = n, and
+    zero when r < n.
+
+    Dynamic programme over column subsets S: after some rows, dp[S] sums the
+    products over injective assignments of the columns in S to those rows.  A
+    new row i is either unused or takes one column j of S, so dp[S] gains
+    M[i, j] * dp[S - {j}] from the previous table.  Every term is a product of
+    entries and nothing is subtracted, so no digits are lost to cancellation.
+    Work is r * n * 2^(n-1) multiply-adds; memory is 2.5 * 2^n floats
+    (320 MB at n = 24).
+    """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    n = m.shape[0]
-    if n == 0:
-        return 1.0
+    if m.ndim != 2:
+        raise ValueError("matrix must be 2-d")
+    n = m.shape[1]
     if n > PERMANENT_CAPACITY_POINTS:
-        raise CapacityError(f"permanent limited to {PERMANENT_CAPACITY_POINTS} points")
-    row_sums = np.zeros(n)
-    total = 0.0
-    gray = 0
-    bits = 0
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        j = (gray ^ new_gray).bit_length() - 1
-        if new_gray >> j & 1:
-            row_sums += m[:, j]
-            bits += 1
-        else:
-            row_sums -= m[:, j]
-            bits -= 1
-        gray = new_gray
-        term = float(np.prod(row_sums))
-        total += term if bits % 2 == 0 else -term
-    return total if n % 2 == 0 else -total
+        raise CapacityError(f"permanent limited to {PERMANENT_CAPACITY_POINTS} columns")
+    dp = np.zeros(1 << n)
+    dp[0] = 1.0
+    for row in m:
+        prev = dp.copy()
+        for j, entry in enumerate(row):
+            # axis 1 of the reshape is bit j: [:, 1] are the subsets holding j, [:, 0] the same without it
+            dp.reshape(-1, 2, 1 << j)[:, 1] += entry * prev.reshape(-1, 2, 1 << j)[:, 0]
+    return float(dp[-1])
 
 
 def permanent_bruteforce(matrix: np.ndarray) -> float:
-    """Naive n!-sum permanent; independent oracle for the Ryser route."""
+    """Naive n!-sum permanent of a square matrix; independent oracle for ``permanent``."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     if n == 0:
@@ -376,11 +377,12 @@ def permanent_kernel(eta, theta, t: float, dim: int | None = None) -> float:
     if x.shape[1] != y.shape[1]:
         raise ValueError("point dimensions must agree")
     HeatKernelParams(x.shape[1], t)
-    return ryser_permanent(_heat_matrix(x, y, x.shape[1], t))
+    return permanent(_heat_matrix(x, y, x.shape[1], t))
 
 
 def _rectangular_injective_sum(m: np.ndarray) -> float:
-    """Sum over injective row choices of prod_k M[i_k, k], by inclusion-exclusion.
+    """Sum over injective row choices of prod_k M[i_k, k], by inclusion-exclusion
+    (an oracle for ``permanent``: its alternating terms cancel).
 
     Only row subsets of size <= n contribute: the binomial weight
     C(rows - |S|, rows - n) vanishes beyond that.
@@ -399,9 +401,17 @@ def _rectangular_injective_sum(m: np.ndarray) -> float:
 
 
 def _enumerated_injective_sum(m: np.ndarray) -> float:
+    """The same sum term by term over all injective tuples; an oracle for ``permanent``."""
     rows, n = m.shape
     cols = np.arange(n)
     return float(sum(np.prod(m[list(perm), cols]) for perm in itertools.permutations(range(rows), n)))
+
+
+_CORRELATION_ROUTES = {
+    "auto": permanent,
+    "enumerate": _enumerated_injective_sum,
+    "inclusion_exclusion": _rectangular_injective_sum,
+}
 
 
 def correlation_function(gamma: Configuration, theta, t: float, method: str = "auto") -> float:
@@ -409,8 +419,14 @@ def correlation_function(gamma: Configuration, theta, t: float, method: str = "a
     tuples (i_1..i_n) into gamma of prod_k p_t(x_{i_k}, y_k).
 
     No factorial factor: this is the density with respect to the
-    Lebesgue-Poisson measure.  Returns 0 when |theta| exceeds |gamma|.
+    Lebesgue-Poisson measure.  Returns 0 when |theta| exceeds |gamma|.  The
+    default route is the subset dynamic programme ``permanent`` (at most
+    PERMANENT_CAPACITY_POINTS marks); "enumerate" and "inclusion_exclusion"
+    are its oracles.
     """
+    route = _CORRELATION_ROUTES.get(method)
+    if route is None:
+        raise ValueError(f"unknown method {method!r}")
     if not gamma.is_simple:
         raise ValueError("correlation functions are defined over simple configurations")
     y = _positions_of(theta, gamma.dim)
@@ -420,21 +436,7 @@ def correlation_function(gamma: Configuration, theta, t: float, method: str = "a
     if n > gamma.total_count:
         return 0.0
     HeatKernelParams(gamma.dim, t)
-    m = _heat_matrix(gamma.positions, y, gamma.dim, t)
-    rows = m.shape[0]
-    if method == "enumerate":
-        return _enumerated_injective_sum(m)
-    if method == "inclusion_exclusion":
-        return _rectangular_injective_sum(m)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    n_perms = math.perm(rows, n)
-    if n_perms <= 200_000:
-        return _enumerated_injective_sum(m)
-    subset_work = sum(math.comb(rows, s) for s in range(1, n + 1))
-    if subset_work > 5_000_000:
-        raise CapacityError("correlation function instance too large for either route")
-    return _rectangular_injective_sum(m)
+    return route(_heat_matrix(gamma.positions, y, gamma.dim, t))
 
 
 def correlation_product_bound(gamma: Configuration, theta, t: float) -> float:

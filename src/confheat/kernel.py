@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
-
-from .special import normal_sf
+from scipy.special import gammaincc, ndtr
 
 #: relative / absolute tolerance for the Chapman-Kolmogorov identity check
 CK_REL_TOL = 1.0e-10
@@ -257,4 +255,4 @@ def fit_condition_certificate(
 
 def gaussian_tail_1d(r: float, t: float) -> float:
     """Two-sided normal tail 2*Phi-bar(r / sqrt(2t)); oracle form of tail_mass for d=1."""
-    return 2.0 * normal_sf(r / math.sqrt(2.0 * t))
+    return 2.0 * float(ndtr(-r / math.sqrt(2.0 * t)))

@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import CapacityError
 from .kernel import tau
 from .points import Configuration
 from .rng import TAG_COLLISION, TAG_OSCILLATION, TAG_PATHS, substream
-from .special import binomial_se, ks_two_sample, normal_sf
+from .special import binomial_se, ks_two_sample
 
 PATH_CAPACITY = 100_000_000
 
@@ -264,7 +265,7 @@ def collision_report(
     reference = None
     if gamma.dim == 1 and n == 2:
         gap = abs(float(start[0, 0] - start[1, 0]))
-        reference = 2.0 * normal_sf(gap / math.sqrt(4.0 * horizon))
+        reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
     note = "min-distance fractions are grid-based; between-grid near misses are not counted"
     if gamma.dim == 1 and bridge_correction:
         note += "; crossing fraction uses the exact Brownian-bridge correction"

@@ -1,9 +1,10 @@
 """Scalar geometry and statistics helpers used by the closed-form formulas.
 
-Ball volumes, sphere areas, the normal tail, the radial integral of an
-exponential, the binomial standard error and the two-sample Kolmogorov-Smirnov
-test.  Incomplete gamma values and the Kolmogorov distribution are taken from
-``scipy.special`` directly (``gammainc`` here, ``gammaincc`` in ``kernel``).
+Ball volumes, sphere areas, the radial integral of an exponential, the
+binomial standard error and the two-sample Kolmogorov-Smirnov test.  Incomplete
+gamma values, the normal distribution and the Kolmogorov distribution are taken
+from ``scipy.special`` directly (``gammainc`` here, ``gammaincc`` and ``ndtr``
+in ``kernel``, ``ndtr`` in ``process``).
 """
 from __future__ import annotations
 
@@ -25,11 +26,6 @@ def sphere_area(dim: int) -> float:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
-def normal_sf(x: float) -> float:
-    """Standard normal survival function Phi-bar(x)."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def exp_radial_integral(alpha: float, dim: int, radius: float = math.inf) -> float:

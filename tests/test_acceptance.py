@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from confheat.cli import main as cli_main
 from confheat.harmonic import (
@@ -55,7 +56,6 @@ from confheat.semigroup import (
     outer_square,
 )
 from confheat.harmonic import verify_d_class
-from confheat.special import normal_sf
 
 
 @contextlib.contextmanager
@@ -160,7 +160,8 @@ def test_c04_k_transform_algebra():
 
 
 def test_c05_correlation_functions_and_permanents():
-    with criterion(5, "correlation dual routes, product bound, Ryser vs naive permanent"):
+    with criterion(5, "correlation subset DP vs enumeration vs inclusion-exclusion, product bound, "
+                      "subset-DP vs naive permanent"):
         rng = substream(1005, 0)
         for n in (1, 2, 3, 4, 5):
             for _ in range(8):
@@ -171,6 +172,7 @@ def test_c05_correlation_functions_and_permanents():
                 a = correlation_function(gamma, theta, t, method="enumerate")
                 b = correlation_function(gamma, theta, t, method="inclusion_exclusion")
                 assert abs(a - b) <= 1e-9 * max(abs(a), 1e-300)
+                assert abs(correlation_function(gamma, theta, t) - a) <= 1e-10 * max(abs(a), 1e-300)
                 assert a <= correlation_product_bound(gamma, theta, t) * (1 + 1e-12)
         for n in (1, 2, 3, 4, 5, 6):
             for _ in range(5):
@@ -343,7 +345,7 @@ def test_c12_process_diagnostics():
         assert col.fractions[2] < 0.01
         one_d = cfg([0.0, 0.1], radius=1.0)
         cr = collision_report(one_d, 1.0, 1e-3, replicas=10_000, seed=1016, epsilon_list=(0.05,))
-        expected = 2.0 * normal_sf(0.1 / math.sqrt(4.0))
+        expected = 2.0 * ndtr(-0.1 / math.sqrt(4.0))
         se = math.sqrt(expected * (1 - expected) / cr.replicas)
         assert abs(cr.crossing_fraction - expected) <= 4 * se, (cr.crossing_fraction, expected, se)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,15 +12,16 @@ from confheat.harmonic import (
     KernelFunction,
     correlation_function,
     correlation_product_bound,
+    elementary_symmetric,
     inverse_k_transform,
     k_transform,
     k_transform_finite,
     k_transform_product_batch,
     lebesgue_poisson_integral,
+    permanent,
     permanent_bruteforce,
     permanent_kernel,
     product_kernel,
-    ryser_permanent,
     star_convolution,
     star_kernel,
     transfer_expectation,
@@ -198,12 +200,12 @@ def test_permanent_kernel_base_cases():
     )
 
 
-def test_permanent_ryser_vs_bruteforce_random():
+def test_permanent_vs_bruteforce_random():
     rng = substream(13, 2)
     for n in (2, 3, 4, 5, 6):
         for _ in range(10):
             m = rng.uniform(0.0, 1.0, size=(n, n))
-            assert ryser_permanent(m) == pytest.approx(permanent_bruteforce(m), rel=1e-10)
+            assert permanent(m) == pytest.approx(permanent_bruteforce(m), rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,10 +218,46 @@ def test_permanent_ryser_vs_bruteforce_random():
         )
     )
 )
-def test_permanent_ryser_vs_bruteforce_hypothesis(flat):
+def test_permanent_vs_bruteforce_hypothesis(flat):
     n = int(math.isqrt(len(flat)))
     m = np.array(flat).reshape(n, n)
-    assert ryser_permanent(m) == pytest.approx(permanent_bruteforce(m), rel=1e-9, abs=1e-9)
+    assert permanent(m) == pytest.approx(permanent_bruteforce(m), rel=1e-9, abs=1e-9)
+
+
+def test_permanent_rectangular_vs_enumeration_random():
+    # rectangular sums through correlation_function: up to 9 rows (points) and 5 columns (marks)
+    rng = substream(13, 4)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        gamma = simple_cfg(rng.uniform(-2, 2, size=(int(rng.integers(n, 10)), 1)), radius=3.0)
+        theta = rng.uniform(-2, 2, size=(n, 1))
+        t = float(rng.uniform(0.1, 1.5))
+        assert correlation_function(gamma, theta, t) == pytest.approx(
+            correlation_function(gamma, theta, t, method="enumerate"), rel=1e-10
+        )
+
+
+def test_permanent_rank_one_closed_form():
+    # per(a b^T) over 30 rows and 8 columns = 8! * e_8(a) * prod(b)
+    rng = substream(13, 5)
+    a = rng.uniform(0.2, 1.0, size=30)
+    b = rng.uniform(0.2, 1.0, size=8)
+    expected = math.factorial(8) * elementary_symmetric(a, 8)[8] * float(np.prod(b))
+    assert permanent(np.outer(a, b)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_permanent_accuracy_against_exact_rationals():
+    # Ryser's formula in exact rational arithmetic; floats are binary fractions, so this
+    # is the exact permanent of the float matrix
+    rng = substream(13, 6)
+    m = rng.uniform(0.0, 1.0, size=(10, 10))
+    rows = [[Fraction(x) for x in row] for row in m]
+    reference = Fraction(0)
+    for mask in range(1, 1 << 10):
+        cols = [j for j in range(10) if mask >> j & 1]
+        term = math.prod(sum(row[j] for j in cols) for row in rows)
+        reference += term if len(cols) % 2 == 0 else -term
+    assert abs(Fraction(permanent(m)) - reference) <= Fraction(1, 10**14) * reference
 
 
 def test_permanent_kernel_vs_naive_points():
@@ -233,7 +271,7 @@ def test_permanent_kernel_vs_naive_points():
 
 def test_permanent_capacity():
     with pytest.raises(CapacityError):
-        ryser_permanent(np.eye(25))
+        permanent(np.eye(25))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +308,15 @@ def test_correlation_methods_agree():
 def test_correlation_more_marks_than_points_is_zero():
     gamma = simple_cfg([0.0], radius=1.0)
     assert correlation_function(gamma, np.array([[0.1], [0.2]]), 0.5) == 0.0
+
+
+def test_correlation_capacity_is_the_permanent_cap():
+    gamma = simple_cfg(np.linspace(-10, 10, 30))
+    theta = np.linspace(-3, 3, 8).reshape(-1, 1)
+    val = correlation_function(gamma, theta, 0.5)
+    assert 0.0 < val <= correlation_product_bound(gamma, theta, 0.5)
+    with pytest.raises(CapacityError):
+        correlation_function(gamma, np.linspace(-3, 3, 25).reshape(-1, 1), 0.5)
 
 
 def test_correlation_bound_and_symmetry():

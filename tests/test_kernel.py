@@ -58,6 +58,12 @@ def test_density_rejects_bad_input():
         HeatKernelParams(1, 0.0)
 
 
+def test_gaussian_tail_1d_reference_values():
+    # two-sided tail 2 * Phi-bar(r / sqrt(2t)); at t = 1/2 the argument is r
+    assert gaussian_tail_1d(0.0, 0.3) == 1.0
+    assert gaussian_tail_1d(2.0, 0.5) == pytest.approx(2.0 * 0.022750131948, rel=1e-9)
+
+
 def test_tail_mass_stated_values():
     assert tail_mass(HeatKernelParams(3, 0.8), 0.0) == 1.0
     assert tail_mass(HeatKernelParams(1, 0.5), 2.0) == pytest.approx(gaussian_tail_1d(2.0, 0.5), rel=1e-12)

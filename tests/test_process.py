@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from confheat.errors import CapacityError
 from confheat.kernel import tau
@@ -16,7 +17,6 @@ from confheat.process import (
     oscillation_check,
     simulate_paths,
 )
-from confheat.special import normal_sf
 
 
 def cfg(points, dim=1, radius=None):
@@ -106,7 +106,7 @@ def test_oscillation_far_tail_trivial():
 def test_oscillation_stated_example():
     # delta = 0.01, r = 1: bound = 2 tau(0.01, 0.25) = 4 Phi-bar(0.25/sqrt(0.02))
     bound = 2.0 * tau(1, 0.01, 0.25)
-    assert bound == pytest.approx(4.0 * normal_sf(0.25 / math.sqrt(0.02)), rel=1e-12)
+    assert bound == pytest.approx(4.0 * ndtr(-0.25 / math.sqrt(0.02)), rel=1e-12)
     assert bound == pytest.approx(0.1542, abs=2e-4)
     rep = oscillation_check([0.0], 0.0, 0.01, r=1.0, replicas=4000, seed=16, dim=1)
     assert rep.bound == pytest.approx(bound, rel=1e-12)
@@ -145,7 +145,7 @@ def test_collision_d2_fractions_decrease():
 def test_collision_d1_crossing_matches_reflection_principle():
     gamma = cfg([0.0, 0.1], radius=1.0)
     rep = collision_report(gamma, 1.0, 1e-3, replicas=10000, seed=20, epsilon_list=(0.05,))
-    expected = 2.0 * normal_sf(0.1 / math.sqrt(4.0))
+    expected = 2.0 * ndtr(-0.1 / math.sqrt(4.0))
     assert rep.crossing_reference == pytest.approx(expected, rel=1e-12)
     se = math.sqrt(expected * (1 - expected) / rep.replicas)
     assert abs(rep.crossing_fraction - expected) <= 4 * se

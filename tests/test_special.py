@@ -9,7 +9,6 @@ from confheat.special import (
     ball_volume,
     exp_radial_integral,
     ks_two_sample,
-    normal_sf,
     sphere_area,
 )
 
@@ -85,11 +84,6 @@ def test_sphere_area_low_dims():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
-
-
-def test_normal_sf_reference_values():
-    assert normal_sf(0.0) == pytest.approx(0.5)
-    assert normal_sf(2.0) == pytest.approx(0.022750131948, rel=1e-9)
 
 
 @pytest.mark.parametrize("alpha,R", [(1.0, 2.0), (0.5, 5.0), (2.0, math.inf)])
