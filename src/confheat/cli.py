@@ -5,8 +5,10 @@
     confheat validate <config.json>
 
 Configs are JSON with strict validation (unknown keys rejected; errors reported
-exhaustively, not first-only).  A run writes <prefix>.csv and <prefix>.json and
-exits 0 exactly when the verdict is "pass" (1 fail, 3 inconclusive, 2 errors).
+exhaustively, not first-only).  ``validate`` runs the same parse of the params
+as ``run``, so a config that validates never fails on its params mid-run.  A
+run writes <prefix>.csv and <prefix>.json and exits 0 exactly when the verdict
+is "pass" (1 fail, 3 inconclusive, 2 errors).
 Outputs are byte-identical for identical config + seed on the same build,
 regardless of thread count.
 """
@@ -57,7 +59,7 @@ def validate_config(text: str):
     if not isinstance(raw_params, dict):
         errors.append("params: must be an object")
         raw_params = {}
-    params = validate_params(exp.schema, raw_params, errors)
+    params, _ = validate_params(exp.schema, raw_params, errors)
     if errors:
         return None, errors
     return (
@@ -66,11 +68,22 @@ def validate_config(text: str):
     )
 
 
+def _print_invalid(errors: list[str]) -> None:
+    for e in errors:
+        print(f"invalid: {e}", file=sys.stderr)
+
+
 def run_experiment(config: dict, threads: int = 1):
-    """Execute a validated config; returns (exit_code, summary dict)."""
+    """Execute a validated config; returns (exit_code, summary dict).  The runner
+    gets the objects the params parse to, by the same parse as ``validate_config``."""
     exp = EXPERIMENTS[config["experiment"]]
+    errors: list[str] = []
+    _, parsed = validate_params(exp.schema, config["params"], errors)
+    if errors:
+        _print_invalid(errors)
+        return 2, {"error": "; ".join(errors), "config": config}
     try:
-        result: ExperimentResult = exp.run(config["params"], config["seed"], config["replicas"], threads)
+        result: ExperimentResult = exp.run(parsed, config["seed"], config["replicas"], threads)
     except (CapacityError, CapabilityError, SolverError, EvaluationError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2, {"error": str(exc), "config": config}
@@ -135,8 +148,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         config, errors = validate_config(text)
         if errors:
-            for e in errors:
-                print(f"invalid: {e}", file=sys.stderr)
+            _print_invalid(errors)
             return 2
         print(json.dumps(config, sort_keys=True, indent=2))
         return 0
@@ -168,8 +180,7 @@ def main(argv=None) -> int:
 
     config, errors = validate_config(json.dumps(doc))
     if errors:
-        for e in errors:
-            print(f"invalid: {e}", file=sys.stderr)
+        _print_invalid(errors)
         return 2
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)

@@ -14,7 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import metrics
-from .errors import CapabilityError
+from .errors import CapabilityError, CapacityError
 from .harmonic import (
     correlation_function,
     correlation_product_bound,
@@ -27,10 +27,11 @@ from .harmonic import (
 )
 from .kernel import HeatKernelParams, density, fit_condition_certificate, tail_mass, tau
 from .points import Configuration, Window, diffuse, sample_poisson
-from .process import bn_refinement_medians, collision_report, marginal_ks, oscillation_check
+from .process import _steps_for, bn_refinement_medians, collision_report, marginal_ks, oscillation_check
 from .profiles import BoxIndicator, ConstantProfile, GaussianBump, SmoothedIndicator
 from .rng import TAG_EXPERIMENT, substream
 from .semigroup import (
+    GENERATOR_RATIO_RANGE,
     CylinderFunction,
     ExpFunctional,
     WindowedConstant,
@@ -49,126 +50,101 @@ from .special import ball_volume, binomial_se
 
 _REQUIRED = object()
 
-#: series-truncation defaults the validator fills when absent
-GLOBAL_DEFAULTS = {"i_max": 20, "n_max": 20}
+#: what a parse raises on a bad value; ``validate_params`` reports each as a param error
+_BAD_INPUT = (CapabilityError, KeyError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
 class Field:
+    """One param: its JSON kind, its default, and the parse that turns the
+    coerced value into the object the runner uses.  ``parse(value, parsed)``
+    sees the objects of the fields before it in schema order and raises one
+    of ``_BAD_INPUT`` on a bad value; without a parse the value is the object."""
+
     kind: str
     default: Any = _REQUIRED
-    check: Callable[[Any], str | None] | None = None
+    parse: Callable[[Any, dict], Any] | None = None
 
     @property
     def required(self) -> bool:
         return self.default is _REQUIRED
 
 
-def _positive(x):
-    return None if x > 0 else "must be positive"
+def _require(ok: Callable[[Any], bool], msg: str):
+    """Parse that returns the value unchanged if ``ok(value)``, else raises ValueError(msg.format(value))."""
 
+    def parse(value, parsed):
+        if not ok(value):
+            raise ValueError(msg.format(value))
+        return value
 
-def _unit_interval(x):
-    return None if 0.0 <= x < 1.0 else "must lie in [0, 1)"
-
-
-def _dim_ok(x):
-    return None if 1 <= x <= 3 else "dimension must be 1, 2, or 3"
+    return parse
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+_positive = _require(lambda x: x > 0, "must be positive")
+_unit_interval = _require(lambda x: 0.0 <= x < 1.0, "must lie in [0, 1)")
+_dim = _require(lambda x: 1 <= x <= 3, "dimension must be 1, 2, or 3")
+_nonnegatives = _require(lambda xs: all(_is_number(x) and x >= 0 for x in xs),
+                         "must hold finite nonnegative numbers")
+
+
 def _decreasing_positives(at_least: int):
-    def check(xs):
-        ok = len(xs) >= at_least and all(_is_number(x) and x > 0 for x in xs)
-        ok = ok and all(a > b for a, b in zip(xs, xs[1:]))
-        return None if ok else f"must be at least {at_least} positive numbers, strictly decreasing"
-
-    return check
-
-
-def _nonnegatives(xs):
-    return None if all(_is_number(x) and x >= 0 for x in xs) else "must hold finite nonnegative numbers"
-
-
-def _coeffs_ok(doc):
-    # plain digits with no leading zero, so no two keys name the same order
-    ok = all(k.isascii() and k.isdecimal() and k[0] != "0" and _is_number(v) for k, v in doc.items())
-    return None if ok else "keys must be integers >= 1 (no leading zeros) and values numbers"
-
-
-def _parses(parse, what):
-    """Field check that reports the error ``parse(value)`` raises."""
-
-    def check(value):
-        try:
-            parse(value)
-        except (CapabilityError, KeyError, TypeError, ValueError) as exc:
-            return f"bad {what} ({type(exc).__name__}: {exc})"
-        return None
-
-    return check
+    return _require(lambda xs: len(xs) >= at_least and all(_is_number(x) and x > 0 for x in xs)
+                    and all(a > b for a, b in zip(xs, xs[1:])),
+                    f"must be at least {at_least} positive numbers, strictly decreasing")
 
 
 def _one_of(*values):
-    return lambda x: None if x in values else f"unknown value {x!r}; valid: {', '.join(values)}"
+    return _require(lambda x: x in values, "unknown value {!r}; valid: " + ", ".join(values))
+
+
+def _coeffs(doc, parsed) -> dict[int, float]:
+    # plain digits with no leading zero, so no two keys name the same order
+    if not all(k.isascii() and k.isdecimal() and k[0] != "0" and _is_number(v) for k, v in doc.items()):
+        raise ValueError("keys must be integers >= 1 (no leading zeros) and values numbers")
+    return {int(k): float(v) for k, v in doc.items()}
+
+
+#: JSON kind -> (accepted Python types, what the error says was expected)
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
+          "bool": (bool, "a boolean"), "list": (list, "a list"), "dict": (dict, "an object")}
 
 
 def _coerce(kind: str, value):
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError("expected an integer")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError("expected a number")
-        return float(value)
-    if kind == "str":
-        if not isinstance(value, str):
-            raise TypeError("expected a string")
-        return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise TypeError("expected a boolean")
-        return value
-    if kind == "list":
-        if not isinstance(value, list):
-            raise TypeError("expected a list")
-        return value
-    if kind == "dict":
-        if not isinstance(value, dict):
-            raise TypeError("expected an object")
-        return value
-    raise AssertionError(f"unknown field kind {kind}")
+    types, expected = _KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        raise TypeError(f"expected {expected}")
+    return float(value) if kind == "float" else value
 
 
-def validate_params(schema: dict[str, Field], params: dict, errors: list[str]) -> dict:
-    out = {}
-    for key, value in params.items():
+def validate_params(schema: dict[str, Field], params: dict, errors: list[str]) -> tuple[dict, dict]:
+    """(values, parsed) for ``params``: ``values`` is the coerced JSON with
+    defaults filled in (what reports echo), ``parsed`` the object each field's
+    parse builds from it.  Every problem is appended to ``errors``."""
+    for key in params:
         if key not in schema:
             errors.append(f"params.{key}: unknown key")
+    values, parsed = {}, {}
     for key, fld in schema.items():
-        if key not in params:
-            if fld.required:
-                errors.append(f"params.{key}: required")
-            else:
-                out[key] = fld.default
+        if key not in params and fld.required:
+            errors.append(f"params.{key}: required")
             continue
+        value, obj = params.get(key, fld.default), None
         try:
-            val = _coerce(fld.kind, params[key])
-        except TypeError as exc:
-            errors.append(f"params.{key}: {exc}")
+            # null stands for an optional object left out, where that is the default
+            if value is not None or fld.default is not None:
+                value = _coerce(fld.kind, value)
+                obj = value if fld.parse is None else fld.parse(value, parsed)
+        except _BAD_INPUT as exc:
+            errors.append(f"params.{key}: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}")
             continue
-        if fld.check is not None:
-            msg = fld.check(val)
-            if msg:
-                errors.append(f"params.{key}: {msg}")
-                continue
-        out[key] = val
-    _cross_check(out, errors)
-    return out
+        values[key], parsed[key] = value, obj
+    _cross_check(parsed, errors)
+    return values, parsed
 
 
 def _coords(values) -> tuple[float, ...]:
@@ -178,75 +154,94 @@ def _coords(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def parse_profile(doc: dict, dim: int):
-    """The profile a ``phi``/``profile`` param describes; ValueError if it is malformed."""
+def _profile(doc, parsed):
+    """The profile a ``phi``/``profile`` param describes."""
     family = doc.get("family")
-    try:
-        if family == "gaussian_bump":
-            center = _coords(doc.get("center", [0.0] * dim))
-            return GaussianBump(float(doc["amp"]), center, float(doc["width"]))
-        if family == "box":
-            return BoxIndicator(float(doc["amp"]), _coords(doc["lo"]), _coords(doc["hi"]))
-        if family == "smoothed_indicator":
-            return SmoothedIndicator(float(doc["amp"]), float(doc["radius"]), float(doc["width"]), dim)
-        if family == "constant":
-            return ConstantProfile(float(doc["value"]), dim)
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
+    # before ``dim`` parses (or when it is bad) the dimension fills defaults only
+    dim = parsed.get("dim", 1)
+    if family == "gaussian_bump":
+        return GaussianBump(float(doc["amp"]), _coords(doc.get("center", [0.0] * dim)), float(doc["width"]))
+    if family == "box":
+        return BoxIndicator(float(doc["amp"]), _coords(doc["lo"]), _coords(doc["hi"]))
+    if family == "smoothed_indicator":
+        return SmoothedIndicator(float(doc["amp"]), float(doc["radius"]), float(doc["width"]), dim)
+    if family == "constant":
+        return ConstantProfile(float(doc["value"]), dim)
     raise ValueError(f"unknown profile family {family!r}")
 
 
-def parse_bumps(docs: list) -> tuple[GaussianBump, ...]:
+def _bumps(docs, parsed) -> tuple[GaussianBump, ...]:
     """The Gaussian bumps of a generator ``bumps`` param (at least one)."""
     if not docs:
         raise ValueError("at least one bump required")
     return tuple(GaussianBump(float(b["amp"]), _coords(b["center"]), float(b["width"])) for b in docs)
 
 
-def _point_rows(value, at_least: int = 1) -> np.ndarray:
-    """The points of a ``starts``/``eta``/``theta`` param, one row of coordinates each."""
-    pos = np.asarray(value, dtype=float)
-    if pos.ndim != 2 or pos.shape[0] < at_least:
-        raise ValueError(f"expected a list of at least {at_least} points, each a list of coordinates")
-    return pos
+def _exp_phi(doc, parsed):
+    return ExpFunctional(_profile(doc, parsed))
+
+
+def _feller_phi(doc, parsed):
+    """The feller probe's functional of ``phi``: the profile alone while ``functional`` is bad."""
+    profile = _profile(doc, parsed)
+    build = _FELLER_FUNCTIONALS.get(parsed.get("functional"))
+    return profile if build is None else build(profile.dim, profile)
+
+
+def _configuration(doc, parsed) -> Configuration:
+    return Configuration.from_dict(doc)
+
+
+def _configuration_where(ok: Callable[[Configuration], bool], msg: str):
+    return lambda doc, parsed: _require(ok, msg)(_configuration(doc, parsed), parsed)
+
+
+_simple_configuration = _configuration_where(lambda g: g.is_simple,
+                                             "must be a simple configuration (every multiplicity 1)")
+_occupied_configuration = _configuration_where(lambda g: g.total_count > 0, "needs at least one particle")
+
+
+def _point_rows(at_least: int):
+    """Parse of a ``starts``/``eta``/``theta`` param: one row of coordinates per point."""
+    check = _require(lambda pos: pos.ndim == 2 and pos.shape[0] >= at_least,
+                     f"expected a list of at least {at_least} points, each a list of coordinates")
+    return lambda value, parsed: check(np.asarray(value, dtype=float), parsed)
+
+
+#: (horizon, step) params whose time grid must be whole steps
+_TIME_GRIDS = (("t", "dt"), ("t", "dt_coarse"), ("horizon", "dt"))
 
 
 def _cross_check(p: dict, errors: list[str]) -> None:
-    """Cross-field pass over the params that passed their own checks: ``phi``,
-    ``profile``, ``gamma``, the ``bumps`` centres and the point lists share one
-    dimension (``dim``, else that of ``gamma``, else that of ``eta``), the
-    permanent's ``eta`` and ``theta`` hold equally many points, and the feller
-    probe's exponential functional and shift schedule can use its ``phi`` and
-    ``gamma``."""
-    if p.get("functional") == "exponential" and "phi" in p and (msg := _exp_phi_ok(p["phi"])):
-        errors.append(f"params.phi: {msg}")
-    if p.get("schedule") == "shift" and p.get("gamma") is not None and not p["gamma"].get("points"):
+    """Cross-field pass over the parsed params: ``phi``, ``profile``, the
+    configurations, the ``bumps`` centres and the point lists share one
+    dimension (``dim``, else that of the first configuration or point list),
+    the permanent's ``eta`` and ``theta`` hold equally many points, time
+    grids are whole steps with the fine step below the coarse one, and the
+    feller schedule suits its ``gamma`` and ``metric``."""
+    if p.get("schedule") == "shift" and p.get("gamma") is not None and not p["gamma"].total_count:
         errors.append("params.gamma: the shift schedule needs at least one particle")
-    dims = {}
-    if p.get("gamma") is not None:
-        dims["gamma"] = Configuration.from_dict(p["gamma"]).dim
-    dims.update((key, _point_rows(p[key]).shape[1]) for key in ("eta", "theta", "starts") if key in p)
-    want = p.get("dim", dims.get("gamma", dims.get("eta")))
+    if p.get("schedule") == "far-point" and p.get("metric") == "rho":
+        errors.append("params.metric: rho is infinite once far-point adds a particle; use d1")
+    for horizon, step in _TIME_GRIDS:
+        if horizon in p and step in p:
+            try:
+                _steps_for(p[horizon], p[step])
+            except (CapacityError, ValueError) as exc:
+                errors.append(f"params.{step}: {exc} ({horizon} = {p[horizon]:g}, {step} = {p[step]:g})")
+    if "dt" in p and "dt_coarse" in p and not p["dt"] < p["dt_coarse"]:
+        errors.append("params.dt_coarse: must exceed dt, the step it is refined to")
+    dims = {key: p[key].dim for key in ("gamma", "g1", "g2") if p.get(key) is not None}
+    dims.update((key, p[key].shape[1]) for key in ("eta", "theta", "starts") if key in p)
+    want = p.get("dim", next(iter(dims.values()), None))
     if want is None:
         return
-    dims.update((key, parse_profile(p[key], want).dim) for key in ("phi", "profile") if key in p)
-    if "bumps" in p:
-        dims.update((f"bumps[{k}]", bump.dim) for k, bump in enumerate(parse_bumps(p["bumps"])))
+    dims.update((key, p[key].dim) for key in ("phi", "profile") if key in p)
+    dims.update((f"bumps[{k}]", bump.dim) for k, bump in enumerate(p.get("bumps", ())))
     errors.extend(f"params.{key}: dimension {d} does not match the experiment's dimension {want}"
                   for key, d in dims.items() if d != want)
     if "eta" in p and "theta" in p and len(p["eta"]) != len(p["theta"]):
         errors.append(f"params.theta: {len(p['theta'])} points, but eta has {len(p['eta'])}")
-
-
-_configuration_ok = _parses(Configuration.from_dict, "configuration")
-# the dimension only fills defaults (center, ndim), so any dimension finds the same errors
-_profile_ok = _parses(lambda doc: parse_profile(doc, 1), "profile")
-_bumps_ok = _parses(parse_bumps, "bumps")
-_points_ok = _parses(_point_rows, "point list")
-_starts_ok = _parses(lambda value: _point_rows(value, at_least=2), "point list")
-_exp_phi_ok = _parses(lambda doc: ExpFunctional(parse_profile(doc, 1)), "exponential phi")
 
 
 @dataclass
@@ -328,17 +323,11 @@ def run_diffuse(p, seed, replicas, threads):
     return ExperimentResult(rows, {"draws": n_draws}, _verdict_all(checks))
 
 
-def _gamma_from_params(p, dim, seed):
-    if p.get("gamma") is not None:
-        return Configuration.from_dict(p["gamma"])
-    rng = substream(seed, TAG_EXPERIMENT, 3)
-    return sample_poisson(Window(p.get("gamma_radius", 2.0), p.get("gamma_intensity", 1.0)), dim, rng)
-
-
 def run_semigroup_exp(p, seed, replicas, threads):
-    dim = p["dim"]
-    ef = ExpFunctional(parse_profile(p["phi"], dim))
-    gamma = _gamma_from_params(p, dim, seed)
+    ef, gamma = p["phi"], p["gamma"]
+    if gamma is None:
+        window = Window(p["gamma_radius"], p["gamma_intensity"])
+        gamma = sample_poisson(window, p["dim"], substream(seed, TAG_EXPERIMENT, 3))
     exact = apply_exact_exponential(ef, gamma, p["t"])
     est = apply_mc(ef.functional(), gamma, p["t"], replicas, seed, threads=threads)
     gap = abs(est.mean - exact)
@@ -383,18 +372,18 @@ _METRICS = {"rho": metrics.rho, "d1": metrics.d1}
 
 
 def run_generator(p, seed, replicas, threads):
-    bumps = parse_bumps(p["bumps"])
+    bumps = p["bumps"]
     outer_name = p["outer"]
     outer = _OUTERS[outer_name](len(bumps)) if outer_name == "exp_neg_sum" else _OUTERS[outer_name]()
     F = CylinderFunction(outer, bumps)
-    gamma = Configuration.from_dict(p["gamma"])
-    report = generator_residual(F, gamma, tuple(p["t_list"]), replicas, seed, threads=threads)
+    report = generator_residual(F, p["gamma"], p["t_list"], replicas, seed, threads=threads)
     rows = [_row("generator_value", report.generator_value)]
+    ratio_band = "[{:g}, {:g}]".format(*GENERATOR_RATIO_RANGE)
     for e in report.entries:
         rows.append(_se_row(f"residual_t={e.t:g}", e.residual, e.std_error,
                             note="inconclusive" if e.inconclusive else None))
     for k, r in enumerate(report.ratios):
-        rows.append(_row(f"ratio_{k}", r, bound="[1.5, 3]", note=report.note))
+        rows.append(_row(f"ratio_{k}", r, bound=ratio_band, note=report.note))
     return ExperimentResult(rows, {"outer": outer_name}, report.verdict)
 
 
@@ -420,13 +409,11 @@ _SCHEDULES = {"shift": _shift, "far-point": _far_point}
 
 
 def run_feller(p, seed, replicas, threads):
-    dim = p["dim"]
-    gamma = Configuration.from_dict(p["gamma"])
-    F_spec = _FELLER_FUNCTIONALS[p["functional"]](dim, parse_profile(p["phi"], dim))
+    gamma = p["gamma"]
     level = _SCHEDULES[p["schedule"]]
     schedule = [level(gamma, j) for j in range(1, p["levels"] + 1)]
     metric = _METRICS[p["metric"]]
-    rep = feller_probe(F_spec, gamma, schedule, metric, t=p["t"], ratio_tol=p["ratio_tol"],
+    rep = feller_probe(p["phi"], gamma, schedule, metric, t=p["t"], ratio_tol=p["ratio_tol"],
                        replicas=replicas, seed=seed)
     rows = [
         _row(f"gap_{k}", v, bound=m, note=f"metric gap {m:.6g}")
@@ -437,8 +424,7 @@ def run_feller(p, seed, replicas, threads):
 
 
 def run_rho(p, seed, replicas, threads):
-    g1 = Configuration.from_dict(p["g1"])
-    g2 = Configuration.from_dict(p["g2"])
+    g1, g2 = p["g1"], p["g2"]
     val = metrics.rho(g1, g2)
     rows = [_row("rho", val)]
     verdict = "pass"
@@ -450,8 +436,7 @@ def run_rho(p, seed, replicas, threads):
 
 
 def run_flat_metric(p, seed, replicas, threads):
-    g1 = Configuration.from_dict(p["g1"])
-    g2 = Configuration.from_dict(p["g2"])
+    g1, g2 = p["g1"], p["g2"]
     i = p["i"]
     val = metrics.flat_metric(g1, g2, i)
     rows = [_row(f"d_K_{i}", val)]
@@ -475,11 +460,8 @@ def run_flat_metric(p, seed, replicas, threads):
 
 
 def run_ktransform(p, seed, replicas, threads):
-    dim = p["dim"]
-    profile = parse_profile(p["profile"], dim)
-    coeffs = {int(k): float(v) for k, v in p["coeffs"].items()}
-    G = product_kernel(dim, coeffs, profile)
-    gamma = Configuration.from_dict(p["gamma"])
+    G = product_kernel(p["dim"], p["coeffs"], p["profile"])
+    gamma = p["gamma"]
     val = k_transform(G, gamma)
     rows = [_row("k_transform", val)]
     verdict = "pass"
@@ -496,9 +478,7 @@ def run_ktransform(p, seed, replicas, threads):
 
 
 def run_correlation(p, seed, replicas, threads):
-    gamma = Configuration.from_dict(p["gamma"])
-    theta = np.asarray(p["theta"], dtype=float)
-    t = p["t"]
+    gamma, theta, t = p["gamma"], p["theta"], p["t"]
     val = correlation_function(gamma, theta, t)
     bound = correlation_product_bound(gamma, theta, t)
     rows = [_row("correlation", val, bound=bound, note="product bound")]
@@ -513,9 +493,7 @@ def run_correlation(p, seed, replicas, threads):
 
 
 def run_permanent(p, seed, replicas, threads):
-    eta = np.asarray(p["eta"], dtype=float)
-    theta = np.asarray(p["theta"], dtype=float)
-    t = p["t"]
+    eta, theta, t = p["eta"], p["theta"], p["t"]
     val = permanent_kernel(eta, theta, t)
     rows = [_row("permanent", val)]
     verdict = "pass"
@@ -532,7 +510,7 @@ def run_permanent(p, seed, replicas, threads):
 def run_process(p, seed, replicas, threads):
     dim = p["dim"]
     d_stat, ks_p = marginal_ks(dim, p["t"], p["dt"], replicas, seed)
-    gamma = Configuration.from_dict(p["gamma"]) if p.get("gamma") else Configuration.from_points(
+    gamma = p["gamma"] if p["gamma"] is not None else Configuration.from_points(
         dim, np.zeros((1, dim)), window_radius=1.0
     )
     med = bn_refinement_medians(gamma, p["t"], (p["dt_coarse"], p["dt"]), p["n"], p["bn_replicas"], seed)
@@ -558,10 +536,10 @@ def run_oscillation(p, seed, replicas, threads):
 
 def run_collision(p, seed, replicas, threads):
     dim = p["dim"]
-    starts = _point_rows(p["starts"])
+    starts = p["starts"]
     radius = float(np.linalg.norm(starts, axis=1).max()) + 1.0
     gamma = Configuration.from_points(dim, starts, None, radius)
-    rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, tuple(p["epsilon_list"]))
+    rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, p["epsilon_list"])
     rows = [
         _row(f"fraction_below_{e:g}", f, note=rep.note) for e, f in zip(rep.epsilons, rep.fractions)
     ]
@@ -624,9 +602,9 @@ def _register(name, schema, run, default_replicas):
 _register(
     "sample-poisson",
     {
-        "dim": Field("int", check=_dim_ok),
-        "radius": Field("float", check=_positive),
-        "intensity": Field("float", check=_positive),
+        "dim": Field("int", parse=_dim),
+        "radius": Field("float", parse=_positive),
+        "intensity": Field("float", parse=_positive),
     },
     run_sample_poisson,
     20000,
@@ -634,10 +612,10 @@ _register(
 _register(
     "diffuse",
     {
-        "dim": Field("int", check=_dim_ok),
-        "t": Field("float", check=_positive),
-        "radius": Field("float", 2.0, check=_positive),
-        "intensity": Field("float", 1.0, check=_positive),
+        "dim": Field("int", parse=_dim),
+        "t": Field("float", parse=_positive),
+        "radius": Field("float", 2.0, parse=_positive),
+        "intensity": Field("float", 1.0, parse=_positive),
     },
     run_diffuse,
     20000,
@@ -645,12 +623,12 @@ _register(
 _register(
     "semigroup-exp",
     {
-        "dim": Field("int", check=_dim_ok),
-        "t": Field("float", check=_positive),
-        "phi": Field("dict", check=_exp_phi_ok),
-        "gamma": Field("dict", None, check=_configuration_ok),
-        "gamma_radius": Field("float", 2.0, check=_positive),
-        "gamma_intensity": Field("float", 1.0, check=_positive),
+        "dim": Field("int", parse=_dim),
+        "t": Field("float", parse=_positive),
+        "phi": Field("dict", parse=_exp_phi),
+        "gamma": Field("dict", None, parse=_configuration),
+        "gamma_radius": Field("float", 2.0, parse=_positive),
+        "gamma_intensity": Field("float", 1.0, parse=_positive),
     },
     run_semigroup_exp,
     100000,
@@ -658,13 +636,13 @@ _register(
 _register(
     "invariance",
     {
-        "dim": Field("int", check=_dim_ok),
-        "functional": Field("str", check=_one_of(*_INVARIANCE_FUNCTIONALS)),
-        "intensity": Field("float", 1.0, check=_positive),
-        "t": Field("float", check=_positive),
-        "inner_radius": Field("float", 1.0, check=_positive),
-        "a": Field("float", 0.5, check=_unit_interval),
-        "width": Field("float", 0.7, check=_positive),
+        "dim": Field("int", parse=_dim),
+        "functional": Field("str", parse=_one_of(*_INVARIANCE_FUNCTIONALS)),
+        "intensity": Field("float", 1.0, parse=_positive),
+        "t": Field("float", parse=_positive),
+        "inner_radius": Field("float", 1.0, parse=_positive),
+        "a": Field("float", 0.5, parse=_unit_interval),
+        "width": Field("float", 0.7, parse=_positive),
     },
     run_invariance,
     100000,
@@ -672,10 +650,10 @@ _register(
 _register(
     "generator",
     {
-        "outer": Field("str", check=_one_of(*_OUTERS)),
-        "bumps": Field("list", check=_bumps_ok),
-        "gamma": Field("dict", check=_configuration_ok),
-        "t_list": Field("list", [0.1, 0.05, 0.025], check=_decreasing_positives(2)),
+        "outer": Field("str", parse=_one_of(*_OUTERS)),
+        "bumps": Field("list", parse=_bumps),
+        "gamma": Field("dict", parse=_occupied_configuration),
+        "t_list": Field("list", [0.1, 0.05, 0.025], parse=_decreasing_positives(2)),
     },
     run_generator,
     1000000,
@@ -683,33 +661,33 @@ _register(
 _register(
     "feller",
     {
-        "dim": Field("int", check=_dim_ok),
-        "functional": Field("str", check=_one_of(*_FELLER_FUNCTIONALS)),
-        "phi": Field("dict", check=_profile_ok),
-        "gamma": Field("dict", check=_configuration_ok),
-        "schedule": Field("str", "shift", check=_one_of(*_SCHEDULES)),
-        "metric": Field("str", "rho", check=_one_of(*_METRICS)),
-        "levels": Field("int", 10, check=_positive),
-        "t": Field("float", 0.5, check=_positive),
-        "ratio_tol": Field("float", 1e-3, check=_positive),
+        "dim": Field("int", parse=_dim),
+        "functional": Field("str", parse=_one_of(*_FELLER_FUNCTIONALS)),
+        "phi": Field("dict", parse=_feller_phi),
+        "gamma": Field("dict", parse=_configuration),
+        "schedule": Field("str", "shift", parse=_one_of(*_SCHEDULES)),
+        "metric": Field("str", "rho", parse=_one_of(*_METRICS)),
+        "levels": Field("int", 10, parse=_positive),
+        "t": Field("float", 0.5, parse=_positive),
+        "ratio_tol": Field("float", 1e-3, parse=_positive),
     },
     run_feller,
     20000,
 )
 _register(
     "rho",
-    {"g1": Field("dict", check=_configuration_ok), "g2": Field("dict", check=_configuration_ok)},
+    {"g1": Field("dict", parse=_configuration), "g2": Field("dict", parse=_configuration)},
     run_rho,
     2,
 )
 _register(
     "flat-metric",
     {
-        "g1": Field("dict", check=_configuration_ok),
-        "g2": Field("dict", check=_configuration_ok),
-        "i": Field("int", 5, check=_positive),
+        "g1": Field("dict", parse=_configuration),
+        "g2": Field("dict", parse=_configuration),
+        "i": Field("int", 5, parse=_positive),
         "sum_scales": Field("bool", False),
-        "i_max": Field("int", GLOBAL_DEFAULTS["i_max"], check=_positive),
+        "i_max": Field("int", 20, parse=_positive),
     },
     run_flat_metric,
     2,
@@ -717,10 +695,10 @@ _register(
 _register(
     "ktransform",
     {
-        "dim": Field("int", check=_dim_ok),
-        "coeffs": Field("dict", check=_coeffs_ok),
-        "profile": Field("dict", check=_profile_ok),
-        "gamma": Field("dict", check=_configuration_ok),
+        "dim": Field("int", parse=_dim),
+        "coeffs": Field("dict", parse=_coeffs),
+        "profile": Field("dict", parse=_profile),
+        "gamma": Field("dict", parse=_simple_configuration),
     },
     run_ktransform,
     2,
@@ -728,9 +706,9 @@ _register(
 _register(
     "correlation",
     {
-        "gamma": Field("dict", check=_configuration_ok),
-        "theta": Field("list", check=_points_ok),
-        "t": Field("float", check=_positive),
+        "gamma": Field("dict", parse=_simple_configuration),
+        "theta": Field("list", parse=_point_rows(1)),
+        "t": Field("float", parse=_positive),
     },
     run_correlation,
     2,
@@ -738,9 +716,9 @@ _register(
 _register(
     "permanent",
     {
-        "eta": Field("list", check=_points_ok),
-        "theta": Field("list", check=_points_ok),
-        "t": Field("float", check=_positive),
+        "eta": Field("list", parse=_point_rows(1)),
+        "theta": Field("list", parse=_point_rows(1)),
+        "t": Field("float", parse=_positive),
     },
     run_permanent,
     2,
@@ -748,13 +726,13 @@ _register(
 _register(
     "process",
     {
-        "dim": Field("int", check=_dim_ok),
-        "t": Field("float", 1.0, check=_positive),
-        "dt": Field("float", 0.001, check=_positive),
-        "dt_coarse": Field("float", 0.01, check=_positive),
-        "n": Field("int", 1, check=_positive),
-        "gamma": Field("dict", None, check=_configuration_ok),
-        "bn_replicas": Field("int", 100, check=_positive),
+        "dim": Field("int", parse=_dim),
+        "t": Field("float", 1.0, parse=_positive),
+        "dt": Field("float", 0.001, parse=_positive),
+        "dt_coarse": Field("float", 0.01, parse=_positive),
+        "n": Field("int", 1, parse=_positive),
+        "gamma": Field("dict", None, parse=_configuration),
+        "bn_replicas": Field("int", 100, parse=_positive),
     },
     run_process,
     10000,
@@ -762,10 +740,10 @@ _register(
 _register(
     "oscillation",
     {
-        "dim": Field("int", check=_dim_ok),
-        "delta": Field("float", check=_positive),
-        "r": Field("float", check=_positive),
-        "substeps": Field("int", 64, check=lambda x: None if x >= 64 else "must be >= 64"),
+        "dim": Field("int", parse=_dim),
+        "delta": Field("float", parse=_positive),
+        "r": Field("float", parse=_positive),
+        "substeps": Field("int", 64, parse=_require(lambda x: x >= 64, "must be >= 64")),
     },
     run_oscillation,
     10000,
@@ -773,11 +751,11 @@ _register(
 _register(
     "collision",
     {
-        "dim": Field("int", check=_dim_ok),
-        "starts": Field("list", check=_starts_ok),
-        "horizon": Field("float", 1.0, check=_positive),
-        "dt": Field("float", 0.01, check=_positive),
-        "epsilon_list": Field("list", [0.1, 0.01, 0.001], check=_decreasing_positives(1)),
+        "dim": Field("int", parse=_dim),
+        "starts": Field("list", parse=_point_rows(2)),
+        "horizon": Field("float", 1.0, parse=_positive),
+        "dt": Field("float", 0.01, parse=_positive),
+        "epsilon_list": Field("list", [0.1, 0.01, 0.001], parse=_decreasing_positives(1)),
     },
     run_collision,
     10000,
@@ -785,9 +763,9 @@ _register(
 _register(
     "tail-tau",
     {
-        "dim": Field("int", check=_dim_ok),
-        "t": Field("float", check=_positive),
-        "r_list": Field("list", [0.5, 1.0, 2.0], check=_nonnegatives),
+        "dim": Field("int", parse=_dim),
+        "t": Field("float", parse=_positive),
+        "r_list": Field("list", [0.5, 1.0, 2.0], parse=_nonnegatives),
         "check_certificate": Field("bool", True),
     },
     run_tail_tau,

@@ -6,8 +6,9 @@ inverse is the alternating Moebius sum; the star-convolution is the product
 operation on the kernel side.  Correlation functions of the one-step heat flow
 and the permanent kernel are permanent-type sums of heat-kernel products over
 injective index tuples; both run through one dynamic programme over column
-subsets (``permanent``), whose terms are products of entries only.  Injective
-enumeration and inclusion-exclusion remain as oracles.
+subsets (``permanent``), whose terms are products of entries only and whose
+cap is on work, not size.  Injective enumeration and inclusion-exclusion
+remain as oracles.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .special import exp_radial_integral, ball_volume
 
 SUBSET_CAPACITY = 2**30
 PARTITION_CAPACITY_POINTS = 12
-PERMANENT_CAPACITY_POINTS = 24
+#: multiply-adds of the largest permanent: 24 x 24, the old 24-column cap
+PERMANENT_CAPACITY_WORK = 24 * 24 * 2**23
 INVERSE_CAPACITY_POINTS = 25
 
 
@@ -141,13 +143,12 @@ def product_kernel(
     profiles: dict[int, object] | object,
     value_at_empty: float = 0.0,
     d_class: DClassCertificate | str | None = None,
-    d_class_eps: float = 1.0,
 ) -> KernelFunction:
     """Kernel with levels G^(n)(x_1..x_n) = coeffs[n] * prod_k profile_n(x_k).
 
     ``profiles`` may be a single profile shared by all levels.  Passing
-    d_class="auto" fits a certificate from the profiles' closed-form decay
-    bounds with a 5% margin (requires every profile to provide decay_bound).
+    d_class="auto" fits a certificate with eps = 1 from the profiles'
+    closed-form decay bounds with a 5% margin (requires every profile to provide decay_bound).
     """
     orders = sorted(coeffs)
     if not isinstance(profiles, dict):
@@ -161,6 +162,7 @@ def product_kernel(
         levels[n] = (lambda pts, p=prof, c=cf: c * float(np.prod(p(pts))))
     cert = None
     if d_class == "auto":
+        eps = 1.0
         c_val = 0.0
         for n in orders:
             prof = profiles[n]
@@ -168,11 +170,11 @@ def product_kernel(
                 raise CapabilityError(
                     f"profile {type(prof).__name__} has no closed-form decay bound; pass d_class explicitly"
                 )
-            bound = prof.decay_bound(d_class_eps)
+            bound = prof.decay_bound(eps)
             c_val = max(c_val, abs(coeffs[n]) ** (1.0 / n) * bound)
         if c_val == 0.0:
             c_val = 1.0
-        cert = DClassCertificate(1.05 * c_val, d_class_eps)
+        cert = DClassCertificate(1.05 * c_val, eps)
     elif d_class is not None:
         cert = d_class
     return KernelFunction(
@@ -329,15 +331,22 @@ def permanent(matrix: np.ndarray) -> float:
     new row i is either unused or takes one column j of S, so dp[S] gains
     M[i, j] * dp[S - {j}] from the previous table.  Every term is a product of
     entries and nothing is subtracted, so no digits are lost to cancellation.
-    Work is r * n * 2^(n-1) multiply-adds; memory is 2.5 * 2^n floats
-    (320 MB at n = 24).
+
+    Rows of zeros contribute nothing and are skipped.  Work is r' * n *
+    2^(n-1) multiply-adds over the r' other rows, capped at
+    PERMANENT_CAPACITY_WORK (a 24 x 24 permanent); when r' < n the value is 0
+    and nothing is allocated, so memory stays at most 2.5 * 2^24 floats (320 MB).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-d")
-    n = m.shape[1]
-    if n > PERMANENT_CAPACITY_POINTS:
-        raise CapacityError(f"permanent limited to {PERMANENT_CAPACITY_POINTS} columns")
+    m = m[np.any(m != 0.0, axis=1)]
+    rows, n = m.shape
+    if rows < n:
+        return 0.0
+    if rows * n * 2 ** (n - 1) > PERMANENT_CAPACITY_WORK:
+        raise CapacityError(f"permanent of {rows} nonzero rows and {n} columns exceeds "
+                            f"{PERMANENT_CAPACITY_WORK} multiply-adds")
     dp = np.zeros(1 << n)
     dp[0] = 1.0
     for row in m:
@@ -421,8 +430,8 @@ def correlation_function(gamma: Configuration, theta, t: float, method: str = "a
     No factorial factor: this is the density with respect to the
     Lebesgue-Poisson measure.  Returns 0 when |theta| exceeds |gamma|.  The
     default route is the subset dynamic programme ``permanent`` (at most
-    PERMANENT_CAPACITY_POINTS marks); "enumerate" and "inclusion_exclusion"
-    are its oracles.
+    PERMANENT_CAPACITY_WORK multiply-adds); "enumerate" and
+    "inclusion_exclusion" are its oracles.
     """
     route = _CORRELATION_ROUTES.get(method)
     if route is None:

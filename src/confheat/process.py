@@ -210,7 +210,6 @@ def collision_report(
     replicas: int,
     seed: int,
     epsilon_list,
-    bridge_correction: bool = True,
 ) -> CollisionReport:
     """Fractions of replicas whose minimum pairwise distance over the grid drops
     below each epsilon; for d = 1 additionally the pair-crossing fraction.
@@ -249,14 +248,12 @@ def collision_report(
             dmin = np.minimum(dmin, dist.min(axis=1))
             if gamma.dim == 1:
                 d_line = diff[:, :, 0]
-                sign_change = np.any(d_line[:, :-1] * d_line[:, 1:] <= 0.0, axis=1)
-                cross |= sign_change
-                if bridge_correction:
-                    prod = d_line[:, :-1] * d_line[:, 1:]
-                    with np.errstate(over="ignore"):
-                        p_bridge = np.where(prod > 0.0, np.exp(-prod / (2.0 * dt)), 0.0)
-                    u = rng.random(p_bridge.shape)
-                    cross |= np.any(u < p_bridge, axis=1)
+                prod = d_line[:, :-1] * d_line[:, 1:]
+                cross |= np.any(prod <= 0.0, axis=1)
+                with np.errstate(over="ignore"):
+                    p_bridge = np.where(prod > 0.0, np.exp(-prod / (2.0 * dt)), 0.0)
+                u = rng.random(p_bridge.shape)
+                cross |= np.any(u < p_bridge, axis=1)
         min_dist[done : done + m] = dmin
         crossed[done : done + m] = cross
         done += m
@@ -267,7 +264,7 @@ def collision_report(
         gap = abs(float(start[0, 0] - start[1, 0]))
         reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
     note = "min-distance fractions are grid-based; between-grid near misses are not counted"
-    if gamma.dim == 1 and bridge_correction:
+    if gamma.dim == 1:
         note += "; crossing fraction uses the exact Brownian-bridge correction"
     return CollisionReport(tuple(eps), fractions, crossing, reference, replicas, note)
 

@@ -561,13 +561,16 @@ class GeneratorReport:
     note: str
 
 
+#: band for the ratio of successive generator residuals as t halves (first order: about 2)
+GENERATOR_RATIO_RANGE = (1.5, 3.0)
+
+
 def generator_residual(
     F: CylinderFunction,
     gamma: Configuration,
     t_list,
     replicas: int,
     seed: int,
-    ratio_range: tuple[float, float] = (1.5, 3.0),
     threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
 ) -> GeneratorReport:
@@ -605,12 +608,12 @@ def generator_residual(
     if any(e.inconclusive for e in entries):
         verdict = "inconclusive"
         note = "standard error dominates a residual; increase replicas"
-    elif all(ratio_range[0] <= r <= ratio_range[1] for r in ratios):
+    elif all(GENERATOR_RATIO_RANGE[0] <= r <= GENERATOR_RATIO_RANGE[1] for r in ratios):
         verdict = "pass"
         note = "residual ratios consistent with first-order convergence"
     else:
         verdict = "fail"
-        note = f"residual ratios {ratios} outside {ratio_range}"
+        note = f"residual ratios {ratios} outside {GENERATOR_RATIO_RANGE}"
     return GeneratorReport(hf, tuple(entries), ratios, verdict, note)
 
 

@@ -247,6 +247,8 @@ def _set_phi_center(doc):
 
 
 GAMMA_2D = {"dim": 2, "window_radius": 2.0, "points": [[[0.0, 0.0], 1]]}
+G2_2D = {"dim": 2, "window_radius": 3.0, "points": [[[1.0, 0.0], 1]]}
+GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.5], 1]]}
 
 
 @pytest.mark.parametrize(
@@ -284,6 +286,20 @@ GAMMA_2D = {"dim": 2, "window_radius": 2.0, "points": [[[0.0, 0.0], 1]]}
         ("collision", _set("starts", [[0.0, 0.0]]), "params.starts"),
         ("generator", _set("bumps", [{"amp": 1.0, "center": ["x"], "width": 0.5}]), "params.bumps"),
         ("semigroup_exp", _set("phi", {"family": "gaussian_bump", "amp": -1.5, "width": 1.0}), "params.phi"),
+        ("rho", _set("g2", G2_2D), "params.g2"),
+        ("flat_metric", _set("g2", G2_2D), "params.g2"),
+        ("ktransform", _set("gamma", GAMMA_DOUBLE_SITE), "params.gamma"),
+        ("correlation", _set("gamma", GAMMA_DOUBLE_SITE), "params.gamma"),
+        ("feller", _set("phi", {"family": "smoothed_indicator", "amp": 0.6, "radius": 1.0, "width": 0.5}),
+         "params.phi"),
+        ("feller", _set("phi", {"family": "constant", "value": 0.5}), "params.phi"),
+        ("feller", _set("schedule", "far-point"), "params.metric"),
+        ("process", _set("dt", 0.003), "params.dt"),
+        ("process", _set("t", 0.0005), "params.dt"),
+        ("collision", _set("dt", 0.3), "params.dt"),
+        ("collision_1d", _set("horizon", 0.0005), "params.dt"),
+        ("generator", _set("gamma", {"dim": 1, "window_radius": 2.0, "points": []}), "params.gamma"),
+        ("process", _set("dt_coarse", 0.0005), "params.dt_coarse"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
@@ -292,7 +308,11 @@ GAMMA_2D = {"dim": 2, "window_radius": 2.0, "points": [[[0.0, 0.0], 1]]}
          "correlation-theta-dim", "permanent-theta-dim", "permanent-counts", "generator-t-increasing",
          "collision-eps-increasing", "collision-eps-string", "tail-negative-r", "ktransform-coeff-key",
          "ktransform-coeff-twice", "feller-shift-empty-gamma", "collision-one-start", "bump-center-string",
-         "semigroup-amp-below-minus-one"],
+         "semigroup-amp-below-minus-one", "rho-dims-differ", "flat-metric-dims-differ",
+         "ktransform-double-site", "correlation-double-site", "feller-kernel-smoothed-indicator",
+         "feller-kernel-constant", "feller-far-point-rho", "process-dt-off-grid", "process-t-below-dt",
+         "collision-dt-off-grid", "collision-horizon-below-dt", "generator-empty-gamma",
+         "process-coarse-below-fine"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)
@@ -364,13 +384,9 @@ def _mutate(value, kind):
 MUTATIONS = ("drop", "wrong-type", "empty", "zero", "negative", "row-longer", "row-shorter")
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))), st.data())
-def test_mutated_shipped_configs_exit_honestly(name, data):
+def mutated_config(name, path, kind):
+    """Shipped config ``name`` with the value at ``path`` mutated by ``kind``."""
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    paths = [p for p in _node_paths(doc) if p[0] != "output"]
-    path = data.draw(st.sampled_from(paths), label="path")
-    kind = data.draw(st.sampled_from(MUTATIONS), label="kind")
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -379,15 +395,34 @@ def test_mutated_shipped_configs_exit_honestly(name, data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = new
+    return doc
+
+
+def validate_then_run(doc, tmp):
+    """(validate exit, run exit with 20 replicas, stderr of both) for ``doc``; asserts the exit contract."""
+    doc["output"] = str(pathlib.Path(tmp) / "report")
+    cfg = write_config(pathlib.Path(tmp), doc)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        checked = main(["validate", cfg])
+        code = main(["run", cfg, "--replicas", "20"])
+    assert checked in (0, 2) and code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    report = pathlib.Path(tmp) / "report.json"
+    if code != 2:
+        verdict = json.loads(report.read_text())["verdict"]
+        assert verdict == {0: "pass", 1: "fail", 3: "inconclusive"}[code]
+    return checked, code, err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))), st.data())
+def test_mutated_shipped_configs_exit_honestly(name, data):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    paths = [p for p in _node_paths(doc) if p[0] != "output"]
+    path = data.draw(st.sampled_from(paths), label="path")
+    kind = data.draw(st.sampled_from(MUTATIONS), label="kind")
     with tempfile.TemporaryDirectory() as tmp:
-        doc["output"] = str(pathlib.Path(tmp) / "report")
-        cfg = write_config(pathlib.Path(tmp), doc)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", cfg, "--replicas", "20"])
-        assert code in (0, 1, 2, 3), (path, kind)
-        assert "Traceback" not in err.getvalue()
-        report = pathlib.Path(tmp) / "report.json"
-        if code != 2:
-            verdict = json.loads(report.read_text())["verdict"]
-            assert verdict == {0: "pass", 1: "fail", 3: "inconclusive"}[code], (path, kind)
+        checked, code, err = validate_then_run(mutated_config(name, path, kind), tmp)
+    # a config that validates never meets a param error in run
+    assert not (checked == 0 and code == 2), (path, kind, err)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -317,6 +318,25 @@ def test_correlation_capacity_is_the_permanent_cap():
     assert 0.0 < val <= correlation_product_bound(gamma, theta, 0.5)
     with pytest.raises(CapacityError):
         correlation_function(gamma, np.linspace(-3, 3, 25).reshape(-1, 1), 0.5)
+
+
+def test_correlation_capacity_bounds_work_not_marks():
+    # 400 points x 24 marks is 400 * 24 * 2^23 multiply-adds: refused before any table is built
+    gamma = simple_cfg(np.linspace(-10, 10, 400))
+    theta = np.linspace(-3, 3, 24).reshape(-1, 1)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        correlation_function(gamma, theta, 0.5)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_correlation_skips_points_whose_heat_rows_underflow():
+    gamma = simple_cfg([0.0, 1.0, -0.7, 2.0])
+    theta = np.array([[0.3], [-0.2], [1.1]])
+    val = correlation_function(gamma, theta, 0.5)
+    # exp(-1000^2 / 2) underflows to 0: the far points' heat-kernel rows are all zero
+    far = simple_cfg([0.0, 1.0, -0.7, 2.0, 1000.0, -1000.0, 1200.0])
+    assert correlation_function(far, theta, 0.5) == val
 
 
 def test_correlation_bound_and_symmetry():
