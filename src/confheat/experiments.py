@@ -171,10 +171,13 @@ def _profile(doc, parsed):
 
 
 def _bumps(docs, parsed) -> tuple[GaussianBump, ...]:
-    """The Gaussian bumps of a generator ``bumps`` param (at least one)."""
+    """The Gaussian bumps of a generator ``bumps`` param (at least one, not all of amplitude 0)."""
     if not docs:
         raise ValueError("at least one bump required")
-    return tuple(GaussianBump(float(b["amp"]), _coords(b["center"]), float(b["width"])) for b in docs)
+    bumps = tuple(GaussianBump(float(b["amp"]), _coords(b["center"]), float(b["width"])) for b in docs)
+    if all(b.amp == 0.0 for b in bumps):
+        raise ValueError("every bump has amp 0, so the cylinder function is constant and every residual 0")
+    return bumps
 
 
 def _exp_phi(doc, parsed):
@@ -182,8 +185,11 @@ def _exp_phi(doc, parsed):
 
 
 def _feller_phi(doc, parsed):
-    """The feller probe's functional of ``phi``: the profile alone while ``functional`` is bad."""
+    """The feller probe's functional of ``phi``: the profile alone while ``functional`` is bad.
+    An identically zero ``phi`` is refused: every value gap would be 0, which never decreases."""
     profile = _profile(doc, parsed)
+    if getattr(profile, "amp", getattr(profile, "value", None)) == 0.0:
+        raise ValueError("phi is identically zero, so the functional is constant and every value gap 0")
     build = _FELLER_FUNCTIONALS.get(parsed.get("functional"))
     return profile if build is None else build(profile.dim, profile)
 

@@ -611,12 +611,11 @@ def transfer_expectation(G: KernelFunction, gamma: Configuration, t: float, node
 
     Independent of the closed-form convolution route: uses Gauss-Legendre
     quadrature of the per-point integrals q_i = int phi(y) p_t(x_i, y) dy over
-    the profile's support box.  Supports product kernels up to order 2.
+    the profile's support box; level n adds coeffs[n] * e_n(q), the elementary
+    symmetric polynomial, for product kernels of any order.
     """
     if not G.is_product:
         raise CapabilityError("transfer expectation implemented for product kernels")
-    if G.max_order > 2:
-        raise CapabilityError("transfer expectation implemented up to order 2")
     if not gamma.is_simple:
         raise ValueError("transfer expectation requires a simple configuration")
     total = G.value_at_empty
@@ -639,11 +638,7 @@ def transfer_expectation(G: KernelFunction, gamma: Configuration, t: float, node
         phi_vals = np.asarray(prof(nodes), dtype=float)
         p_matrix = _heat_matrix(x, nodes, gamma.dim, t) if x.shape[0] else np.zeros((0, nodes.shape[0]))
         q = p_matrix @ (phi_vals * weight)
-        if order == 1:
-            total += G.coeffs[1] * float(q.sum())
-        else:
-            s = float(q.sum())
-            total += G.coeffs[2] * 0.5 * (s * s - float(np.dot(q, q)))
+        total += G.coeffs[order] * float(elementary_symmetric(q, order)[order])
     return total
 
 

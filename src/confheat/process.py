@@ -1,10 +1,12 @@
 """Discretized independent-particle process and its path-regularity diagnostics.
 
-Paths are exact in law at grid times (Gaussian increments of variance 2 dt per
-coordinate), so continuity claims are probed by grid refinement rather than
-discretization analysis.  Diagnostics cover: B_n continuity along paths, the
-oscillation bound 2 tau(delta, r/4), and collision behavior (d >= 2 fractions
-decreasing in epsilon; d = 1 crossing fractions against the reflection value).
+Every path comes from one sampler, ``_brownian_paths``, exact in law at grid
+times (Gaussian increments of variance 2 dt per coordinate), so continuity
+claims are probed by grid refinement rather than discretization analysis.
+Diagnostics cover: the time-t slice against the exact one-step law (one-sample
+Kolmogorov-Smirnov), B_n continuity along paths, the oscillation bound
+2 tau(delta, r/4), and collision behavior (d >= 2 fractions decreasing in
+epsilon; d = 1 crossing fractions against the reflection value).
 """
 from __future__ import annotations
 
@@ -12,15 +14,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .errors import CapacityError
-from .kernel import tau
+from .kernel import HeatKernelParams, tail_mass, tau
 from .points import Configuration
-from .rng import TAG_COLLISION, TAG_OSCILLATION, TAG_PATHS, substream
-from .special import binomial_se, ks_two_sample
+from .rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, substream
+from .special import binomial_se
 
 PATH_CAPACITY = 100_000_000
+BATCH_POINTS = 4_000_000  # path points one collision or marginal batch holds
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,30 @@ def _steps_for(horizon: float, dt: float) -> int:
     return steps
 
 
+def _brownian_paths(rng, start: np.ndarray, steps: int, dt: float, m: int) -> np.ndarray:
+    """m replicas of Brownian paths from the rows of ``start`` (n, dim) on the
+    grid 0, dt, ..., steps * dt, shape (m, n, steps + 1, dim)."""
+    n, dim = start.shape
+    paths = np.empty((m, n, steps + 1, dim))
+    paths[:, :, 0, :] = start
+    inc = rng.standard_normal((m, n, steps, dim))
+    inc *= math.sqrt(2.0 * dt)
+    np.cumsum(inc, axis=2, out=paths[:, :, 1:, :])
+    paths[:, :, 1:, :] += start[:, None, :]
+    return paths
+
+
+def _map_path_batches(fn, rng, start: np.ndarray, steps: int, dt: float, replicas: int, batch: int) -> list:
+    """fn of each batch of at most ``batch`` (>= 1) of ``replicas`` replicas of
+    ``_brownian_paths``, in draw order; fn may draw from ``rng`` too.  Each
+    batch is freed before the next is drawn, so memory holds one at a time."""
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
+    batch = max(1, batch)
+    return [fn(_brownian_paths(rng, start, steps, dt, min(batch, replicas - done)))
+            for done in range(0, replicas, batch)]
+
+
 def simulate_paths(
     gamma: Configuration,
     horizon: float,
@@ -78,15 +105,9 @@ def simulate_paths(
     """
     steps = _steps_for(horizon, dt)
     start = gamma.expand()
-    n = start.shape[0]
-    if n * (steps + 1) * gamma.dim > PATH_CAPACITY:
+    if start.size * (steps + 1) > PATH_CAPACITY:
         raise CapacityError("path array exceeds capacity")
-    rng = substream(seed, TAG_PATHS, replica)
-    inc = math.sqrt(2.0 * dt) * rng.standard_normal((n, steps, gamma.dim))
-    paths = np.empty((n, steps + 1, gamma.dim))
-    paths[:, 0, :] = start
-    np.cumsum(inc, axis=1, out=paths[:, 1:, :])
-    paths[:, 1:, :] += start[:, None, :]
+    paths = _brownian_paths(substream(seed, TAG_PATHS, replica), start, steps, dt, 1)[0]
     times = np.arange(steps + 1) * dt
     return PathBundle(gamma.dim, dt, steps * dt, times, paths, seed)
 
@@ -175,18 +196,16 @@ def oscillation_check(
         raise ValueError("need 0 <= a < b")
     delta = b - a
     np.asarray(start, dtype=float).reshape(dim)
-    rng = substream(seed, TAG_OSCILLATION)
-    exceed = 0
-    batch = max(1, min(replicas, 2_000_000 // (substeps * substeps)))
-    done = 0
-    while done < replicas:
-        m = min(batch, replicas - done)
-        inc = math.sqrt(2.0 * delta / substeps) * rng.standard_normal((m, substeps, dim))
-        pos = np.concatenate([np.zeros((m, 1, dim)), np.cumsum(inc, axis=1)], axis=1)
+
+    def exceedances(paths):
+        pos = paths[:, 0]
         diffs = pos[:, :, None, :] - pos[:, None, :, :]
         diam = np.sqrt(np.max(np.sum(diffs * diffs, axis=3), axis=(1, 2)))
-        exceed += int(np.sum(diam > r))
-        done += m
+        return int(np.sum(diam > r))
+
+    # the pairwise differences hold substeps^2 points per replica
+    exceed = sum(_map_path_batches(exceedances, substream(seed, TAG_OSCILLATION), np.zeros((1, dim)),
+                                   substeps, delta / substeps, replicas, 2_000_000 // (substeps * substeps)))
     p_hat = exceed / replicas
     se = binomial_se(p_hat, replicas)
     bound = 2.0 * tau(dim, delta, r / 4.0)
@@ -228,20 +247,11 @@ def collision_report(
         raise ValueError("collision diagnostics need at least 2 particles")
     steps = _steps_for(horizon, dt)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    min_dist = np.empty(replicas)
-    crossed = np.zeros(replicas, dtype=bool)
-    batch = max(1, min(replicas, 4_000_000 // max(1, n * (steps + 1))))
-    done = 0
     rng = substream(seed, TAG_COLLISION)
-    while done < replicas:
-        m = min(batch, replicas - done)
-        inc = math.sqrt(2.0 * dt) * rng.standard_normal((m, n, steps, gamma.dim))
-        pos = np.empty((m, n, steps + 1, gamma.dim))
-        pos[:, :, 0, :] = start
-        np.cumsum(inc, axis=2, out=pos[:, :, 1:, :])
-        pos[:, :, 1:, :] += start[None, :, None, :]
-        dmin = np.full(m, np.inf)
-        cross = np.zeros(m, dtype=bool)
+
+    def min_distance_and_crossing(pos):
+        dmin = np.full(len(pos), np.inf)
+        cross = np.zeros(len(pos), dtype=bool)
         for i, j in pairs:
             diff = pos[:, i, :, :] - pos[:, j, :, :]
             dist = np.linalg.norm(diff, axis=2)
@@ -254,9 +264,11 @@ def collision_report(
                     p_bridge = np.where(prod > 0.0, np.exp(-prod / (2.0 * dt)), 0.0)
                 u = rng.random(p_bridge.shape)
                 cross |= np.any(u < p_bridge, axis=1)
-        min_dist[done : done + m] = dmin
-        crossed[done : done + m] = cross
-        done += m
+        return dmin, cross
+
+    batches = _map_path_batches(min_distance_and_crossing, rng, start, steps, dt, replicas,
+                                BATCH_POINTS // (n * (steps + 1)))
+    min_dist, crossed = (np.concatenate(parts) for parts in zip(*batches))
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
     crossing = float(np.mean(crossed)) if gamma.dim == 1 else None
     reference = None
@@ -270,14 +282,15 @@ def collision_report(
 
 
 def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -> tuple[float, float]:
-    """Two-sample KS test of |one-step heat displacement| against the time-t
-    slice of a simulated path (single particle): statistic and p-value."""
+    """One-sample KS test of the time-t slice of single-particle paths against the
+    exact law P(|xi| <= r) = 1 - tail_mass: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D)."""
     steps = _steps_for(t, dt)
-    rng_a = substream(seed, TAG_PATHS, 101)
-    inc = math.sqrt(2.0 * dt) * rng_a.standard_normal((replicas, steps, gamma_dim))
-    end = inc.sum(axis=1)
-    path_norms = np.linalg.norm(end, axis=1)
-    rng_b = substream(seed, TAG_PATHS, 202)
-    direct = math.sqrt(2.0 * t) * rng_b.standard_normal((replicas, gamma_dim))
-    direct_norms = np.linalg.norm(direct, axis=1)
-    return ks_two_sample(path_norms, direct_norms)
+    batches = _map_path_batches(lambda paths: np.linalg.norm(paths[:, 0, -1, :], axis=1),
+                                substream(seed, TAG_MARGINAL), np.zeros((1, gamma_dim)), steps, dt, replicas,
+                                BATCH_POINTS // (steps + 1))
+    radii = np.sort(np.concatenate(batches))
+    cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, t), radii)
+    n = replicas
+    d = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+    return d, float(kolmogorov(lam))

@@ -25,6 +25,7 @@ TAG_INTEGRAL = 17
 TAG_COLLISION = 18
 TAG_OSCILLATION = 19
 TAG_EXPERIMENT = 20
+TAG_MARGINAL = 21
 
 
 def _splitmix64(x: int) -> int:

@@ -1,17 +1,16 @@
 """Scalar geometry and statistics helpers used by the closed-form formulas.
 
-Ball volumes, sphere areas, the radial integral of an exponential, the
-binomial standard error and the two-sample Kolmogorov-Smirnov test.  Incomplete
-gamma values, the normal distribution and the Kolmogorov distribution are taken
-from ``scipy.special`` directly (``gammainc`` here, ``gammaincc`` and ``ndtr``
-in ``kernel``, ``ndtr`` in ``process``).
+Ball volumes, sphere areas, the radial integral of an exponential and the
+binomial standard error.  Incomplete gamma values, the normal distribution and
+the Kolmogorov distribution are taken from ``scipy.special`` directly
+(``gammainc`` here, ``gammaincc`` and ``ndtr`` in ``kernel``, ``ndtr`` and
+``kolmogorov`` in ``process``).
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy.special import gammainc, kolmogorov
+from scipy.special import gammainc
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
@@ -42,22 +41,6 @@ def exp_radial_integral(alpha: float, dim: int, radius: float = math.inf) -> flo
     if math.isinf(radius):
         return full
     return full * float(gammainc(dim, alpha * radius))
-
-
-def ks_two_sample(x, y) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic and Stephens-corrected asymptotic p-value."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    n1, n2 = len(x), len(y)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both samples must be nonempty")
-    pooled = np.concatenate([x, y])
-    cdf1 = np.searchsorted(x, pooled, side="right") / n1
-    cdf2 = np.searchsorted(y, pooled, side="right") / n2
-    d = float(np.max(np.abs(cdf1 - cdf2)))
-    ne = n1 * n2 / (n1 + n2)
-    lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
-    return d, float(kolmogorov(lam))
 
 
 def binomial_se(p: float, n: int) -> float:

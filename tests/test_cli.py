@@ -300,6 +300,11 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
         ("collision_1d", _set("horizon", 0.0005), "params.dt"),
         ("generator", _set("gamma", {"dim": 1, "window_radius": 2.0, "points": []}), "params.gamma"),
         ("process", _set("dt_coarse", 0.0005), "params.dt_coarse"),
+        ("generator", _set("bumps", [{"amp": 0.0, "center": [0.0], "width": 0.5},
+                                     {"amp": 0, "center": [1.0], "width": 0.5}]), "params.bumps"),
+        ("feller", _set("phi", {"family": "gaussian_bump", "amp": 0.0, "width": 1.0}), "params.phi"),
+        ("feller", lambda doc: doc["params"].update(functional="exponential",
+                                                     phi={"family": "constant", "value": 0}), "params.phi"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
@@ -312,7 +317,7 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
          "ktransform-double-site", "correlation-double-site", "feller-kernel-smoothed-indicator",
          "feller-kernel-constant", "feller-far-point-rho", "process-dt-off-grid", "process-t-below-dt",
          "collision-dt-off-grid", "collision-horizon-below-dt", "generator-empty-gamma",
-         "process-coarse-below-fine"],
+         "process-coarse-below-fine", "generator-zero-bumps", "feller-zero-amp", "feller-zero-constant"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)

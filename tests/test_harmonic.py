@@ -415,6 +415,16 @@ def test_transfer_expectation_matches_convolution_route():
     assert quadrature_side == pytest.approx(convolution_side, rel=1e-9)
 
 
+def test_transfer_expectation_order_four_matches_convolution_route():
+    from confheat.semigroup import lift_kernel
+
+    gamma = simple_cfg([0.0, 0.8, -1.2, 1.9, -0.4], radius=3.0)
+    bump = GaussianBump(0.6, (0.1,), 0.9)
+    G = product_kernel(1, {1: 1.0, 2: 0.5, 3: -0.7, 4: 0.3}, bump, value_at_empty=0.2)
+    t = 0.4
+    assert transfer_expectation(G, gamma, t) == pytest.approx(k_transform(lift_kernel(G, t), gamma), rel=1e-9)
+
+
 def test_transfer_identity_mc_vs_quadrature():
     # E over one heat step of KG equals the correlation-side integral, checked
     # with an independent Monte Carlo left side (4 SE)

@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import confheat.experiments
+import confheat.process
 from confheat.errors import CapacityError
-from confheat.kernel import tau
+from confheat.kernel import HeatKernelParams, tail_mass, tau
 from confheat.points import Configuration
 from confheat.process import (
     PathBundle,
@@ -17,6 +20,7 @@ from confheat.process import (
     oscillation_check,
     simulate_paths,
 )
+from confheat.rng import substream
 
 
 def cfg(points, dim=1, radius=None):
@@ -72,6 +76,71 @@ def test_marginal_matches_one_heat_step():
     assert p > 0.001
     d_stat2, p2 = marginal_ks(2, 0.5, 0.05, replicas=10000, seed=6)
     assert p2 > 0.001
+
+
+def _kolmogorov_series(lam):
+    """2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2), the Kolmogorov tail, at the working precision."""
+    lam = mpmath.mpf(lam)
+    return 2 * mpmath.fsum((-1) ** (k - 1) * mpmath.exp(-2 * k * k * lam * lam) for k in range(1, 400))
+
+
+@mpmath.workdps(40)
+def test_marginal_ks_p_value_against_kolmogorov_series(monkeypatch):
+    seen = []
+
+    def recording_tail_mass(params, r):
+        seen.append(np.array(r))
+        return tail_mass(params, r)
+
+    monkeypatch.setattr(confheat.process, "tail_mass", recording_tail_mass)
+    for dim, t, dt, n, seed in [(1, 0.2, 0.02, 50, 1), (2, 0.5, 0.1, 200, 2), (3, 0.3, 0.1, 1000, 3),
+                                (1, 1.0, 0.25, 5000, 4), (2, 0.2, 0.2, 10000, 5)]:
+        d, p = marginal_ks(dim, t, dt, replicas=n, seed=seed)
+        radii = seen.pop()
+        # the time-t slice: n radii, statistic = sup |ECDF - exact CDF| over both one-sided limits
+        assert radii.shape == (n,)
+        cdf = 1.0 - tail_mass(HeatKernelParams(dim, t), radii)
+        above = np.searchsorted(radii, radii, side="right") / n - cdf
+        below = cdf - np.searchsorted(radii, radii, side="left") / n
+        assert d == pytest.approx(max(above.max(), below.max()), abs=1e-15)
+        lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+        assert p == pytest.approx(float(_kolmogorov_series(lam)), rel=1e-12)
+
+
+def test_marginal_ks_detects_ten_percent_variance_error(monkeypatch):
+    # the exact CDF of a heat step with 10% too much variance (2.2 t per coordinate); at this effect
+    # size the d = 1 p-value lies near 1e-6 across seeds (median 3e-6 over seeds 0-39), d = 2 far below
+    monkeypatch.setattr(confheat.process, "tail_mass",
+                        lambda params, r: tail_mass(HeatKernelParams(params.dim, 1.1 * params.t), r))
+    _, p = marginal_ks(1, 0.2, 0.2, replicas=10000, seed=5)
+    assert p < 1e-6
+    _, p2 = marginal_ks(2, 0.5, 0.05, replicas=10000, seed=6)
+    assert p2 < 1e-6
+
+
+def test_process_marginal_stream_disjoint_from_bn_replicas(monkeypatch):
+    # at 102 replicas the B_n level-0 keys reach replica 101; the marginal check must not draw from any of them
+    keys, stage = {}, [None]
+
+    def recording_substream(seed, *path):
+        keys.setdefault(stage[0], []).append((seed, *path))
+        return substream(seed, *path)
+
+    def in_stage(name, fn):
+        def staged(*args):
+            stage[0] = name
+            return fn(*args)
+
+        return staged
+
+    monkeypatch.setattr(confheat.process, "substream", recording_substream)
+    for name in ("marginal_ks", "bn_refinement_medians"):
+        monkeypatch.setattr(confheat.experiments, name, in_stage(name, getattr(confheat.experiments, name)))
+    p = {"dim": 1, "t": 0.02, "dt": 0.001, "dt_coarse": 0.01, "n": 1, "bn_replicas": 102, "gamma": None}
+    confheat.experiments.EXPERIMENTS["process"].run(p, 112, 100, 1)
+    marginal, bn = keys["marginal_ks"], keys["bn_refinement_medians"]
+    assert len(marginal) == 1 and len(set(bn)) == len(bn) == 2 * 102
+    assert set(marginal).isdisjoint(bn)
 
 
 def test_bn_frozen_paths_have_zero_increments():

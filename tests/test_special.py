@@ -1,16 +1,17 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
 from confheat.kernel import HeatKernelParams, tail_mass, tau
-from confheat.special import (
-    ball_volume,
-    exp_radial_integral,
-    ks_two_sample,
-    sphere_area,
-)
+from confheat.special import ball_volume, exp_radial_integral, sphere_area
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # At t = 1/4 the tail mass in R^d is Q(d/2, r^2): the closed forms below are
 # Q(1/2, z) = erfc(sqrt z), Q(1, z) = e^-z and Q(3/2, z) = erfc(sqrt z) + 2 sqrt(z/pi) e^-z.
@@ -103,30 +104,8 @@ def test_exp_radial_integral_d3_quadrature():
     assert exp_radial_integral(alpha, 3, R) == pytest.approx(val, rel=1e-10)
 
 
-def _kolmogorov_series(lam):
-    """2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2), the Kolmogorov tail, at the working precision."""
-    lam = mpmath.mpf(lam)
-    return 2 * mpmath.fsum((-1) ** (k - 1) * mpmath.exp(-2 * k * k * lam * lam) for k in range(1, 400))
-
-
-@mpmath.workdps(40)
-def test_ks_two_sample_p_value_against_kolmogorov_series():
-    rng = np.random.default_rng(11)
-    for n1, n2, shift in [(50, 70, 0.0), (200, 150, 0.2), (400, 400, 0.3), (300, 500, 0.6), (1000, 1000, 0.4)]:
-        a, b = rng.standard_normal(n1), rng.standard_normal(n2) + shift
-        d, p = ks_two_sample(a, b)
-        ne = n1 * n2 / (n1 + n2)
-        lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
-        assert p == pytest.approx(float(_kolmogorov_series(lam)), rel=1e-12)
-    assert ks_two_sample([0.0, 1.0], [0.0, 1.0]) == (0.0, 1.0)
-
-
-def test_ks_two_sample_same_and_different():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal(4000)
-    b = rng.standard_normal(4000)
-    _, p_same = ks_two_sample(a, b)
-    assert p_same > 0.01
-    c = rng.standard_normal(4000) + 0.5
-    _, p_diff = ks_two_sample(a, c)
-    assert p_diff < 1e-6
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s of import time; the package needs only scipy.special
+    probe = "import sys, confheat; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
