@@ -222,7 +222,8 @@ def _cross_check(p: dict, errors: list[str]) -> None:
     """Cross-field pass over the parsed params: ``phi``, ``profile``, the
     configurations, the ``bumps`` centres and the point lists share one
     dimension (``dim``, else that of the first configuration or point list),
-    the permanent's ``eta`` and ``theta`` hold equally many points, time
+    the permanent's ``eta`` and ``theta`` hold equally many points, a d = 1
+    collision has the 2 starts its crossing reference needs, time
     grids are whole steps with the fine step below the coarse one, and the
     feller schedule suits its ``gamma`` and ``metric``."""
     if p.get("schedule") == "shift" and p.get("gamma") is not None and not p["gamma"].total_count:
@@ -248,6 +249,8 @@ def _cross_check(p: dict, errors: list[str]) -> None:
                   for key, d in dims.items() if d != want)
     if "eta" in p and "theta" in p and len(p["eta"]) != len(p["theta"]):
         errors.append(f"params.theta: {len(p['theta'])} points, but eta has {len(p['eta'])}")
+    if "starts" in p and want == 1 and len(p["starts"]) != 2:
+        errors.append("params.starts: in d = 1 the crossing check has a reference only for 2 starts")
 
 
 @dataclass
@@ -312,13 +315,12 @@ def run_diffuse(p, seed, replicas, threads):
     if base.total_count == 0:
         base = Configuration.from_points(dim, np.zeros((1, dim)), window_radius=p["radius"])
     n_draws = min(replicas, 20000)
-    disp = []
-    preserved = True
-    for _ in range(n_draws):
-        out = diffuse(base, t, rng)
-        preserved &= out.total_count == base.total_count
-        disp.append(out.expand() - base.expand())
-    disp = np.concatenate(disp, axis=0).ravel()
+    # all replicas step as one configuration: one (n_draws * n, dim) normal draw
+    # is the same stream as n_draws draws of shape (n, dim)
+    start = np.tile(base.expand(), (n_draws, 1))
+    moved = diffuse(Configuration.from_points(dim, start, None, base.window_radius), t, rng)
+    preserved = moved.total_count == start.shape[0]
+    disp = (moved.expand() - start).ravel()
     var = float(disp.var(ddof=1))
     se_var = var * math.sqrt(2.0 / (disp.size - 1))
     checks = [preserved, abs(var - 2 * t) <= 4 * se_var]
@@ -555,11 +557,8 @@ def run_collision(p, seed, replicas, threads):
     else:
         rows.append(_row("crossing_fraction", rep.crossing_fraction, bound=rep.crossing_reference,
                          note="reflection-principle reference"))
-        if rep.crossing_reference is not None:
-            se = binomial_se(rep.crossing_reference, replicas)
-            verdict = "pass" if abs(rep.crossing_fraction - rep.crossing_reference) <= 4 * se else "fail"
-        else:
-            verdict = "pass"
+        se = binomial_se(rep.crossing_reference, replicas)
+        verdict = "pass" if abs(rep.crossing_fraction - rep.crossing_reference) <= 4 * se else "fail"
     return ExperimentResult(rows, {}, verdict)
 
 

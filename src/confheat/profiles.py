@@ -5,8 +5,10 @@ functions (harmonic module), as the phi of exponential functionals, and, for
 the Gaussian bump, which carries its analytic gradient and Laplacian, as the
 inner test functions of cylinder functions (both in the semigroup module).
 Gaussian bumps and axis-aligned boxes convolve with the heat kernel in closed
-form; the smoothed radial indicator convolves by adaptive quadrature.  All
-profiles evaluate vectorized over trailing point axes.
+form.  The smoothed radial indicator convolves by one adaptive quadrature per
+point against the radial heat kernel of its dimension (d = 1, 2, 3), over the
+kernel's own window |x| +- 14 sqrt(2t).  All profiles evaluate vectorized over
+trailing point axes.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import i0e
+from scipy.special import exprel, i0e
 
 from .errors import CapabilityError, SolverError
 
@@ -196,56 +198,32 @@ class SmoothedIndicator:
         return -half * np.ones(self.ndim), half * np.ones(self.ndim)
 
 
-def radial_heat_convolution_value(profile, t: float, rho: float, dim: int, upper: float) -> float:
-    """(p_t * phi)(x) for radial phi at |x| = rho, by adaptive quadrature in d = 1, 2, 3."""
-    var = 2.0 * t
+def _gauss(u: float, rho: float, v: float) -> float:
+    return math.exp(-((u - rho) ** 2) / (2.0 * v))
 
-    if dim == 1:
 
-        def integrand(u):
-            a = math.exp(-((u - rho) ** 2) / (2.0 * var))
-            b = math.exp(-((u + rho) ** 2) / (2.0 * var))
-            return float(profile.radial(u)) * (a + b) / math.sqrt(2.0 * math.pi * var)
+#: The radial heat kernel per dimension, with v = 2t: k(u; rho, v) du is the
+#: probability that one heat step from |x| = rho lands at radius u.  Beside
+#: the Gaussian factor it carries the image term (d = 1), the scaled Bessel
+#: function i0e (d = 2), or exprel (d = 3), which keeps the image difference
+#: free of cancellation and exact at rho = 0.
+_RADIAL_HEAT_KERNELS = {
+    1: lambda u, rho, v: _gauss(u, rho, v) * (1.0 + math.exp(-2.0 * u * rho / v)) / math.sqrt(2.0 * math.pi * v),
+    2: lambda u, rho, v: u / v * _gauss(u, rho, v) * float(i0e(u * rho / v)),
+    3: lambda u, rho, v: 2.0 * u * u / v * _gauss(u, rho, v) * float(exprel(-2.0 * u * rho / v))
+    / math.sqrt(2.0 * math.pi * v),
+}
 
-    elif dim == 2:
-
-        def integrand(u):
-            scaled = i0e(u * rho / var)
-            gauss = math.exp(-((u - rho) ** 2) / (2.0 * var))
-            return float(profile.radial(u)) * (u / var) * gauss * float(scaled)
-
-    elif dim == 3:
-        if rho < 1.0e-12:
-
-            def integrand(u):
-                return (
-                    float(profile.radial(u))
-                    * math.sqrt(2.0 / math.pi)
-                    * u
-                    * u
-                    / var**1.5
-                    * math.exp(-u * u / (2.0 * var))
-                )
-
-        else:
-
-            def integrand(u):
-                a = math.exp(-((u - rho) ** 2) / (2.0 * var))
-                b = math.exp(-((u + rho) ** 2) / (2.0 * var))
-                return float(profile.radial(u)) * u / (rho * math.sqrt(2.0 * math.pi * var)) * (a - b)
-
-    else:
-        raise CapabilityError("radial heat convolution implemented for d in {1, 2, 3}")
-
-    value, err = quad(integrand, 0.0, upper, epsabs=_QUAD_ABS_TOL * 0.1, epsrel=1.0e-12, limit=400)
-    if not math.isfinite(value) or err > _QUAD_ABS_TOL:
-        raise SolverError(f"radial convolution quadrature did not reach {_QUAD_ABS_TOL} (err={err})")
-    return value
+#: half-width of the integration window in kernel standard deviations sqrt(2t);
+#: the Gaussian mass beyond it is below 1e-40
+_KERNEL_WINDOW_SDS = 14.0
 
 
 @dataclass(frozen=True)
 class RadialHeatConvolution:
-    """Numeric heat convolution of a radial profile; evaluates by quadrature."""
+    """(p_t * phi)(x) for a radial phi in d = 1, 2, 3: per point, one adaptive
+    quadrature of phi against the radial heat kernel over the kernel's window
+    [max(0, |x| - 14 sqrt(2t)), |x| + 14 sqrt(2t)]."""
 
     base: SmoothedIndicator
     t: float
@@ -254,12 +232,19 @@ class RadialHeatConvolution:
     def dim(self) -> int:
         return self.base.dim
 
-    def _upper(self, rho: float) -> float:
-        return self.base.radius + 40.0 * self.base.width + rho + 14.0 * math.sqrt(2.0 * self.t)
-
     def __call__(self, x) -> np.ndarray:
-        rho = np.atleast_1d(_norms(x, self.dim))
-        out = np.array(
-            [radial_heat_convolution_value(self.base, self.t, float(r), self.dim, self._upper(float(r))) for r in rho]
-        )
-        return out.reshape(np.shape(_norms(x, self.dim)))
+        rho = _norms(x, self.dim)
+        kernel = _RADIAL_HEAT_KERNELS.get(self.dim)
+        if kernel is None:
+            raise CapabilityError("radial heat convolution implemented for d in {1, 2, 3}")
+        v = 2.0 * self.t
+        half = _KERNEL_WINDOW_SDS * math.sqrt(v)
+        out = np.empty(rho.shape)
+        for i, r in np.ndenumerate(rho):
+            r = float(r)
+            value, err = quad(lambda u: float(self.base.radial(u)) * kernel(u, r, v), max(0.0, r - half), r + half,
+                              epsabs=_QUAD_ABS_TOL * 0.1, epsrel=1.0e-12, limit=400)
+            if not math.isfinite(value) or err > _QUAD_ABS_TOL:
+                raise SolverError(f"radial convolution quadrature did not reach {_QUAD_ABS_TOL} (err={err})")
+            out[i] = value
+        return out

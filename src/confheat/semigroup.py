@@ -333,10 +333,8 @@ class WindowedExponential(WindowedFunctional):
 class InvarianceReport:
     mean_diff: float
     std_error: float
-    leakage_bound: float
     replicas: int
     inner_radius: float
-    outer_radius: float
     passed: bool
     note: str
 
@@ -384,7 +382,7 @@ def invariance_test(
     leakage term: the gate is |mean| <= 4 SE.  F must read no particle beyond
     ``inner_radius``.
     """
-    # perfbench/workloads.py passes outer_radius and leakage_tol (ignored) and reads the report's fields
+    # outer_radius and leakage_tol are accepted and ignored: perfbench/workloads.py still passes them
     HeatKernelParams(dim, t)
     if F.radius > inner_radius:
         raise ValueError(f"functional radius {F.radius:g} exceeds the inner radius {inner_radius:g}")
@@ -398,10 +396,8 @@ def invariance_test(
     return InvarianceReport(
         mean_diff=mean,
         std_error=se,
-        leakage_bound=0.0,
         replicas=replicas,
         inner_radius=inner_radius,
-        outer_radius=math.inf,
         passed=abs(mean) <= 4.0 * se,
         note=f"paired Monte Carlo, displacement route over B(0, {inner_radius:g}); no window, no leakage",
     )

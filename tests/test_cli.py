@@ -305,6 +305,7 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
         ("feller", _set("phi", {"family": "gaussian_bump", "amp": 0.0, "width": 1.0}), "params.phi"),
         ("feller", lambda doc: doc["params"].update(functional="exponential",
                                                      phi={"family": "constant", "value": 0}), "params.phi"),
+        ("collision_1d", _set("starts", [[0.0], [0.1], [0.5]]), "params.starts"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
@@ -317,7 +318,8 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
          "ktransform-double-site", "correlation-double-site", "feller-kernel-smoothed-indicator",
          "feller-kernel-constant", "feller-far-point-rho", "process-dt-off-grid", "process-t-below-dt",
          "collision-dt-off-grid", "collision-horizon-below-dt", "generator-empty-gamma",
-         "process-coarse-below-fine", "generator-zero-bumps", "feller-zero-amp", "feller-zero-constant"],
+         "process-coarse-below-fine", "generator-zero-bumps", "feller-zero-amp", "feller-zero-constant",
+         "collision-1d-three-starts"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)
@@ -338,6 +340,28 @@ def test_semigroup_exp_tiny_amplitude_passes(tmp_path):
     assert main(["run", write_config(tmp_path, doc)]) == 0
     rows = json.loads((tmp_path / "semigroup_exp.json").read_text())["results"]
     assert rows[0]["std_error"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "dim, t, points",
+    [(1, 1e-4, [[[1.0], 1], [[1.5], 1]]), (3, 0.5, [[[1e-10, 0.0, 0.0], 1]])],
+    ids=["small-t", "d3-near-origin"],
+)
+def test_semigroup_exp_smoothed_indicator_passes(tmp_path, dim, t, points):
+    # the radial quadrature must resolve a narrow kernel (small t) and stay exact near |x| = 0 (d = 3)
+    doc = {
+        "experiment": "semigroup-exp",
+        "seed": 3,
+        "replicas": 20000,
+        "output": str(tmp_path / "smoothed"),
+        "params": {
+            "dim": dim,
+            "t": t,
+            "phi": {"family": "smoothed_indicator", "amp": -0.6, "radius": 1.0, "width": 0.3},
+            "gamma": {"dim": dim, "window_radius": 2.0, "points": points},
+        },
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == 0
 
 
 def test_console_entry_point_runs():

@@ -98,6 +98,28 @@ def test_radial_convolution_unsupported_dimension():
         conv(np.zeros((1, 4)))
 
 
+def test_radial_convolution_d3_near_origin_matches_origin():
+    conv = SmoothedIndicator(-0.6, 1.0, 0.3, 3).heat_convolve(0.4)
+    at_origin = float(conv(np.zeros(3)))
+    for r in (1e-12, 1e-10, 1e-8):
+        assert abs(float(conv(np.array([r, 0.0, 0.0]))) - at_origin) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("r", [1.0, 1.2])
+def test_radial_convolution_small_time_matches_laplacian(dim, r):
+    # p_t * phi = phi + t Laplacian(phi) + O(t^2); at t = 1e-4 the kernel is a spike of width 0.014
+    amp, radius, width, t = -0.6, 1.0, 0.3, 1.0e-4
+    prof = SmoothedIndicator(amp, radius, width, dim)
+    x = np.zeros(dim)
+    x[0] = r
+    th = math.tanh((r - radius) / width)
+    d1 = -amp * (1.0 - th * th) / (2.0 * width)
+    d2 = amp * th * (1.0 - th * th) / width**2
+    expected = float(prof(x)) + t * (d2 + (dim - 1) * d1 / r)
+    assert abs(float(prof.heat_convolve(t)(x)) - expected) <= 1e-5
+
+
 def test_decay_bounds_dominate_profiles():
     rng = np.random.default_rng(5)
     bump = GaussianBump(0.9, (0.5,), 1.2)

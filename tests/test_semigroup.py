@@ -308,7 +308,6 @@ def test_invariance_count_and_exponential_pass():
     for F in invariance_functionals(2)[1:]:
         rep = invariance_test(F, dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=30000, seed=22)
         assert rep.passed, (rep.mean_diff, rep.std_error)
-        assert rep.leakage_bound == 0.0 and rep.outer_radius == math.inf
         assert "displacement" in rep.note
         # the window keywords are accepted and change nothing
         legacy = invariance_test(F, dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=30000, seed=22,
