@@ -23,7 +23,6 @@ from .points import (
 from .metrics import MetricValue, b_n, d1, d_infty, d_k, flat_metric, rho, rho_bruteforce
 from .harmonic import (
     DClassCertificate,
-    FiniteConfiguration,
     IntegralSpec,
     KernelFunction,
     correlation_function,
@@ -42,11 +41,9 @@ from .harmonic import (
 )
 from .profiles import BoxIndicator, ConstantProfile, GaussianBump, SmoothedIndicator
 from .semigroup import (
-    BallCountFunctional,
-    ConstantFunctional,
+    ConfigurationFunctional,
     CylinderFunction,
     ExpFunctional,
-    ExpProductFunctional,
     KPolynomialFunctional,
     SemigroupEstimate,
     SmoothBump,

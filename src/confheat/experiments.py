@@ -27,7 +27,15 @@ from .harmonic import (
 )
 from .kernel import HeatKernelParams, density, fit_condition_certificate, tail_mass, tau
 from .points import Configuration, Window, diffuse, sample_poisson
-from .process import _steps_for, bn_refinement_medians, collision_report, marginal_ks, oscillation_check
+from .process import (
+    BN_REPLICA_CAPACITY,
+    OSCILLATION_MAX_SUBSTEPS,
+    _steps_for,
+    bn_refinement_medians,
+    collision_report,
+    marginal_ks,
+    oscillation_check,
+)
 from .profiles import BoxIndicator, ConstantProfile, GaussianBump, SmoothedIndicator
 from .rng import TAG_EXPERIMENT, substream
 from .semigroup import (
@@ -421,8 +429,7 @@ def run_feller(p, seed, replicas, threads):
     level = _SCHEDULES[p["schedule"]]
     schedule = [level(gamma, j) for j in range(1, p["levels"] + 1)]
     metric = _METRICS[p["metric"]]
-    rep = feller_probe(p["phi"], gamma, schedule, metric, t=p["t"], ratio_tol=p["ratio_tol"],
-                       replicas=replicas, seed=seed)
+    rep = feller_probe(p["phi"], gamma, schedule, metric, t=p["t"], ratio_tol=p["ratio_tol"])
     rows = [
         _row(f"gap_{k}", v, bound=m, note=f"metric gap {m:.6g}")
         for k, (m, v) in enumerate(zip(rep.metric_gaps, rep.value_gaps))
@@ -737,7 +744,8 @@ _register(
         "dt_coarse": Field("float", 0.01, parse=_positive),
         "n": Field("int", 1, parse=_positive),
         "gamma": Field("dict", None, parse=_configuration),
-        "bn_replicas": Field("int", 100, parse=_positive),
+        "bn_replicas": Field("int", 100, parse=_require(lambda x: 1 <= x <= BN_REPLICA_CAPACITY,
+                                                       f"must lie in [1, {BN_REPLICA_CAPACITY}]")),
     },
     run_process,
     10000,
@@ -748,7 +756,8 @@ _register(
         "dim": Field("int", parse=_dim),
         "delta": Field("float", parse=_positive),
         "r": Field("float", parse=_positive),
-        "substeps": Field("int", 64, parse=_require(lambda x: x >= 64, "must be >= 64")),
+        "substeps": Field("int", 64, parse=_require(lambda x: 64 <= x <= OSCILLATION_MAX_SUBSTEPS,
+                                                    f"must lie in [64, {OSCILLATION_MAX_SUBSTEPS}]")),
     },
     run_oscillation,
     10000,

@@ -32,39 +32,11 @@ INVERSE_CAPACITY_POINTS = 25
 
 
 # ---------------------------------------------------------------------------
-# finite configurations and kernel functions
-
-
-@dataclass(frozen=True)
-class FiniteConfiguration:
-    """A finite set of pairwise-distinct points (no multiplicities, no window)."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.ascontiguousarray(np.asarray(self.positions, dtype=float))
-        if pos.ndim != 2:
-            raise ValueError("positions must be a (n, dim) array")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        seen = {p.tobytes() for p in pos}
-        if len(seen) != pos.shape[0]:
-            raise ValueError("finite configurations must have pairwise-distinct points")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
+# point arrays and kernel functions
 
 
 def _positions_of(obj, dim: int | None = None) -> np.ndarray:
-    if isinstance(obj, FiniteConfiguration):
-        pos = obj.positions
-    elif isinstance(obj, Configuration):
+    if isinstance(obj, Configuration):
         if not obj.is_simple:
             raise ValueError("expected a simple configuration")
         pos = obj.positions

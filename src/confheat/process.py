@@ -24,6 +24,11 @@ from .special import binomial_se
 
 PATH_CAPACITY = 100_000_000
 BATCH_POINTS = 4_000_000  # path points one collision or marginal batch holds
+PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
+#: one replica's substeps^2 pairwise differences fit in one oscillation batch
+OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
+#: replicas per grid level of bn_refinement_medians: level k draws streams k * cap + r
+BN_REPLICA_CAPACITY = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,14 @@ def bn_refinement_medians(
     Refining the grid should shrink the medians; that is the desk-scale probe
     of path continuity of B_n.
     """
+    if replicas > BN_REPLICA_CAPACITY:
+        raise CapacityError(f"{replicas} replicas per level exceed {BN_REPLICA_CAPACITY}: "
+                            "level k would reuse the paths of level k + 1")
     medians = []
     for k, dt in enumerate(dt_list):
         maxima = np.empty(replicas)
         for r in range(replicas):
-            bundle = simulate_paths(gamma, horizon, dt, seed, replica=(k << 20) + r)
+            bundle = simulate_paths(gamma, horizon, dt, seed, replica=k * BN_REPLICA_CAPACITY + r)
             maxima[r] = bn_continuity_report(bundle, n).max_increment
         medians.append(float(np.median(maxima)))
     return medians
@@ -192,6 +200,9 @@ def oscillation_check(
     """
     if substeps < 64:
         raise ValueError("at least 64 substeps required")
+    if substeps > OSCILLATION_MAX_SUBSTEPS:
+        raise CapacityError(f"{substeps} substeps exceed {OSCILLATION_MAX_SUBSTEPS}: one replica's "
+                            f"substeps^2 pairwise differences would pass {PAIR_POINTS} points")
     if not (0 <= a < b):
         raise ValueError("need 0 <= a < b")
     delta = b - a
@@ -205,7 +216,7 @@ def oscillation_check(
 
     # the pairwise differences hold substeps^2 points per replica
     exceed = sum(_map_path_batches(exceedances, substream(seed, TAG_OSCILLATION), np.zeros((1, dim)),
-                                   substeps, delta / substeps, replicas, 2_000_000 // (substeps * substeps)))
+                                   substeps, delta / substeps, replicas, PAIR_POINTS // (substeps * substeps)))
     p_hat = exceed / replicas
     se = binomial_se(p_hat, replicas)
     bound = 2.0 * tau(dim, delta, r / 4.0)

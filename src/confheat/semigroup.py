@@ -3,7 +3,11 @@
 Two evaluation routes exist side by side: Monte Carlo over independent heat
 steps of every particle (apply_mc), and closed forms where the functional
 family permits (the exponential-functional identity, and the kernel lift
-K-side convolution).  Reports name their route.  Every Monte Carlo estimate
+K-side convolution).  Reports name their route.  The functionals F form one
+family, ``ConfigurationFunctional``: the constant, the ball count, the
+exponential product, the K-polynomial and the cylinder functions, each
+written once and evaluated by apply_mc, invariance_test and
+generator_residual alike.  Every Monte Carlo estimate
 (apply_mc, invariance_test, generator_residual) goes through one chunked
 estimator: each chunk draws from its own counter-based substream and reduces
 to a count, mean and centred sum of squares, and the chunks are merged in
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, EvaluationError
-from .harmonic import DClassCertificate, KernelFunction, k_transform_product_batch, product_kernel
+from .harmonic import DClassCertificate, KernelFunction, k_transform, k_transform_product_batch, product_kernel
 from .kernel import HeatKernelParams
 from .points import Configuration, truncation_tail_bound, uniform_ball
 from .profiles import ConstantProfile, GaussianBump, SmoothedIndicator
@@ -37,57 +41,75 @@ DEFAULT_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
-# configuration functionals (batch-evaluable)
+# configuration functionals
 
 
 class ConfigurationFunctional:
-    """Functional of a configuration, evaluable on batches of particle arrays.
+    """Functional F of a configuration, the one family that apply_mc,
+    invariance_test and generator_residual evaluate.
 
-    ``batch`` receives positions of shape (replicas, particles, dim) and returns
-    one value per replica; particles carry no multiplicities here (configurations
-    are expanded before evaluation).
+    ``segments(positions, rep_idx, n_rep)`` is the evaluation: the particles
+    of n_rep replicas concatenated as (P, dim) positions, row p belonging to
+    replica ``rep_idx[p]``, give one value per replica.  ``radius`` says which
+    particles F reads: those in B(0, radius).  ``batch`` takes equally sized
+    replicas as a (replicas, particles, dim) array and is derived from
+    ``segments``; a functional that only serves such batches overrides
+    ``batch`` alone and keeps radius inf, which invariance_test refuses.
+    Particles carry no multiplicities here (configurations are expanded
+    before evaluation).
     """
 
+    radius = math.inf
+
+    def segments(self, positions: np.ndarray, rep_idx: np.ndarray, n_rep: int) -> np.ndarray:
+        raise NotImplementedError(f"{type(self).__name__} evaluates fixed-size batches only")
+
     def batch(self, positions: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        m, n, dim = positions.shape
+        return self.segments(positions.reshape(m * n, dim), np.repeat(np.arange(m), n), m)
 
     def value(self, positions: np.ndarray) -> float:
         return float(self.batch(np.asarray(positions, dtype=float)[None, ...])[0])
 
-    def on_configuration(self, gamma: Configuration) -> float:
-        return self.value(gamma.expand())
-
 
 @dataclass(frozen=True)
-class ConstantFunctional(ConfigurationFunctional):
+class WindowedConstant(ConfigurationFunctional):
+    """F = c, which reads no particle."""
+
     c: float = 1.0
+    radius = 0.0
 
-    def batch(self, positions):
-        return np.full(positions.shape[0], self.c)
+    def segments(self, positions, rep_idx, n_rep):
+        return np.full(n_rep, self.c)
 
 
 @dataclass(frozen=True)
-class BallCountFunctional(ConfigurationFunctional):
+class WindowedCount(ConfigurationFunctional):
     """Number of particles inside B(0, radius)."""
 
     radius: float
 
-    def batch(self, positions):
-        if positions.shape[1] == 0:
-            return np.zeros(positions.shape[0])
-        inside = np.linalg.norm(positions, axis=2) <= self.radius
-        return inside.sum(axis=1).astype(float)
+    def segments(self, positions, rep_idx, n_rep):
+        inside = np.linalg.norm(positions, axis=1) <= self.radius
+        return np.bincount(rep_idx[inside], minlength=n_rep).astype(float)
 
 
 @dataclass(frozen=True)
-class ExpProductFunctional(ConfigurationFunctional):
-    """F(gamma) = prod over particles of (1 + phi(x))."""
+class WindowedExponential(ConfigurationFunctional):
+    """prod over the particles in B(0, radius) of (1 + phi(x))."""
 
     phi: object
+    radius: float = math.inf
+
+    def segments(self, positions, rep_idx, n_rep):
+        inside = np.linalg.norm(positions, axis=1) <= self.radius
+        logs = np.log1p(np.asarray(self.phi(positions[inside]), dtype=float))
+        return np.exp(np.bincount(rep_idx[inside], weights=logs, minlength=n_rep))
 
     def batch(self, positions):
-        if positions.shape[1] == 0:
-            return np.ones(positions.shape[0])
+        if self.radius < math.inf:
+            return super().batch(positions)
+        # every particle counts: the direct product along the particle axis
         return np.prod(1.0 + np.asarray(self.phi(positions), dtype=float), axis=1)
 
 
@@ -133,8 +155,8 @@ class ExpFunctional:
     def dim(self) -> int:
         return self.phi.dim
 
-    def functional(self) -> ExpProductFunctional:
-        return ExpProductFunctional(self.phi)
+    def functional(self) -> WindowedExponential:
+        return WindowedExponential(self.phi)
 
     def convolved_profile(self, t: float):
         return self.phi.heat_convolve(t)
@@ -285,50 +307,6 @@ def lift_kernel(G: KernelFunction, t: float) -> KernelFunction:
 # Poisson invariance (paired Monte Carlo)
 
 
-class WindowedFunctional:
-    """Functional of the particles inside the ball B(0, radius), evaluable per
-    replica segment: positions of many replicas concatenated with a replica index."""
-
-    radius: float = 0.0
-
-    def segments(self, positions: np.ndarray, rep_idx: np.ndarray, n_rep: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class WindowedConstant(WindowedFunctional):
-    c: float = 1.0
-
-    def segments(self, positions, rep_idx, n_rep):
-        return np.full(n_rep, self.c)
-
-
-@dataclass(frozen=True)
-class WindowedCount(WindowedFunctional):
-    radius: float
-
-    def segments(self, positions, rep_idx, n_rep):
-        if positions.shape[0] == 0:
-            return np.zeros(n_rep)
-        inside = np.linalg.norm(positions, axis=1) <= self.radius
-        return np.bincount(rep_idx[inside], minlength=n_rep).astype(float)
-
-
-@dataclass(frozen=True)
-class WindowedExponential(WindowedFunctional):
-    """prod over inner-ball particles of (1 + phi(x)); bounded by 1."""
-
-    phi: object
-    radius: float
-
-    def segments(self, positions, rep_idx, n_rep):
-        if positions.shape[0] == 0:
-            return np.ones(n_rep)
-        inside = np.linalg.norm(positions, axis=1) <= self.radius
-        logs = np.log1p(np.asarray(self.phi(positions[inside]), dtype=float))
-        return np.exp(np.bincount(rep_idx[inside], weights=logs, minlength=n_rep))
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     mean_diff: float
@@ -360,7 +338,7 @@ def _displacement_sample(rng, m: int, dim: int, intensity: float, t: float, radi
 
 
 def invariance_test(
-    F: WindowedFunctional,
+    F: ConfigurationFunctional,
     dim: int,
     intensity: float,
     t: float,
@@ -455,9 +433,10 @@ def _fd_gradient(f, x, h=1.0e-5):
 
 
 @dataclass(frozen=True)
-class CylinderFunction:
+class CylinderFunction(ConfigurationFunctional):
     """F(gamma) = g(<phi_1, gamma>, ..., <phi_N, gamma>) with analytic derivatives.
 
+    It reads every particle (radius inf) and evaluates fixed-size batches.
     Construction cross-checks every derivative evaluator against central finite
     differences (relative error <= 1e-5 at probe points).
     """
@@ -495,19 +474,9 @@ class CylinderFunction:
         if not np.allclose(np.asarray(self.outer.hess(v0), dtype=float), h_fd.T, rtol=1.0e-4, atol=1.0e-6):
             raise ValueError("outer Hessian inconsistent with finite differences")
 
-    def functional(self) -> ConfigurationFunctional:
-        outer = self.outer
-        inner = self.inner
-
-        class _Cyl(ConfigurationFunctional):
-            def batch(self, positions):
-                if positions.shape[1] == 0:
-                    v = np.zeros((positions.shape[0], len(inner)))
-                else:
-                    v = np.stack([np.sum(phi(positions), axis=1) for phi in inner], axis=-1)
-                return np.asarray(outer.fn(v), dtype=float)
-
-        return _Cyl()
+    def batch(self, positions):
+        v = np.stack([np.sum(phi(positions), axis=1) for phi in self.inner], axis=-1)
+        return np.asarray(self.outer.fn(v), dtype=float)
 
     def generator_value(self, gamma: Configuration) -> float:
         """The Dirichlet operator applied to this cylinder function at gamma:
@@ -581,14 +550,13 @@ def generator_residual(
     ts = [float(t) for t in t_list]
     if len(ts) < 2 or any(t <= 0 for t in ts) or any(a <= b for a, b in zip(ts, ts[1:])):
         raise ValueError("t_list must be positive and strictly decreasing")
-    functional = F.functional()
     base = gamma.expand()
-    f0 = functional.value(base)
+    f0 = F.value(base)
     hf = F.generator_value(gamma)
 
     def sample(rng, m):
         z = rng.standard_normal((m, base.shape[0], gamma.dim))
-        return np.stack([functional.batch(base[None, :, :] + math.sqrt(2.0 * t) * z) for t in ts])
+        return np.stack([F.batch(base[None, :, :] + math.sqrt(2.0 * t) * z) for t in ts])
 
     means, ses = _chunked_mean_se(sample, replicas, seed, TAG_GENERATOR, threads, chunk)
     entries = []
@@ -626,16 +594,12 @@ class FellerReport:
     note: str
 
 
-def _feller_evaluator(F_spec, t: float, replicas: int, seed: int):
-    from .harmonic import k_transform
-
+def _feller_evaluator(F_spec, t: float):
     if isinstance(F_spec, KernelFunction):
         lifted = lift_kernel(F_spec, t)
         return "kernel-lift closed form", lambda g: k_transform(lifted, g)
     if isinstance(F_spec, ExpFunctional):
         return "exact exponential", lambda g: apply_exact_exponential(F_spec, g, t)
-    if isinstance(F_spec, ConfigurationFunctional):
-        return "monte carlo", lambda g: apply_mc(F_spec, g, t, replicas, seed).mean
     raise CapabilityError(f"no evaluation route for {type(F_spec).__name__}")
 
 
@@ -646,15 +610,15 @@ def feller_probe(
     metric,
     t: float,
     ratio_tol: float = 1.0e-3,
-    replicas: int = 20000,
-    seed: int = 0,
 ) -> FellerReport:
     """Continuity probe: a schedule of perturbed configurations with metric gaps
     decreasing to zero must produce value gaps decreasing below
     ratio_tol * (initial gap).
 
     ``metric`` is a callable (g1, g2) -> float (e.g. metrics.d1 or metrics.rho).
-    The exact route is preferred automatically; the report names it.
+    ``F_spec`` is a KernelFunction, evaluated by the kernel lift, or an
+    ExpFunctional, evaluated by the exponential identity; both routes are
+    exact, and the report names the one taken.
     """
     perturbations = list(perturbations)
     if not perturbations:
@@ -663,7 +627,7 @@ def feller_probe(
     if any(g > 0 for g in gaps):
         if any(b >= a for a, b in zip(gaps, gaps[1:])):
             raise ValueError("non-monotone perturbation schedule: metric gaps must strictly decrease")
-    route, evaluate = _feller_evaluator(F_spec, t, replicas, seed)
+    route, evaluate = _feller_evaluator(F_spec, t)
     ref = evaluate(gamma)
     value_gaps = [abs(evaluate(g) - ref) for g in perturbations]
     if all(g == 0.0 for g in gaps):

@@ -246,9 +246,7 @@ def test_c08_markov_semigroup_of_kernels():
         se = math.hypot(se_two, est_one.std_error)
         assert abs(mean_two - est_one.mean) <= 4 * se
         # Markov property: the constant functional is fixed with zero variance
-        from confheat.semigroup import ConstantFunctional
-
-        est = apply_mc(ConstantFunctional(1.0), gamma, t, replicas=1000, seed=1)
+        est = apply_mc(WindowedConstant(1.0), gamma, t, replicas=1000, seed=1)
         assert est.mean == 1.0 and est.std_error == 0.0
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from confheat.errors import CapacityError
 from confheat.harmonic import (
-    FiniteConfiguration,
     IntegralSpec,
     KernelFunction,
     correlation_function,
@@ -378,11 +377,20 @@ def test_lp_integral_exponential_series():
 
 
 def test_lp_integral_generic_quadrature_and_mc():
+    # level n is c_n (sin(x_1 + ... + x_n + n) + 0.3); over [-1, 1]^n the sine
+    # integrates to Im(e^{in} (2 sin 1)^n), so order n is
+    # c_n ((2 sin 1)^n sin n + 0.3 * 2^n) / n!
     rng_kernel = wavy_kernel(1, 4, 321)
     res = lebesgue_poisson_integral(rng_kernel, Window(1.0, 1.0), n_max=4, spec=IntegralSpec(mc_samples=4000))
-    assert math.isfinite(res.value)
+    c = substream(321, 55).uniform(-1.0, 1.0, size=5)
+    exact = [c[n] * ((2.0 * math.sin(1.0)) ** n * math.sin(n) + 0.3 * 2.0**n) / math.factorial(n)
+             for n in range(1, 5)]
+    assert res.per_order[0] == c[0]
+    # orders 1-3 by tensor quadrature
+    assert res.per_order[1:4] == pytest.approx(exact[:3], rel=0.0, abs=1e-12)
     # order 4 went through Monte Carlo; its standard error appears in the estimate
     assert res.error_estimate > 0.0
+    assert abs(res.per_order[4] - exact[3]) <= 4.0 * res.error_estimate
 
 
 def test_lp_integral_remainder_bound_and_warning():
@@ -445,9 +453,3 @@ def test_verify_d_class_auto_certificate_holds():
     ok, worst = verify_d_class(G, G.d_class, seed=3)
     assert ok and worst <= 1.0
 
-
-def test_finite_configuration_distinctness():
-    with pytest.raises(ValueError):
-        FiniteConfiguration(np.array([[0.0], [0.0]]))
-    fc = FiniteConfiguration(np.array([[0.0], [1.0]]))
-    assert fc.size == 2 and fc.dim == 1

@@ -11,6 +11,9 @@ from confheat.errors import CapacityError
 from confheat.kernel import HeatKernelParams, tail_mass, tau
 from confheat.points import Configuration
 from confheat.process import (
+    BN_REPLICA_CAPACITY,
+    OSCILLATION_MAX_SUBSTEPS,
+    PAIR_POINTS,
     PathBundle,
     bn_continuity_report,
     bn_refinement_medians,
@@ -195,6 +198,26 @@ def test_oscillation_monotone_in_r():
 def test_oscillation_validation():
     with pytest.raises(ValueError):
         oscillation_check([0.0], 0.0, 0.01, r=1.0, replicas=10, seed=0, dim=1, substeps=32)
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a refused call must draw nothing")
+
+
+def test_oscillation_substeps_capped_before_drawing(monkeypatch):
+    # past the cap one replica's substeps^2 pairwise differences alone pass PAIR_POINTS
+    assert OSCILLATION_MAX_SUBSTEPS**2 <= PAIR_POINTS < (OSCILLATION_MAX_SUBSTEPS + 1) ** 2
+    monkeypatch.setattr(confheat.process, "_brownian_paths", _no_draws)
+    with pytest.raises(CapacityError, match="substeps"):
+        oscillation_check([0.0], 0.0, 0.01, r=1.0, replicas=10, seed=0, dim=1,
+                          substeps=OSCILLATION_MAX_SUBSTEPS + 1)
+
+
+def test_bn_refinement_replicas_capped_before_drawing(monkeypatch):
+    # level k keys its replicas k * BN_REPLICA_CAPACITY + r, so one more would reuse level k + 1's first stream
+    monkeypatch.setattr(confheat.process, "simulate_paths", _no_draws)
+    with pytest.raises(CapacityError, match="replicas"):
+        bn_refinement_medians(cfg([0.0]), 1.0, (1e-2, 1e-3), n=1, replicas=BN_REPLICA_CAPACITY + 1, seed=0)
 
 
 def test_collision_far_particles_never_close():

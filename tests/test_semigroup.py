@@ -12,9 +12,7 @@ from confheat.profiles import GaussianBump, SmoothedIndicator
 from confheat.rng import TAG_APPLY_MC, TAG_INVARIANCE, chunk_sizes, substream
 from confheat.semigroup import (
     DEFAULT_CHUNK,
-    BallCountFunctional,
     ConfigurationFunctional,
-    ConstantFunctional,
     CylinderFunction,
     ExpFunctional,
     KPolynomialFunctional,
@@ -46,13 +44,13 @@ def cfg(points, dim=1, radius=None):
 
 
 def test_apply_mc_constant_is_exact():
-    est = apply_mc(ConstantFunctional(1.0), cfg([0.0, 1.0]), 0.5, replicas=100, seed=1)
+    est = apply_mc(WindowedConstant(1.0), cfg([0.0, 1.0]), 0.5, replicas=100, seed=1)
     assert est.mean == 1.0 and est.std_error == 0.0
     assert est.replicas == 100 and est.seed == 1
 
 
 def test_apply_mc_deterministic_and_thread_invariant():
-    F = BallCountFunctional(1.0)
+    F = WindowedCount(1.0)
     gamma = cfg([0.0, 0.4, -0.8], radius=1.0)
     a = apply_mc(F, gamma, 0.3, replicas=9000, seed=5)
     b = apply_mc(F, gamma, 0.3, replicas=9000, seed=5)
@@ -71,7 +69,7 @@ def test_apply_mc_count_matches_gaussian_ball_probability():
     expected = sum(
         ndtr((R - x) / sigma) - ndtr(-(R + x) / sigma) for x in [0.0, 0.6]
     )
-    est = apply_mc(BallCountFunctional(R), gamma, t, replicas=40000, seed=7)
+    est = apply_mc(WindowedCount(R), gamma, t, replicas=40000, seed=7)
     assert abs(est.mean - expected) <= 4 * est.std_error
 
 
@@ -112,8 +110,44 @@ def test_apply_mc_se_stable_for_tiny_variance():
 
 
 def test_apply_mc_empty_configuration():
-    est = apply_mc(BallCountFunctional(1.0), Configuration.empty(2), 0.5, replicas=50, seed=0)
+    est = apply_mc(WindowedCount(1.0), Configuration.empty(2), 0.5, replicas=50, seed=0)
     assert est.mean == 0.0 and est.std_error == 0.0
+
+
+def _segment_args(positions):
+    m, n, dim = positions.shape
+    return positions.reshape(m * n, dim), np.repeat(np.arange(m), n), m
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_functional_batch_agrees_with_segments(dim):
+    # one family: batch over (replicas, particles, dim) and segments over the
+    # concatenated particles give the same values, also for finite radii
+    pos = substream(61, dim).uniform(-1.5, 1.5, size=(40, 7, dim))
+    phi = GaussianBump(-0.5, (0.2,) * dim, 0.7)
+    for F in (WindowedConstant(2.0), WindowedCount(1.0), WindowedExponential(phi, 1.0)):
+        assert np.array_equal(F.batch(pos), F.segments(*_segment_args(pos))), F
+    inside = np.linalg.norm(pos, axis=2) <= 1.0
+    assert np.allclose(WindowedExponential(phi, 1.0).batch(pos),
+                       np.prod(np.where(inside, 1.0 + phi(pos), 1.0), axis=1), rtol=1e-13, atol=0.0)
+    # radius inf: the direct product along the particle axis, which the log-sum route matches
+    F = ExpFunctional(phi).functional()
+    assert F == WindowedExponential(phi) and F.radius == math.inf
+    assert np.array_equal(F.batch(pos), np.prod(1.0 + phi(pos), axis=1))
+    assert np.allclose(F.batch(pos), F.segments(*_segment_args(pos)), rtol=1e-13, atol=0.0)
+
+
+def test_functional_radius_says_what_it_reads():
+    G = product_kernel(1, {1: 1.0}, GaussianBump(0.5, (0.0,), 1.0))
+    cyl = CylinderFunction(outer_linear(1.0), (SmoothBump(1.0, (0.0,), 1.0),))
+    assert WindowedConstant().radius == 0.0 and WindowedCount(1.5).radius == 1.5
+    for F in (KPolynomialFunctional(G), cyl):
+        assert isinstance(F, ConfigurationFunctional) and F.radius == math.inf
+        # they read every particle, so the invariance test, which draws only B(0, 1), refuses them
+        with pytest.raises(ValueError, match="radius"):
+            invariance_test(F, dim=1, intensity=1.0, t=0.5, inner_radius=1.0, replicas=100, seed=0)
+    with pytest.raises(NotImplementedError):
+        cyl.segments(np.zeros((2, 1)), np.array([0, 1]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +490,15 @@ def test_feller_probe_shifted_point_schedule():
     rep = feller_probe(G, gamma, perturbed, rho, t=0.5, ratio_tol=1e-2)
     assert rep.passed, rep
     assert all(a > b for a, b in zip(rep.value_gaps, rep.value_gaps[1:]))
+
+
+def test_feller_probe_has_exact_routes_only():
+    # a Monte Carlo functional has no route; its ExpFunctional takes the exact one
+    gamma = cfg([0.0, 1.0], radius=2.0)
+    ef = ExpFunctional(GaussianBump(-0.5, (0.0,), 1.0))
+    with pytest.raises(CapabilityError, match="no evaluation route"):
+        feller_probe(ef.functional(), gamma, [gamma], lambda a, b: 0.0, t=0.5)
+    assert feller_probe(ef, gamma, [gamma], lambda a, b: 0.0, t=0.5).route == "exact exponential"
 
 
 def test_feller_probe_rejects_non_monotone_schedule():
