@@ -3,7 +3,9 @@
 
 Writes reports under ./reports, prints one verdict line per experiment, and
 exits nonzero if anything fails.  --check-determinism runs the battery twice
-(second pass with --threads 4) and compares report bytes.
+(second pass with --threads 4) and compares report bytes.  --against DIR
+compares this run's report bytes with the reports in DIR, for example the
+reports/ directory of another checkout run on the same machine.
 """
 from __future__ import annotations
 
@@ -30,28 +32,39 @@ def run_all(threads: int) -> int:
     return failures
 
 
+def compare_reports(reference: pathlib.Path, current: pathlib.Path, label: str) -> int:
+    """Print whether every report file in either directory has a byte-identical
+    twin in the other; return 1 if some file is missing or differs, else 0."""
+    names = sorted({p.name for p in reference.iterdir()} | {p.name for p in current.iterdir()})
+    mismatches = [name for name in names
+                  if not ((reference / name).is_file() and (current / name).is_file()
+                          and filecmp.cmp(reference / name, current / name, shallow=False))]
+    if mismatches:
+        print(f"{label} FAILED for:", ", ".join(mismatches))
+        return 1
+    print(f"{label}: byte-identical reports ({len(names)} files)")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--check-determinism", action="store_true",
                         help="run twice (second pass threaded) and compare report bytes")
+    parser.add_argument("--against", type=pathlib.Path, metavar="DIR",
+                        help="compare this run's report bytes with the reports in DIR")
     args = parser.parse_args()
+    if args.against is not None and not args.against.is_dir():
+        parser.error(f"--against: {args.against} is not a directory")
 
     failures = run_all(args.threads)
     if args.check_determinism:
         shutil.rmtree("reports_first", ignore_errors=True)
         shutil.move("reports", "reports_first")
         failures += run_all(max(args.threads, 4))
-        mismatches = []
-        for path in sorted(pathlib.Path("reports_first").iterdir()):
-            twin = pathlib.Path("reports") / path.name
-            if not twin.exists() or not filecmp.cmp(path, twin, shallow=False):
-                mismatches.append(path.name)
-        if mismatches:
-            print("determinism check FAILED for:", ", ".join(mismatches))
-            failures += 1
-        else:
-            print("determinism check: byte-identical reports across runs and thread counts")
+        failures += compare_reports(pathlib.Path("reports_first"), pathlib.Path("reports"), "determinism check")
+    if args.against is not None:
+        failures += compare_reports(args.against, pathlib.Path("reports"), f"comparison against {args.against}")
     if failures:
         print(f"{failures} experiment(s) failed")
     return 1 if failures else 0

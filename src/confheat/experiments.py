@@ -54,7 +54,7 @@ from .semigroup import (
     outer_linear,
     outer_square,
 )
-from .special import ball_volume, binomial_se
+from .special import ball_volume, binomial_se, sq_dist
 
 _REQUIRED = object()
 
@@ -298,7 +298,7 @@ def run_sample_poisson(p, seed, replicas, threads):
     for _ in range(n_pos):
         cfg = sample_poisson(win, dim, rng)
         if cfg.n_sites:
-            radii.extend(np.linalg.norm(cfg.positions, axis=1))
+            radii.extend(np.sqrt(sq_dist(cfg.positions)))
     radii = np.array(radii) if radii else np.array([0.0])
     mean_radius = float(radii.mean())
     expected_radius = win.radius * dim / (dim + 1.0)
@@ -552,7 +552,7 @@ def run_oscillation(p, seed, replicas, threads):
 def run_collision(p, seed, replicas, threads):
     dim = p["dim"]
     starts = p["starts"]
-    radius = float(np.linalg.norm(starts, axis=1).max()) + 1.0
+    radius = float(np.sqrt(sq_dist(starts)).max()) + 1.0
     gamma = Configuration.from_points(dim, starts, None, radius)
     rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, p["epsilon_list"])
     rows = [
@@ -573,7 +573,7 @@ def run_tail_tau(p, seed, replicas, threads):
     dim, t = p["dim"], p["t"]
     params = HeatKernelParams(dim, t)
     rng = substream(seed, TAG_EXPERIMENT, 4)
-    norms = np.linalg.norm(math.sqrt(2 * t) * rng.standard_normal((replicas, dim)), axis=1)
+    norms = np.sqrt(sq_dist(math.sqrt(2 * t) * rng.standard_normal((replicas, dim))))
     rows = []
     checks = []
     for r in p["r_list"]:

@@ -22,7 +22,7 @@ from .errors import CapacityError, CapabilityError
 from .kernel import HeatKernelParams
 from .points import Configuration, Window, uniform_ball
 from .rng import TAG_INTEGRAL, substream
-from .special import exp_radial_integral, ball_volume
+from .special import exp_radial_integral, ball_volume, sq_dist
 
 SUBSET_CAPACITY = 2**30
 PARTITION_CAPACITY_POINTS = 12
@@ -222,7 +222,9 @@ def k_transform_product_batch(G: KernelFunction, positions: np.ndarray) -> np.nd
     """(KG) on a batch of simple configurations, shape (R, N, dim) -> (R,).
 
     Uses the product structure: each level contributes coeff * e_n of the
-    per-point profile values.
+    per-point profile values.  A profile shared by several levels is evaluated
+    once, and its levels read one e_0..e_k table up to its largest order (e_n
+    does not depend on the table's length).
     """
     if not G.is_product:
         raise CapabilityError("batch K-transform needs a product-form kernel")
@@ -231,10 +233,14 @@ def k_transform_product_batch(G: KernelFunction, positions: np.ndarray) -> np.nd
     out = np.full(r, G.value_at_empty)
     if positions.shape[1] == 0:
         return out
-    for order in G.level_orders():
-        vals = G.profiles[order](positions)
-        e = elementary_symmetric(vals, order)
-        out += G.coeffs[order] * e[:, order]
+    orders = G.level_orders()
+    top = {id(G.profiles[order]): order for order in orders}  # orders ascend: the last one is the largest
+    tables = {}
+    for order in orders:
+        key = id(G.profiles[order])
+        if key not in tables:
+            tables[key] = elementary_symmetric(G.profiles[order](positions), top[key])
+        out += G.coeffs[order] * tables[key][:, order]
     return out
 
 
@@ -342,8 +348,7 @@ def permanent_bruteforce(matrix: np.ndarray) -> float:
 
 
 def _heat_matrix(points_x: np.ndarray, points_y: np.ndarray, dim: int, t: float) -> np.ndarray:
-    diff = points_x[:, None, :] - points_y[None, :, :]
-    sq = np.sum(diff * diff, axis=2)
+    sq = sq_dist(points_x[:, None, :], points_y[None, :, :])
     return (4.0 * math.pi * t) ** (-dim / 2.0) * np.exp(-sq / (4.0 * t))
 
 
@@ -631,7 +636,7 @@ def verify_d_class(
         for _ in range(samples_per_order):
             pts = uniform_ball(rng, order, G.dim, radius)
             val = abs(G.value(pts))
-            bound = cert.c**order * math.exp(-(1.0 + cert.eps) * float(np.linalg.norm(pts, axis=1).sum()))
+            bound = cert.c**order * math.exp(-(1.0 + cert.eps) * float(np.sqrt(sq_dist(pts)).sum()))
             if val > 0.0:
                 worst = max(worst, val / bound)
     return worst <= 1.0, worst

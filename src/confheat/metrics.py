@@ -26,6 +26,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapacityError, SolverError
 from .points import Configuration, as_multiset
+from .special import sq_dist
 
 #: largest number of unit particles (positive plus negative, with multiplicity)
 #: in g1 - g2 accepted by the flat-metric assignment
@@ -97,7 +98,7 @@ def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
         return 0.0
     if size > FLAT_METRIC_MAX_SUPPORT:
         raise CapacityError(f"flat-metric support of {size} particles exceeds {FLAT_METRIC_MAX_SUPPORT}")
-    caps = np.maximum(0.0, i - np.linalg.norm(pts, axis=1))
+    caps = np.maximum(0.0, i - np.sqrt(sq_dist(pts)))
     pos, neg = w > 0, w < 0
     x = np.repeat(pts[pos], counts[pos], axis=0)
     y = np.repeat(pts[neg], counts[neg], axis=0)
@@ -105,7 +106,7 @@ def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
     cap_y = np.repeat(caps[neg], counts[neg])
     p, n = x.shape[0], y.shape[0]
     cost = np.zeros((size, size))
-    dist = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    dist = np.sqrt(sq_dist(x[:, None, :], y[None, :, :]))
     cost[:p, :n] = np.minimum(dist, cap_x[:, None] + cap_y[None, :])
     cost[:p, n:] = cap_x[:, None]
     cost[p:, :n] = cap_y[None, :]
@@ -155,7 +156,7 @@ def rho(g1: Configuration, g2: Configuration) -> float:
         return math.inf
     if x.shape[0] == 0:
         return 0.0
-    cost = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+    cost = sq_dist(x[:, None, :], y[None, :, :])
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(float(cost[rows, cols].sum()))
 
@@ -203,10 +204,10 @@ def flat_metric_lp(g1: Configuration, g2: Configuration, i: int) -> float:
         return 0.0
     if k > FLAT_METRIC_LP_MAX_SUPPORT:
         raise CapacityError(f"flat-metric LP support of {k} points exceeds {FLAT_METRIC_LP_MAX_SUPPORT}")
-    caps = np.maximum(0.0, i - np.linalg.norm(pts, axis=1))
+    caps = np.maximum(0.0, i - np.sqrt(sq_dist(pts)))
     # one row f_j - f_l <= |x_j - x_l| per ordered pair j != l
     rows, cols = np.nonzero(~np.eye(k, dtype=bool))
     unit = sparse.identity(k, format="csr")
     a_ub = unit[rows] - unit[cols]
-    b_ub = np.linalg.norm(pts[rows] - pts[cols], axis=1)
+    b_ub = np.sqrt(sq_dist(pts[rows], pts[cols]))
     return max(solve_lp(w, a_ub, b_ub, np.column_stack([-caps, caps])), 0.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityError
-from .special import ball_volume
+from .special import ball_volume, sq_dist
 
 _WINDOW_SLACK = 1.0e-9
 
@@ -68,7 +68,7 @@ class Configuration:
         if not (math.isfinite(self.window_radius) and self.window_radius > 0):
             raise ValueError(f"window_radius must be positive, got {self.window_radius!r}")
         if pos.shape[0]:
-            norms = np.linalg.norm(pos, axis=1)
+            norms = np.sqrt(sq_dist(pos))
             if norms.max() > self.window_radius * (1.0 + _WINDOW_SLACK) + _WINDOW_SLACK:
                 raise ValueError("all positions must lie within the window radius")
         if self.intensity is not None and not (math.isfinite(self.intensity) and self.intensity > 0):
@@ -96,7 +96,7 @@ class Configuration:
         return np.repeat(self.positions, self.multiplicities, axis=0)
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.positions, axis=1)
+        return np.sqrt(sq_dist(self.positions))
 
     def same_as(self, other: "Configuration") -> bool:
         """Order-independent equality of the underlying multisets."""
@@ -122,7 +122,7 @@ class Configuration:
         else:
             mult = np.asarray(multiplicities, dtype=np.int64)
         if window_radius is None:
-            top = float(np.linalg.norm(pos, axis=1).max()) if pos.shape[0] else 0.0
+            top = float(np.sqrt(sq_dist(pos)).max()) if pos.shape[0] else 0.0
             window_radius = top + 1.0
         return cls(dim, pos, mult, window_radius, intensity)
 
@@ -175,7 +175,7 @@ def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
     if n == 0:
         return np.zeros((0, dim))
     g = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(g, axis=1)
+    norms = np.sqrt(sq_dist(g))
     norms[norms == 0.0] = 1.0
     radii = radius * rng.random(n) ** (1.0 / dim)
     return g * (radii / norms)[:, None]
@@ -208,7 +208,7 @@ def diffuse(gamma: Configuration, t: float, rng: np.random.Generator, pad: float
     moved = start + math.sqrt(2.0 * t) * rng.standard_normal(start.shape)
     radius = gamma.window_radius + pad
     if moved.shape[0]:
-        radius = max(radius, float(np.linalg.norm(moved, axis=1).max()) * (1.0 + _WINDOW_SLACK))
+        radius = max(radius, float(np.sqrt(sq_dist(moved)).max()) * (1.0 + _WINDOW_SLACK))
     return Configuration(
         gamma.dim,
         moved,

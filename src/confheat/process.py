@@ -20,7 +20,7 @@ from .errors import CapacityError
 from .kernel import HeatKernelParams, tail_mass, tau
 from .points import Configuration
 from .rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, substream
-from .special import binomial_se
+from .special import binomial_se, sq_dist
 
 PATH_CAPACITY = 100_000_000
 BATCH_POINTS = 4_000_000  # path points one collision or marginal batch holds
@@ -127,7 +127,7 @@ class BnContinuityReport:
 
 def bn_values(bundle: PathBundle, n: int) -> np.ndarray:
     """B_n evaluated at every grid time of the bundle."""
-    norms = np.linalg.norm(bundle.paths, axis=2)
+    norms = np.sqrt(sq_dist(bundle.paths))
     return np.exp(-norms / n).sum(axis=0)
 
 
@@ -140,7 +140,7 @@ def bn_continuity_report(bundle: PathBundle, n: int) -> BnContinuityReport:
     if bundle.n_steps == 0 or bundle.n_particles == 0:
         return BnContinuityReport(n, b, 0.0, True)
     increments = np.abs(np.diff(b))
-    step_moves = np.linalg.norm(np.diff(bundle.paths, axis=1), axis=2).sum(axis=0)
+    step_moves = np.sqrt(sq_dist(bundle.paths[:, 1:], bundle.paths[:, :-1])).sum(axis=0)
     ok = bool(np.all(increments <= step_moves / n + 1.0e-12))
     return BnContinuityReport(n, b, float(increments.max()), ok)
 
@@ -210,11 +210,10 @@ def oscillation_check(
 
     def exceedances(paths):
         pos = paths[:, 0]
-        diffs = pos[:, :, None, :] - pos[:, None, :, :]
-        diam = np.sqrt(np.max(np.sum(diffs * diffs, axis=3), axis=(1, 2)))
+        diam = np.sqrt(np.max(sq_dist(pos[:, :, None, :], pos[:, None, :, :]), axis=(1, 2)))
         return int(np.sum(diam > r))
 
-    # the pairwise differences hold substeps^2 points per replica
+    # the pairwise squared distances hold substeps^2 points per replica
     exceed = sum(_map_path_batches(exceedances, substream(seed, TAG_OSCILLATION), np.zeros((1, dim)),
                                    substeps, delta / substeps, replicas, PAIR_POINTS // (substeps * substeps)))
     p_hat = exceed / replicas
@@ -261,21 +260,22 @@ def collision_report(
     rng = substream(seed, TAG_COLLISION)
 
     def min_distance_and_crossing(pos):
-        dmin = np.full(len(pos), np.inf)
+        # sqrt is monotone, so the minimum distance is the root of the minimum square
+        dmin_sq = np.full(len(pos), np.inf)
         cross = np.zeros(len(pos), dtype=bool)
         for i, j in pairs:
-            diff = pos[:, i, :, :] - pos[:, j, :, :]
-            dist = np.linalg.norm(diff, axis=2)
-            dmin = np.minimum(dmin, dist.min(axis=1))
+            dmin_sq = np.minimum(dmin_sq, sq_dist(pos[:, i], pos[:, j]).min(axis=1))
             if gamma.dim == 1:
-                d_line = diff[:, :, 0]
+                d_line = pos[:, i, :, 0] - pos[:, j, :, 0]
                 prod = d_line[:, :-1] * d_line[:, 1:]
                 cross |= np.any(prod <= 0.0, axis=1)
+                # prod becomes the bridge probability exp(-prod / (2 dt)); where prod <= 0
+                # it is >= 1 > u, and the replica is already crossed
+                prod /= -2.0 * dt
                 with np.errstate(over="ignore"):
-                    p_bridge = np.where(prod > 0.0, np.exp(-prod / (2.0 * dt)), 0.0)
-                u = rng.random(p_bridge.shape)
-                cross |= np.any(u < p_bridge, axis=1)
-        return dmin, cross
+                    np.exp(prod, out=prod)
+                cross |= np.any(rng.random(prod.shape) < prod, axis=1)
+        return np.sqrt(dmin_sq), cross
 
     batches = _map_path_batches(min_distance_and_crossing, rng, start, steps, dt, replicas,
                                 BATCH_POINTS // (n * (steps + 1)))
@@ -296,7 +296,7 @@ def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -
     """One-sample KS test of the time-t slice of single-particle paths against the
     exact law P(|xi| <= r) = 1 - tail_mass: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D)."""
     steps = _steps_for(t, dt)
-    batches = _map_path_batches(lambda paths: np.linalg.norm(paths[:, 0, -1, :], axis=1),
+    batches = _map_path_batches(lambda paths: np.sqrt(sq_dist(paths[:, 0, -1, :])),
                                 substream(seed, TAG_MARGINAL), np.zeros((1, gamma_dim)), steps, dt, replicas,
                                 BATCH_POINTS // (steps + 1))
     radii = np.sort(np.concatenate(batches))

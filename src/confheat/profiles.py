@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from scipy.special import exprel, i0e
 
 from .errors import CapabilityError, SolverError
+from .special import sq_dist
 
 _QUAD_ABS_TOL = 1.0e-10
 
@@ -28,7 +29,7 @@ def _norms(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != dim:
         raise ValueError(f"points must have last axis {dim}, got shape {x.shape}")
-    return np.linalg.norm(x, axis=-1)
+    return np.sqrt(sq_dist(x))
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,15 @@ class GaussianBump:
         return len(self.center)
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sq = np.sum((x - np.asarray(self.center)) ** 2, axis=-1)
-        return self.amp * np.exp(-sq / (2.0 * self.width**2))
+        return self.amp * np.exp(-sq_dist(x, self.center) / (2.0 * self.width**2))
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
         return self(x)[..., None] * (-(x - np.asarray(self.center)) / self.width**2)
 
     def laplacian(self, x):
-        x = np.asarray(x, dtype=float)
-        sq = np.sum((x - np.asarray(self.center)) ** 2, axis=-1)
-        return self(x) * (sq / self.width**4 - self.dim / self.width**2)
+        sq = sq_dist(x, self.center)
+        return self.amp * np.exp(-sq / (2.0 * self.width**2)) * (sq / self.width**4 - self.dim / self.width**2)
 
     def heat_convolve(self, t: float) -> "GaussianBump":
         w2 = self.width**2

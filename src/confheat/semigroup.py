@@ -35,7 +35,7 @@ from .rng import (
     map_chunks,
     substream,
 )
-from .special import ball_volume, exp_radial_integral
+from .special import ball_volume, exp_radial_integral, sq_dist
 
 DEFAULT_CHUNK = 4096
 
@@ -90,7 +90,7 @@ class WindowedCount(ConfigurationFunctional):
     radius: float
 
     def segments(self, positions, rep_idx, n_rep):
-        inside = np.linalg.norm(positions, axis=1) <= self.radius
+        inside = np.sqrt(sq_dist(positions)) <= self.radius
         return np.bincount(rep_idx[inside], minlength=n_rep).astype(float)
 
 
@@ -102,7 +102,7 @@ class WindowedExponential(ConfigurationFunctional):
     radius: float = math.inf
 
     def segments(self, positions, rep_idx, n_rep):
-        inside = np.linalg.norm(positions, axis=1) <= self.radius
+        inside = np.sqrt(sq_dist(positions)) <= self.radius
         logs = np.log1p(np.asarray(self.phi(positions[inside]), dtype=float))
         return np.exp(np.bincount(rep_idx[inside], weights=logs, minlength=n_rep))
 
@@ -255,8 +255,10 @@ def apply_mc(
     scale = math.sqrt(2.0 * t)
 
     def sample(rng, m):
-        disp = rng.standard_normal((m, base.shape[0], gamma.dim))
-        return np.asarray(F.batch(base[None, :, :] + scale * disp), dtype=float)[None, :]
+        moved = rng.standard_normal((m, base.shape[0], gamma.dim))
+        moved *= scale
+        moved += base
+        return np.asarray(F.batch(moved), dtype=float)[None, :]
 
     (mean,), (se,) = _chunked_mean_se(sample, replicas, seed, TAG_APPLY_MC, threads, chunk)
     return SemigroupEstimate(
@@ -331,7 +333,7 @@ def _displacement_sample(rng, m: int, dim: int, intensity: float, t: float, radi
     ends_a = starts + scale * rng.standard_normal(starts.shape)
     counts_b = rng.poisson(lam, size=m)
     ends_b = uniform_ball(rng, int(counts_b.sum()), dim, radius)
-    from_outside = np.linalg.norm(ends_b + scale * rng.standard_normal(ends_b.shape), axis=1) > radius
+    from_outside = np.sqrt(sq_dist(ends_b + scale * rng.standard_normal(ends_b.shape))) > radius
     idx_a = np.repeat(np.arange(m), counts_a)
     idx_b = np.repeat(np.arange(m), counts_b)[from_outside]
     return (starts, idx_a), (np.concatenate([ends_a, ends_b[from_outside]]), np.concatenate([idx_a, idx_b]))

@@ -1,16 +1,52 @@
-"""Scalar geometry and statistics helpers used by the closed-form formulas.
+"""Geometry and statistics helpers shared by the closed-form and sampling routes.
 
-Ball volumes, sphere areas, the radial integral of an exponential and the
-binomial standard error.  Incomplete gamma values, the normal distribution and
-the Kolmogorov distribution are taken from ``scipy.special`` directly
-(``gammainc`` here, ``gammaincc`` and ``ndtr`` in ``kernel``, ``ndtr`` and
-``kolmogorov`` in ``process``).
+Squared distances along the coordinate axis, ball volumes, sphere areas, the
+radial integral of an exponential and the binomial standard error.  Incomplete
+gamma values, the normal distribution and the Kolmogorov distribution are
+taken from ``scipy.special`` directly (``gammainc`` here, ``gammaincc`` and
+``ndtr`` in ``kernel``, ``ndtr`` and ``kolmogorov`` in ``process``).
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammainc
+
+
+def sq_dist(x, y=None) -> np.ndarray:
+    """Squared Euclidean distance along the last (coordinate) axis: |x|^2, or
+    |x - y|^2 with ``x`` broadcast against ``y``.
+
+    The squares are added one coordinate at a time, the order numpy's own
+    reduction takes on an axis shorter than 8, so for d < 8 the result equals
+    ``np.sum((x - y) ** 2, axis=-1)`` bit for bit and its square root equals
+    ``np.linalg.norm(x - y, axis=-1)``.  From d = 8 on numpy sums pairwise and
+    the two differ by a few ulp.  No (..., d) difference array is formed, and
+    numpy's many reductions of length d become d elementwise passes.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    if y is None:
+        shape = x.shape[:-1]
+    else:
+        y = np.asarray(y, dtype=float)
+        if y.shape[-1] != d:
+            raise ValueError(f"coordinate axes differ: {x.shape} and {y.shape}")
+        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    out = np.empty(shape) if d else np.zeros(shape)
+    term = np.empty(shape) if d > 1 else None
+    for k in range(d):
+        # the first square goes straight to out, the later ones through term
+        dst = term if k else out
+        if y is None:
+            np.multiply(x[..., k], x[..., k], out=dst)
+        else:
+            np.subtract(x[..., k], y[..., k], out=dst)
+            dst *= dst
+        if k:
+            out += term
+    return out
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:

@@ -106,11 +106,11 @@ def test_each_experiment_runs_and_passes(name, tmp_path):
     assert parsed["config"]["seed"] == 7
 
 
-def test_battery_determinism_check_repeats_in_one_directory(tmp_path, monkeypatch, capsys):
+def _one_config_battery(tmp_path, monkeypatch):
+    """scripts/run_battery.py as a module whose battery is the rho config alone, run in tmp_path."""
     import importlib.util
     import pathlib
     import shutil
-    import sys
 
     script = pathlib.Path(__file__).parent.parent / "scripts" / "run_battery.py"
     spec = importlib.util.spec_from_file_location("run_battery", script)
@@ -121,8 +121,34 @@ def test_battery_determinism_check_repeats_in_one_directory(tmp_path, monkeypatc
     shutil.copy(battery.CONFIG_DIR / "rho.json", configs)
     monkeypatch.setattr(battery, "CONFIG_DIR", configs)
     monkeypatch.chdir(tmp_path)
+    return battery
+
+
+def test_battery_determinism_check_repeats_in_one_directory(tmp_path, monkeypatch, capsys):
+    import sys
+
+    battery = _one_config_battery(tmp_path, monkeypatch)
     monkeypatch.setattr(sys, "argv", ["run_battery.py", "--check-determinism"])
     for _ in range(2):
         assert battery.main() == 0
         assert "determinism check: byte-identical" in capsys.readouterr().out
     assert sorted(p.name for p in (tmp_path / "reports_first").iterdir()) == ["rho.csv", "rho.json"]
+
+
+def test_battery_against_reference_names_every_differing_report(tmp_path, monkeypatch, capsys):
+    import shutil
+    import sys
+
+    battery = _one_config_battery(tmp_path, monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["run_battery.py"])
+    assert battery.main() == 0
+    reference = tmp_path / "reference"
+    shutil.copytree(tmp_path / "reports", reference)
+    monkeypatch.setattr(sys, "argv", ["run_battery.py", "--against", str(reference)])
+    capsys.readouterr()
+    assert battery.main() == 0
+    assert f"comparison against {reference}: byte-identical reports (2 files)" in capsys.readouterr().out
+    (reference / "rho.csv").write_bytes((reference / "rho.csv").read_bytes() + b"\r\n")
+    (reference / "stale.json").write_text("{}")
+    assert battery.main() == 1
+    assert "FAILED for: rho.csv, stale.json" in capsys.readouterr().out

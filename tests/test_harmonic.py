@@ -119,6 +119,19 @@ def test_k_transform_product_batch_matches_enumeration():
         assert batch == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_k_transform_product_batch_bitwise_as_one_table_per_level(shared):
+    rng = substream(7, 2)
+    bump = GaussianBump(0.8, (0.2, -0.1), 1.1)
+    profiles = bump if shared else {1: bump, 2: GaussianBump(0.5, (0.0, 0.3), 0.7), 3: bump}
+    G = product_kernel(2, {1: 0.7, 2: -0.4, 3: 0.2}, profiles, value_at_empty=0.3)
+    pos = rng.uniform(-2, 2, size=(200, 6, 2))
+    want = np.full(200, 0.3)
+    for order in (1, 2, 3):
+        want += G.coeffs[order] * elementary_symmetric(G.profiles[order](pos), order)[:, order]
+    assert np.array_equal(k_transform_product_batch(G, pos), want)
+
+
 # ---------------------------------------------------------------------------
 # inverse K-transform
 

@@ -17,6 +17,19 @@ def gauss_density(y, x, var):
     return np.exp(-((y - x) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_bump_value_and_laplacian_bitwise_as_coordinate_reduce(dim):
+    rng = np.random.default_rng(40 + dim)
+    bump = GaussianBump(-0.7, tuple(rng.standard_normal(dim)), 1.3)
+    c = np.asarray(bump.center)
+    for shape in [(dim,), (50, dim), (20, 11, dim)]:
+        x = 3.0 * rng.standard_normal(shape)
+        sq = np.sum((x - c) ** 2, axis=-1)
+        value = bump.amp * np.exp(-sq / (2.0 * bump.width**2))
+        assert np.array_equal(bump(x), value)
+        assert np.array_equal(bump.laplacian(x), value * (sq / bump.width**4 - dim / bump.width**2))
+
+
 def test_gaussian_bump_convolution_matches_quadrature_1d():
     bump = GaussianBump(0.7, (0.4,), 0.9)
     conv = bump.heat_convolve(0.6)

@@ -61,6 +61,23 @@ def test_apply_mc_deterministic_and_thread_invariant():
     assert d.mean != a.mean
 
 
+def test_apply_mc_moves_particles_in_place_without_touching_gamma():
+    F = WindowedExponential(GaussianBump(-0.4, (0.1, -0.2), 0.9))
+    gamma = Configuration.from_points(2, np.array([[0.0, 0.5], [-0.7, 0.2], [0.3, 0.3]]), np.array([1, 2, 1]), 2.0)
+    positions, base = gamma.positions.copy(), gamma.expand()
+    one = apply_mc(F, gamma, 0.4, replicas=5000, seed=12, chunk=1000)
+    two = apply_mc(F, gamma, 0.4, replicas=5000, seed=12, threads=2, chunk=1000)
+    assert np.array_equal(gamma.positions, positions) and np.array_equal(gamma.expand(), base)
+    assert (one.mean, one.std_error) == (two.mean, two.std_error)
+
+    def out_of_place(rng, m):
+        disp = rng.standard_normal((m, base.shape[0], 2))
+        return F.batch(base[None, :, :] + math.sqrt(0.8) * disp)[None, :]
+
+    (mean,), (se,) = _chunked_mean_se(out_of_place, 5000, 12, TAG_APPLY_MC, 1, 1000)
+    assert (one.mean, one.std_error) == (float(mean), float(se))
+
+
 def test_apply_mc_count_matches_gaussian_ball_probability():
     gamma = cfg([0.0, 0.6], radius=1.0)
     t = 0.4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from confheat.kernel import HeatKernelParams, tail_mass, tau
-from confheat.special import ball_volume, exp_radial_integral, sphere_area
+from confheat.special import ball_volume, exp_radial_integral, sphere_area, sq_dist
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -109,3 +109,55 @@ def test_import_leaves_scipy_stats_unloaded():
     probe = "import sys, confheat; sys.exit('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# sq_dist: numpy's own order on the coordinate axis
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sq_dist_is_bitwise_numpy_reduce(dim):
+    rng = np.random.default_rng(100 + dim)
+    shapes = [(dim,), (1, dim), (7, dim), (500, dim), (20, 30, dim), (0, dim), (4, 0, dim)]
+    for _ in range(20):
+        for shape in shapes:
+            scale = 10.0 ** rng.uniform(-8, 8, size=shape)
+            x = rng.standard_normal(shape) * scale
+            y = rng.standard_normal(shape) * scale
+            got, want = sq_dist(x, y), np.sum((x - y) ** 2, axis=-1)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.array_equal(sq_dist(x), np.sum(x**2, axis=-1))
+            assert np.array_equal(np.sqrt(sq_dist(x)), np.linalg.norm(x, axis=-1))
+            assert np.array_equal(np.sqrt(sq_dist(x, y)), np.linalg.norm(x - y, axis=-1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sq_dist_broadcasts_bitwise(dim):
+    rng = np.random.default_rng(200 + dim)
+    x = rng.standard_normal((40, dim))
+    y = rng.standard_normal((30, dim))
+    pairs = sq_dist(x[:, None, :], y[None, :, :])
+    assert pairs.shape == (40, 30)
+    assert np.array_equal(pairs, np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
+    center = tuple(rng.standard_normal(dim))
+    assert np.array_equal(sq_dist(x, center), np.sum((x - np.asarray(center)) ** 2, axis=-1))
+    paths = rng.standard_normal((5, 9, dim))
+    within = sq_dist(paths[:, :, None, :], paths[:, None, :, :])
+    assert within.shape == (5, 9, 9)
+    assert np.array_equal(within, np.sum((paths[:, :, None, :] - paths[:, None, :, :]) ** 2, axis=3))
+    assert sq_dist(np.zeros((0, dim)), y[None, 0]).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_sq_dist_agrees_to_ulps_on_longer_axes(dim):
+    # from dim = 8 on numpy sums pairwise, so only rounding-level agreement is promised
+    rng = np.random.default_rng(300 + dim)
+    x = rng.standard_normal((1000, dim))
+    y = rng.standard_normal((1000, dim))
+    np.testing.assert_allclose(sq_dist(x, y), np.sum((x - y) ** 2, axis=-1), rtol=4 * np.finfo(float).eps, atol=0)
+    np.testing.assert_allclose(np.sqrt(sq_dist(x)), np.linalg.norm(x, axis=-1), rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def test_sq_dist_rejects_mismatched_coordinate_axes():
+    with pytest.raises(ValueError, match="coordinate axes"):
+        sq_dist(np.zeros((3, 2)), np.zeros((3, 3)))
