@@ -264,17 +264,19 @@ def collision_report(
         dmin_sq = np.full(len(pos), np.inf)
         cross = np.zeros(len(pos), dtype=bool)
         for i, j in pairs:
-            dmin_sq = np.minimum(dmin_sq, sq_dist(pos[:, i], pos[:, j]).min(axis=1))
-            if gamma.dim == 1:
-                d_line = pos[:, i, :, 0] - pos[:, j, :, 0]
-                prod = d_line[:, :-1] * d_line[:, 1:]
-                cross |= np.any(prod <= 0.0, axis=1)
-                # prod becomes the bridge probability exp(-prod / (2 dt)); where prod <= 0
-                # it is >= 1 > u, and the replica is already crossed
-                prod /= -2.0 * dt
-                with np.errstate(over="ignore"):
-                    np.exp(prod, out=prod)
-                cross |= np.any(rng.random(prod.shape) < prod, axis=1)
+            if gamma.dim != 1:
+                dmin_sq = np.minimum(dmin_sq, sq_dist(pos[:, i], pos[:, j]).min(axis=1))
+                continue
+            d_line = pos[:, i, :, 0] - pos[:, j, :, 0]
+            dmin_sq = np.minimum(dmin_sq, (d_line * d_line).min(axis=1))
+            prod = d_line[:, :-1] * d_line[:, 1:]
+            cross |= np.any(prod <= 0.0, axis=1)
+            # the uniforms are drawn for every replica so the stream does not depend
+            # on which replicas have crossed; only the others need the bridge
+            # probability exp(-prod / (2 dt)), and there every prod is > 0
+            u = rng.random(prod.shape)
+            live = ~cross
+            cross[live] = np.any(u[live] < np.exp(prod[live] / (-2.0 * dt)), axis=1)
         return np.sqrt(dmin_sq), cross
 
     batches = _map_path_batches(min_distance_and_crossing, rng, start, steps, dt, replicas,

@@ -345,21 +345,25 @@ def test_semigroup_exp_tiny_amplitude_passes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "dim, t, points",
-    [(1, 1e-4, [[[1.0], 1], [[1.5], 1]]), (3, 0.5, [[[1e-10, 0.0, 0.0], 1]])],
-    ids=["small-t", "d3-near-origin"],
+    "dim, t, phi, replicas, points",
+    [(1, 1e-4, (-0.6, 1.0, 0.3), 20000, [[[1.0], 1], [[1.5], 1]]),
+     (3, 0.5, (-0.6, 1.0, 0.3), 20000, [[[1e-10, 0.0, 0.0], 1]]),
+     (1, 400.0, (-0.5, 0.3, 0.01), 200000, [[[0.5], 1], [[-0.2], 1]])],
+    ids=["small-t", "d3-near-origin", "large-t-narrow"],
 )
-def test_semigroup_exp_smoothed_indicator_passes(tmp_path, dim, t, points):
-    # the radial quadrature must resolve a narrow kernel (small t) and stay exact near |x| = 0 (d = 3)
+def test_semigroup_exp_smoothed_indicator_passes(tmp_path, dim, t, phi, replicas, points):
+    # the radial quadrature must resolve a narrow kernel (small t), stay exact near |x| = 0 (d = 3),
+    # and see a narrow indicator inside a wide kernel window (large t)
+    amp, radius, width = phi
     doc = {
         "experiment": "semigroup-exp",
         "seed": 3,
-        "replicas": 20000,
+        "replicas": replicas,
         "output": str(tmp_path / "smoothed"),
         "params": {
             "dim": dim,
             "t": t,
-            "phi": {"family": "smoothed_indicator", "amp": -0.6, "radius": 1.0, "width": 0.3},
+            "phi": {"family": "smoothed_indicator", "amp": amp, "radius": radius, "width": width},
             "gamma": {"dim": dim, "window_radius": 2.0, "points": points},
         },
     }

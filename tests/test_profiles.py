@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0e
 
-from confheat.errors import CapabilityError
+from confheat import profiles
+from confheat.errors import CapabilityError, SolverError
 from confheat.profiles import (
     BoxIndicator,
     ConstantProfile,
@@ -143,3 +145,123 @@ def test_decay_bounds_dominate_profiles():
         vals = np.abs(prof(xs))
         bound = c * np.exp(-2.0 * np.abs(xs[:, 0]))
         assert np.all(vals <= bound * (1 + 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# the radial heat convolution against two oracles
+
+
+def _window(t, r):
+    half = 14.0 * np.sqrt(2.0 * t)
+    return np.maximum(r - half, 0.0), r + half
+
+
+def _gauss_legendre_radial(prof, t, radii):
+    """(p_t * phi) at each radius by composite 20-point Gauss-Legendre over the
+    kernel's window, cut at radius +- 40 width into three pieces of 100 equal
+    panels each, so both the kernel and the indicator's transition are resolved
+    however wide the window.  The d = 1 and d = 3 kernels are written as image
+    sums, not in the library's folded forms; d = 2 shares the library's form."""
+    v = 2.0 * t
+    r = np.asarray(radii, dtype=float)[:, None, None]
+    lo, hi = _window(t, r)
+    margin = 40.0 * prof.width
+    edges = np.clip(prof.radius + np.array([-np.inf, -margin, margin, np.inf]), lo[..., 0], hi[..., 0])
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    panels = np.linspace(edges[:, :-1], edges[:, 1:], 101, axis=-1).reshape(len(r), -1)
+    a, b = panels[:, :-1], panels[:, 1:]  # the pieces' shared edges make zero-width panels, worth 0
+    half = ((b - a) / 2)[..., None]
+    u = a[..., None] + half * (nodes + 1.0)
+    g = np.exp(-((u - r) ** 2) / (2 * v))
+    if prof.ndim == 1:
+        k = (g + np.exp(-((u + r) ** 2) / (2 * v))) / math.sqrt(2 * math.pi * v)
+    elif prof.ndim == 2:
+        k = u / v * g * i0e(u * r / v)
+    else:
+        k = u / (r * math.sqrt(2 * math.pi * v)) * g * -np.expm1(-2 * u * r / v)
+    return np.sum(half * prof.radial(u) * k * weights, axis=(1, 2))
+
+
+def _quad_radial(prof, t, radii):
+    """The per-point QUADPACK route the batched rule replaced."""
+    kernel = profiles._RADIAL_HEAT_KERNELS[prof.ndim]
+    return np.array([quad(lambda u: float(prof.radial(u) * kernel(u, r, 2.0 * t)), *map(float, _window(t, r)),
+                          epsabs=1e-11, epsrel=1e-12, limit=400)[0] for r in radii])
+
+
+def _random_case(rng, min_width):
+    dim = int(rng.integers(1, 4))
+    t = math.exp(rng.uniform(math.log(1e-4), math.log(500.0)))
+    width = math.exp(rng.uniform(math.log(min_width), 0.0))
+    prof = SmoothedIndicator(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 3.0), width, dim)
+    x = rng.standard_normal((30, dim))
+    x *= (6.0 * rng.random(30) ** (1.0 / dim) / np.linalg.norm(x, axis=1))[:, None]
+    return prof, t, x
+
+
+def test_radial_convolution_large_t_sees_narrow_indicator():
+    # a window of radius 396 around an indicator of width 0.01: one rule over the window sees no node on it
+    prof = SmoothedIndicator(-0.5, 0.3, 0.01, 1)
+    got = float(prof.heat_convolve(400.0)(np.array([0.5])))
+    ref = float(_gauss_legendre_radial(prof, 400.0, [0.5])[0])
+    assert ref == pytest.approx(-4.230681e-3, abs=1e-9)
+    assert abs(got - ref) <= 1e-10
+
+
+def test_radial_convolution_matches_gauss_legendre_on_random_draws():
+    rng = np.random.default_rng(15)
+    cases = [_random_case(rng, 1e-3) for _ in range(96)]
+    # a transition of width 1e-3 at radius 1.5 seen from |x| = 3.57 at t = 5: a rule that does not
+    # cut the window at the transition misses it by more than 1e-10
+    cases.append((SmoothedIndicator(0.8, 1.5, 1e-3, 2), 5.0, np.array([[3.57, 0.0], [2.5, 2.5], [0.0, 1.5]])))
+    for prof, t, x in cases:
+        got = prof.heat_convolve(t)(x)
+        gap = np.max(np.abs(got - _gauss_legendre_radial(prof, t, np.linalg.norm(x, axis=1))))
+        assert gap <= 1e-10, (prof, t, gap)
+
+
+def test_radial_convolution_matches_quad_on_smooth_profiles():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        prof, t, x = _random_case(rng, 0.3)
+        x = x[:8]
+        gap = np.max(np.abs(prof.heat_convolve(t)(x) - _quad_radial(prof, t, np.linalg.norm(x, axis=1))))
+        assert gap <= 1e-14, (prof, t, gap)
+
+
+def test_radial_convolution_raises_when_tolerance_unreachable(monkeypatch):
+    conv = SmoothedIndicator(-0.6, 1.0, 0.3, 2).heat_convolve(0.4)
+    monkeypatch.setattr(profiles, "_QUAD_ABS_TOL", 1e-30)
+    with pytest.raises(SolverError):
+        conv(np.array([[0.5, 0.5], [2.0, 0.0]]))
+
+
+def test_radial_convolution_raises_when_rounding_exceeds_tolerance():
+    # at |value| near 2e5 the rounding floor 50 eps |value| is 2.2e-9, above the 1e-10 gate
+    with pytest.raises(SolverError):
+        SmoothedIndicator(-1.0e6, 1.0, 0.3, 2).heat_convolve(0.4)(np.ones(2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_convolution_keeps_input_shape(dim):
+    conv = SmoothedIndicator(-0.6, 1.0, 0.3, dim).heat_convolve(0.4)
+    x = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(2, 75, dim))  # more points than one block
+    single = np.array([[float(conv(p)) for p in row] for row in x])
+    assert conv(x[0, 0]).shape == ()
+    assert conv(x[0]).shape == (75,)
+    got = conv(x)
+    assert got.shape == (2, 75)
+    np.testing.assert_allclose(got, single, rtol=1e-14, atol=0.0)
+
+
+def test_gk21_rule_is_exact_on_polynomials():
+    nodes, weights = profiles._GK21_NODES, profiles._GK21_WEIGHTS
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(nodes**k @ weights[:, 0] - exact) <= 1e-15
+        if k < 20:
+            assert abs(nodes**k @ weights[:, 1] - exact) <= 1e-15
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(10)
+    used = weights[:, 1] > 0
+    np.testing.assert_allclose(nodes[used], gauss_nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(weights[used, 1], gauss_weights, rtol=0.0, atol=1e-15)

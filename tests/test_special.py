@@ -105,8 +105,8 @@ def test_exp_radial_integral_d3_quadrature():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.6 s of import time; the package needs only scipy.special
-    probe = "import sys, confheat; sys.exit('scipy.stats' in sys.modules)"
+    # scipy.stats costs about 0.6 s of import time and scipy.integrate about 20 ms; the package needs neither
+    probe = "import sys, confheat; sys.exit('scipy.stats' in sys.modules or 'scipy.integrate' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
