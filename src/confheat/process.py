@@ -1,8 +1,12 @@
 """Discretized independent-particle process and its path-regularity diagnostics.
 
-Every path comes from one sampler, ``_brownian_paths``, exact in law at grid
+Every path comes from one sampler, ``_path_blocks``, exact in law at grid
 times (Gaussian increments of variance 2 dt per coordinate), so continuity
-claims are probed by grid refinement rather than discretization analysis.
+claims are probed by grid refinement rather than discretization analysis.  It
+yields the replicas in consecutive blocks of at most ``rng.BLOCK_POINTS`` path
+points, written into one reused buffer, and every diagnostic reduces a block
+before it draws the next: memory is bounded by the block, not by the replica
+count, and the draws are those of one call for all replicas.
 Diagnostics cover: the time-t slice against the exact one-step law (one-sample
 Kolmogorov-Smirnov), B_n continuity along paths, the oscillation bound
 2 tau(delta, r/4), and collision behavior (d >= 2 fractions decreasing in
@@ -19,11 +23,13 @@ from scipy.special import kolmogorov, ndtr
 from .errors import CapacityError
 from .kernel import HeatKernelParams, tail_mass, tau
 from .points import Configuration
-from .rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, substream
+from .rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, block_rows, substream
 from .special import binomial_se, sq_dist
 
 PATH_CAPACITY = 100_000_000
-BATCH_POINTS = 4_000_000  # path points one collision or marginal batch holds
+#: path points of one collision batch, the unit of its stream: a batch's uniforms
+#: follow its normals.  Memory is bounded by the path blocks and the kept d = 1 paths.
+BATCH_POINTS = 4_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
 #: one replica's substeps^2 pairwise differences fit in one oscillation batch
 OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
@@ -72,28 +78,32 @@ def _steps_for(horizon: float, dt: float) -> int:
     return steps
 
 
-def _brownian_paths(rng, start: np.ndarray, steps: int, dt: float, m: int) -> np.ndarray:
-    """m replicas of Brownian paths from the rows of ``start`` (n, dim) on the
-    grid 0, dt, ..., steps * dt, shape (m, n, steps + 1, dim)."""
-    n, dim = start.shape
-    paths = np.empty((m, n, steps + 1, dim))
-    paths[:, :, 0, :] = start
-    inc = rng.standard_normal((m, n, steps, dim))
-    inc *= math.sqrt(2.0 * dt)
-    np.cumsum(inc, axis=2, out=paths[:, :, 1:, :])
-    paths[:, :, 1:, :] += start[:, None, :]
-    return paths
+def _path_blocks(rng, start: np.ndarray, steps: int, dt: float, replicas: int):
+    """Brownian paths of ``replicas`` replicas from the rows of ``start`` (n, dim)
+    on the grid 0, dt, ..., steps * dt, in consecutive blocks.
 
-
-def _map_path_batches(fn, rng, start: np.ndarray, steps: int, dt: float, replicas: int, batch: int) -> list:
-    """fn of each batch of at most ``batch`` (>= 1) of ``replicas`` replicas of
-    ``_brownian_paths``, in draw order; fn may draw from ``rng`` too.  Each
-    batch is freed before the next is drawn, so memory holds one at a time."""
+    Yields (offset, paths): paths has shape (b, n, steps + 1, dim) and holds
+    replicas offset .. offset + b - 1, at most ``BLOCK_POINTS`` path points and
+    one replica at least.  Every block is written into the same buffers, so it
+    is read-only and must be reduced before the next is asked for.
+    ``standard_normal`` fills its output in replica-major order, so the draws
+    are those of one call for all replicas, whatever the block size.
+    """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    batch = max(1, batch)
-    return [fn(_brownian_paths(rng, start, steps, dt, min(batch, replicas - done)))
-            for done in range(0, replicas, batch)]
+    n, dim = start.shape
+    rows = min(replicas, block_rows(n * (steps + 1)))
+    paths = np.empty((rows, n, steps + 1, dim))
+    paths[:, :, 0, :] = start
+    inc = np.empty((rows, n, steps, dim))
+    scale = math.sqrt(2.0 * dt)
+    for offset in range(0, replicas, rows):
+        step, block = inc[:replicas - offset], paths[:replicas - offset]
+        rng.standard_normal(out=step)
+        step *= scale
+        np.cumsum(step, axis=2, out=block[:, :, 1:, :])
+        block[:, :, 1:, :] += start[:, None, :]
+        yield offset, block
 
 
 def simulate_paths(
@@ -112,9 +122,9 @@ def simulate_paths(
     start = gamma.expand()
     if start.size * (steps + 1) > PATH_CAPACITY:
         raise CapacityError("path array exceeds capacity")
-    paths = _brownian_paths(substream(seed, TAG_PATHS, replica), start, steps, dt, 1)[0]
+    _, paths = next(_path_blocks(substream(seed, TAG_PATHS, replica), start, steps, dt, 1))
     times = np.arange(steps + 1) * dt
-    return PathBundle(gamma.dim, dt, steps * dt, times, paths, seed)
+    return PathBundle(gamma.dim, dt, steps * dt, times, paths[0], seed)
 
 
 @dataclass(frozen=True)
@@ -208,14 +218,22 @@ def oscillation_check(
     delta = b - a
     np.asarray(start, dtype=float).reshape(dim)
 
-    def exceedances(paths):
-        pos = paths[:, 0]
-        diam = np.sqrt(np.max(sq_dist(pos[:, :, None, :], pos[:, None, :, :]), axis=(1, 2)))
-        return int(np.sum(diam > r))
-
     # the pairwise squared distances hold substeps^2 points per replica
-    exceed = sum(_map_path_batches(exceedances, substream(seed, TAG_OSCILLATION), np.zeros((1, dim)),
-                                   substeps, delta / substeps, replicas, PAIR_POINTS // (substeps * substeps)))
+    pair_rows = max(1, PAIR_POINTS // (substeps * substeps))
+    exceed = 0
+    for _, paths in _path_blocks(substream(seed, TAG_OSCILLATION), np.zeros((1, dim)), substeps,
+                                 delta / substeps, replicas):
+        pos = paths[:, 0]
+        if dim == 1:
+            # rounded subtraction is monotone in each argument and squaring on [0, inf),
+            # so the largest pairwise square is the square of max - min, bit for bit
+            spread = pos[..., 0].max(axis=1) - pos[..., 0].min(axis=1)
+            exceed += int(np.sum(np.sqrt(spread * spread) > r))
+            continue
+        for k in range(0, len(pos), pair_rows):
+            part = pos[k:k + pair_rows]
+            diam = np.sqrt(np.max(sq_dist(part[:, :, None, :], part[:, None, :, :]), axis=(1, 2)))
+            exceed += int(np.sum(diam > r))
     p_hat = exceed / replicas
     se = binomial_se(p_hat, replicas)
     bound = 2.0 * tau(dim, delta, r / 4.0)
@@ -255,35 +273,46 @@ def collision_report(
     n = start.shape[0]
     if n < 2:
         raise ValueError("collision diagnostics need at least 2 particles")
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
     steps = _steps_for(horizon, dt)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng = substream(seed, TAG_COLLISION)
-
-    def min_distance_and_crossing(pos):
-        # sqrt is monotone, so the minimum distance is the root of the minimum square
-        dmin_sq = np.full(len(pos), np.inf)
-        cross = np.zeros(len(pos), dtype=bool)
+    dmin_sq = np.full(replicas, np.inf)
+    cross = np.zeros(replicas, dtype=bool)
+    batch = max(1, BATCH_POINTS // (n * (steps + 1)))
+    for lo in range(0, replicas, batch):
+        kept = []  # d = 1, per path block: (offset, size, rows, positions) of the rows where no pair changed sign
+        for offset, paths in _path_blocks(rng, start, steps, dt, min(batch, replicas - lo)):
+            offset += lo
+            b = len(paths)
+            near, crossed = dmin_sq[offset:offset + b], cross[offset:offset + b]
+            for i, j in pairs:
+                if gamma.dim != 1:
+                    np.minimum(near, sq_dist(paths[:, i], paths[:, j]).min(axis=1), out=near)
+                    continue
+                d_line = paths[:, i, :, 0] - paths[:, j, :, 0]
+                np.minimum(near, (d_line * d_line).min(axis=1), out=near)
+                crossed |= np.any(d_line[:, :-1] * d_line[:, 1:] <= 0.0, axis=1)
+            if gamma.dim == 1:
+                rows = np.flatnonzero(~crossed)
+                kept.append((offset, b, rows, paths[rows, :, :, 0]))
+        # crossing is an OR over pairs, so a replica in which some pair changed sign
+        # has crossed whatever its bridges say; only the kept replicas not crossed by
+        # an earlier pair's bridge need the bridge probability exp(-prod / (2 dt)),
+        # and there every prod is > 0.  The uniforms are drawn for every replica, pair
+        # after pair, so the stream does not depend on which replicas have crossed.
         for i, j in pairs:
-            if gamma.dim != 1:
-                dmin_sq = np.minimum(dmin_sq, sq_dist(pos[:, i], pos[:, j]).min(axis=1))
-                continue
-            d_line = pos[:, i, :, 0] - pos[:, j, :, 0]
-            dmin_sq = np.minimum(dmin_sq, (d_line * d_line).min(axis=1))
-            prod = d_line[:, :-1] * d_line[:, 1:]
-            cross |= np.any(prod <= 0.0, axis=1)
-            # the uniforms are drawn for every replica so the stream does not depend
-            # on which replicas have crossed; only the others need the bridge
-            # probability exp(-prod / (2 dt)), and there every prod is > 0
-            u = rng.random(prod.shape)
-            live = ~cross
-            cross[live] = np.any(u[live] < np.exp(prod[live] / (-2.0 * dt)), axis=1)
-        return np.sqrt(dmin_sq), cross
-
-    batches = _map_path_batches(min_distance_and_crossing, rng, start, steps, dt, replicas,
-                                BATCH_POINTS // (n * (steps + 1)))
-    min_dist, crossed = (np.concatenate(parts) for parts in zip(*batches))
+            for offset, b, rows, pos in kept:
+                u = rng.random((b, steps))
+                live = ~cross[offset + rows]
+                d_line = pos[live, i] - pos[live, j]
+                cross[offset + rows[live]] = np.any(
+                    u[rows[live]] < np.exp(d_line[:, :-1] * d_line[:, 1:] / (-2.0 * dt)), axis=1)
+    # sqrt is monotone, so the minimum distance is the root of the minimum square
+    min_dist = np.sqrt(dmin_sq)
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
-    crossing = float(np.mean(crossed)) if gamma.dim == 1 else None
+    crossing = float(np.mean(cross)) if gamma.dim == 1 else None
     reference = None
     if gamma.dim == 1 and n == 2:
         gap = abs(float(start[0, 0] - start[1, 0]))
@@ -298,10 +327,10 @@ def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -
     """One-sample KS test of the time-t slice of single-particle paths against the
     exact law P(|xi| <= r) = 1 - tail_mass: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D)."""
     steps = _steps_for(t, dt)
-    batches = _map_path_batches(lambda paths: np.sqrt(sq_dist(paths[:, 0, -1, :])),
-                                substream(seed, TAG_MARGINAL), np.zeros((1, gamma_dim)), steps, dt, replicas,
-                                BATCH_POINTS // (steps + 1))
-    radii = np.sort(np.concatenate(batches))
+    radii = np.empty(replicas)
+    for offset, paths in _path_blocks(substream(seed, TAG_MARGINAL), np.zeros((1, gamma_dim)), steps, dt, replicas):
+        radii[offset:offset + len(paths)] = np.sqrt(sq_dist(paths[:, 0, -1, :]))
+    radii.sort()
     cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, t), radii)
     n = replicas
     d = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))

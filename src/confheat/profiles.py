@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import exprel, i0e
 
 from .errors import CapabilityError, SolverError
+from .kernel import HeatKernelParams
 from .special import sq_dist
 
 _QUAD_ABS_TOL = 1.0e-10
@@ -191,6 +192,7 @@ class SmoothedIndicator:
         return self.radial(_norms(x, self.ndim))
 
     def heat_convolve(self, t: float) -> "RadialHeatConvolution":
+        HeatKernelParams(self.ndim, t)
         return RadialHeatConvolution(self, t)
 
     def support_box(self, widths: float = 0.0):

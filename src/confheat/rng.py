@@ -3,7 +3,9 @@
 All Monte Carlo entry points derive their randomness from Philox streams keyed
 by (seed, path-of-integers).  Substreams for distinct paths are independent,
 and results assembled chunk-by-chunk are reduced in chunk order, so outputs do
-not depend on thread scheduling or thread count.
+not depend on thread scheduling or thread count.  Within a stream, samplers
+draw in blocks of ``block_rows`` rows into reused buffers; the blocks continue
+the stream as one draw would, so block size bounds memory and changes no value.
 """
 from __future__ import annotations
 
@@ -27,6 +29,10 @@ TAG_OSCILLATION = 19
 TAG_EXPERIMENT = 20
 TAG_MARGINAL = 21
 
+#: draws one sampling block holds: path points in ``process``, coordinates in
+#: ``semigroup.apply_mc``; blocks reuse one buffer, so this bounds their memory
+BLOCK_POINTS = 1 << 16
+
 
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN) & _MASK64
@@ -43,6 +49,12 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         state = _splitmix64(state ^ _splitmix64(p & _MASK64))
     key = np.array([state, _splitmix64(state)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def block_rows(points_per_row: int) -> int:
+    """Rows of ``points_per_row`` draws one block holds: BLOCK_POINTS of them,
+    and one row at least."""
+    return max(1, BLOCK_POINTS // max(1, points_per_row))
 
 
 def chunk_sizes(total: int, chunk: int) -> list[int]:

@@ -31,11 +31,12 @@ from .rng import (
     TAG_APPLY_MC,
     TAG_GENERATOR,
     TAG_INVARIANCE,
+    block_rows,
     chunk_sizes,
     map_chunks,
     substream,
 )
-from .special import ball_volume, exp_radial_integral, sq_dist
+from .special import ball_volume, exp_radial_integral, last_axis_sum, sq_dist
 
 DEFAULT_CHUNK = 4096
 
@@ -249,16 +250,25 @@ def apply_mc(
 
     Deterministic for a fixed seed, for any thread count: replica chunks draw
     from substreams keyed by (seed, chunk index) and are reduced in chunk order.
+    A chunk draws and evaluates its replicas in blocks of at most
+    ``BLOCK_POINTS`` coordinates in one reused buffer; the blocks continue the
+    chunk's stream, so the values are those of one draw for the whole chunk.
     """
     HeatKernelParams(gamma.dim, t)
     base = gamma.expand()
     scale = math.sqrt(2.0 * t)
 
     def sample(rng, m):
-        moved = rng.standard_normal((m, base.shape[0], gamma.dim))
-        moved *= scale
-        moved += base
-        return np.asarray(F.batch(moved), dtype=float)[None, :]
+        rows = min(m, block_rows(base.size))
+        moved = np.empty((rows, base.shape[0], gamma.dim))
+        values = np.empty((1, m))
+        for offset in range(0, m, rows):
+            block = moved[:m - offset]
+            rng.standard_normal(out=block)
+            block *= scale
+            block += base
+            values[0, offset:offset + len(block)] = F.batch(block)
+        return values
 
     (mean,), (se,) = _chunked_mean_se(sample, replicas, seed, TAG_APPLY_MC, threads, chunk)
     return SemigroupEstimate(
@@ -409,7 +419,7 @@ def outer_linear(a: float = 1.0) -> OuterFunction:
 def outer_exp_neg_sum(n_args: int = 1) -> OuterFunction:
     return OuterFunction(
         name=f"exp_neg_sum({n_args})",
-        fn=lambda v: np.exp(-np.sum(v, axis=-1)),
+        fn=lambda v: np.exp(-last_axis_sum(v)),
         grad=lambda v: -math.exp(-float(np.sum(v))) * np.ones(n_args),
         hess=lambda v: math.exp(-float(np.sum(v))) * np.ones((n_args, n_args)),
     )
@@ -477,7 +487,7 @@ class CylinderFunction(ConfigurationFunctional):
             raise ValueError("outer Hessian inconsistent with finite differences")
 
     def batch(self, positions):
-        v = np.stack([np.sum(phi(positions), axis=1) for phi in self.inner], axis=-1)
+        v = np.stack([last_axis_sum(phi(positions)) for phi in self.inner], axis=-1)
         return np.asarray(self.outer.fn(v), dtype=float)
 
     def generator_value(self, gamma: Configuration) -> float:

@@ -1,6 +1,6 @@
 """Geometry and statistics helpers shared by the closed-form and sampling routes.
 
-Squared distances along the coordinate axis, ball volumes, sphere areas, the
+Squared distances along the coordinate axis, sums along a short last axis, ball volumes, sphere areas, the
 radial integral of an exponential and the binomial standard error.  Incomplete
 gamma values, the normal distribution and the Kolmogorov distribution are
 taken from ``scipy.special`` directly (``gammainc`` here, ``gammaincc`` and
@@ -46,6 +46,24 @@ def sq_dist(x, y=None) -> np.ndarray:
             dst *= dst
         if k:
             out += term
+    return out
+
+
+def last_axis_sum(a) -> np.ndarray:
+    """``np.sum(a, axis=-1)``, bit for bit.
+
+    Below 8 entries numpy adds them one at a time, in order, to a start of 0.0,
+    and so does this, by whole-column adds: a (4096, 2) array takes about 6 us
+    this way against about 120 us in numpy's reduction, which pays per row.
+    From 8 entries on it is ``np.sum``, which then sums pairwise.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    if n >= 8:
+        return np.sum(a, axis=-1)
+    out = np.zeros(a.shape[:-1])
+    for k in range(n):
+        out += a[..., k]
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import ndtr
 
 import confheat.experiments
 import confheat.process
+import confheat.rng
 from confheat.errors import CapacityError
 from confheat.kernel import HeatKernelParams, tail_mass, tau
 from confheat.points import Configuration
@@ -23,7 +25,7 @@ from confheat.process import (
     oscillation_check,
     simulate_paths,
 )
-from confheat.rng import substream
+from confheat.rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, substream
 
 
 def cfg(points, dim=1, radius=None):
@@ -207,7 +209,7 @@ def _no_draws(*args, **kwargs):
 def test_oscillation_substeps_capped_before_drawing(monkeypatch):
     # past the cap one replica's substeps^2 pairwise differences alone pass PAIR_POINTS
     assert OSCILLATION_MAX_SUBSTEPS**2 <= PAIR_POINTS < (OSCILLATION_MAX_SUBSTEPS + 1) ** 2
-    monkeypatch.setattr(confheat.process, "_brownian_paths", _no_draws)
+    monkeypatch.setattr(confheat.process, "_path_blocks", _no_draws)
     with pytest.raises(CapacityError, match="substeps"):
         oscillation_check([0.0], 0.0, 0.01, r=1.0, replicas=10, seed=0, dim=1,
                           substeps=OSCILLATION_MAX_SUBSTEPS + 1)
@@ -251,3 +253,164 @@ def test_collision_validation():
     two = cfg([0.0, 1.0])
     with pytest.raises(ValueError):
         collision_report(two, 1.0, 0.1, 100, 0, (0.1, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# the block sampler against whole-batch oracles
+
+
+def _brownian_paths(rng, start, steps, dt, m):
+    """Oracle: m replicas of paths from one draw, shape (m, n, steps + 1, dim)."""
+    n, dim = start.shape
+    paths = np.empty((m, n, steps + 1, dim))
+    paths[:, :, 0, :] = start
+    inc = rng.standard_normal((m, n, steps, dim))
+    inc *= math.sqrt(2.0 * dt)
+    np.cumsum(inc, axis=2, out=paths[:, :, 1:, :])
+    paths[:, :, 1:, :] += start[:, None, :]
+    return paths
+
+
+def _collision_oracle(gamma, horizon, dt, replicas, seed, eps):
+    """Fractions and crossing fraction reduced over whole BATCH_POINTS batches of
+    paths, each batch's uniforms drawn after its normals, pair by pair."""
+    start = gamma.expand()
+    n, steps = start.shape[0], round(horizon / dt)
+    rng = substream(seed, TAG_COLLISION)
+    batch = max(1, confheat.process.BATCH_POINTS // (n * (steps + 1)))
+    dists, crossings = [], []
+    for done in range(0, replicas, batch):
+        pos = _brownian_paths(rng, start, steps, dt, min(batch, replicas - done))
+        dmin_sq = np.full(len(pos), np.inf)
+        cross = np.zeros(len(pos), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = pos[:, i] - pos[:, j]
+                dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
+                if gamma.dim == 1:
+                    prod = diff[:, :-1, 0] * diff[:, 1:, 0]
+                    cross |= np.any(prod <= 0.0, axis=1)
+                    u = rng.random(prod.shape)
+                    live = ~cross
+                    cross[live] = np.any(u[live] < np.exp(prod[live] / (-2.0 * dt)), axis=1)
+        dists.append(np.sqrt(dmin_sq))
+        crossings.append(cross)
+    min_dist, crossed = np.concatenate(dists), np.concatenate(crossings)
+    fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
+    return fractions, (float(np.mean(crossed)) if gamma.dim == 1 else None)
+
+
+def _exceedance_oracle(dim, delta, r, replicas, seed, substeps):
+    """Replicas whose largest pairwise grid distance passes r, over batches of 100."""
+    rng = substream(seed, TAG_OSCILLATION)
+    count = 0
+    for done in range(0, replicas, 100):
+        pos = _brownian_paths(rng, np.zeros((1, dim)), substeps, delta / substeps, min(100, replicas - done))[:, 0]
+        diff = pos[:, :, None, :] - pos[:, None, :, :]
+        count += int(np.sum(np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2))) > r))
+    return count
+
+
+def _few_rows(monkeypatch, rows, points_per_row):
+    monkeypatch.setattr(confheat.rng, "BLOCK_POINTS", rows * points_per_row + 1)
+
+
+def test_path_blocks_reproduce_one_draw(monkeypatch):
+    start = np.array([[0.0, 1.0], [-0.5, 0.2], [2.0, 2.0]])
+    steps, dt, replicas = 5, 0.03, 17
+    want = _brownian_paths(substream(4, 1), start, steps, dt, replicas)
+    for rows in (1, 4, 17, 100):
+        _few_rows(monkeypatch, rows, 3 * (steps + 1))
+        blocks = [(offset, paths.copy())
+                  for offset, paths in confheat.process._path_blocks(substream(4, 1), start, steps, dt, replicas)]
+        assert [offset for offset, _ in blocks] == list(range(0, replicas, min(rows, replicas)))
+        assert all(len(paths) <= rows for _, paths in blocks)
+        assert np.array_equal(np.concatenate([paths for _, paths in blocks]), want)
+    gamma = cfg([0.0, 0.3, -1.0])
+    bundle = simulate_paths(gamma, 0.5, 0.01, seed=8, replica=5)
+    assert np.array_equal(bundle.paths, _brownian_paths(substream(8, TAG_PATHS, 5), gamma.expand(), 50, 0.01, 1)[0])
+
+
+COLLISION_CASES = {
+    "d1-two": (cfg([0.0, 0.1]), 3001),
+    "d1-far": (cfg([0.0, 3.0, 6.0, 9.0]), 1201),  # nothing crosses: every path is kept
+    "d1-mixed": (cfg([0.0, 0.15, 0.3, 2.0]), 1201),
+    "d2": (cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), 1201),
+}
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
+def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
+    gamma, replicas = COLLISION_CASES[case]
+    horizon, dt, eps = 0.2, 0.01, (0.3, 0.1, 0.02)
+    n = gamma.expand().shape[0]
+    if small:
+        # several stream batches of 7 replicas, each in path blocks of 3 (the last of 1)
+        monkeypatch.setattr(confheat.process, "BATCH_POINTS", 7 * n * 21)
+        _few_rows(monkeypatch, 3, n * 21)
+    rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
+    fractions, crossing = _collision_oracle(gamma, horizon, dt, replicas, 21, eps)
+    assert rep.fractions == fractions
+    assert rep.crossing_fraction == crossing
+    if gamma.dim == 1:
+        assert 0.0 < crossing < 1.0 or case == "d1-far"
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_marginal_radii_equal_one_draw(monkeypatch, rows):
+    seen = []
+
+    def recording_tail_mass(params, r):
+        seen.append(np.array(r))
+        return tail_mass(params, r)
+
+    monkeypatch.setattr(confheat.process, "tail_mass", recording_tail_mass)
+    for dim, t, dt, n, seed in [(1, 0.3, 0.01, 2003, 1), (2, 0.2, 0.05, 1001, 2), (3, 0.1, 0.1, 50, 3)]:
+        steps = round(t / dt)
+        if rows:
+            _few_rows(monkeypatch, rows, steps + 1)
+        marginal_ks(dim, t, dt, replicas=n, seed=seed)
+        paths = _brownian_paths(substream(seed, TAG_MARGINAL), np.zeros((1, dim)), steps, dt, n)
+        assert np.array_equal(seen.pop(), np.sort(np.sqrt(np.sum(paths[:, 0, -1] ** 2, axis=-1))))
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_oscillation_exceedances_equal_pairwise_oracle(monkeypatch, rows):
+    # d = 1 takes max - min per replica, d = 2 the pairwise route; both must count what the pairwise maximum counts
+    draw = np.random.default_rng(160)
+    for k in range(6):
+        dim = 1 if k < 4 else 2
+        substeps = int(draw.choice([64, 65, 100]))
+        delta = float(np.exp(draw.uniform(np.log(1e-3), np.log(1.0))))
+        r = float(draw.uniform(1.5, 4.0)) * math.sqrt(2.0 * delta)
+        replicas = int(draw.integers(400, 1600))
+        seed = int(draw.integers(1 << 30))
+        if rows:
+            _few_rows(monkeypatch, rows, substeps + 1)
+        replicas += replicas % confheat.rng.block_rows(substeps + 1) == 0  # the last block is ragged
+        rep = oscillation_check([0.0] * dim, 0.0, delta, r, replicas, seed, dim, substeps=substeps)
+        want = _exceedance_oracle(dim, delta, r, replicas, seed, substeps)
+        assert 0 < want < replicas
+        assert rep.empirical == want / replicas
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_collision_memory_is_bounded_by_blocks():
+    # the collision_1d battery config: 10 000 replicas of 2 paths of 1001 points (a whole batch held 79 MB)
+    peak = _traced_peak(lambda: collision_report(cfg([0.0, 0.1]), 1.0, 1e-3, 10_000, 115, (0.05,)))
+    assert peak < 16e6
+
+
+def test_marginal_memory_is_bounded_by_blocks():
+    # the process battery config: 10 000 replicas of 1001 points (a whole batch held 61 MB)
+    peak = _traced_peak(lambda: marginal_ks(1, 1.0, 1e-3, 10_000, 112))
+    assert peak < 8e6

@@ -265,3 +265,10 @@ def test_gk21_rule_is_exact_on_polynomials():
     used = weights[:, 1] > 0
     np.testing.assert_allclose(nodes[used], gauss_nodes, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(weights[used, 1], gauss_weights, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_radial_convolution_rejects_nonpositive_time(t):
+    # t = 0 used to return 0 at every point and t < 0 a bare math domain error
+    with pytest.raises(ValueError, match="t must be a positive finite real"):
+        SmoothedIndicator(-0.5, 1.0, 0.2, 2).heat_convolve(t)

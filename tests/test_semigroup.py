@@ -9,6 +9,7 @@ from confheat.harmonic import k_transform, product_kernel, verify_d_class
 from confheat.kernel import HeatKernelParams, tail_mass
 from confheat.points import Configuration, uniform_ball
 from confheat.profiles import GaussianBump, SmoothedIndicator
+import confheat.rng
 from confheat.rng import TAG_APPLY_MC, TAG_INVARIANCE, chunk_sizes, substream
 from confheat.semigroup import (
     DEFAULT_CHUNK,
@@ -29,6 +30,7 @@ from confheat.semigroup import (
     generator_residual,
     invariance_test,
     lift_kernel,
+    outer_exp_neg_sum,
     outer_linear,
 )
 from confheat.special import ball_volume
@@ -124,6 +126,33 @@ def test_apply_mc_se_stable_for_tiny_variance():
     assert est.mean == pytest.approx(vals.mean(), rel=1e-14)
     assert est.std_error == pytest.approx(np.std(vals, ddof=1) / math.sqrt(replicas), rel=1e-6)
     assert est.std_error > 0.0
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_apply_mc_blocks_equal_whole_chunk_draws(monkeypatch, rows):
+    # oracle: every chunk drawn and evaluated at once; the blocks must not change a bit
+    gamma = cfg([[0.0, 0.5], [1.0, -0.2], [0.3, 0.3]], dim=2, radius=2.0)
+    t, replicas, seed = 0.4, 9001, 31
+    base, scale = gamma.expand(), math.sqrt(2.0 * t)
+    functionals = [ExpFunctional(GaussianBump(-0.4, (0.2, 0.0), 0.8)).functional(), WindowedCount(1.0),
+                   CylinderFunction(outer_exp_neg_sum(2), (SmoothBump(0.7, (0.0, 0.0), 0.6),
+                                                           SmoothBump(0.5, (0.4, 0.1), 0.9)))]
+
+    def whole_chunk(F):
+        def sample(rng, m):
+            moved = rng.standard_normal((m, base.shape[0], 2))
+            moved *= scale
+            moved += base
+            return np.asarray(F.batch(moved), dtype=float)[None, :]
+
+        return _chunked_mean_se(sample, replicas, seed, TAG_APPLY_MC, 1, DEFAULT_CHUNK)
+
+    if rows:
+        monkeypatch.setattr(confheat.rng, "BLOCK_POINTS", rows * base.size)
+    for F in functionals:
+        est = apply_mc(F, gamma, t, replicas, seed, threads=2)
+        (mean,), (se,) = whole_chunk(F)
+        assert (est.mean, est.std_error) == (float(mean), float(se))
 
 
 def test_apply_mc_empty_configuration():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from confheat.kernel import HeatKernelParams, tail_mass, tau
-from confheat.special import ball_volume, exp_radial_integral, sphere_area, sq_dist
+from confheat.special import ball_volume, exp_radial_integral, last_axis_sum, sphere_area, sq_dist
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -156,6 +156,20 @@ def test_sq_dist_agrees_to_ulps_on_longer_axes(dim):
     y = rng.standard_normal((1000, dim))
     np.testing.assert_allclose(sq_dist(x, y), np.sum((x - y) ** 2, axis=-1), rtol=4 * np.finfo(float).eps, atol=0)
     np.testing.assert_allclose(np.sqrt(sq_dist(x)), np.linalg.norm(x, axis=-1), rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_last_axis_sum_is_bitwise_numpy_sum(n):
+    rng = np.random.default_rng(400 + n)
+    for shape in [(n,), (1, n), (7, n), (4096, n), (20, 30, n), (0, n)]:
+        for _ in range(10):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 12, size=shape)
+            x[rng.random(shape) < 0.1] = -0.0  # numpy starts at +0.0, so all-negative-zero rows sum to +0.0
+            got, want = last_axis_sum(x), np.sum(x, axis=-1)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    transposed = rng.standard_normal((n, 50)).T  # a strided last axis
+    assert np.array_equal(last_axis_sum(transposed), np.sum(transposed, axis=-1))
 
 
 def test_sq_dist_rejects_mismatched_coordinate_axes():
