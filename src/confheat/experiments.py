@@ -3,7 +3,7 @@
 Every experiment consumes a validated config (experiment name, seed, replicas,
 params) and produces measurement rows plus a ternary verdict: pass, fail, or
 inconclusive (statistically underpowered, never masquerading as failure).  All
-randomness flows from counter-based substreams of the config seed.
+randomness flows from keyed substreams of the config seed.
 """
 from __future__ import annotations
 

@@ -6,11 +6,14 @@ claims are probed by grid refinement rather than discretization analysis.  It
 yields the replicas in consecutive blocks of at most ``rng.BLOCK_POINTS`` path
 points, written into one reused buffer, and every diagnostic reduces a block
 before it draws the next: memory is bounded by the block, not by the replica
-count, and the draws are those of one call for all replicas.
+count, and the draws are those of one call for all replicas.  The collision
+diagnostics read only pair differences, so they draw the n - 1 relative
+coordinates of the particles rather than all n paths.
 Diagnostics cover: the time-t slice against the exact one-step law (one-sample
 Kolmogorov-Smirnov), B_n continuity along paths, the oscillation bound
 2 tau(delta, r/4), and collision behavior (d >= 2 fractions decreasing in
-epsilon; d = 1 crossing fractions against the reflection value).
+epsilon; the d = 1 crossing fraction of two particles against the reflection
+value, decided by one bridge uniform per replica).
 """
 from __future__ import annotations
 
@@ -24,12 +27,9 @@ from .errors import CapacityError
 from .kernel import HeatKernelParams, tail_mass, tau
 from .points import Configuration
 from .rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, block_rows, substream
-from .special import binomial_se, sq_dist
+from .special import binomial_se, last_axis_sum, sq_dist
 
 PATH_CAPACITY = 100_000_000
-#: path points of one collision batch, the unit of its stream: a batch's uniforms
-#: follow its normals.  Memory is bounded by the path blocks and the kept d = 1 paths.
-BATCH_POINTS = 4_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
 #: one replica's substeps^2 pairwise differences fit in one oscillation batch
 OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
@@ -250,6 +250,20 @@ class CollisionReport:
     note: str
 
 
+def _helmert(n: int) -> np.ndarray:
+    """The n x (n - 1) Helmert basis of the complement of the all-ones vector.
+
+    Column k - 1 (k = 1 .. n - 1) holds 1/sqrt(k (k + 1)) on rows 0 .. k - 1,
+    -k/sqrt(k (k + 1)) on row k and 0 below; the columns are orthonormal.
+    """
+    h = np.zeros((n, n - 1))
+    for k in range(1, n):
+        norm = math.sqrt(k * (k + 1))
+        h[:k, k - 1] = 1.0 / norm
+        h[k, k - 1] = -k / norm
+    return h
+
+
 def collision_report(
     gamma: Configuration,
     horizon: float,
@@ -259,12 +273,22 @@ def collision_report(
     epsilon_list,
 ) -> CollisionReport:
     """Fractions of replicas whose minimum pairwise distance over the grid drops
-    below each epsilon; for d = 1 additionally the pair-crossing fraction.
+    below each epsilon; for d = 1 with two particles also the crossing fraction.
 
+    The statistics read only pair differences, so the paths are drawn in
+    relative coordinates: with H the Helmert basis of the complement of the
+    all-ones vector, the centred displacements are H W for n - 1 independent
+    Brownian paths W from 0 (variance 2 dt per coordinate and step), which is
+    exact in law, and X_i - X_j = x_i - x_j + (H_i - H_j) W; two particles need
+    one path, X_1 - X_2 = x_1 - x_2 + sqrt(2) W.
     Min-distance detection is grid-based (between-grid near misses are not
-    counted; the note says so).  The d = 1 crossing indicator is made exact in
-    law by sampling the Brownian-bridge crossing probability
-    exp(-d_i d_{i+1} / (2 dt)) on every same-sign step of each pair difference.
+    counted; the note says so).  For d = 1 and n = 2 the crossing indicator is
+    exact in law: a replica whose difference D changed sign on the grid has
+    crossed, and one that did not crossed between grid times with probability
+    1 - prod_k (1 - exp(-D_k D_{k+1} / (2 dt))), the step bridges being
+    independent given the grid; one uniform per replica decides.  For n >= 3
+    pairs that share a particle have dependent bridges, so no crossing fraction
+    is reported.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
@@ -276,51 +300,58 @@ def collision_report(
     if replicas < 1:
         raise ValueError("replicas must be positive")
     steps = _steps_for(horizon, dt)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng = substream(seed, TAG_COLLISION)
+    h = _helmert(n)
+    # X_i - X_j = (x_i - x_j) + sum_k c_k W_k with c = H[i] - H[j] and W from 0, so time 0 holds the
+    # start gap exactly; rows i < j of H agree on the columns past j - 1
+    pairs = [(start[i] - start[j], [(k, float(h[i, k] - h[j, k])) for k in np.flatnonzero(h[i] != h[j])])
+             for i in range(n) for j in range(i + 1, n)]
+    crossing = gamma.dim == 1 and n == 2
+    if crossing:
+        bridge, cross = substream(seed, TAG_COLLISION, 1), np.empty(replicas, dtype=bool)
     dmin_sq = np.full(replicas, np.inf)
-    cross = np.zeros(replicas, dtype=bool)
-    batch = max(1, BATCH_POINTS // (n * (steps + 1)))
-    for lo in range(0, replicas, batch):
-        kept = []  # d = 1, per path block: (offset, size, rows, positions) of the rows where no pair changed sign
-        for offset, paths in _path_blocks(rng, start, steps, dt, min(batch, replicas - lo)):
-            offset += lo
-            b = len(paths)
-            near, crossed = dmin_sq[offset:offset + b], cross[offset:offset + b]
-            for i, j in pairs:
-                if gamma.dim != 1:
-                    np.minimum(near, sq_dist(paths[:, i], paths[:, j]).min(axis=1), out=near)
-                    continue
-                d_line = paths[:, i, :, 0] - paths[:, j, :, 0]
-                np.minimum(near, (d_line * d_line).min(axis=1), out=near)
-                crossed |= np.any(d_line[:, :-1] * d_line[:, 1:] <= 0.0, axis=1)
-            if gamma.dim == 1:
+    diff = term = None  # one pair difference and, for n >= 3, one of its terms: (rows, steps + 1, dim)
+    for offset, paths in _path_blocks(substream(seed, TAG_COLLISION), np.zeros((n - 1, gamma.dim)), steps, dt,
+                                      replicas):
+        b = len(paths)
+        if diff is None:  # the first block is the largest
+            diff = np.empty((b, steps + 1, gamma.dim))
+            term = np.empty_like(diff) if n > 2 else diff
+        near, d, t = dmin_sq[offset:offset + b], diff[:b], term[:b]
+        for gap, coeffs in pairs:
+            for m, (k, c) in enumerate(coeffs):
+                np.multiply(paths[:, k], c, out=t if m else d)
+                if m:
+                    d += t
+            d += gap
+            if crossing:  # the one pair of two particles
+                u = bridge.random(b)
+                prod = d[:, :-1, 0] * d[:, 1:, 0]
+                crossed = cross[offset:offset + b]
+                np.any(prod <= 0.0, axis=1, out=crossed)
                 rows = np.flatnonzero(~crossed)
-                kept.append((offset, b, rows, paths[rows, :, :, 0]))
-        # crossing is an OR over pairs, so a replica in which some pair changed sign
-        # has crossed whatever its bridges say; only the kept replicas not crossed by
-        # an earlier pair's bridge need the bridge probability exp(-prod / (2 dt)),
-        # and there every prod is > 0.  The uniforms are drawn for every replica, pair
-        # after pair, so the stream does not depend on which replicas have crossed.
-        for i, j in pairs:
-            for offset, b, rows, pos in kept:
-                u = rng.random((b, steps))
-                live = ~cross[offset + rows]
-                d_line = pos[live, i] - pos[live, j]
-                cross[offset + rows[live]] = np.any(
-                    u[rows[live]] < np.exp(d_line[:, :-1] * d_line[:, 1:] / (-2.0 * dt)), axis=1)
+                q = prod[rows]
+                q /= -2.0 * dt
+                np.exp(q, out=q)
+                np.negative(q, out=q)
+                with np.errstate(divide="ignore"):
+                    np.log1p(q, out=q)
+                crossed[rows] = u[rows] >= np.exp(q.sum(axis=1))
+            # squared in place and summed in coordinate order: sq_dist(d) bit for bit, without its buffers
+            d *= d
+            np.minimum(near, last_axis_sum(d).min(axis=1), out=near)
     # sqrt is monotone, so the minimum distance is the root of the minimum square
     min_dist = np.sqrt(dmin_sq)
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
-    crossing = float(np.mean(cross)) if gamma.dim == 1 else None
-    reference = None
-    if gamma.dim == 1 and n == 2:
+    note = "min-distance fractions are grid-based; between-grid near misses are not counted"
+    if crossing:
         gap = abs(float(start[0, 0] - start[1, 0]))
         reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
-    note = "min-distance fractions are grid-based; between-grid near misses are not counted"
-    if gamma.dim == 1:
         note += "; crossing fraction uses the exact Brownian-bridge correction"
-    return CollisionReport(tuple(eps), fractions, crossing, reference, replicas, note)
+        return CollisionReport(tuple(eps), fractions, float(np.mean(cross)), reference, replicas, note)
+    if gamma.dim == 1:
+        note += ("; no crossing fraction: with 3 or more particles, pairs sharing a particle have "
+                 "dependent bridges, so per-pair bridge draws would not be exact in law")
+    return CollisionReport(tuple(eps), fractions, None, None, replicas, note)
 
 
 def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -> tuple[float, float]:

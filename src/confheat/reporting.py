@@ -13,13 +13,13 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 CSV_COLUMNS = ("experiment", "measurement", "value", "std_error", "bound", "verdict", "note")
 
 
 def jsonable(value: Any) -> Any:
     """Recursively convert to JSON-serializable values with stable float text."""
-    import numpy as np
-
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -42,6 +42,12 @@ def jsonable(value: Any) -> Any:
 def format_cell(value: Any) -> str:
     if value is None:
         return ""
+    # numpy scalars are written as the Python numbers they hold: under numpy 2 the
+    # repr of np.float64(3.5) is "np.float64(3.5)"
+    if isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"

@@ -1,11 +1,13 @@
-"""Counter-based random streams.
+"""Keyed random streams.
 
-All Monte Carlo entry points derive their randomness from Philox streams keyed
-by (seed, path-of-integers).  Substreams for distinct paths are independent,
-and results assembled chunk-by-chunk are reduced in chunk order, so outputs do
-not depend on thread scheduling or thread count.  Within a stream, samplers
-draw in blocks of ``block_rows`` rows into reused buffers; the blocks continue
-the stream as one draw would, so block size bounds memory and changes no value.
+All Monte Carlo entry points derive their randomness from PCG64DXSM streams
+keyed by (seed, path-of-integers): the path is folded into a 64-bit state by
+splitmix64, and the state seeds the generator through ``SeedSequence``, whose
+hashing spreads distinct keys over unrelated generator states.  Results assembled
+chunk-by-chunk are reduced in chunk order, so outputs do not depend on thread
+scheduling or thread count.  Within a stream, samplers draw in blocks of
+``block_rows`` rows into reused buffers; the blocks continue the stream as one
+draw would, so block size bounds memory and changes no value.
 """
 from __future__ import annotations
 
@@ -43,12 +45,11 @@ def _splitmix64(x: int) -> int:
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic Philox generator keyed by the seed and an integer path."""
+    """Deterministic PCG64DXSM generator keyed by the seed and an integer path."""
     state = _splitmix64(seed & _MASK64)
     for p in path:
         state = _splitmix64(state ^ _splitmix64(p & _MASK64))
-    key = np.array([state, _splitmix64(state)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([state, _splitmix64(state)])))
 
 
 def block_rows(points_per_row: int) -> int:

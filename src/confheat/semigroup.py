@@ -9,7 +9,7 @@ exponential product, the K-polynomial and the cylinder functions, each
 written once and evaluated by apply_mc, invariance_test and
 generator_residual alike.  Every Monte Carlo estimate
 (apply_mc, invariance_test, generator_residual) goes through one chunked
-estimator: each chunk draws from its own counter-based substream and reduces
+estimator: each chunk draws from its own keyed substream and reduces
 to a count, mean and centred sum of squares, and the chunks are merged in
 chunk order.  Results are reproducible, independent of thread count, and
 stable when the variance is tiny next to the mean.

@@ -27,13 +27,13 @@ def sq_dist(x, y=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    if y is None:
-        shape = x.shape[:-1]
-    else:
+    shape = x.shape[:-1]
+    if y is not None:
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != d:
             raise ValueError(f"coordinate axes differ: {x.shape} and {y.shape}")
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        if y.shape != x.shape:  # equal shapes need no broadcast (it costs more than the sum on small arrays)
+            shape = np.broadcast_shapes(shape, y.shape[:-1])
     out = np.empty(shape) if d else np.zeros(shape)
     term = np.empty(shape) if d > 1 else None
     for k in range(d):

@@ -26,6 +26,7 @@ from confheat.process import (
     simulate_paths,
 )
 from confheat.rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, substream
+from confheat.special import binomial_se
 
 
 def cfg(points, dim=1, radius=None):
@@ -113,11 +114,13 @@ def test_marginal_ks_p_value_against_kolmogorov_series(monkeypatch):
 
 
 def test_marginal_ks_detects_ten_percent_variance_error(monkeypatch):
-    # the exact CDF of a heat step with 10% too much variance (2.2 t per coordinate); at this effect
-    # size the d = 1 p-value lies near 1e-6 across seeds (median 3e-6 over seeds 0-39), d = 2 far below
+    # the exact CDF of a heat step with 10% too much variance (2.2 t per coordinate).  At 10^4 replicas
+    # the d = 1 p-value lies near 1e-6 across seeds (median 2e-6 over seeds 0-39, under 1e-6 for 45%);
+    # at 10^5 replicas of one step it is below 1e-39 for every one of them.  d = 2 at 10^4 replicas of
+    # ten steps stays below 2e-8 over seeds 0-39.
     monkeypatch.setattr(confheat.process, "tail_mass",
                         lambda params, r: tail_mass(HeatKernelParams(params.dim, 1.1 * params.t), r))
-    _, p = marginal_ks(1, 0.2, 0.2, replicas=10000, seed=5)
+    _, p = marginal_ks(1, 0.2, 0.2, replicas=100_000, seed=5)
     assert p < 1e-6
     _, p2 = marginal_ks(2, 0.5, 0.05, replicas=10000, seed=6)
     assert p2 < 1e-6
@@ -271,33 +274,53 @@ def _brownian_paths(rng, start, steps, dt, m):
     return paths
 
 
+def _helmert(n):
+    """The n x (n - 1) Helmert basis in closed form: column k - 1 holds 1/sqrt(k (k + 1)) above row k
+    and -k/sqrt(k (k + 1)) on it."""
+    k = np.arange(1, n)
+    rows = np.arange(n)[:, None]
+    return np.where(rows < k, 1.0, np.where(rows == k, -k, 0.0)) / np.sqrt(k * (k + 1.0))
+
+
 def _collision_oracle(gamma, horizon, dt, replicas, seed, eps):
-    """Fractions and crossing fraction reduced over whole BATCH_POINTS batches of
-    paths, each batch's uniforms drawn after its normals, pair by pair."""
+    """Fractions and crossing fraction from one whole-batch draw of the n - 1 relative coordinates
+    W = H^T (X - x), each pair difference summed column by column onto its start gap, and one bridge
+    uniform per replica."""
     start = gamma.expand()
     n, steps = start.shape[0], round(horizon / dt)
-    rng = substream(seed, TAG_COLLISION)
-    batch = max(1, confheat.process.BATCH_POINTS // (n * (steps + 1)))
-    dists, crossings = [], []
-    for done in range(0, replicas, batch):
-        pos = _brownian_paths(rng, start, steps, dt, min(batch, replicas - done))
-        dmin_sq = np.full(len(pos), np.inf)
-        cross = np.zeros(len(pos), dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = pos[:, i] - pos[:, j]
-                dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
-                if gamma.dim == 1:
-                    prod = diff[:, :-1, 0] * diff[:, 1:, 0]
-                    cross |= np.any(prod <= 0.0, axis=1)
-                    u = rng.random(prod.shape)
-                    live = ~cross
-                    cross[live] = np.any(u[live] < np.exp(prod[live] / (-2.0 * dt)), axis=1)
-        dists.append(np.sqrt(dmin_sq))
-        crossings.append(cross)
-    min_dist, crossed = np.concatenate(dists), np.concatenate(crossings)
-    fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
-    return fractions, (float(np.mean(crossed)) if gamma.dim == 1 else None)
+    h = _helmert(n)
+    w = _brownian_paths(substream(seed, TAG_COLLISION), np.zeros((n - 1, gamma.dim)), steps, dt, replicas)
+    dmin_sq = np.full(replicas, np.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = sum((h[i, k] - h[j, k]) * w[:, k] for k in range(n - 1) if h[i, k] != h[j, k])
+            diff += start[i] - start[j]
+            dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
+    fractions = tuple(float(np.mean(np.sqrt(dmin_sq) < e)) for e in eps)
+    if gamma.dim != 1 or n != 2:
+        return fractions, None
+    prod = diff[:, :-1, 0] * diff[:, 1:, 0]
+    cross = np.any(prod <= 0.0, axis=1)
+    u = substream(seed, TAG_COLLISION, 1).random(replicas)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        keep = np.exp(np.sum(np.log1p(-np.exp(prod / (-2.0 * dt))), axis=1))
+    return fractions, float(np.mean(cross | (u >= keep)))
+
+
+def _full_coordinate_collisions(gamma, horizon, dt, replicas, rng, eps):
+    """Fractions and crossing fraction from all n paths of every replica, with one bridge uniform per
+    grid step: the route that simulates the particles themselves."""
+    start = gamma.expand()
+    n, steps = start.shape[0], round(horizon / dt)
+    pos = _brownian_paths(rng, start, steps, dt, replicas)
+    diffs = [pos[:, i] - pos[:, j] for i in range(n) for j in range(i + 1, n)]
+    min_dist = np.sqrt(np.min([np.sum(d * d, axis=-1).min(axis=1) for d in diffs], axis=0))
+    fractions = [float(np.mean(min_dist < e)) for e in eps]
+    if gamma.dim != 1:
+        return fractions, None
+    prod = diffs[0][:, :-1, 0] * diffs[0][:, 1:, 0]
+    return fractions, float(np.mean(np.any(rng.random(prod.shape) < np.exp(prod / (-2.0 * dt)), axis=1)
+                                    | np.any(prod <= 0.0, axis=1)))
 
 
 def _exceedance_oracle(dim, delta, r, replicas, seed, substeps):
@@ -333,7 +356,7 @@ def test_path_blocks_reproduce_one_draw(monkeypatch):
 
 COLLISION_CASES = {
     "d1-two": (cfg([0.0, 0.1]), 3001),
-    "d1-far": (cfg([0.0, 3.0, 6.0, 9.0]), 1201),  # nothing crosses: every path is kept
+    "d1-far": (cfg([0.0, 3.0, 6.0, 9.0]), 1201),  # few replicas come within epsilon
     "d1-mixed": (cfg([0.0, 0.15, 0.3, 2.0]), 1201),
     "d2": (cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), 1201),
 }
@@ -346,15 +369,55 @@ def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
     horizon, dt, eps = 0.2, 0.01, (0.3, 0.1, 0.02)
     n = gamma.expand().shape[0]
     if small:
-        # several stream batches of 7 replicas, each in path blocks of 3 (the last of 1)
-        monkeypatch.setattr(confheat.process, "BATCH_POINTS", 7 * n * 21)
-        _few_rows(monkeypatch, 3, n * 21)
+        # relative paths in blocks of 3 replicas (the last of 1)
+        _few_rows(monkeypatch, 3, (n - 1) * 21)
     rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
     fractions, crossing = _collision_oracle(gamma, horizon, dt, replicas, 21, eps)
     assert rep.fractions == fractions
     assert rep.crossing_fraction == crossing
-    if gamma.dim == 1:
-        assert 0.0 < crossing < 1.0 or case == "d1-far"
+    assert 0.0 < rep.fractions[-1] < 1.0
+    if case == "d1-two":
+        assert 0.0 < crossing < 1.0
+
+
+@pytest.mark.parametrize("case", ["d1-two", "d2-three"])
+def test_collision_report_agrees_in_law_with_full_coordinates(case):
+    # relative coordinates and one bridge uniform per replica against all n paths with one uniform per step
+    if case == "d1-two":
+        gamma, eps = cfg([0.0, 0.1]), (0.1, 0.05, 0.01)
+    else:
+        gamma, eps = cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), (0.3, 0.1, 0.02)
+    horizon, dt, replicas = 0.2, 0.01, 20_000
+    rep = collision_report(gamma, horizon, dt, replicas, seed=22, epsilon_list=eps)
+    fractions, crossing = _full_coordinate_collisions(gamma, horizon, dt, replicas, np.random.default_rng(22), eps)
+    pairs = list(zip(rep.fractions, fractions))
+    if case == "d1-two":
+        pairs.append((rep.crossing_fraction, crossing))
+    else:
+        assert rep.crossing_fraction is None
+    for got, want in pairs:
+        assert 0.0 < want < 1.0
+        assert abs(got - want) <= 4.0 * math.hypot(binomial_se(got, replicas), binomial_se(want, replicas))
+
+
+def test_helmert_basis_is_orthonormal_and_centres():
+    for n in range(2, 7):
+        h = confheat.process._helmert(n)
+        assert np.array_equal(h, _helmert(n))
+        assert np.allclose(h.T @ h, np.eye(n - 1), atol=1e-15)
+        assert np.allclose(h.sum(axis=0), 0.0, atol=1e-15)
+        x = np.random.default_rng(n).standard_normal((n, 2))
+        assert np.allclose(h @ (h.T @ x), x - x.mean(axis=0), atol=1e-14)
+
+
+def test_collision_d1_crossing_only_for_two_particles():
+    # with 3 or more particles, pairs that share a particle have dependent bridges given the grid
+    rep = collision_report(cfg([0.0, 0.1, 0.2]), 0.2, 0.01, replicas=50, seed=23, epsilon_list=(0.05,))
+    assert rep.crossing_fraction is None and rep.crossing_reference is None
+    assert "dependent bridges" in rep.note
+    assert 0.0 < rep.fractions[0] <= 1.0
+    two = collision_report(cfg([0.0, 0.1]), 0.2, 0.01, replicas=50, seed=23, epsilon_list=(0.05,))
+    assert two.crossing_fraction is not None and "dependent" not in two.note
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -383,12 +446,17 @@ def test_oscillation_exceedances_equal_pairwise_oracle(monkeypatch, rows):
         dim = 1 if k < 4 else 2
         substeps = int(draw.choice([64, 65, 100]))
         delta = float(np.exp(draw.uniform(np.log(1e-3), np.log(1.0))))
-        r = float(draw.uniform(1.5, 4.0)) * math.sqrt(2.0 * delta)
+        u = float(draw.uniform())
         replicas = int(draw.integers(400, 1600))
         seed = int(draw.integers(1 << 30))
         if rows:
             _few_rows(monkeypatch, rows, substeps + 1)
         replicas += replicas % confheat.rng.block_rows(substeps + 1) == 0  # the last block is ragged
+        # a path whose endpoint is past r exceeds r, so replicas * tau(delta, r) bounds the expected count
+        # from below; r lies between 1.5 sqrt(2 delta) and the radius where that bound is 10
+        radii = np.linspace(1.5, 6.0, 4501) * math.sqrt(2.0 * delta)
+        r_max = radii[np.flatnonzero(replicas * tau(dim, delta, radii) >= 10.0)[-1]]
+        r = radii[0] + u * (r_max - radii[0])
         rep = oscillation_check([0.0] * dim, 0.0, delta, r, replicas, seed, dim, substeps=substeps)
         want = _exceedance_oracle(dim, delta, r, replicas, seed, substeps)
         assert 0 < want < replicas

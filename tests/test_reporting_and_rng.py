@@ -1,13 +1,22 @@
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import confheat.experiments
+import confheat.harmonic
+import confheat.process
+import confheat.semigroup
+from confheat.experiments import EXPERIMENTS, validate_params
 from confheat.harmonic import elementary_symmetric
 from confheat.kernel import HeatKernelParams, density, density_at_distance
 from confheat.reporting import format_cell, jsonable, render_csv, render_json
-from confheat.rng import chunk_sizes, map_chunks, substream
+from confheat.rng import _MASK64, _splitmix64, chunk_sizes, map_chunks, substream
+
+CONFIG_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "configs"
 
 
 def test_elementary_symmetric_against_enumeration():
@@ -68,6 +77,18 @@ def test_format_cell_and_jsonable_nonfinite():
     assert out == {"a": "inf", "b": [1.5, 2], "c": [0, 1]}
 
 
+def test_format_cell_writes_numpy_scalars_as_python_numbers():
+    # np.float64 is a float, and numpy 2 writes its repr as "np.float64(3.13525)"
+    assert format_cell(np.float64(3.13525)) == "3.13525" == format_cell(3.13525)
+    assert format_cell(np.float64(0.1) + np.float64(0.2)) == repr(0.1 + 0.2)
+    assert format_cell(np.float32(0.5)) == "0.5"
+    assert format_cell(np.float64(np.inf)) == "inf" and format_cell(np.float64(np.nan)) == "nan"
+    assert format_cell(np.int64(20000)) == "20000" == format_cell(20000)
+    csv_text = render_csv("e", [{"measurement": "m", "value": np.float64(2.5), "std_error": np.int64(3),
+                                 "bound": np.float64(-1e-300)}], "pass")
+    assert csv_text.splitlines()[1] == "e,m,2.5,3,-1e-300,pass,"
+
+
 def test_render_csv_rfc4180_quoting():
     rows = [{"measurement": "m,1", "value": 1.25, "note": 'says "hi", twice'}]
     text = render_csv("exp", rows, "pass")
@@ -81,3 +102,68 @@ def test_render_json_sorted_and_stable():
     b = render_json({"a": {"y": math.inf, "z": 2.0}, "b": 1})
     assert a == b
     assert a.index('"a"') < a.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# the Philox route as oracle: every route drawn from substreams agrees in law with the same route on
+# the Philox4x64-10 generator that keyed the substreams before PCG64DXSM
+
+
+def _philox_substream(seed: int, *path: int) -> np.random.Generator:
+    """The Philox substream: the same splitmix64 state, used as Philox's 128-bit key."""
+    state = _splitmix64(seed & _MASK64)
+    for p in path:
+        state = _splitmix64(state ^ _splitmix64(p & _MASK64))
+    return np.random.Generator(np.random.Philox(key=np.array([state, _splitmix64(state)], dtype=np.uint64)))
+
+
+def test_philox_oracle_is_the_former_route():
+    # substream(5, 1, 2).standard_normal(2) when the substreams were Philox
+    assert _philox_substream(5, 1, 2).standard_normal(2).tolist() == [-0.8333087153457546, 1.5564528796995978]
+    assert not np.array_equal(substream(5, 1, 2).standard_normal(2), _philox_substream(5, 1, 2).standard_normal(2))
+
+
+def _shipped_rows(name: str, replicas: int) -> dict:
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    exp = EXPERIMENTS[doc["experiment"]]
+    errors = []
+    _, parsed = validate_params(exp.schema, doc["params"], errors)
+    assert not errors
+    return {row["measurement"]: row for row in exp.run(parsed, doc["seed"], replicas, 1).rows}
+
+
+def _marginal_rows(replicas: int) -> dict:
+    # the marginal of the process config at a coarser grid; sqrt(n) D has the Kolmogorov law under the
+    # null, whose standard deviation is sqrt(pi^2/12 - (pi/2) ln^2 2)
+    d, _ = confheat.process.marginal_ks(1, 1.0, 0.01, replicas, 112)
+    return {"D": {"value": d, "std_error": math.sqrt(math.pi**2 / 12 - math.pi / 2 * math.log(2) ** 2)
+                  / math.sqrt(replicas)}}
+
+
+#: route -> (rows of a run at test-sized replicas, the rows that carry a standard error)
+PHILOX_ROUTES = {
+    "apply_mc": (lambda: _shipped_rows("semigroup_exp", 20_000), ["mc_estimate"]),
+    "invariance_test": (lambda: _shipped_rows("invariance", 20_000), ["paired_difference"]),
+    # the quotient is the residual plus the generator value, which draws nothing
+    "generator_residual": (lambda: _shipped_rows("generator", 100_000), ["residual_t=0.1", "residual_t=0.05",
+                                                                        "residual_t=0.025"]),
+    "sample_poisson": (lambda: _shipped_rows("sample_poisson", 5_000), ["mean_count", "count_variance",
+                                                                      "mean_radius"]),
+    "tail_tau": (lambda: _shipped_rows("tail_tau", 20_000), ["tail_r=0.25", "tail_r=0.5", "tail_r=1", "tail_r=2"]),
+    "diffuse": (lambda: _shipped_rows("diffuse", 10_000), ["displacement_variance"]),
+    "marginal_ks": (lambda: _marginal_rows(5_000), ["D"]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(PHILOX_ROUTES))
+def test_routes_agree_with_philox_routes(monkeypatch, route):
+    run, names = PHILOX_ROUTES[route]
+    new = run()
+    for module in (confheat.experiments, confheat.harmonic, confheat.process, confheat.semigroup):
+        monkeypatch.setattr(module, "substream", _philox_substream)
+    old = run()
+    for name in names:
+        a, b = new[name], old[name]
+        assert a["value"] != b["value"], f"{name}: both routes drew the same values"
+        gap = abs(a["value"] - b["value"]) / math.hypot(a["std_error"], b["std_error"])
+        assert gap <= 4.0, f"{name}: {a['value']!r} vs Philox {b['value']!r} is {gap:.2f} combined SE apart"

@@ -148,6 +148,25 @@ def test_sq_dist_broadcasts_bitwise(dim):
     assert sq_dist(np.zeros((0, dim)), y[None, 0]).shape == (0,)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sq_dist_fast_path_on_small_shapes(monkeypatch, dim):
+    # equal shapes and a lone x skip the broadcast; unequal shapes still take it, with the same sums
+    calls = []
+    broadcast_shapes = np.broadcast_shapes
+    monkeypatch.setattr(np, "broadcast_shapes", lambda *shapes: calls.append(shapes) or broadcast_shapes(*shapes))
+    rng = np.random.default_rng(500 + dim)
+    for shape in [(dim,), (1, dim), (2, dim), (10, dim), (3, 4, dim)]:
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert np.array_equal(sq_dist(x, y), np.sum((x - y) ** 2, axis=-1))
+        assert np.array_equal(sq_dist(x), np.sum(x * x, axis=-1))
+        assert np.array_equal(sq_dist(list(x), y), np.sum((x - y) ** 2, axis=-1))
+    assert calls == []
+    x, y = rng.standard_normal((3, 1, dim)), rng.standard_normal((1, 4, dim))
+    assert np.array_equal(sq_dist(x, y), np.sum((x - y) ** 2, axis=-1))
+    assert np.array_equal(sq_dist(x, y[0, 0]), np.sum((x - y[0, 0]) ** 2, axis=-1))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("dim", range(1, 11))
 def test_sq_dist_agrees_to_ulps_on_longer_axes(dim):
     # from dim = 8 on numpy sums pairwise, so only rounding-level agreement is promised
