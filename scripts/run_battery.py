@@ -2,10 +2,11 @@
 """Run every experiment config in scripts/configs through the CLI.
 
 Writes reports under ./reports, prints one verdict line per experiment, and
-exits nonzero if anything fails.  --check-determinism runs the battery twice
-(second pass with --threads 4) and compares report bytes.  --against DIR
-compares this run's report bytes with the reports in DIR, for example the
-reports/ directory of another checkout run on the same machine.
+exits 1 if an experiment does not pass or a report comparison finds a
+difference; the two are counted and printed apart.  --check-determinism runs
+the battery twice (second pass with --threads 4) and compares report bytes.
+--against DIR compares this run's report bytes with the reports in DIR, for
+example the reports/ directory of another checkout run on the same machine.
 """
 from __future__ import annotations
 
@@ -20,16 +21,17 @@ from confheat.cli import main as confheat_main
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 
 
-def run_all(threads: int) -> int:
-    failures = 0
+def run_all(threads: int) -> set[str]:
+    """Run every config; return the names of those that did not pass."""
+    failed = set()
     pathlib.Path("reports").mkdir(exist_ok=True)
     for cfg in sorted(CONFIG_DIR.glob("*.json")):
         code = confheat_main(["run", str(cfg), "--threads", str(threads)])
         status = {0: "pass", 1: "FAIL", 2: "ERROR", 3: "inconclusive"}.get(code, f"exit {code}")
         print(f"{cfg.stem:<16} {status}")
         if code != 0:
-            failures += 1
-    return failures
+            failed.add(cfg.stem)
+    return failed
 
 
 def compare_reports(reference: pathlib.Path, current: pathlib.Path, label: str) -> int:
@@ -57,17 +59,20 @@ def main() -> int:
     if args.against is not None and not args.against.is_dir():
         parser.error(f"--against: {args.against} is not a directory")
 
-    failures = run_all(args.threads)
+    failed = run_all(args.threads)
+    mismatches = 0
     if args.check_determinism:
         shutil.rmtree("reports_first", ignore_errors=True)
         shutil.move("reports", "reports_first")
-        failures += run_all(max(args.threads, 4))
-        failures += compare_reports(pathlib.Path("reports_first"), pathlib.Path("reports"), "determinism check")
+        failed |= run_all(max(args.threads, 4))
+        mismatches += compare_reports(pathlib.Path("reports_first"), pathlib.Path("reports"), "determinism check")
     if args.against is not None:
-        failures += compare_reports(args.against, pathlib.Path("reports"), f"comparison against {args.against}")
-    if failures:
-        print(f"{failures} experiment(s) failed")
-    return 1 if failures else 0
+        mismatches += compare_reports(args.against, pathlib.Path("reports"), f"comparison against {args.against}")
+    if failed:
+        print(f"{len(failed)} experiment(s) failed")
+    if mismatches:
+        print(f"{mismatches} report comparison(s) found differences")
+    return 1 if failed or mismatches else 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from .kernel import (
     chapman_kolmogorov_residual,
     density,
     fit_condition_certificate,
-    sample_transition,
     tail_mass,
     tau,
     verify_dominating_bound,
@@ -17,6 +16,7 @@ from .points import (
     Window,
     as_multiset,
     diffuse,
+    poisson_points,
     sample_poisson,
     truncation_tail_bound,
 )
@@ -62,7 +62,6 @@ from .semigroup import (
 )
 from .process import (
     PathBundle,
-    bn_continuity_report,
     bn_refinement_medians,
     collision_report,
     marginal_ks,

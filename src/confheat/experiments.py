@@ -26,9 +26,8 @@ from .harmonic import (
     product_kernel,
 )
 from .kernel import HeatKernelParams, density, fit_condition_certificate, tail_mass, tau
-from .points import Configuration, Window, diffuse, sample_poisson
+from .points import Configuration, Window, diffuse, poisson_points, sample_poisson
 from .process import (
-    BN_REPLICA_CAPACITY,
     OSCILLATION_MAX_SUBSTEPS,
     _steps_for,
     bn_refinement_medians,
@@ -293,13 +292,9 @@ def run_sample_poisson(p, seed, replicas, threads):
     mean, var = counts.mean(), counts.var(ddof=1)
     se_mean = counts.std(ddof=1) / math.sqrt(replicas)
     se_var = math.sqrt((lam + 2 * lam * lam) / replicas)
-    n_pos = min(replicas, 2000)
-    radii = []
-    for _ in range(n_pos):
-        cfg = sample_poisson(win, dim, rng)
-        if cfg.n_sites:
-            radii.extend(np.sqrt(sq_dist(cfg.positions)))
-    radii = np.array(radii) if radii else np.array([0.0])
+    # the positions of at most 2000 replicas, so memory stays bounded when z*vol is large
+    _, pos = poisson_points(rng, min(replicas, 2000), win, dim)
+    radii = np.sqrt(sq_dist(pos)) if len(pos) else np.array([0.0])
     mean_radius = float(radii.mean())
     expected_radius = win.radius * dim / (dim + 1.0)
     se_radius = float(radii.std(ddof=1) / math.sqrt(len(radii))) if len(radii) > 1 else math.inf
@@ -539,9 +534,7 @@ def run_process(p, seed, replicas, threads):
 
 
 def run_oscillation(p, seed, replicas, threads):
-    rep = oscillation_check(
-        [0.0] * p["dim"], 0.0, p["delta"], p["r"], replicas, seed, p["dim"], substeps=p["substeps"]
-    )
+    rep = oscillation_check(p["dim"], p["delta"], p["r"], replicas, seed, substeps=p["substeps"])
     rows = [
         _se_row("exceedance_probability", rep.empirical, rep.std_error, bound=rep.bound,
                 note="one-sided vs 2 tau(delta, r/4)"),
@@ -744,8 +737,7 @@ _register(
         "dt_coarse": Field("float", 0.01, parse=_positive),
         "n": Field("int", 1, parse=_positive),
         "gamma": Field("dict", None, parse=_configuration),
-        "bn_replicas": Field("int", 100, parse=_require(lambda x: 1 <= x <= BN_REPLICA_CAPACITY,
-                                                       f"must lie in [1, {BN_REPLICA_CAPACITY}]")),
+        "bn_replicas": Field("int", 100, parse=_positive),
     },
     run_process,
     10000,

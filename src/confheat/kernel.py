@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
+from scipy.special import gammaincc
 
 #: relative / absolute tolerance for the Chapman-Kolmogorov identity check
 CK_REL_TOL = 1.0e-10
@@ -33,11 +33,6 @@ class HeatKernelParams:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not (isinstance(self.t, (int, float)) and math.isfinite(self.t) and self.t > 0):
             raise ValueError(f"t must be a positive finite real, got {self.t!r}")
-
-    @property
-    def step_variance(self) -> float:
-        """Per-coordinate displacement variance, 2t."""
-        return 2.0 * self.t
 
 
 @dataclass(frozen=True)
@@ -93,22 +88,6 @@ def density(params: HeatKernelParams, x, y) -> float:
     y = _as_point(y, params.dim)
     sq = float(np.dot(x - y, x - y))
     return (4.0 * math.pi * params.t) ** (-params.dim / 2.0) * math.exp(-sq / (4.0 * params.t))
-
-
-def density_at_distance(params: HeatKernelParams, r: float, t: float | None = None) -> float:
-    """p(t, x, y) as a function of r = |x - y| alone (radial form)."""
-    tt = params.t if t is None else t
-    if tt <= 0:
-        raise ValueError("time must be positive")
-    if r < 0:
-        raise ValueError("distance must be nonnegative")
-    return (4.0 * math.pi * tt) ** (-params.dim / 2.0) * math.exp(-r * r / (4.0 * tt))
-
-
-def sample_transition(params: HeatKernelParams, x, rng: np.random.Generator) -> np.ndarray:
-    """One draw from p_{t,x}: the start point plus an N(0, 2t I) displacement."""
-    x = _as_point(x, params.dim)
-    return x + math.sqrt(params.step_variance) * rng.standard_normal(params.dim)
 
 
 def tail_mass(params: HeatKernelParams, r):
@@ -251,8 +230,3 @@ def fit_condition_certificate(
         tail_c=margin * tail_c,
         tail_delta=tail_delta,
     )
-
-
-def gaussian_tail_1d(r: float, t: float) -> float:
-    """Two-sided normal tail 2*Phi-bar(r / sqrt(2t)); oracle form of tail_mass for d=1."""
-    return 2.0 * float(ndtr(-r / math.sqrt(2.0 * t)))

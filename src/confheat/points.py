@@ -4,6 +4,9 @@ A Configuration is the window restriction of a (possibly infinite) configuration
 positions inside B(0, R) with integer multiplicities.  Infinite configurations
 are represented by a finite window plus an analytic tail bound
 (truncation_tail_bound); nothing here ever claims to hold an infinite set.
+Poisson configurations come from one batched sampler, ``poisson_points``, which
+draws the counts of all replicas and then all their positions; ``diffuse``
+moves every particle of a configuration by one heat step in one normal draw.
 """
 from __future__ import annotations
 
@@ -181,12 +184,18 @@ def uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
     return g * (radii / norms)[:, None]
 
 
+def poisson_points(rng: np.random.Generator, m: int, window: Window, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """m independent Poisson point processes on B(0, R), as (counts, positions):
+    m Poisson(z*vol) counts, then the uniform positions of all their points in
+    replica order, shape (counts.sum(), dim)."""
+    counts = rng.poisson(window.intensity * ball_volume(dim, window.radius), size=m)
+    return counts, uniform_ball(rng, int(counts.sum()), dim, window.radius)
+
+
 def sample_poisson(window: Window, dim: int, rng: np.random.Generator) -> Configuration:
     """Poisson point process on B(0, R): Poisson(z*vol) count, uniform positions."""
-    mean = window.intensity * ball_volume(dim, window.radius)
-    n = int(rng.poisson(mean))
-    pos = uniform_ball(rng, n, dim, window.radius)
-    return Configuration(dim, pos, np.ones(n, dtype=np.int64), window.radius, window.intensity)
+    counts, pos = poisson_points(rng, 1, window, dim)
+    return Configuration(dim, pos, np.ones(counts[0], dtype=np.int64), window.radius, window.intensity)
 
 
 def default_pad(t: float, dim: int) -> float:

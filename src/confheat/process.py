@@ -6,11 +6,14 @@ claims are probed by grid refinement rather than discretization analysis.  It
 yields the replicas in consecutive blocks of at most ``rng.BLOCK_POINTS`` path
 points, written into one reused buffer, and every diagnostic reduces a block
 before it draws the next: memory is bounded by the block, not by the replica
-count, and the draws are those of one call for all replicas.  The collision
+count, and the draws are those of one call for all replicas.  Each diagnostic
+draws all its replicas from one substream; ``simulate_paths`` is the
+one-replica entry that returns the paths themselves.  The collision
 diagnostics read only pair differences, so they draw the n - 1 relative
 coordinates of the particles rather than all n paths.
 Diagnostics cover: the time-t slice against the exact one-step law (one-sample
-Kolmogorov-Smirnov), B_n continuity along paths, the oscillation bound
+Kolmogorov-Smirnov), B_n continuity along paths (the median largest B_n step
+increment shrinks as the grid is refined), the oscillation bound
 2 tau(delta, r/4), and collision behavior (d >= 2 fractions decreasing in
 epsilon; the d = 1 crossing fraction of two particles against the reflection
 value, decided by one bridge uniform per replica).
@@ -33,8 +36,6 @@ PATH_CAPACITY = 100_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
 #: one replica's substeps^2 pairwise differences fit in one oscillation batch
 OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
-#: replicas per grid level of bn_refinement_medians: level k draws streams k * cap + r
-BN_REPLICA_CAPACITY = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,34 +128,6 @@ def simulate_paths(
     return PathBundle(gamma.dim, dt, steps * dt, times, paths[0], seed)
 
 
-@dataclass(frozen=True)
-class BnContinuityReport:
-    n: int
-    b_values: np.ndarray
-    max_increment: float
-    lipschitz_bound_ok: bool
-
-
-def bn_values(bundle: PathBundle, n: int) -> np.ndarray:
-    """B_n evaluated at every grid time of the bundle."""
-    norms = np.sqrt(sq_dist(bundle.paths))
-    return np.exp(-norms / n).sum(axis=0)
-
-
-def bn_continuity_report(bundle: PathBundle, n: int) -> BnContinuityReport:
-    """Per-step increments of t -> B_n(omega(t)), with the deterministic
-    path-wise bound |Delta B_n| <= (1/n) * sum_k |Delta omega_k| checked."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    b = bn_values(bundle, n)
-    if bundle.n_steps == 0 or bundle.n_particles == 0:
-        return BnContinuityReport(n, b, 0.0, True)
-    increments = np.abs(np.diff(b))
-    step_moves = np.sqrt(sq_dist(bundle.paths[:, 1:], bundle.paths[:, :-1])).sum(axis=0)
-    ok = bool(np.all(increments <= step_moves / n + 1.0e-12))
-    return BnContinuityReport(n, b, float(increments.max()), ok)
-
-
 def bn_refinement_medians(
     gamma: Configuration,
     horizon: float,
@@ -166,19 +139,30 @@ def bn_refinement_medians(
     """Median (over replicas) of the max B_n step increment, for each dt.
 
     Refining the grid should shrink the medians; that is the desk-scale probe
-    of path continuity of B_n.
+    of path continuity of B_n.  Level k draws the paths of all its replicas
+    from one substream, ``substream(seed, TAG_PATHS, k)``.
     """
-    if replicas > BN_REPLICA_CAPACITY:
-        raise CapacityError(f"{replicas} replicas per level exceed {BN_REPLICA_CAPACITY}: "
-                            "level k would reuse the paths of level k + 1")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    start = gamma.expand()
     medians = []
     for k, dt in enumerate(dt_list):
-        maxima = np.empty(replicas)
-        for r in range(replicas):
-            bundle = simulate_paths(gamma, horizon, dt, seed, replica=k * BN_REPLICA_CAPACITY + r)
-            maxima[r] = bn_continuity_report(bundle, n).max_increment
+        steps = _steps_for(horizon, dt)
+        if start.size * (steps + 1) > PATH_CAPACITY:
+            raise CapacityError("path array exceeds capacity")
+        maxima = _bn_max_increments(substream(seed, TAG_PATHS, k), start, steps, dt, n, replicas)
         medians.append(float(np.median(maxima)))
     return medians
+
+
+def _bn_max_increments(rng, start: np.ndarray, steps: int, dt: float, n: int, replicas: int) -> np.ndarray:
+    """Per replica, the largest step increment |B_n(omega(t + dt)) - B_n(omega(t))|
+    of B_n(omega) = sum_k exp(-|omega_k| / n) along paths from the rows of start."""
+    maxima = np.empty(replicas)
+    for offset, paths in _path_blocks(rng, start, steps, dt, replicas):
+        b = np.exp(-np.sqrt(sq_dist(paths)) / n).sum(axis=1)
+        maxima[offset:offset + len(paths)] = np.abs(np.diff(b, axis=1)).max(axis=1)
+    return maxima
 
 
 @dataclass(frozen=True)
@@ -193,30 +177,26 @@ class OscillationReport:
 
 
 def oscillation_check(
-    start,
-    a: float,
-    b: float,
+    dim: int,
+    delta: float,
     r: float,
     replicas: int,
     seed: int,
-    dim: int,
     substeps: int = 64,
 ) -> OscillationReport:
-    """Empirical probability that some pair of grid times in [a, b] is more than
-    r apart, tested one-sidedly against 2 * tau(b - a, r/4).
-
-    The start point is irrelevant by translation invariance, but accepted to
-    make call sites read like the statement being checked.
+    """Empirical probability that some pair of grid times in an interval of
+    length delta is more than r apart, tested one-sidedly against
+    2 * tau(delta, r/4).  The start point and the interval's position do not
+    matter (translation invariance and stationary increments), so the paths
+    start at the origin at time 0.
     """
     if substeps < 64:
         raise ValueError("at least 64 substeps required")
     if substeps > OSCILLATION_MAX_SUBSTEPS:
         raise CapacityError(f"{substeps} substeps exceed {OSCILLATION_MAX_SUBSTEPS}: one replica's "
                             f"substeps^2 pairwise differences would pass {PAIR_POINTS} points")
-    if not (0 <= a < b):
-        raise ValueError("need 0 <= a < b")
-    delta = b - a
-    np.asarray(start, dtype=float).reshape(dim)
+    if not delta > 0:
+        raise ValueError("delta must be positive")
 
     # the pairwise squared distances hold substeps^2 points per replica
     pair_rows = max(1, PAIR_POINTS // (substeps * substeps))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapabilityError, EvaluationError
 from .harmonic import DClassCertificate, KernelFunction, k_transform, k_transform_product_batch, product_kernel
 from .kernel import HeatKernelParams
-from .points import Configuration, truncation_tail_bound, uniform_ball
+from .points import Configuration, Window, poisson_points, truncation_tail_bound
 from .profiles import ConstantProfile, GaussianBump, SmoothedIndicator
 from .profiles import GaussianBump as SmoothBump  # noqa: F401  (former name of the cylinder test functions)
 from .rng import (
@@ -36,7 +36,7 @@ from .rng import (
     map_chunks,
     substream,
 )
-from .special import ball_volume, exp_radial_integral, last_axis_sum, sq_dist
+from .special import exp_radial_integral, last_axis_sum, sq_dist
 
 DEFAULT_CHUNK = 4096
 
@@ -336,13 +336,11 @@ def _displacement_sample(rng, m: int, dim: int, intensity: float, t: float, radi
     theorems they form two independent Poisson(intensity |B|) families: uniform
     starts in B stepped forward, and uniform ends in B stepped backward (the
     kernel is symmetric), kept when they started outside B."""
-    lam = intensity * ball_volume(dim, radius)
+    window = Window(radius, intensity)
     scale = math.sqrt(2.0 * t)
-    counts_a = rng.poisson(lam, size=m)
-    starts = uniform_ball(rng, int(counts_a.sum()), dim, radius)
+    counts_a, starts = poisson_points(rng, m, window, dim)
     ends_a = starts + scale * rng.standard_normal(starts.shape)
-    counts_b = rng.poisson(lam, size=m)
-    ends_b = uniform_ball(rng, int(counts_b.sum()), dim, radius)
+    counts_b, ends_b = poisson_points(rng, m, window, dim)
     from_outside = np.sqrt(sq_dist(ends_b + scale * rng.standard_normal(ends_b.shape))) > radius
     idx_a = np.repeat(np.arange(m), counts_a)
     idx_b = np.repeat(np.arange(m), counts_b)[from_outside]

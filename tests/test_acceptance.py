@@ -335,7 +335,7 @@ def test_c12_process_diagnostics():
             (2, 0.01, 0.5), (2, 0.02, 0.9), (3, 0.01, 0.9),
         ]
         for k, (d, delta, r) in enumerate(battery):
-            rep = oscillation_check([0.0] * d, 0.0, delta, r, replicas=4000, seed=1014 + k, dim=d)
+            rep = oscillation_check(d, delta, r, replicas=4000, seed=1014 + k)
             assert rep.empirical <= rep.bound + 4 * rep.std_error, (d, delta, r, rep)
         two_d = cfg([[0.0, 0.0], [0.5, 0.0]], dim=2, radius=1.0)
         col = collision_report(two_d, 1.0, 0.01, replicas=10_000, seed=1015, epsilon_list=(0.1, 0.01, 0.001))

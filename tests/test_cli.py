@@ -307,7 +307,6 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
                                                      phi={"family": "constant", "value": 0}), "params.phi"),
         ("collision_1d", _set("starts", [[0.0], [0.1], [0.5]]), "params.starts"),
         ("oscillation", _set("substeps", 1415), "params.substeps"),
-        ("process", _set("bn_replicas", 2**20 + 1), "params.bn_replicas"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
@@ -321,7 +320,7 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
          "feller-kernel-constant", "feller-far-point-rho", "process-dt-off-grid", "process-t-below-dt",
          "collision-dt-off-grid", "collision-horizon-below-dt", "generator-empty-gamma",
          "process-coarse-below-fine", "generator-zero-bumps", "feller-zero-amp", "feller-zero-constant",
-         "collision-1d-three-starts", "oscillation-substeps-over-cap", "process-bn-replicas-over-cap"],
+         "collision-1d-three-starts", "oscillation-substeps-over-cap"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)

@@ -152,3 +152,30 @@ def test_battery_against_reference_names_every_differing_report(tmp_path, monkey
     (reference / "stale.json").write_text("{}")
     assert battery.main() == 1
     assert "FAILED for: rho.csv, stale.json" in capsys.readouterr().out
+
+
+def test_battery_counts_report_mismatches_apart_from_failures(tmp_path, monkeypatch, capsys):
+    import shutil
+    import sys
+
+    battery = _one_config_battery(tmp_path, monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["run_battery.py"])
+    assert battery.main() == 0
+    reference = tmp_path / "reference"
+    shutil.copytree(tmp_path / "reports", reference)
+    (reference / "rho.json").write_text("{}")
+    monkeypatch.setattr(sys, "argv", ["run_battery.py", "--check-determinism", "--against", str(reference)])
+    capsys.readouterr()
+    # the one experiment passes, so the differing report is a mismatch, not a failed experiment
+    assert battery.main() == 1
+    out = capsys.readouterr().out
+    assert "determinism check: byte-identical reports (2 files)" in out
+    assert "FAILED for: rho.json" in out
+    assert "1 report comparison(s) found differences" in out
+    assert "experiment(s) failed" not in out
+    # a config that errors in both passes is one failed experiment
+    (battery.CONFIG_DIR / "broken.json").write_text('{"experiment": "rho", "seed": 1}')
+    assert battery.main() == 1
+    out = capsys.readouterr().out
+    assert out.count("broken           ERROR") == 2
+    assert "1 experiment(s) failed" in out and "1 report comparison(s) found differences" in out

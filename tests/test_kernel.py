@@ -5,21 +5,31 @@ import pathlib
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from confheat.kernel import (
     BoundCertificate,
     HeatKernelParams,
     chapman_kolmogorov_residual,
     density,
-    density_at_distance,
     fit_condition_certificate,
-    gaussian_tail_1d,
-    sample_transition,
     tail_mass,
     tau,
     verify_dominating_bound,
 )
+from confheat.points import Configuration, diffuse
 from confheat.rng import substream
+
+
+def _density_at_distance(params, r, t=None):
+    """Oracle: p(t, x, y) as a function of r = |x - y| alone (radial form)."""
+    tt = params.t if t is None else t
+    return (4.0 * math.pi * tt) ** (-params.dim / 2.0) * math.exp(-r * r / (4.0 * tt))
+
+
+def _gaussian_tail_1d(r, t):
+    """Oracle: the two-sided normal tail 2 Phi-bar(r / sqrt(2t)), tail_mass for d = 1 written with ndtr."""
+    return 2.0 * float(ndtr(-r / math.sqrt(2.0 * t)))
 
 
 def test_density_stated_values():
@@ -60,13 +70,21 @@ def test_density_rejects_bad_input():
 
 def test_gaussian_tail_1d_reference_values():
     # two-sided tail 2 * Phi-bar(r / sqrt(2t)); at t = 1/2 the argument is r
-    assert gaussian_tail_1d(0.0, 0.3) == 1.0
-    assert gaussian_tail_1d(2.0, 0.5) == pytest.approx(2.0 * 0.022750131948, rel=1e-9)
+    assert _gaussian_tail_1d(0.0, 0.3) == 1.0
+    assert _gaussian_tail_1d(2.0, 0.5) == pytest.approx(2.0 * 0.022750131948, rel=1e-9)
+
+
+def test_density_at_distance_matches_density():
+    p = HeatKernelParams(3, 0.7)
+    x = np.array([0.3, -0.2, 1.0])
+    y = np.array([-0.5, 0.4, 0.1])
+    r = float(np.linalg.norm(x - y))
+    assert _density_at_distance(p, r) == pytest.approx(density(p, x, y), rel=1e-14)
 
 
 def test_tail_mass_stated_values():
     assert tail_mass(HeatKernelParams(3, 0.8), 0.0) == 1.0
-    assert tail_mass(HeatKernelParams(1, 0.5), 2.0) == pytest.approx(gaussian_tail_1d(2.0, 0.5), rel=1e-12)
+    assert tail_mass(HeatKernelParams(1, 0.5), 2.0) == pytest.approx(_gaussian_tail_1d(2.0, 0.5), rel=1e-12)
     assert tail_mass(HeatKernelParams(1, 0.5), 2.0) == pytest.approx(0.04550026, rel=1e-6)
     assert tail_mass(HeatKernelParams(2, 1.0), 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
@@ -94,14 +112,13 @@ def test_tau_is_tail_mass_at_endpoint():
 
 
 def test_sample_transition_moments():
+    # one heat step of 20000 particles from the origin: 20000 draws from p_{t,0}
     rng = substream(11, 2)
-    p = HeatKernelParams(1, 0.5)
-    draws = np.array([sample_transition(p, [0.0], rng)[0] for _ in range(20000)])
+    draws = diffuse(Configuration.from_points(1, np.zeros((20000, 1))), 0.5, rng).positions[:, 0]
     var = draws.var(ddof=1)
     se_var = var * math.sqrt(2.0 / (len(draws) - 1))
     assert abs(var - 1.0) <= 3 * se_var
-    p2 = HeatKernelParams(2, 1.0)
-    pts = np.array([sample_transition(p2, [0.0, 0.0], rng) for _ in range(20000)])
+    pts = diffuse(Configuration.from_points(2, np.zeros((20000, 2))), 1.0, rng).positions
     se_mean = math.sqrt(2.0) / math.sqrt(len(pts))
     assert np.all(np.abs(pts.mean(axis=0)) <= 3 * se_mean)
 
@@ -109,7 +126,7 @@ def test_sample_transition_moments():
 def test_sample_transition_degenerates_to_start():
     rng = substream(12, 2)
     x = np.array([0.7, -0.3])
-    out = sample_transition(HeatKernelParams(2, 1e-14), x, rng)
+    out = diffuse(Configuration.from_points(2, [x]), 1e-14, rng).positions[0]
     assert np.allclose(out, x, atol=1e-5)
 
 
@@ -214,7 +231,7 @@ def scalar_bound_ratios(params, grid, cert):
                 )
         elif abs(s - params.t) > 1.0e-12 * max(1.0, params.t):
             raise ValueError(f"certificate without theta_t only covers s = t, got s = {s}")
-        ratio = density_at_distance(params, r, t=s) / (cert.c_t * math.exp(-(r ** (1.0 + cert.eps_t))))
+        ratio = _density_at_distance(params, r, t=s) / (cert.c_t * math.exp(-(r ** (1.0 + cert.eps_t))))
         if ratio > worst:
             worst, worst_pair = ratio, (float(s), float(r))
     return worst, worst_pair

@@ -10,6 +10,7 @@ from confheat.points import (
     as_multiset,
     default_pad,
     diffuse,
+    poisson_points,
     sample_poisson,
     truncation_tail_bound,
     uniform_ball,
@@ -161,6 +162,35 @@ def test_sample_poisson_disjoint_region_independence():
     cov = float(np.mean((inner - inner.mean()) * (shell - shell.mean())))
     se_cov = float(np.std((inner - inner.mean()) * (shell - shell.mean()), ddof=1) / math.sqrt(n))
     assert abs(cov) <= 4 * se_cov
+
+
+def _one_poisson_draw(window, dim, rng):
+    """Oracle: one Poisson configuration as a scalar count, then its uniform positions."""
+    n = int(rng.poisson(window.intensity * ball_volume(dim, window.radius)))
+    return n, uniform_ball(rng, n, dim, window.radius)
+
+
+@pytest.mark.parametrize("dim,radius,intensity", [(1, 2.0, 3.0), (2, 1.0, 1.0), (3, 1.5, 0.2), (2, 4.0, 30.0)])
+def test_poisson_points_single_replica_reproduces_scalar_draws(dim, radius, intensity):
+    # poisson(lam, size=1) draws what poisson(lam) draws, so the stream stays the same draw after draw
+    win = Window(radius, intensity)
+    rng, ref = substream(27, dim), substream(27, dim)
+    for _ in range(200):
+        counts, pos = poisson_points(rng, 1, win, dim)
+        n, want = _one_poisson_draw(win, dim, ref)
+        assert counts.tolist() == [n] and np.array_equal(pos, want)
+        cfg = sample_poisson(win, dim, ref)
+        assert np.array_equal(sample_poisson(win, dim, rng).positions, cfg.positions)
+    assert rng.random() == ref.random()
+
+
+def test_poisson_points_draws_counts_then_positions_in_replica_order():
+    win = Window(1.2, 2.0)
+    counts, pos = poisson_points(substream(28, 1), 500, win, 2)
+    ref = substream(28, 1)
+    assert np.array_equal(counts, ref.poisson(win.intensity * ball_volume(2, 1.2), size=500))
+    assert np.array_equal(pos, uniform_ball(ref, int(counts.sum()), 2, 1.2))
+    assert pos.shape == (counts.sum(), 2) and np.sqrt(np.sum(pos * pos, axis=1)).max() <= 1.2
 
 
 def test_sampled_configurations_have_finite_bn():

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import ks_2samp
 
 import confheat.experiments
 import confheat.process
@@ -13,13 +14,9 @@ from confheat.errors import CapacityError
 from confheat.kernel import HeatKernelParams, tail_mass, tau
 from confheat.points import Configuration
 from confheat.process import (
-    BN_REPLICA_CAPACITY,
     OSCILLATION_MAX_SUBSTEPS,
     PAIR_POINTS,
-    PathBundle,
-    bn_continuity_report,
     bn_refinement_medians,
-    bn_values,
     collision_report,
     marginal_ks,
     oscillation_check,
@@ -127,7 +124,7 @@ def test_marginal_ks_detects_ten_percent_variance_error(monkeypatch):
 
 
 def test_process_marginal_stream_disjoint_from_bn_replicas(monkeypatch):
-    # at 102 replicas the B_n level-0 keys reach replica 101; the marginal check must not draw from any of them
+    # B_n level k draws all its replicas from the key (seed, TAG_PATHS, k); the marginal check must not draw from it
     keys, stage = {}, [None]
 
     def recording_substream(seed, *path):
@@ -147,26 +144,8 @@ def test_process_marginal_stream_disjoint_from_bn_replicas(monkeypatch):
     p = {"dim": 1, "t": 0.02, "dt": 0.001, "dt_coarse": 0.01, "n": 1, "bn_replicas": 102, "gamma": None}
     confheat.experiments.EXPERIMENTS["process"].run(p, 112, 100, 1)
     marginal, bn = keys["marginal_ks"], keys["bn_refinement_medians"]
-    assert len(marginal) == 1 and len(set(bn)) == len(bn) == 2 * 102
+    assert len(marginal) == 1 and bn == [(112, TAG_PATHS, 0), (112, TAG_PATHS, 1)]
     assert set(marginal).isdisjoint(bn)
-
-
-def test_bn_frozen_paths_have_zero_increments():
-    times = np.arange(5) * 0.1
-    paths = np.tile(np.array([[1.0], [2.0]])[:, None, :], (1, 5, 1))
-    bundle = PathBundle(1, 0.1, 0.4, times, paths, seed=0)
-    rep = bn_continuity_report(bundle, 2)
-    assert rep.max_increment == 0.0 and rep.lipschitz_bound_ok
-
-
-def test_bn_lipschitz_bound_single_particle():
-    gamma = cfg([0.0])
-    bundle = simulate_paths(gamma, 1.0, 0.01, seed=13)
-    rep = bn_continuity_report(bundle, 1)
-    moves = np.abs(np.diff(bundle.paths[0, :, 0]))
-    increments = np.abs(np.diff(bn_values(bundle, 1)))
-    assert np.all(increments <= moves + 1e-12)
-    assert rep.lipschitz_bound_ok
 
 
 def test_bn_refinement_medians_decrease():
@@ -176,7 +155,7 @@ def test_bn_refinement_medians_decrease():
 
 
 def test_oscillation_far_tail_trivial():
-    rep = oscillation_check([0.0], 0.0, 0.01, r=20.0 * math.sqrt(2 * 0.01), replicas=500, seed=15, dim=1)
+    rep = oscillation_check(1, 0.01, r=20.0 * math.sqrt(2 * 0.01), replicas=500, seed=15)
     assert rep.empirical == 0.0 and rep.passed
 
 
@@ -185,14 +164,14 @@ def test_oscillation_stated_example():
     bound = 2.0 * tau(1, 0.01, 0.25)
     assert bound == pytest.approx(4.0 * ndtr(-0.25 / math.sqrt(0.02)), rel=1e-12)
     assert bound == pytest.approx(0.1542, abs=2e-4)
-    rep = oscillation_check([0.0], 0.0, 0.01, r=1.0, replicas=4000, seed=16, dim=1)
+    rep = oscillation_check(1, 0.01, r=1.0, replicas=4000, seed=16)
     assert rep.bound == pytest.approx(bound, rel=1e-12)
     assert rep.passed and rep.empirical < 0.06
 
 
 def test_oscillation_monotone_in_r():
     reps = [
-        oscillation_check([0.0, 0.0], 0.0, 0.02, r=r, replicas=3000, seed=17, dim=2)
+        oscillation_check(2, 0.02, r=r, replicas=3000, seed=17)
         for r in (0.5, 0.8, 1.2)
     ]
     assert all(a.bound > b.bound for a, b in zip(reps, reps[1:]))
@@ -202,7 +181,7 @@ def test_oscillation_monotone_in_r():
 
 def test_oscillation_validation():
     with pytest.raises(ValueError):
-        oscillation_check([0.0], 0.0, 0.01, r=1.0, replicas=10, seed=0, dim=1, substeps=32)
+        oscillation_check(1, 0.01, r=1.0, replicas=10, seed=0, substeps=32)
 
 
 def _no_draws(*args, **kwargs):
@@ -214,15 +193,7 @@ def test_oscillation_substeps_capped_before_drawing(monkeypatch):
     assert OSCILLATION_MAX_SUBSTEPS**2 <= PAIR_POINTS < (OSCILLATION_MAX_SUBSTEPS + 1) ** 2
     monkeypatch.setattr(confheat.process, "_path_blocks", _no_draws)
     with pytest.raises(CapacityError, match="substeps"):
-        oscillation_check([0.0], 0.0, 0.01, r=1.0, replicas=10, seed=0, dim=1,
-                          substeps=OSCILLATION_MAX_SUBSTEPS + 1)
-
-
-def test_bn_refinement_replicas_capped_before_drawing(monkeypatch):
-    # level k keys its replicas k * BN_REPLICA_CAPACITY + r, so one more would reuse level k + 1's first stream
-    monkeypatch.setattr(confheat.process, "simulate_paths", _no_draws)
-    with pytest.raises(CapacityError, match="replicas"):
-        bn_refinement_medians(cfg([0.0]), 1.0, (1e-2, 1e-3), n=1, replicas=BN_REPLICA_CAPACITY + 1, seed=0)
+        oscillation_check(1, 0.01, r=1.0, replicas=10, seed=0, substeps=OSCILLATION_MAX_SUBSTEPS + 1)
 
 
 def test_collision_far_particles_never_close():
@@ -457,10 +428,60 @@ def test_oscillation_exceedances_equal_pairwise_oracle(monkeypatch, rows):
         radii = np.linspace(1.5, 6.0, 4501) * math.sqrt(2.0 * delta)
         r_max = radii[np.flatnonzero(replicas * tau(dim, delta, radii) >= 10.0)[-1]]
         r = radii[0] + u * (r_max - radii[0])
-        rep = oscillation_check([0.0] * dim, 0.0, delta, r, replicas, seed, dim, substeps=substeps)
+        rep = oscillation_check(dim, delta, r, replicas, seed, substeps=substeps)
         want = _exceedance_oracle(dim, delta, r, replicas, seed, substeps)
         assert 0 < want < replicas
         assert rep.empirical == want / replicas
+
+
+def _bn_level_maxima(paths, n):
+    """Per replica of a whole level (replicas, particles, steps + 1, dim), the largest B_n step increment."""
+    b = np.exp(-np.sqrt(np.sum(paths * paths, axis=-1)) / n).sum(axis=1)
+    return np.abs(np.diff(b, axis=1)).max(axis=1)
+
+
+def _keyed_bn_maxima(gamma, horizon, dt, n, replicas, seed, level):
+    """The per-replica keyed route: replica r of level k draws its own stream (seed, TAG_PATHS, k 2^20 + r)."""
+    start, steps = gamma.expand(), round(horizon / dt)
+    maxima = np.empty(replicas)
+    for r in range(replicas):
+        paths = _brownian_paths(substream(seed, TAG_PATHS, (level << 20) + r), start, steps, dt, 1)[0]
+        b = np.exp(-np.sqrt(np.sum(paths * paths, axis=-1)) / n).sum(axis=0)
+        maxima[r] = np.abs(np.diff(b)).max()
+    return maxima
+
+
+BN_CASES = {
+    "d1": (cfg([0.0, 0.5, 0.5]), 2),
+    "d2": (cfg([[0.0, 0.0], [0.3, -0.4]], dim=2), 1),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("case", sorted(BN_CASES))
+def test_bn_refinement_medians_equal_whole_level_oracle(monkeypatch, case, rows):
+    gamma, n = BN_CASES[case]
+    horizon, dt_list, replicas, seed = 0.2, (0.02, 0.005), 301, 24
+    start = gamma.expand()
+    if rows:
+        # the coarse level in blocks of 3 replicas (the last of 1), the fine one in blocks of 1
+        _few_rows(monkeypatch, rows, len(start) * 11)
+    med = bn_refinement_medians(gamma, horizon, dt_list, n, replicas, seed)
+    want = [float(np.median(_bn_level_maxima(
+        _brownian_paths(substream(seed, TAG_PATHS, k), start, round(horizon / dt), dt, replicas), n)))
+        for k, dt in enumerate(dt_list)]
+    assert med == want
+    assert med[1] < med[0]
+
+
+@pytest.mark.parametrize("case", sorted(BN_CASES))
+def test_bn_maxima_agree_in_law_with_keyed_replicas(case):
+    # one stream per level against the former route of one stream per replica (disjoint keys: level 1 of each)
+    gamma, n = BN_CASES[case]
+    horizon, dt, replicas, seed = 0.2, 0.01, 2000, 25
+    got = confheat.process._bn_max_increments(substream(seed, TAG_PATHS, 1), gamma.expand(), 20, dt, n, replicas)
+    want = _keyed_bn_maxima(gamma, horizon, dt, n, replicas, seed, level=1)
+    assert ks_2samp(got, want).pvalue > 1e-3
 
 
 def _traced_peak(fn) -> int:

@@ -12,7 +12,6 @@ import confheat.process
 import confheat.semigroup
 from confheat.experiments import EXPERIMENTS, validate_params
 from confheat.harmonic import elementary_symmetric
-from confheat.kernel import HeatKernelParams, density, density_at_distance
 from confheat.reporting import format_cell, jsonable, render_csv, render_json
 from confheat.rng import _MASK64, _splitmix64, chunk_sizes, map_chunks, substream
 
@@ -29,14 +28,6 @@ def test_elementary_symmetric_against_enumeration():
     batch = elementary_symmetric(np.stack([vals, 2 * vals]), 3)
     assert batch.shape == (2, 4)
     assert batch[1, 2] == pytest.approx(4 * e[2], rel=1e-12)
-
-
-def test_density_at_distance_matches_density():
-    p = HeatKernelParams(3, 0.7)
-    x = np.array([0.3, -0.2, 1.0])
-    y = np.array([-0.5, 0.4, 0.1])
-    r = float(np.linalg.norm(x - y))
-    assert density_at_distance(p, r) == pytest.approx(density(p, x, y), rel=1e-14)
 
 
 def test_chunk_sizes():

@@ -423,6 +423,30 @@ def test_displacement_sample_after_count_is_poisson_mean(dim):
         assert abs(counts.mean() - expected) <= 4.0 * se, (counts.mean(), expected, se)
 
 
+def _displacement_oracle(rng, m, dim, intensity, t, radius):
+    """The displacement sample with every Poisson draw written out: counts, then uniform positions, per family."""
+    lam = intensity * ball_volume(dim, radius)
+    scale = math.sqrt(2.0 * t)
+    counts_a = rng.poisson(lam, size=m)
+    starts = uniform_ball(rng, int(counts_a.sum()), dim, radius)
+    ends_a = starts + scale * rng.standard_normal(starts.shape)
+    counts_b = rng.poisson(lam, size=m)
+    ends_b = uniform_ball(rng, int(counts_b.sum()), dim, radius)
+    from_outside = np.sqrt(np.sum((ends_b + scale * rng.standard_normal(ends_b.shape)) ** 2, axis=1)) > radius
+    idx_a = np.repeat(np.arange(m), counts_a)
+    idx_b = np.repeat(np.arange(m), counts_b)[from_outside]
+    return (starts, idx_a), (np.concatenate([ends_a, ends_b[from_outside]]), np.concatenate([idx_a, idx_b]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_displacement_sample_equals_written_out_draws(dim):
+    for m, z, t, radius in [(1, 0.7, 0.2, 1.0), (300, 1.3, 0.4, 1.0), (50, 4.0, 2.0, 0.5)]:
+        got = _displacement_sample(substream(42, dim), m, dim, z, t, radius)
+        want = _displacement_oracle(substream(42, dim), m, dim, z, t, radius)
+        for (pos, idx), (want_pos, want_idx) in zip(got, want):
+            assert np.array_equal(pos, want_pos) and np.array_equal(idx, want_idx)
+
+
 def test_invariance_rejects_functional_beyond_inner_ball():
     with pytest.raises(ValueError, match="radius"):
         invariance_test(WindowedCount(1.5), dim=2, intensity=1.0, t=0.5, inner_radius=1.0, replicas=100, seed=0)
