@@ -298,17 +298,24 @@ def run_sample_poisson(p, seed, replicas, threads):
     mean_radius = float(radii.mean())
     expected_radius = win.radius * dim / (dim + 1.0)
     se_radius = float(radii.std(ddof=1) / math.sqrt(len(radii))) if len(radii) > 1 else math.inf
+    # a count SE of 0 (every replica drew the same count) or fewer than 2 positions leaves its check
+    # undecided: the run is then underpowered, inconclusive unless a decided check fails
+    decided = [se_mean > 0.0, True, len(pos) >= 2]
     checks = [
         abs(mean - lam) <= 4 * se_mean,
         abs(var - lam) <= 4 * se_var,
         abs(mean_radius - expected_radius) <= 4 * se_radius,
     ]
     rows = [
-        _se_row("mean_count", mean, se_mean, bound=lam, note="expected z*vol"),
+        _se_row("mean_count", mean, se_mean, bound=lam, note="expected z*vol" + (
+            "" if decided[0] else "; undecided: every replica drew the same count, so the SE is 0")),
         _se_row("count_variance", var, se_var, bound=lam, note="Poisson variance"),
-        _se_row("mean_radius", mean_radius, se_radius, bound=expected_radius, note="uniform-in-ball E|x|"),
+        _se_row("mean_radius", mean_radius, se_radius, bound=expected_radius, note="uniform-in-ball E|x|" + (
+            "" if decided[2] else f"; undecided: {len(pos)} position(s) drawn, an SE needs 2")),
     ]
-    return ExperimentResult(rows, {"lambda": lam}, _verdict_all(checks))
+    verdict = ("fail" if not all(ok for ok, known in zip(checks, decided) if known)
+               else "pass" if all(decided) else "inconclusive")
+    return ExperimentResult(rows, {"lambda": lam}, verdict)
 
 
 def run_diffuse(p, seed, replicas, threads):

@@ -202,20 +202,26 @@ def k_transform(G: KernelFunction, gamma: Configuration) -> float:
 def elementary_symmetric(values: np.ndarray, k_max: int) -> np.ndarray:
     """Elementary symmetric polynomials e_0..e_k of the entries along the last axis.
 
-    Accepts shape (N,) or (R, N); returns (k_max+1,) or (R, k_max+1).
+    Accepts shape (N,) or (R, N); returns (k_max+1,) or (R, k_max+1).  The table
+    is kept orders-major, so point j updates every order in one multiply and one
+    add: e_k += x_j e_(k-1) for k = 1 .. min(j + 1, k_max), the product formed
+    from the old e_(k-1) before any order is written, as a descending-k loop
+    would.
     """
     vals = np.asarray(values, dtype=float)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[None, :]
     r, n = vals.shape
-    e = np.zeros((r, k_max + 1))
-    e[:, 0] = 1.0
+    points = vals.T.copy()  # one contiguous row per point
+    e = np.zeros((k_max + 1, r))
+    e[0] = 1.0
+    term = np.empty((k_max, r))
     for j in range(n):
         top = min(j + 1, k_max)
-        for k in range(top, 0, -1):
-            e[:, k] += vals[:, j] * e[:, k - 1]
-    return e[0] if squeeze else e
+        np.multiply(e[:top], points[j], out=term[:top])
+        e[1:top + 1] += term[:top]
+    return e[:, 0] if squeeze else e.T
 
 
 def k_transform_product_batch(G: KernelFunction, positions: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import CapacityError
 from .kernel import HeatKernelParams, tail_mass, tau
 from .points import Configuration
 from .rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, block_rows, substream
-from .special import binomial_se, last_axis_sum, sq_dist
+from .special import binomial_se, sq_dist
 
 PATH_CAPACITY = 100_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
@@ -98,12 +98,14 @@ def _path_blocks(rng, start: np.ndarray, steps: int, dt: float, replicas: int):
     paths[:, :, 0, :] = start
     inc = np.empty((rows, n, steps, dim))
     scale = math.sqrt(2.0 * dt)
+    nonzero_start = bool(np.any(start))  # adding a zero start would change no value but the sign of a zero
     for offset in range(0, replicas, rows):
         step, block = inc[:replicas - offset], paths[:replicas - offset]
         rng.standard_normal(out=step)
         step *= scale
         np.cumsum(step, axis=2, out=block[:, :, 1:, :])
-        block[:, :, 1:, :] += start[:, None, :]
+        if nonzero_start:
+            block[:, :, 1:, :] += start[:, None, :]
         yield offset, block
 
 
@@ -289,13 +291,15 @@ def collision_report(
     if crossing:
         bridge, cross = substream(seed, TAG_COLLISION, 1), np.empty(replicas, dtype=bool)
     dmin_sq = np.full(replicas, np.inf)
-    diff = term = None  # one pair difference and, for n >= 3, one of its terms: (rows, steps + 1, dim)
+    diff = None  # one pair difference: (rows, steps + 1, dim), with buffers of the same rows
     for offset, paths in _path_blocks(substream(seed, TAG_COLLISION), np.zeros((n - 1, gamma.dim)), steps, dt,
                                       replicas):
         b = len(paths)
         if diff is None:  # the first block is the largest
             diff = np.empty((b, steps + 1, gamma.dim))
-            term = np.empty_like(diff) if n > 2 else diff
+            term = np.empty_like(diff) if n > 2 else diff  # one term of a difference, for n >= 3
+            sq = np.empty((b, steps + 1)) if gamma.dim > 1 else None  # squared distances
+            products = np.empty((b, steps)) if crossing else None  # D_k D_(k+1)
         near, d, t = dmin_sq[offset:offset + b], diff[:b], term[:b]
         for gap, coeffs in pairs:
             for m, (k, c) in enumerate(coeffs):
@@ -305,7 +309,7 @@ def collision_report(
             d += gap
             if crossing:  # the one pair of two particles
                 u = bridge.random(b)
-                prod = d[:, :-1, 0] * d[:, 1:, 0]
+                prod = np.multiply(d[:, :-1, 0], d[:, 1:, 0], out=products[:b])
                 crossed = cross[offset:offset + b]
                 np.any(prod <= 0.0, axis=1, out=crossed)
                 rows = np.flatnonzero(~crossed)
@@ -316,9 +320,16 @@ def collision_report(
                 with np.errstate(divide="ignore"):
                     np.log1p(q, out=q)
                 crossed[rows] = u[rows] >= np.exp(q.sum(axis=1))
-            # squared in place and summed in coordinate order: sq_dist(d) bit for bit, without its buffers
+            # squared in place and summed in coordinate order: sq_dist(d) bit for bit, without its buffers;
+            # a square is >= +0, so the sum's start 0.0 + d_0^2 is d_0^2 itself
             d *= d
-            np.minimum(near, last_axis_sum(d).min(axis=1), out=near)
+            if sq is None:
+                dist_sq = d[..., 0]
+            else:
+                dist_sq = np.add(d[..., 0], d[..., 1], out=sq[:b])
+                for k in range(2, gamma.dim):
+                    dist_sq += d[..., k]
+            np.minimum(near, dist_sq.min(axis=1), out=near)
     # sqrt is monotone, so the minimum distance is the root of the minimum square
     min_dist = np.sqrt(dmin_sq)
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)

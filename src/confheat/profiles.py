@@ -10,7 +10,8 @@ of its dimension (d = 1, 2, 3), over the kernel's own window |x| +- 14 sqrt(2t),
 by one adaptive 21-point Gauss-Kronrod pass over all points at once: every
 (point, subinterval) pair is a row of one array, and the rows whose error
 estimate is too large are bisected until none is left.  All profiles evaluate
-vectorized over trailing point axes.
+vectorized over trailing point axes, and ``gaussian_bumps`` evaluates several
+Gaussian bumps in one array (a Gaussian bump's own call is its one-bump case).
 """
 from __future__ import annotations
 
@@ -52,7 +53,8 @@ class GaussianBump:
         return len(self.center)
 
     def __call__(self, x) -> np.ndarray:
-        return self.amp * np.exp(-sq_dist(x, self.center) / (2.0 * self.width**2))
+        v = gaussian_bumps((self,), x)[0]
+        return v if v.ndim else v[()]
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
@@ -76,6 +78,24 @@ class GaussianBump:
         """Closed-form bound on sup |phi(x)| * exp((1+eps)|x|)."""
         c = float(np.linalg.norm(self.center))
         return abs(self.amp) * math.exp((1.0 + eps) * c + (1.0 + eps) ** 2 * self.width**2 / 2.0)
+
+
+def gaussian_bumps(bumps, x) -> np.ndarray:
+    """The values of Gaussian bumps at the points x (..., dim), as (len(bumps), ...).
+
+    Row j is amp_j * exp(-|x - c_j|^2 / (2 w_j^2)), computed for all bumps at
+    once in sq_dist's fresh output: negated, divided, exponentiated and scaled
+    in place, the operations and order of the plain expression, so each row
+    equals it bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    pad = (len(bumps),) + (1,) * (x.ndim - 1)
+    v = sq_dist(x, np.array([b.center for b in bumps], dtype=float).reshape(*pad, -1))
+    np.negative(v, out=v)
+    v /= np.array([2.0 * b.width**2 for b in bumps]).reshape(pad)
+    np.exp(v, out=v)
+    v *= np.array([b.amp for b in bumps], dtype=float).reshape(pad)
+    return v
 
 
 @dataclass(frozen=True)

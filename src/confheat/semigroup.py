@@ -12,7 +12,15 @@ generator_residual alike.  Every Monte Carlo estimate
 estimator: each chunk draws from its own keyed substream and reduces
 to a count, mean and centred sum of squares, and the chunks are merged in
 chunk order.  Results are reproducible, independent of thread count, and
-stable when the variance is tiny next to the mean.
+stable when the variance is tiny next to the mean.  A chunk works in a few
+whole-array passes that write into the arrays it already holds: the start is
+added from a copy tiled to the block's rows, the functionals finish in the
+buffer their first operation allocates (a cylinder function evaluates all its
+bumps in one array), and generator_residual moves the particles for its whole
+t-list in one array and evaluates it in one ``F.batch`` call.  Each value goes
+through the same floating-point operations in the same order as the plain
+expression, so the fewer passes (and, with threads, fewer GIL hand-overs)
+change no bit of a result.
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ from .errors import CapabilityError, EvaluationError
 from .harmonic import DClassCertificate, KernelFunction, k_transform, k_transform_product_batch, product_kernel
 from .kernel import HeatKernelParams
 from .points import Configuration, Window, poisson_points, truncation_tail_bound
-from .profiles import ConstantProfile, GaussianBump, SmoothedIndicator
+from .profiles import ConstantProfile, GaussianBump, SmoothedIndicator, gaussian_bumps
 from .profiles import GaussianBump as SmoothBump  # noqa: F401  (former name of the cylinder test functions)
 from .rng import (
     TAG_APPLY_MC,
@@ -110,8 +118,11 @@ class WindowedExponential(ConfigurationFunctional):
     def batch(self, positions):
         if self.radius < math.inf:
             return super().batch(positions)
-        # every particle counts: the direct product along the particle axis
-        return np.prod(1.0 + np.asarray(self.phi(positions), dtype=float), axis=1)
+        # every particle counts: the direct product along the particle axis of 1 + phi,
+        # formed in phi's fresh output (every profile returns a new array)
+        factors = np.asarray(self.phi(positions), dtype=float)
+        factors += 1.0
+        return np.prod(factors, axis=1)
 
 
 @dataclass(frozen=True)
@@ -257,16 +268,19 @@ def apply_mc(
     HeatKernelParams(gamma.dim, t)
     base = gamma.expand()
     scale = math.sqrt(2.0 * t)
+    # the start, tiled over the rows of the largest block: adding it is one long pass, where
+    # broadcasting the (particles, dim) start would run an inner loop of particles * dim values
+    starts = np.tile(base, (min(replicas, chunk, block_rows(base.size)), 1, 1))
 
     def sample(rng, m):
-        rows = min(m, block_rows(base.size))
+        rows = min(m, len(starts))
         moved = np.empty((rows, base.shape[0], gamma.dim))
         values = np.empty((1, m))
         for offset in range(0, m, rows):
             block = moved[:m - offset]
             rng.standard_normal(out=block)
             block *= scale
-            block += base
+            block += starts[:len(block)]
             values[0, offset:offset + len(block)] = F.batch(block)
         return values
 
@@ -415,9 +429,16 @@ def outer_linear(a: float = 1.0) -> OuterFunction:
 
 
 def outer_exp_neg_sum(n_args: int = 1) -> OuterFunction:
+    def fn(v):
+        # exp(-sum) in the sum's fresh buffer (np.sum gives a scalar for 8 or more entries on one axis)
+        s = np.asarray(last_axis_sum(v))
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        return s if s.ndim else s[()]
+
     return OuterFunction(
         name=f"exp_neg_sum({n_args})",
-        fn=lambda v: np.exp(-last_axis_sum(v)),
+        fn=fn,
         grad=lambda v: -math.exp(-float(np.sum(v))) * np.ones(n_args),
         hess=lambda v: math.exp(-float(np.sum(v))) * np.ones((n_args, n_args)),
     )
@@ -485,8 +506,11 @@ class CylinderFunction(ConfigurationFunctional):
             raise ValueError("outer Hessian inconsistent with finite differences")
 
     def batch(self, positions):
-        v = np.stack([last_axis_sum(phi(positions)) for phi in self.inner], axis=-1)
-        return np.asarray(self.outer.fn(v), dtype=float)
+        """F on (..., particles, dim) positions: any leading axes, one value each.
+        The inner sums are formed for all bumps at once, along a leading bump
+        axis, and g reads them through a view with that axis last."""
+        sums = last_axis_sum(gaussian_bumps(self.inner, positions))
+        return np.asarray(self.outer.fn(np.moveaxis(sums, 0, -1)), dtype=float)
 
     def generator_value(self, gamma: Configuration) -> float:
         """The Dirichlet operator applied to this cylinder function at gamma:
@@ -553,7 +577,10 @@ def generator_residual(
 
     Computes (F(gamma) - P_t F(gamma)) / t against the analytic generator value
     for each t; the residual is first order in t, so halving t should roughly
-    halve it.  Common random numbers across the t-list keep the ratios stable.
+    halve it.  Common random numbers across the t-list keep the ratios stable:
+    a chunk draws one standard normal z per particle coordinate and moves the
+    particles to gamma + sqrt(2t) z for every t at once, as one (T, replicas,
+    particles, dim) array that ``F.batch`` evaluates in one call.
     A residual whose standard error exceeds half its size is flagged and makes
     the verdict inconclusive (more replicas, not failure).
     """
@@ -564,9 +591,14 @@ def generator_residual(
     f0 = F.value(base)
     hf = F.generator_value(gamma)
 
+    scales = np.sqrt(2.0 * np.array(ts))[:, None, None, None]  # correctly rounded, as math.sqrt(2.0 * t)
+    starts = np.tile(base, (min(replicas, chunk), 1, 1))
+
     def sample(rng, m):
         z = rng.standard_normal((m, base.shape[0], gamma.dim))
-        return np.stack([F.batch(base[None, :, :] + math.sqrt(2.0 * t) * z) for t in ts])
+        moved = scales * z
+        moved += starts[:m]
+        return F.batch(moved)
 
     means, ses = _chunked_mean_se(sample, replicas, seed, TAG_GENERATOR, threads, chunk)
     entries = []

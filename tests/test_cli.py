@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +161,36 @@ def test_cli_exit_status_contract(tmp_path):
     code = main(["run", cfg])
     summary = json.loads((tmp_path / "c.json").read_text())
     assert (code == 0) == (summary["verdict"] == "pass")
+
+
+def test_sample_poisson_without_points_is_inconclusive(tmp_path):
+    # z|B| = 3.1e-6 over 20000 replicas draws no point: the count SE is 0 and no radius has an SE
+    doc = json.loads((CONFIG_DIR / "sample_poisson.json").read_text())
+    doc["params"]["intensity"] = 1e-6
+    doc["output"] = str(tmp_path / "sp")
+    code = main(["run", write_config(tmp_path, doc)])
+    summary = json.loads((tmp_path / "sp.json").read_text())
+    assert code == 3 and summary["verdict"] == "inconclusive"
+    rows = {row["measurement"]: row for row in summary["results"]}
+    assert rows["mean_count"]["value"] == 0.0 and rows["mean_count"]["std_error"] == 0.0
+    assert "undecided" in rows["mean_count"]["note"] and "undecided" in rows["mean_radius"]["note"]
+    assert "undecided" not in rows["count_variance"]["note"]
+
+
+def test_sample_poisson_decided_failure_beats_undecided_checks(monkeypatch):
+    # every replica counts 5 points and no position is drawn: the mean and radius checks cannot
+    # decide, but a count variance of 0 against lambda = pi fails
+    from confheat import experiments
+
+    class FiveEach:
+        def poisson(self, lam, size):
+            return np.full(size, 5)
+
+    monkeypatch.setattr(experiments, "substream", lambda *key: FiveEach())
+    monkeypatch.setattr(experiments, "poisson_points", lambda rng, m, win, dim: (np.zeros(m), np.zeros((0, dim))))
+    result = experiments.run_sample_poisson({"dim": 2, "radius": 1.0, "intensity": 1.0}, 0, 20000, 1)
+    assert result.verdict == "fail"
+    assert [row["std_error"] for row in result.rows][::2] == [0.0, math.inf]
 
 
 def test_cli_byte_identical_reports_and_thread_invariance(tmp_path):

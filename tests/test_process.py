@@ -330,6 +330,8 @@ COLLISION_CASES = {
     "d1-far": (cfg([0.0, 3.0, 6.0, 9.0]), 1201),  # few replicas come within epsilon
     "d1-mixed": (cfg([0.0, 0.15, 0.3, 2.0]), 1201),
     "d2": (cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), 1201),
+    "d3": (cfg([[0.0, 0.0, 0.0], [0.03, 0.0, 0.0], [0.0, 0.03, 0.0], [0.0, 0.0, 0.03], [0.03, 0.03, 0.0]],
+               dim=3), 1201),
 }
 
 

@@ -520,8 +520,8 @@ def test_invariance_and_generator_need_two_replicas():
 def test_generator_residual_reports_non_finite_replica():
     def fn(v):
         out = v[..., 0].copy()
-        if out.shape[0] == 2:  # the ragged last chunk: replicas 8 and 9
-            out[1] = np.nan
+        if out.shape[-1] == 2:  # the ragged last chunk: replicas 8 and 9, at every t
+            out[..., 1] = np.nan
         return out
 
     outer = OuterFunction(name="nan", fn=fn, grad=lambda v: np.array([1.0]), hess=lambda v: np.zeros((1, 1)))
