@@ -7,11 +7,16 @@ difference; the two are counted and printed apart.  --check-determinism runs
 the battery twice (second pass with --threads 4) and compares report bytes.
 --against DIR compares this run's report bytes with the reports in DIR, for
 example the reports/ directory of another checkout run on the same machine.
+Every comparison that finds a differing JSON report prints its changed rows:
+both values and, when both rows carry a standard error, their gap in combined
+standard errors, |v1 - v2| / sqrt(se1^2 + se2^2).
 """
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
+import math
 import pathlib
 import shutil
 import sys
@@ -43,9 +48,42 @@ def compare_reports(reference: pathlib.Path, current: pathlib.Path, label: str) 
                           and filecmp.cmp(reference / name, current / name, shallow=False))]
     if mismatches:
         print(f"{label} FAILED for:", ", ".join(mismatches))
+        for name in mismatches:
+            if name.endswith(".json") and (reference / name).is_file() and (current / name).is_file():
+                for line in changed_rows(reference / name, current / name):
+                    print(f"  {name[:-5]} {line}")
         return 1
     print(f"{label}: byte-identical reports ({len(names)} files)")
     return 0
+
+
+def _rows(path: pathlib.Path) -> dict:
+    """The result rows of a JSON report by measurement; none if it holds no readable rows."""
+    try:
+        results = json.loads(path.read_text()).get("results", [])
+    except (ValueError, AttributeError):
+        return {}
+    return {row.get("measurement"): row for row in results if isinstance(row, dict)}
+
+
+def changed_rows(reference: pathlib.Path, current: pathlib.Path) -> list[str]:
+    """One line per result row that differs between two JSON reports: its
+    measurement, the reference and the current value, and their gap in combined
+    standard errors when both rows carry a standard error."""
+    old, new = _rows(reference), _rows(current)
+    lines = []
+    for name in list(old) + [m for m in new if m not in old]:
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        va, vb = (row.get("value") if row else "absent" for row in (a, b))
+        line = f"{name}: {va} -> {vb}"
+        if a and b and all(isinstance(x, (int, float)) for x in (va, vb, a.get("std_error"), b.get("std_error"))):
+            se = math.hypot(a["std_error"], b["std_error"])
+            if se > 0:
+                line += f" ({abs(va - vb) / se:.2f} combined SE)"
+        lines.append(line)
+    return lines
 
 
 def main() -> int:

@@ -1,16 +1,18 @@
 """Discretized independent-particle process and its path-regularity diagnostics.
 
-Every path comes from one sampler, ``_path_blocks``, exact in law at grid
-times (Gaussian increments of variance 2 dt per coordinate), so continuity
-claims are probed by grid refinement rather than discretization analysis.  It
-yields the replicas in consecutive blocks of at most ``rng.BLOCK_POINTS`` path
-points, written into one reused buffer, and every diagnostic reduces a block
-before it draws the next: memory is bounded by the block, not by the replica
-count, and the draws are those of one call for all replicas.  Each diagnostic
-draws all its replicas from one substream; ``simulate_paths`` is the
-one-replica entry that returns the paths themselves.  The collision
-diagnostics read only pair differences, so they draw the n - 1 relative
-coordinates of the particles rather than all n paths.
+Every path comes from one increment sampler, ``_increment_blocks``, exact in
+law at grid times (Gaussian increments of variance 2 dt per coordinate), so
+continuity claims are probed by grid refinement rather than discretization
+analysis.  It yields the replicas' steps in consecutive blocks of at most
+``rng.BLOCK_POINTS`` path points, written into one reused buffer, and every
+diagnostic reduces a block before it draws the next: memory is bounded by the
+block, not by the replica count, and the draws are those of one call for all
+replicas.  ``_path_blocks`` turns each block into paths by a running sum from
+the start; the time-t marginal reads only each replica's sum of steps and
+builds no path.  Each diagnostic draws all its replicas from one substream;
+``simulate_paths`` is the one-replica entry that returns the paths themselves.
+The collision diagnostics read only pair differences, so they draw the n - 1
+relative coordinates of the particles rather than all n paths.
 Diagnostics cover: the time-t slice against the exact one-step law (one-sample
 Kolmogorov-Smirnov), B_n continuity along paths (the median largest B_n step
 increment shrinks as the grid is refined), the oscillation bound
@@ -79,31 +81,47 @@ def _steps_for(horizon: float, dt: float) -> int:
     return steps
 
 
-def _path_blocks(rng, start: np.ndarray, steps: int, dt: float, replicas: int):
-    """Brownian paths of ``replicas`` replicas from the rows of ``start`` (n, dim)
-    on the grid 0, dt, ..., steps * dt, in consecutive blocks.
+def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: int):
+    """Gaussian steps of ``replicas`` replicas of n Brownian paths in R^dim on the
+    grid 0, dt, ..., steps * dt, in consecutive blocks.
 
-    Yields (offset, paths): paths has shape (b, n, steps + 1, dim) and holds
-    replicas offset .. offset + b - 1, at most ``BLOCK_POINTS`` path points and
-    one replica at least.  Every block is written into the same buffers, so it
-    is read-only and must be reduced before the next is asked for.
+    Yields (offset, inc): inc has shape (b, n, steps, dim), holds the steps of
+    replicas offset .. offset + b - 1, each of variance 2 dt per coordinate, and
+    covers at most ``BLOCK_POINTS`` path points (steps + 1 per particle) and one
+    replica at least.  Every block is written into the same buffer, so it is
+    read-only and must be reduced before the next is asked for.
     ``standard_normal`` fills its output in replica-major order, so the draws
     are those of one call for all replicas, whatever the block size.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    n, dim = start.shape
     rows = min(replicas, block_rows(n * (steps + 1)))
-    paths = np.empty((rows, n, steps + 1, dim))
-    paths[:, :, 0, :] = start
     inc = np.empty((rows, n, steps, dim))
     scale = math.sqrt(2.0 * dt)
-    nonzero_start = bool(np.any(start))  # adding a zero start would change no value but the sign of a zero
     for offset in range(0, replicas, rows):
-        step, block = inc[:replicas - offset], paths[:replicas - offset]
+        step = inc[:replicas - offset]
         rng.standard_normal(out=step)
         step *= scale
-        np.cumsum(step, axis=2, out=block[:, :, 1:, :])
+        yield offset, step
+
+
+def _path_blocks(rng, start: np.ndarray, steps: int, dt: float, replicas: int):
+    """Brownian paths of ``replicas`` replicas from the rows of ``start`` (n, dim)
+    on the grid 0, dt, ..., steps * dt: the running sums of ``_increment_blocks``
+    plus the start, in the same blocks.
+
+    Yields (offset, paths): paths has shape (b, n, steps + 1, dim) and holds
+    replicas offset .. offset + b - 1, in one reused buffer like the steps.
+    """
+    n, dim = start.shape
+    paths = None
+    nonzero_start = bool(np.any(start))  # adding a zero start would change no value but the sign of a zero
+    for offset, inc in _increment_blocks(rng, n, dim, steps, dt, replicas):
+        if paths is None:  # the first block is the largest
+            paths = np.empty((len(inc), n, steps + 1, dim))
+            paths[:, :, 0, :] = start
+        block = paths[:len(inc)]
+        np.cumsum(inc, axis=2, out=block[:, :, 1:, :])
         if nonzero_start:
             block[:, :, 1:, :] += start[:, None, :]
         yield offset, block
@@ -299,7 +317,6 @@ def collision_report(
             diff = np.empty((b, steps + 1, gamma.dim))
             term = np.empty_like(diff) if n > 2 else diff  # one term of a difference, for n >= 3
             sq = np.empty((b, steps + 1)) if gamma.dim > 1 else None  # squared distances
-            products = np.empty((b, steps)) if crossing else None  # D_k D_(k+1)
         near, d, t = dmin_sq[offset:offset + b], diff[:b], term[:b]
         for gap, coeffs in pairs:
             for m, (k, c) in enumerate(coeffs):
@@ -309,11 +326,14 @@ def collision_report(
             d += gap
             if crossing:  # the one pair of two particles
                 u = bridge.random(b)
-                prod = np.multiply(d[:, :-1, 0], d[:, 1:, 0], out=products[:b])
-                crossed = cross[offset:offset + b]
-                np.any(prod <= 0.0, axis=1, out=crossed)
+                # D (from the start gap D_0) has some D_k D_(k+1) <= 0 iff its row min is <= 0 <= its row
+                # max, so only the rows the bridge decides form products; a product of two same-signed
+                # values that underflows to 0 makes its bridge factor 0, which crosses too
+                line, crossed = d[..., 0], cross[offset:offset + b]
+                np.logical_and(line.min(axis=1) <= 0.0, line.max(axis=1) >= 0.0, out=crossed)
                 rows = np.flatnonzero(~crossed)
-                q = prod[rows]
+                kept = line[rows]
+                q = kept[:, :-1] * kept[:, 1:]
                 q /= -2.0 * dt
                 np.exp(q, out=q)
                 np.negative(q, out=q)
@@ -350,8 +370,9 @@ def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -
     exact law P(|xi| <= r) = 1 - tail_mass: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D)."""
     steps = _steps_for(t, dt)
     radii = np.empty(replicas)
-    for offset, paths in _path_blocks(substream(seed, TAG_MARGINAL), np.zeros((1, gamma_dim)), steps, dt, replicas):
-        radii[offset:offset + len(paths)] = np.sqrt(sq_dist(paths[:, 0, -1, :]))
+    # the path at time t is the sum of its steps, so no path is built
+    for offset, inc in _increment_blocks(substream(seed, TAG_MARGINAL), 1, gamma_dim, steps, dt, replicas):
+        radii[offset:offset + len(inc)] = np.sqrt(sq_dist(inc[:, 0].sum(axis=1)))
     radii.sort()
     cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, t), radii)
     n = replicas

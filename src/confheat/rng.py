@@ -1,13 +1,15 @@
 """Keyed random streams.
 
-All Monte Carlo entry points derive their randomness from PCG64DXSM streams
-keyed by (seed, path-of-integers): the path is folded into a 64-bit state by
+All Monte Carlo entry points derive their randomness from SFC64 streams keyed
+by (seed, path-of-integers): the path is folded into a 64-bit state by
 splitmix64, and the state seeds the generator through ``SeedSequence``, whose
-hashing spreads distinct keys over unrelated generator states.  Results assembled
-chunk-by-chunk are reduced in chunk order, so outputs do not depend on thread
-scheduling or thread count.  Within a stream, samplers draw in blocks of
-``block_rows`` rows into reused buffers; the blocks continue the stream as one
-draw would, so block size bounds memory and changes no value.
+hashing spreads distinct keys over unrelated generator states.  SFC64 is the
+cheapest of numpy's bit generators per 64-bit word, and the Gaussian draws,
+one word each through the ziggurat, are most of the Monte Carlo work.
+Results assembled chunk-by-chunk are reduced in chunk order, so outputs do not
+depend on thread scheduling or thread count.  Within a stream, samplers draw
+in blocks of ``block_rows`` rows into reused buffers; the blocks continue the
+stream as one draw would, so block size bounds memory and changes no value.
 """
 from __future__ import annotations
 
@@ -45,11 +47,11 @@ def _splitmix64(x: int) -> int:
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic PCG64DXSM generator keyed by the seed and an integer path."""
+    """Deterministic SFC64 generator keyed by the seed and an integer path."""
     state = _splitmix64(seed & _MASK64)
     for p in path:
         state = _splitmix64(state ^ _splitmix64(p & _MASK64))
-    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([state, _splitmix64(state)])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([state, _splitmix64(state)])))
 
 
 def block_rows(points_per_row: int) -> int:

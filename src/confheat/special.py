@@ -4,7 +4,7 @@ Squared distances along the coordinate axis, sums along a short last axis, ball 
 radial integral of an exponential and the binomial standard error.  Incomplete
 gamma values, the normal distribution and the Kolmogorov distribution are
 taken from ``scipy.special`` directly (``gammainc`` here, ``gammaincc`` and
-``ndtr`` in ``kernel``, ``ndtr`` and ``kolmogorov`` in ``process``).
+``erfc`` in ``kernel``, ``ndtr`` and ``kolmogorov`` in ``process``).
 """
 from __future__ import annotations
 

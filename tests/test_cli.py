@@ -164,9 +164,10 @@ def test_cli_exit_status_contract(tmp_path):
 
 
 def test_sample_poisson_without_points_is_inconclusive(tmp_path):
-    # z|B| = 3.1e-6 over 20000 replicas draws no point: the count SE is 0 and no radius has an SE
+    # z|B| = 3.1e-12 over 20000 replicas: an expected total of 6.3e-8 points, so with any stream no point
+    # is drawn, the count SE is 0 and no radius has an SE
     doc = json.loads((CONFIG_DIR / "sample_poisson.json").read_text())
-    doc["params"]["intensity"] = 1e-6
+    doc["params"]["intensity"] = 1e-12
     doc["output"] = str(tmp_path / "sp")
     code = main(["run", write_config(tmp_path, doc)])
     summary = json.loads((tmp_path / "sp.json").read_text())

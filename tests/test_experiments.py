@@ -154,6 +154,32 @@ def test_battery_against_reference_names_every_differing_report(tmp_path, monkey
     assert "FAILED for: rho.csv, stale.json" in capsys.readouterr().out
 
 
+def test_battery_comparison_prints_each_changed_row(tmp_path, monkeypatch, capsys):
+    import json
+
+    battery = _one_config_battery(tmp_path, monkeypatch)
+
+    def report(directory, rows):
+        directory.mkdir()
+        results = [dict(zip(("measurement", "value", "std_error", "note"), row)) for row in rows]
+        (directory / "mc.json").write_text(json.dumps({"experiment": "mc", "results": results}))
+        (directory / "mc.csv").write_text("".join(f"{row[0]},{row[1]}\r\n" for row in rows))
+        (directory / "exact.json").write_text(json.dumps({"results": [{"measurement": "x", "value": 1.0}]}))
+
+    report(tmp_path / "a", [("mean", 1.0, 0.3, ""), ("p", 0.5, None, ""), ("same", 2.0, 0.1, ""),
+                            ("noted", 3.0, 0.1, "old"), ("gone", 4.0, 0.1, "")])
+    report(tmp_path / "b", [("mean", 1.5, 0.4, ""), ("p", 0.25, None, ""), ("same", 2.0, 0.1, ""),
+                            ("noted", 3.0, 0.1, "new"), ("inf", "inf", 0.1, "")])
+    assert battery.compare_reports(tmp_path / "a", tmp_path / "b", "cmp") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["cmp FAILED for: mc.csv, mc.json",
+                     "  mc mean: 1.0 -> 1.5 (1.00 combined SE)",
+                     "  mc p: 0.5 -> 0.25",
+                     "  mc noted: 3.0 -> 3.0 (0.00 combined SE)",
+                     "  mc gone: 4.0 -> absent",
+                     "  mc inf: absent -> inf"]
+
+
 def test_battery_counts_report_mismatches_apart_from_failures(tmp_path, monkeypatch, capsys):
     import shutil
     import sys

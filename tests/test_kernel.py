@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import gammaincc, ndtr
 
 from confheat.kernel import (
     BoundCertificate,
@@ -87,6 +87,19 @@ def test_tail_mass_stated_values():
     assert tail_mass(HeatKernelParams(1, 0.5), 2.0) == pytest.approx(_gaussian_tail_1d(2.0, 0.5), rel=1e-12)
     assert tail_mass(HeatKernelParams(1, 0.5), 2.0) == pytest.approx(0.04550026, rel=1e-6)
     assert tail_mass(HeatKernelParams(2, 1.0), 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+def test_tail_mass_1d_erfc_agrees_with_gammaincc():
+    # d = 1 evaluates Q(1/2, r^2/(4t)) as erfc(r / (2 sqrt t)).  At t = 1/4 and 1 both arguments are exact for
+    # r = k/256, so only the two functions' own errors differ, out to Q(1/2, 400) = 5e-176; at other t the
+    # two roundings of the argument differ by an ulp, which Q's relative condition number 2 x magnifies, so
+    # those run to x = r^2/(4t) = 100 (Q = 2e-45)
+    for t, x_max in [(0.25, 400.0), (1.0, 400.0), (0.3, 100.0), (0.01, 100.0), (7.0, 100.0)]:
+        r = np.arange(0.0, math.sqrt(4.0 * t * x_max), 1.0 / 256.0)
+        want = gammaincc(0.5, r * r / (4.0 * t))
+        got = tail_mass(HeatKernelParams(1, t), r)
+        assert got.shape == r.shape and got[0] == 1.0 and want[-1] > 0.0
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_tail_mass_normalization_exact_across_params():

@@ -233,14 +233,19 @@ def test_collision_validation():
 # the block sampler against whole-batch oracles
 
 
+def _brownian_steps(rng, n, dim, steps, dt, m):
+    """Oracle: the steps of m replicas of n paths from one draw, shape (m, n, steps, dim)."""
+    inc = rng.standard_normal((m, n, steps, dim))
+    inc *= math.sqrt(2.0 * dt)
+    return inc
+
+
 def _brownian_paths(rng, start, steps, dt, m):
     """Oracle: m replicas of paths from one draw, shape (m, n, steps + 1, dim)."""
     n, dim = start.shape
     paths = np.empty((m, n, steps + 1, dim))
     paths[:, :, 0, :] = start
-    inc = rng.standard_normal((m, n, steps, dim))
-    inc *= math.sqrt(2.0 * dt)
-    np.cumsum(inc, axis=2, out=paths[:, :, 1:, :])
+    np.cumsum(_brownian_steps(rng, n, dim, steps, dt, m), axis=2, out=paths[:, :, 1:, :])
     paths[:, :, 1:, :] += start[:, None, :]
     return paths
 
@@ -395,20 +400,35 @@ def test_collision_d1_crossing_only_for_two_particles():
 
 @pytest.mark.parametrize("rows", [None, 3])
 def test_marginal_radii_equal_one_draw(monkeypatch, rows):
-    seen = []
+    # the marginal reads each replica's summed steps where the path oracle takes their running sum: its steps
+    # are the oracle's bit for bit, and the end radii agree up to the order of the additions
+    seen, blocks = [], []
+    increment_blocks = confheat.process._increment_blocks
 
     def recording_tail_mass(params, r):
         seen.append(np.array(r))
         return tail_mass(params, r)
 
+    def recording_increment_blocks(*args):
+        for offset, inc in increment_blocks(*args):
+            blocks.append((offset, inc.copy()))
+            yield offset, inc
+
     monkeypatch.setattr(confheat.process, "tail_mass", recording_tail_mass)
+    monkeypatch.setattr(confheat.process, "_increment_blocks", recording_increment_blocks)
     for dim, t, dt, n, seed in [(1, 0.3, 0.01, 2003, 1), (2, 0.2, 0.05, 1001, 2), (3, 0.1, 0.1, 50, 3)]:
         steps = round(t / dt)
         if rows:
             _few_rows(monkeypatch, rows, steps + 1)
+        blocks.clear()
         marginal_ks(dim, t, dt, replicas=n, seed=seed)
+        assert [offset for offset, _ in blocks] == list(range(0, n, rows or n))
+        want_steps = _brownian_steps(substream(seed, TAG_MARGINAL), 1, dim, steps, dt, n)
+        assert np.array_equal(np.concatenate([inc for _, inc in blocks]), want_steps)
         paths = _brownian_paths(substream(seed, TAG_MARGINAL), np.zeros((1, dim)), steps, dt, n)
-        assert np.array_equal(seen.pop(), np.sort(np.sqrt(np.sum(paths[:, 0, -1] ** 2, axis=-1))))
+        want = np.sort(np.sqrt(np.sum(paths[:, 0, -1] ** 2, axis=-1)))
+        got = seen.pop()
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("rows", [None, 5])

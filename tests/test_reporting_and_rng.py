@@ -58,6 +58,13 @@ def test_substream_independence_and_determinism():
     assert not np.array_equal(substream(6, 1, 2).standard_normal(4), a)
 
 
+def test_substream_pins_its_sfc64_stream():
+    # a silent change of the generator, its seeding or the key fold changes these two normals
+    rng = substream(5, 1, 2)
+    assert isinstance(rng.bit_generator, np.random.SFC64)
+    assert rng.standard_normal(2).tolist() == [0.4746432928778037, -0.010065802104902252]
+
+
 def test_format_cell_and_jsonable_nonfinite():
     assert format_cell(math.inf) == "inf"
     assert format_cell(-math.inf) == "-inf"
@@ -96,22 +103,40 @@ def test_render_json_sorted_and_stable():
 
 
 # ---------------------------------------------------------------------------
-# the Philox route as oracle: every route drawn from substreams agrees in law with the same route on
-# the Philox4x64-10 generator that keyed the substreams before PCG64DXSM
+# former generators as oracles: every route drawn from substreams agrees in law with the same route on
+# the Philox4x64-10 generator that keyed the substreams first and on the PCG64DXSM generator that came
+# next, both keyed by the same splitmix64 state
 
 
-def _philox_substream(seed: int, *path: int) -> np.random.Generator:
-    """The Philox substream: the same splitmix64 state, used as Philox's 128-bit key."""
+def _key_state(seed: int, *path: int) -> int:
     state = _splitmix64(seed & _MASK64)
     for p in path:
         state = _splitmix64(state ^ _splitmix64(p & _MASK64))
+    return state
+
+
+def _philox_substream(seed: int, *path: int) -> np.random.Generator:
+    """The Philox substream: the splitmix64 state, used as Philox's 128-bit key."""
+    state = _key_state(seed, *path)
     return np.random.Generator(np.random.Philox(key=np.array([state, _splitmix64(state)], dtype=np.uint64)))
 
 
+def _pcg64dxsm_substream(seed: int, *path: int) -> np.random.Generator:
+    """The PCG64DXSM substream: the splitmix64 state, seeding PCG64DXSM through SeedSequence."""
+    state = _key_state(seed, *path)
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([state, _splitmix64(state)])))
+
+
+ORACLE_SUBSTREAMS = {"Philox": _philox_substream, "PCG64DXSM": _pcg64dxsm_substream}
+
+
 def test_philox_oracle_is_the_former_route():
-    # substream(5, 1, 2).standard_normal(2) when the substreams were Philox
+    # substream(5, 1, 2).standard_normal(2) when the substreams were Philox, then PCG64DXSM
     assert _philox_substream(5, 1, 2).standard_normal(2).tolist() == [-0.8333087153457546, 1.5564528796995978]
-    assert not np.array_equal(substream(5, 1, 2).standard_normal(2), _philox_substream(5, 1, 2).standard_normal(2))
+    assert _pcg64dxsm_substream(5, 1, 2).standard_normal(2).tolist() == [-0.055245634006336655,
+                                                                         -0.4623798760249723]
+    for oracle in ORACLE_SUBSTREAMS.values():
+        assert not np.array_equal(substream(5, 1, 2).standard_normal(2), oracle(5, 1, 2).standard_normal(2))
 
 
 def _shipped_rows(name: str, replicas: int) -> dict:
@@ -150,11 +175,12 @@ PHILOX_ROUTES = {
 def test_routes_agree_with_philox_routes(monkeypatch, route):
     run, names = PHILOX_ROUTES[route]
     new = run()
-    for module in (confheat.experiments, confheat.harmonic, confheat.process, confheat.semigroup):
-        monkeypatch.setattr(module, "substream", _philox_substream)
-    old = run()
-    for name in names:
-        a, b = new[name], old[name]
-        assert a["value"] != b["value"], f"{name}: both routes drew the same values"
-        gap = abs(a["value"] - b["value"]) / math.hypot(a["std_error"], b["std_error"])
-        assert gap <= 4.0, f"{name}: {a['value']!r} vs Philox {b['value']!r} is {gap:.2f} combined SE apart"
+    for label, oracle in ORACLE_SUBSTREAMS.items():
+        for module in (confheat.experiments, confheat.harmonic, confheat.process, confheat.semigroup):
+            monkeypatch.setattr(module, "substream", oracle)
+        old = run()
+        for name in names:
+            a, b = new[name], old[name]
+            assert a["value"] != b["value"], f"{name}: {label} drew the same values"
+            gap = abs(a["value"] - b["value"]) / math.hypot(a["std_error"], b["std_error"])
+            assert gap <= 4.0, f"{name}: {a['value']!r} vs {label} {b['value']!r} is {gap:.2f} combined SE apart"
