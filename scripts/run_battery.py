@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every experiment config in scripts/configs through the CLI.
 
-Writes reports under ./reports, prints one verdict line per experiment, and
-exits 1 if an experiment does not pass or a report comparison finds a
-difference; the two are counted and printed apart.  --check-determinism runs
+Writes reports under ./reports, prints one verdict line per experiment with
+the CPU seconds its CLI call took (stdout only, never a report), and exits 1
+if an experiment does not pass or a report comparison finds a difference; the
+two are counted and printed apart.  --check-determinism runs
 the battery twice (second pass with --threads 4) and compares report bytes.
 --against DIR compares this run's report bytes with the reports in DIR, for
 example the reports/ directory of another checkout run on the same machine.
@@ -20,6 +21,7 @@ import math
 import pathlib
 import shutil
 import sys
+import time
 
 from confheat.cli import main as confheat_main
 
@@ -31,9 +33,11 @@ def run_all(threads: int) -> set[str]:
     failed = set()
     pathlib.Path("reports").mkdir(exist_ok=True)
     for cfg in sorted(CONFIG_DIR.glob("*.json")):
+        start = time.process_time()
         code = confheat_main(["run", str(cfg), "--threads", str(threads)])
+        cpu = time.process_time() - start
         status = {0: "pass", 1: "FAIL", 2: "ERROR", 3: "inconclusive"}.get(code, f"exit {code}")
-        print(f"{cfg.stem:<16} {status}")
+        print(f"{cfg.stem:<16} {status:<12} {cpu:.3f} s cpu")
         if code != 0:
             failed.add(cfg.stem)
     return failed

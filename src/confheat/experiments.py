@@ -556,14 +556,15 @@ def run_collision(p, seed, replicas, threads):
     gamma = Configuration.from_points(dim, starts, None, radius)
     rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, p["epsilon_list"])
     rows = [
-        _row(f"fraction_below_{e:g}", f, note=rep.note) for e, f in zip(rep.epsilons, rep.fractions)
+        _se_row(f"fraction_below_{e:g}", f, binomial_se(f, replicas), note=rep.note)
+        for e, f in zip(rep.epsilons, rep.fractions)
     ]
     if dim >= 2:
         decreasing = all(a > b for a, b in zip(rep.fractions, rep.fractions[1:]))
         verdict = "pass" if decreasing and rep.fractions[-1] < 0.01 else "fail"
     else:
-        rows.append(_row("crossing_fraction", rep.crossing_fraction, bound=rep.crossing_reference,
-                         note="reflection-principle reference"))
+        rows.append(_se_row("crossing_fraction", rep.crossing_fraction, binomial_se(rep.crossing_fraction, replicas),
+                            bound=rep.crossing_reference, note="reflection-principle reference"))
         se = binomial_se(rep.crossing_reference, replicas)
         verdict = "pass" if abs(rep.crossing_fraction - rep.crossing_reference) <= 4 * se else "fail"
     return ExperimentResult(rows, {}, verdict)

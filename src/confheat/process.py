@@ -1,18 +1,22 @@
 """Discretized independent-particle process and its path-regularity diagnostics.
 
-Every path comes from one increment sampler, ``_increment_blocks``, exact in
-law at grid times (Gaussian increments of variance 2 dt per coordinate), so
-continuity claims are probed by grid refinement rather than discretization
-analysis.  It yields the replicas' steps in consecutive blocks of at most
-``rng.BLOCK_POINTS`` path points, written into one reused buffer, and every
-diagnostic reduces a block before it draws the next: memory is bounded by the
-block, not by the replica count, and the draws are those of one call for all
-replicas.  ``_path_blocks`` turns each block into paths by a running sum from
-the start; the time-t marginal reads only each replica's sum of steps and
+Every path is exact in law at grid times (Gaussian increments of variance 2 dt
+per coordinate, summed along the grid), so continuity claims are probed by grid
+refinement rather than discretization analysis.  One increment sampler,
+``_increment_blocks``, yields the replicas' steps in consecutive blocks of at
+most ``rng.BLOCK_POINTS`` path points, written into one reused buffer, and
+every diagnostic reduces a block before it draws the next: memory is bounded by
+the block, not by the replica count, and the draws are those of one call for
+all replicas.  ``_path_blocks`` turns each block into paths by a running sum
+from the start; the time-t marginal reads only each replica's sum of steps and
 builds no path.  Each diagnostic draws all its replicas from one substream;
 ``simulate_paths`` is the one-replica entry that returns the paths themselves.
 The collision diagnostics read only pair differences, so they draw the n - 1
-relative coordinates of the particles rather than all n paths.
+relative coordinates of the particles rather than all n paths.  They move all
+replicas forward together in slabs of ``SLAB_STEPS`` grid steps, in the same
+row blocks, and a replica whose statistics are decided (a minimum distance
+below every epsilon and, in d = 1, a crossing) draws no further steps, which
+changes no result.
 Diagnostics cover: the time-t slice against the exact one-step law (one-sample
 Kolmogorov-Smirnov), B_n continuity along paths (the median largest B_n step
 increment shrinks as the grid is refined), the oscillation bound
@@ -38,6 +42,8 @@ PATH_CAPACITY = 100_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
 #: one replica's substeps^2 pairwise differences fit in one oscillation batch
 OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
+#: grid steps a collision slab advances every undecided replica by; decisions are read between slabs
+SLAB_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -279,22 +285,34 @@ def collision_report(
     relative coordinates: with H the Helmert basis of the complement of the
     all-ones vector, the centred displacements are H W for n - 1 independent
     Brownian paths W from 0 (variance 2 dt per coordinate and step), which is
-    exact in law, and X_i - X_j = x_i - x_j + (H_i - H_j) W; two particles need
-    one path, X_1 - X_2 = x_1 - x_2 + sqrt(2) W.
+    exact in law, and X_i - X_j = x_i - x_j + (H_i - H_j) W.  Two particles need
+    one path, their difference D = x_1 - x_2 + sqrt(2) W itself: a Brownian path
+    from the start gap with steps of variance 4 dt per coordinate.
     Min-distance detection is grid-based (between-grid near misses are not
     counted; the note says so).  For d = 1 and n = 2 the crossing indicator is
     exact in law: a replica whose difference D changed sign on the grid has
     crossed, and one that did not crossed between grid times with probability
     1 - prod_k (1 - exp(-D_k D_{k+1} / (2 dt))), the step bridges being
-    independent given the grid; one uniform per replica decides.  For n >= 3
+    independent given the grid; one uniform u per replica decides.  For n >= 3
     pairs that share a particle have dependent bridges, so no crossing fraction
     is reported.
+
+    All replicas advance together in slabs of ``SLAB_STEPS`` grid steps, and a
+    slab draws steps only for the replicas still undecided, in replica order
+    and in row blocks of at most ``BLOCK_POINTS`` path points.  A replica is
+    decided once its minimum distance, time 0 included, is below the smallest
+    epsilon and, in the crossing case, it has crossed: D changed sign (counting
+    the slab's start value) or its partial bridge product is already <= u.
+    Both statistics are monotone along the path (a minimum only falls, and
+    adding log factors <= 0 only lowers the sum, in floats too), so a decided
+    replica's result is the one its whole path would give, and stopping it
+    changes no value; every step drawn is still N(0, 2 dt).
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
         raise ValueError("epsilon_list must be positive and strictly decreasing")
     start = gamma.expand()
-    n = start.shape[0]
+    n, dim = start.shape
     if n < 2:
         raise ValueError("collision diagnostics need at least 2 particles")
     if replicas < 1:
@@ -305,64 +323,112 @@ def collision_report(
     # start gap exactly; rows i < j of H agree on the columns past j - 1
     pairs = [(start[i] - start[j], [(k, float(h[i, k] - h[j, k])) for k in np.flatnonzero(h[i] != h[j])])
              for i in range(n) for j in range(i + 1, n)]
-    crossing = gamma.dim == 1 and n == 2
+    crossing = dim == 1 and n == 2
+    # two particles draw their difference D itself as the one relative coordinate
+    w0, scale = (start[0] - start[1], math.sqrt(4.0 * dt)) if n == 2 else (0.0, math.sqrt(2.0 * dt))
+    # per replica, written when it is decided or at the horizon
+    dmin_sq, cross = np.empty(replicas), np.empty(replicas, dtype=bool)
+    # the live replicas' state, compacted in replica order: index, last W (D for two particles), minimum
+    # squared distance so far (time 0 counts) and, when crossing, the bridge uniform, crossed flag and log
+    # product
+    state = [np.arange(replicas), np.full((replicas, n - 1, dim), w0),
+             np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))]
     if crossing:
-        bridge, cross = substream(seed, TAG_COLLISION, 1), np.empty(replicas, dtype=bool)
-    dmin_sq = np.full(replicas, np.inf)
-    diff = None  # one pair difference: (rows, steps + 1, dim), with buffers of the same rows
-    for offset, paths in _path_blocks(substream(seed, TAG_COLLISION), np.zeros((n - 1, gamma.dim)), steps, dt,
-                                      replicas):
-        b = len(paths)
-        if diff is None:  # the first block is the largest
-            diff = np.empty((b, steps + 1, gamma.dim))
-            term = np.empty_like(diff) if n > 2 else diff  # one term of a difference, for n >= 3
-            sq = np.empty((b, steps + 1)) if gamma.dim > 1 else None  # squared distances
-        near, d, t = dmin_sq[offset:offset + b], diff[:b], term[:b]
-        for gap, coeffs in pairs:
-            for m, (k, c) in enumerate(coeffs):
-                np.multiply(paths[:, k], c, out=t if m else d)
-                if m:
-                    d += t
-            d += gap
-            if crossing:  # the one pair of two particles
-                u = bridge.random(b)
-                # D (from the start gap D_0) has some D_k D_(k+1) <= 0 iff its row min is <= 0 <= its row
-                # max, so only the rows the bridge decides form products; a product of two same-signed
-                # values that underflows to 0 makes its bridge factor 0, which crosses too
-                line, crossed = d[..., 0], cross[offset:offset + b]
-                np.logical_and(line.min(axis=1) <= 0.0, line.max(axis=1) >= 0.0, out=crossed)
-                rows = np.flatnonzero(~crossed)
-                kept = line[rows]
-                q = kept[:, :-1] * kept[:, 1:]
-                q /= -2.0 * dt
-                np.exp(q, out=q)
-                np.negative(q, out=q)
-                with np.errstate(divide="ignore"):
-                    np.log1p(q, out=q)
-                crossed[rows] = u[rows] >= np.exp(q.sum(axis=1))
-            # squared in place and summed in coordinate order: sq_dist(d) bit for bit, without its buffers;
-            # a square is >= +0, so the sum's start 0.0 + d_0^2 is d_0^2 itself
-            d *= d
-            if sq is None:
-                dist_sq = d[..., 0]
-            else:
-                dist_sq = np.add(d[..., 0], d[..., 1], out=sq[:b])
-                for k in range(2, gamma.dim):
-                    dist_sq += d[..., k]
-            np.minimum(near, dist_sq.min(axis=1), out=near)
+        state += [substream(seed, TAG_COLLISION, 1).random(replicas), np.zeros(replicas, dtype=bool),
+                  np.zeros(replicas)]
+    rng = substream(seed, TAG_COLLISION)
+    rows = min(replicas, block_rows((n - 1) * (SLAB_STEPS + 1)))
+    points = rows * min(SLAB_STEPS, steps)
+    # flat buffers, so every block's views are contiguous, the ragged last slab's too: the steps, the
+    # paths, for n >= 3 one pair difference and one term of it, and for dim >= 2 the squared distances
+    inc, paths = np.empty(points * (n - 1) * dim), np.empty(points * (n - 1) * dim)
+    diff, term = (np.empty(points * dim), np.empty(points * dim)) if n > 2 else (None, None)
+    sq = np.empty(points) if dim > 1 else None
+    for first in range(0, steps, SLAB_STEPS):
+        live, w, near, *bridge = state
+        decided = np.sqrt(near) < eps[-1]  # sqrt is monotone and matches the fractions' test below
+        if crossing:
+            decided &= bridge[1]
+        if decided.any():
+            dmin_sq[live[decided]] = near[decided]
+            if crossing:
+                cross[live[decided]] = True
+            state = [a[~decided] for a in state]
+            live, w, near, *bridge = state
+            if not len(live):
+                break
+        width = min(SLAB_STEPS, steps - first)
+        for i in range(0, len(live), rows):
+            b = min(rows, len(live) - i)
+            step = inc[:b * (n - 1) * width * dim].reshape(b, n - 1, width, dim)
+            rng.standard_normal(out=step)
+            step *= scale
+            # continuing the running sum from the last W gives the values one cumsum of the whole path would
+            step[:, :, 0] += w[i:i + b]
+            path = np.cumsum(step, axis=2, out=paths[:step.size].reshape(step.shape))
+            if crossing:  # the path is D, and w still holds its value at the slab's start
+                _bridge_step(path[:, 0, :, 0], w[i:i + b, 0, 0], *(a[i:i + b] for a in bridge), dt)
+            w[i:i + b] = path[:, :, -1]
+            for gap, coeffs in pairs:
+                if n == 2:  # the path is D itself; w holds its end, so it is squared in place below
+                    d = path[:, 0]
+                else:
+                    d, t = diff[:b * width * dim].reshape(b, width, dim), term[:b * width * dim].reshape(b, width, dim)
+                    for m, (k, c) in enumerate(coeffs):
+                        np.multiply(path[:, k], c, out=t if m else d)
+                        if m:
+                            d += t
+                    d += gap
+                # squared in place and summed in coordinate order: sq_dist(d) bit for bit, without its
+                # buffers; a square is >= +0, so the sum's start 0.0 + d_0^2 is d_0^2 itself
+                d *= d
+                if sq is None:
+                    dist_sq = d[..., 0]
+                else:
+                    dist_sq = np.add(d[..., 0], d[..., 1], out=sq[:b * width].reshape(b, width))
+                    for k in range(2, dim):
+                        dist_sq += d[..., k]
+                np.minimum(near[i:i + b], dist_sq.min(axis=1), out=near[i:i + b])
+    live, _, near, *bridge = state
+    dmin_sq[live] = near
     # sqrt is monotone, so the minimum distance is the root of the minimum square
     min_dist = np.sqrt(dmin_sq)
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
     note = "min-distance fractions are grid-based; between-grid near misses are not counted"
     if crossing:
+        cross[live] = bridge[1]
         gap = abs(float(start[0, 0] - start[1, 0]))
         reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
         note += "; crossing fraction uses the exact Brownian-bridge correction"
         return CollisionReport(tuple(eps), fractions, float(np.mean(cross)), reference, replicas, note)
-    if gamma.dim == 1:
+    if dim == 1:
         note += ("; no crossing fraction: with 3 or more particles, pairs sharing a particle have "
                  "dependent bridges, so per-pair bridge draws would not be exact in law")
     return CollisionReport(tuple(eps), fractions, None, None, replicas, note)
+
+
+def _bridge_step(line, last, u, crossed, log_keep, dt):
+    """One slab of the d = 1 crossing test, on rows of D over the slab's grid times (b, width).
+
+    D crossed in the slab iff min(last, row) <= 0 <= max(last, row), with ``last`` the D the slab starts
+    from; only the rows still open form the products D_k D_(k+1), add their log bridge factors to
+    ``log_keep`` and cross once u >= exp(log_keep).  A product of two same-signed values that
+    underflows to 0 makes its bridge factor 0, which crosses too.  Updates ``crossed`` and ``log_keep``
+    in place.
+    """
+    crossed |= (np.minimum(line.min(axis=1), last) <= 0.0) & (np.maximum(line.max(axis=1), last) >= 0.0)
+    rows = np.flatnonzero(~crossed)
+    kept = line[rows]
+    q = np.empty_like(kept)
+    np.multiply(last[rows], kept[:, 0], out=q[:, 0])
+    np.multiply(kept[:, :-1], kept[:, 1:], out=q[:, 1:])
+    q /= -2.0 * dt
+    np.exp(q, out=q)
+    np.negative(q, out=q)
+    with np.errstate(divide="ignore"):
+        np.log1p(q, out=q)
+    log_keep[rows] += q.sum(axis=1)
+    crossed[rows] = u[rows] >= np.exp(log_keep[rows])
 
 
 def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -> tuple[float, float]:
@@ -372,7 +438,11 @@ def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -
     radii = np.empty(replicas)
     # the path at time t is the sum of its steps, so no path is built
     for offset, inc in _increment_blocks(substream(seed, TAG_MARGINAL), 1, gamma_dim, steps, dt, replicas):
-        radii[offset:offset + len(inc)] = np.sqrt(sq_dist(inc[:, 0].sum(axis=1)))
+        if gamma_dim == 1:
+            end = inc[:, 0].sum(axis=1)
+        else:  # one strided row sum per coordinate: a sum over the step axis would loop over dim innermost
+            end = np.stack([inc[:, 0, :, k].sum(axis=1) for k in range(gamma_dim)], axis=-1)
+        radii[offset:offset + len(inc)] = np.sqrt(sq_dist(end))
     radii.sort()
     cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, t), radii)
     n = replicas

@@ -205,3 +205,28 @@ def test_battery_counts_report_mismatches_apart_from_failures(tmp_path, monkeypa
     out = capsys.readouterr().out
     assert out.count("broken           ERROR") == 2
     assert "1 experiment(s) failed" in out and "1 report comparison(s) found differences" in out
+
+
+def test_collision_rows_carry_binomial_standard_errors():
+    from confheat.experiments import run_collision
+    from confheat.special import binomial_se
+
+    p = {"dim": 1, "starts": [[0.0], [0.1]], "horizon": 0.2, "dt": 0.01, "epsilon_list": [0.05, 0.02]}
+    result = run_collision(p, seed=7, replicas=500, threads=1)
+    rows = {row["measurement"]: row for row in result.rows}
+    assert set(rows) == {"fraction_below_0.05", "fraction_below_0.02", "crossing_fraction"}
+    for row in rows.values():
+        assert row["std_error"] == binomial_se(row["value"], 500)
+
+
+def test_battery_verdict_line_carries_cpu_seconds(tmp_path, monkeypatch, capsys):
+    import re
+    import sys
+
+    battery = _one_config_battery(tmp_path, monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["run_battery.py"])
+    assert battery.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if re.fullmatch(r"rho +pass +\d+\.\d{3} s cpu", line)], lines
+    # the timing stays on stdout, out of the reports
+    assert "cpu" not in (tmp_path / "reports" / "rho.json").read_text()

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -98,6 +99,20 @@ def test_tail_mass_1d_erfc_agrees_with_gammaincc():
         r = np.arange(0.0, math.sqrt(4.0 * t * x_max), 1.0 / 256.0)
         want = gammaincc(0.5, r * r / (4.0 * t))
         got = tail_mass(HeatKernelParams(1, t), r)
+        assert got.shape == r.shape and got[0] == 1.0 and want[-1] > 0.0
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@mpmath.workdps(40)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tail_mass_closed_forms_against_mpmath(dim):
+    # d = 2 and 3 evaluate Q(1, x) = e^-x and Q(3/2, x) = erfc(sqrt x) + 2 sqrt(x/pi) e^-x at x = r^2/(4t),
+    # out to x = 100 as in the d = 1 test; mpmath takes the exact x of each float r and t
+    for t in (0.25, 1.0, 0.3, 0.01, 7.0):
+        r = np.linspace(0.0, math.sqrt(400.0 * t), 201)
+        got = tail_mass(HeatKernelParams(dim, t), r)
+        want = [float(mpmath.gammainc(mpmath.mpf(dim) / 2, mpmath.mpf(x) ** 2 / (4 * mpmath.mpf(t)), mpmath.inf,
+                                      regularized=True)) for x in r]
         assert got.shape == r.shape and got[0] == 1.0 and want[-1] > 0.0
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 

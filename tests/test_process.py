@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from confheat.points import Configuration
 from confheat.process import (
     OSCILLATION_MAX_SUBSTEPS,
     PAIR_POINTS,
+    SLAB_STEPS,
     bn_refinement_medians,
     collision_report,
     marginal_ks,
@@ -259,9 +261,9 @@ def _helmert(n):
 
 
 def _collision_oracle(gamma, horizon, dt, replicas, seed, eps):
-    """Fractions and crossing fraction from one whole-batch draw of the n - 1 relative coordinates
-    W = H^T (X - x), each pair difference summed column by column onto its start gap, and one bridge
-    uniform per replica."""
+    """In-law oracle: fractions and crossing fraction from one replica-major whole-batch draw of the n - 1
+    relative coordinates W = H^T (X - x), each pair difference summed column by column onto its start gap,
+    and one bridge uniform per replica."""
     start = gamma.expand()
     n, steps = start.shape[0], round(horizon / dt)
     h = _helmert(n)
@@ -335,27 +337,115 @@ COLLISION_CASES = {
     "d1-far": (cfg([0.0, 3.0, 6.0, 9.0]), 1201),  # few replicas come within epsilon
     "d1-mixed": (cfg([0.0, 0.15, 0.3, 2.0]), 1201),
     "d2": (cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), 1201),
+    "d2-two": (cfg([[0.0, 0.0], [0.1, 0.05]], dim=2), 1201),
     "d3": (cfg([[0.0, 0.0, 0.0], [0.03, 0.0, 0.0], [0.0, 0.03, 0.0], [0.0, 0.0, 0.03], [0.03, 0.03, 0.0]],
                dim=3), 1201),
 }
+
+
+def _slab_collisions(gamma, horizon, dt, replicas, seed, eps, walk=None):
+    """Oracle: per replica the minimum pair distance over the grid and, for two particles in d = 1, the
+    crossing flag, with all replicas advanced together in slabs of SLAB_STEPS steps.  A slab draws the
+    steps of the undecided replicas in one call, in replica order; with a generator ``walk``, decided
+    replicas keep walking to the horizon on its draws.  Two particles draw their difference D, from the
+    start gap with step variance 4 dt.  The crossing flag is a sign change on the grid or
+    u >= exp(sum of log bridge factors), summed slab by slab.  Also returns the live count per slab."""
+    start = gamma.expand()
+    (n, dim), steps = start.shape, round(horizon / dt)
+    h = _helmert(n)
+    pairs = [(start[i] - start[j], h[i] - h[j]) for i in range(n) for j in range(i + 1, n)]
+    crossing = dim == 1 and n == 2
+    rng, u = substream(seed, TAG_COLLISION), substream(seed, TAG_COLLISION, 1).random(replicas)
+    w = np.zeros((replicas, n - 1, dim)) + (start[0] - start[1] if n == 2 else 0.0)
+    scale = math.sqrt((4.0 if n == 2 else 2.0) * dt)
+    dmin_sq = np.full(replicas, min(np.sum(gap * gap) for gap, _ in pairs))
+    last, log_keep, sign = np.full(replicas, start[0, 0] - start[1, 0]), np.zeros(replicas), np.zeros(replicas, bool)
+    live_counts = []
+    for first in range(0, steps, SLAB_STEPS):
+        width = min(SLAB_STEPS, steps - first)
+        live = np.sqrt(dmin_sq) >= eps[-1]
+        if crossing:
+            live |= ~(sign | (u >= np.exp(log_keep)))
+        live_counts.append(int(live.sum()))
+        z = np.empty((replicas, n - 1, width, dim))
+        z[live] = rng.standard_normal((live_counts[-1], n - 1, width, dim))
+        if walk is not None:
+            z[~live] = walk.standard_normal((replicas - live_counts[-1], n - 1, width, dim))
+        moving = live if walk is None else np.ones(replicas, dtype=bool)
+        inc = z[moving] * scale
+        inc[:, :, 0] += w[moving]
+        path = np.cumsum(inc, axis=2)
+        w[moving] = path[:, :, -1]
+        for gap, c in pairs:
+            diff = path[:, 0] if n == 2 else sum(c[k] * path[:, k] for k in range(n - 1) if c[k] != 0) + gap
+            dmin_sq[moving] = np.minimum(dmin_sq[moving], np.sum(diff * diff, axis=-1).min(axis=1))
+        if crossing:
+            line = np.concatenate([last[moving, None], diff[..., 0]], axis=1)
+            sign[moving] |= (line.min(axis=1) <= 0.0) & (line.max(axis=1) >= 0.0)
+            with np.errstate(all="ignore"):
+                log_keep[moving] += np.log1p(-np.exp(line[:, :-1] * line[:, 1:] / (-2.0 * dt))).sum(axis=1)
+            last[moving] = line[:, -1]
+    crossed = sign | (u >= np.exp(log_keep)) if crossing else None
+    return np.sqrt(dmin_sq), crossed, live_counts
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["default-blocks", "small-blocks"])
 @pytest.mark.parametrize("case", sorted(COLLISION_CASES))
 def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
     gamma, replicas = COLLISION_CASES[case]
-    horizon, dt, eps = 0.2, 0.01, (0.3, 0.1, 0.02)
+    horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)  # four slabs, the last of 8 steps
     n = gamma.expand().shape[0]
     if small:
-        # relative paths in blocks of 3 replicas (the last of 1)
-        _few_rows(monkeypatch, 3, (n - 1) * 21)
+        # slabs in blocks of 3 live replicas (the last of 1 or 2)
+        _few_rows(monkeypatch, 3, (n - 1) * (SLAB_STEPS + 1))
     rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
-    fractions, crossing = _collision_oracle(gamma, horizon, dt, replicas, 21, eps)
-    assert rep.fractions == fractions
-    assert rep.crossing_fraction == crossing
+    min_dist, crossed, live_counts = _slab_collisions(gamma, horizon, dt, replicas, 21, eps)
+    assert rep.fractions == tuple(float(np.mean(min_dist < e)) for e in eps)
+    assert rep.crossing_fraction == (None if crossed is None else float(np.mean(crossed)))
     assert 0.0 < rep.fractions[-1] < 1.0
+    # some replicas stop early and some walk to the horizon
+    assert len(live_counts) == 4 and live_counts[0] > live_counts[-1] > 0
     if case == "d1-two":
-        assert 0.0 < crossing < 1.0
+        assert 0.0 < rep.crossing_fraction < 1.0
+
+
+@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
+def test_collision_stopping_changes_no_decision(case):
+    # decided replicas that keep walking to the horizon, on draws of a second stream, end with the same
+    # fractions and crossing flags, although their minimum distances fall further
+    gamma, replicas = COLLISION_CASES[case]
+    horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
+    stop_dist, stop_crossed, _ = _slab_collisions(gamma, horizon, dt, replicas, 26, eps)
+    walk_dist, walk_crossed, _ = _slab_collisions(gamma, horizon, dt, replicas, 26, eps,
+                                                  walk=np.random.default_rng(26))
+    for e in eps:
+        assert np.array_equal(stop_dist < e, walk_dist < e)
+    assert (stop_crossed is None) == (walk_crossed is None)
+    if stop_crossed is not None:
+        assert np.array_equal(stop_crossed, walk_crossed)
+    assert np.all(walk_dist <= stop_dist)
+    if case in ("d1-mixed", "d1-two", "d2", "d2-two"):  # in d = 3, or from far apart, few come closer again
+        assert np.any(walk_dist < stop_dist)
+
+
+@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
+def test_collision_report_agrees_in_law_with_replica_major_oracle(case):
+    # slabs of the undecided replicas against one replica-major draw of whole paths for all replicas
+    gamma, replicas = COLLISION_CASES[case]
+    horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
+    rep = collision_report(gamma, horizon, dt, replicas, seed=27, epsilon_list=eps)
+    fractions, crossing = _collision_oracle(gamma, horizon, dt, replicas, 27, eps)
+    pairs = list(zip(rep.fractions, fractions))
+    if crossing is not None:
+        pairs.append((rep.crossing_fraction, crossing))
+    for got, want in pairs:
+        assert abs(got - want) <= 4.0 * math.hypot(binomial_se(got, replicas), binomial_se(want, replicas))
+
+
+def test_collision_slab_length_is_pinned():
+    assert SLAB_STEPS == 64
+    assert list(inspect.signature(collision_report).parameters) == [
+        "gamma", "horizon", "dt", "replicas", "seed", "epsilon_list"]
 
 
 @pytest.mark.parametrize("case", ["d1-two", "d2-three"])
