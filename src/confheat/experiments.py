@@ -552,8 +552,7 @@ def run_oscillation(p, seed, replicas, threads):
 def run_collision(p, seed, replicas, threads):
     dim = p["dim"]
     starts = p["starts"]
-    radius = float(np.sqrt(sq_dist(starts)).max()) + 1.0
-    gamma = Configuration.from_points(dim, starts, None, radius)
+    gamma = Configuration.from_points(dim, starts)
     rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, p["epsilon_list"])
     rows = [
         _se_row(f"fraction_below_{e:g}", f, binomial_se(f, replicas), note=rep.note)

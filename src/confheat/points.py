@@ -203,19 +203,17 @@ def default_pad(t: float, dim: int) -> float:
     return 6.0 * math.sqrt(2.0 * t) * math.sqrt(dim) + 1.0
 
 
-def diffuse(gamma: Configuration, t: float, rng: np.random.Generator, pad: float | None = None) -> Configuration:
+def diffuse(gamma: Configuration, t: float, rng: np.random.Generator) -> Configuration:
     """Move every particle (multiplicity-unfolded) by an independent heat-kernel step.
 
-    The output window is enlarged by ``pad`` (default 6*sqrt(2t)*sqrt(d) + 1) or
+    The output window is enlarged by ``default_pad`` (6*sqrt(2t)*sqrt(d) + 1) or
     further if a particle lands outside; the particle count is preserved exactly.
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive, got {t!r}")
-    if pad is None:
-        pad = default_pad(t, gamma.dim)
     start = gamma.expand()
     moved = start + math.sqrt(2.0 * t) * rng.standard_normal(start.shape)
-    radius = gamma.window_radius + pad
+    radius = gamma.window_radius + default_pad(t, gamma.dim)
     if moved.shape[0]:
         radius = max(radius, float(np.sqrt(sq_dist(moved)).max()) * (1.0 + _WINDOW_SLACK))
     return Configuration(

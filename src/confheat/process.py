@@ -13,10 +13,10 @@ builds no path.  Each diagnostic draws all its replicas from one substream;
 ``simulate_paths`` is the one-replica entry that returns the paths themselves.
 The collision diagnostics read only pair differences, so they draw the n - 1
 relative coordinates of the particles rather than all n paths.  They move all
-replicas forward together in slabs of ``SLAB_STEPS`` grid steps, in the same
-row blocks, and a replica whose statistics are decided (a minimum distance
-below every epsilon and, in d = 1, a crossing) draws no further steps, which
-changes no result.
+replicas forward together in slabs of ``SLAB_STEPS`` grid steps, each slab one
+``_increment_blocks`` call for the replicas still undecided, and a replica
+whose statistics are decided (a minimum distance below every epsilon and, in
+d = 1, a crossing) draws no further steps, which changes no result.
 Diagnostics cover: the time-t slice against the exact one-step law (one-sample
 Kolmogorov-Smirnov), B_n continuity along paths (the median largest B_n step
 increment shrinks as the grid is refined), the oscillation bound
@@ -26,6 +26,7 @@ value, decided by one bridge uniform per replica).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,8 +95,9 @@ def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: in
     Yields (offset, inc): inc has shape (b, n, steps, dim), holds the steps of
     replicas offset .. offset + b - 1, each of variance 2 dt per coordinate, and
     covers at most ``BLOCK_POINTS`` path points (steps + 1 per particle) and one
-    replica at least.  Every block is written into the same buffer, so it is
-    read-only and must be reduced before the next is asked for.
+    replica at least.  Every block is written into the same buffer, so it must
+    be reduced before the next is asked for; the consumer may overwrite it, as
+    the next draw refills it.
     ``standard_normal`` fills its output in replica-major order, so the draws
     are those of one call for all replicas, whatever the block size.
     """
@@ -297,16 +299,16 @@ def collision_report(
     pairs that share a particle have dependent bridges, so no crossing fraction
     is reported.
 
-    All replicas advance together in slabs of ``SLAB_STEPS`` grid steps, and a
-    slab draws steps only for the replicas still undecided, in replica order
-    and in row blocks of at most ``BLOCK_POINTS`` path points.  A replica is
-    decided once its minimum distance, time 0 included, is below the smallest
-    epsilon and, in the crossing case, it has crossed: D changed sign (counting
-    the slab's start value) or its partial bridge product is already <= u.
-    Both statistics are monotone along the path (a minimum only falls, and
-    adding log factors <= 0 only lowers the sum, in floats too), so a decided
-    replica's result is the one its whole path would give, and stopping it
-    changes no value; every step drawn is still N(0, 2 dt).
+    All replicas advance together in slabs of ``SLAB_STEPS`` grid steps; a slab
+    is one ``_increment_blocks`` call for the replicas still undecided, in
+    replica order, and its blocks read and write their full-length state arrays
+    through the live replicas' indices.  A replica is decided once its minimum
+    distance, time 0 included, is below the smallest epsilon and, in the
+    crossing case, it has crossed: D changed sign (counting the slab's start
+    value) or its partial bridge product is already <= u.  Both statistics are
+    monotone along the path (a minimum only falls, and adding log factors <= 0
+    only lowers the sum, in floats too), so a decided replica's result is the
+    one its whole path would give, and stopping it changes no value.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
@@ -324,103 +326,67 @@ def collision_report(
     pairs = [(start[i] - start[j], [(k, float(h[i, k] - h[j, k])) for k in np.flatnonzero(h[i] != h[j])])
              for i in range(n) for j in range(i + 1, n)]
     crossing = dim == 1 and n == 2
-    # two particles draw their difference D itself as the one relative coordinate
-    w0, scale = (start[0] - start[1], math.sqrt(4.0 * dt)) if n == 2 else (0.0, math.sqrt(2.0 * dt))
-    # per replica, written when it is decided or at the horizon
-    dmin_sq, cross = np.empty(replicas), np.empty(replicas, dtype=bool)
-    # the live replicas' state, compacted in replica order: index, last W (D for two particles), minimum
-    # squared distance so far (time 0 counts) and, when crossing, the bridge uniform, crossed flag and log
-    # product
-    state = [np.arange(replicas), np.full((replicas, n - 1, dim), w0),
-             np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))]
-    if crossing:
-        state += [substream(seed, TAG_COLLISION, 1).random(replicas), np.zeros(replicas, dtype=bool),
-                  np.zeros(replicas)]
+    # two particles draw their difference D itself as the one relative coordinate, with step variance
+    # 2 (2 dt): doubling is exact, so its scale is sqrt(4 dt) bit for bit
+    w0, step_dt = (start[0] - start[1], 2.0 * dt) if n == 2 else (0.0, dt)
+    # per replica: the last W (D for two particles), the minimum squared distance so far (time 0 counts) and
+    # the crossed flag (set from the start when no crossing is tested), log bridge product and bridge uniform
+    w = np.full((replicas, n - 1, dim), w0)
+    dmin_sq = np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))
+    crossed, log_keep = np.full(replicas, not crossing), np.zeros(replicas)
+    u = substream(seed, TAG_COLLISION, 1).random(replicas) if crossing else None
     rng = substream(seed, TAG_COLLISION)
-    rows = min(replicas, block_rows((n - 1) * (SLAB_STEPS + 1)))
-    points = rows * min(SLAB_STEPS, steps)
-    # flat buffers, so every block's views are contiguous, the ragged last slab's too: the steps, the
-    # paths, for n >= 3 one pair difference and one term of it, and for dim >= 2 the squared distances
-    inc, paths = np.empty(points * (n - 1) * dim), np.empty(points * (n - 1) * dim)
-    diff, term = (np.empty(points * dim), np.empty(points * dim)) if n > 2 else (None, None)
-    sq = np.empty(points) if dim > 1 else None
+    live = np.arange(replicas)
     for first in range(0, steps, SLAB_STEPS):
-        live, w, near, *bridge = state
-        decided = np.sqrt(near) < eps[-1]  # sqrt is monotone and matches the fractions' test below
-        if crossing:
-            decided &= bridge[1]
-        if decided.any():
-            dmin_sq[live[decided]] = near[decided]
-            if crossing:
-                cross[live[decided]] = True
-            state = [a[~decided] for a in state]
-            live, w, near, *bridge = state
-            if not len(live):
-                break
+        # sqrt is monotone and matches the fractions' test below
+        live = live[(np.sqrt(dmin_sq[live]) >= eps[-1]) | ~crossed[live]]
+        if not len(live):
+            break
         width = min(SLAB_STEPS, steps - first)
-        for i in range(0, len(live), rows):
-            b = min(rows, len(live) - i)
-            step = inc[:b * (n - 1) * width * dim].reshape(b, n - 1, width, dim)
-            rng.standard_normal(out=step)
-            step *= scale
+        for offset, block in _increment_blocks(rng, n - 1, dim, width, step_dt, len(live)):
+            rows = live[offset:offset + len(block)]
             # continuing the running sum from the last W gives the values one cumsum of the whole path would
-            step[:, :, 0] += w[i:i + b]
-            path = np.cumsum(step, axis=2, out=paths[:step.size].reshape(step.shape))
-            if crossing:  # the path is D, and w still holds its value at the slab's start
-                _bridge_step(path[:, 0, :, 0], w[i:i + b, 0, 0], *(a[i:i + b] for a in bridge), dt)
-            w[i:i + b] = path[:, :, -1]
+            block[:, :, 0] += w[rows]
+            np.cumsum(block, axis=2, out=block)
+            if crossing:  # the block is D, and w still holds its value at the slab's start
+                _bridge_step(block[:, 0, :, 0], w[rows, 0, 0], rows, u, crossed, log_keep, dt)
+            w[rows] = block[:, :, -1]
             for gap, coeffs in pairs:
-                if n == 2:  # the path is D itself; w holds its end, so it is squared in place below
-                    d = path[:, 0]
-                else:
-                    d, t = diff[:b * width * dim].reshape(b, width, dim), term[:b * width * dim].reshape(b, width, dim)
-                    for m, (k, c) in enumerate(coeffs):
-                        np.multiply(path[:, k], c, out=t if m else d)
-                        if m:
-                            d += t
-                    d += gap
-                # squared in place and summed in coordinate order: sq_dist(d) bit for bit, without its
-                # buffers; a square is >= +0, so the sum's start 0.0 + d_0^2 is d_0^2 itself
+                # a zero's sign, which the order of these adds may flip, is lost to the square
+                d = block[:, 0] if n == 2 else sum(c * block[:, k] for k, c in coeffs) + gap
+                # squared in place and summed in coordinate order: sq_dist(d) bit for bit, with fewer buffers
                 d *= d
-                if sq is None:
-                    dist_sq = d[..., 0]
-                else:
-                    dist_sq = np.add(d[..., 0], d[..., 1], out=sq[:b * width].reshape(b, width))
-                    for k in range(2, dim):
-                        dist_sq += d[..., k]
-                np.minimum(near[i:i + b], dist_sq.min(axis=1), out=near[i:i + b])
-    live, _, near, *bridge = state
-    dmin_sq[live] = near
+                dist_sq = functools.reduce(np.add, (d[..., k] for k in range(dim)))
+                dmin_sq[rows] = np.minimum(dmin_sq[rows], dist_sq.min(axis=1))
     # sqrt is monotone, so the minimum distance is the root of the minimum square
     min_dist = np.sqrt(dmin_sq)
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
     note = "min-distance fractions are grid-based; between-grid near misses are not counted"
     if crossing:
-        cross[live] = bridge[1]
         gap = abs(float(start[0, 0] - start[1, 0]))
         reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
         note += "; crossing fraction uses the exact Brownian-bridge correction"
-        return CollisionReport(tuple(eps), fractions, float(np.mean(cross)), reference, replicas, note)
+        return CollisionReport(tuple(eps), fractions, float(np.mean(crossed)), reference, replicas, note)
     if dim == 1:
         note += ("; no crossing fraction: with 3 or more particles, pairs sharing a particle have "
                  "dependent bridges, so per-pair bridge draws would not be exact in law")
     return CollisionReport(tuple(eps), fractions, None, None, replicas, note)
 
 
-def _bridge_step(line, last, u, crossed, log_keep, dt):
-    """One slab of the d = 1 crossing test, on rows of D over the slab's grid times (b, width).
+def _bridge_step(line, last, rows, u, crossed, log_keep, dt):
+    """One slab of the d = 1 crossing test, on the rows of D of replicas ``rows`` over the slab's grid times.
 
     D crossed in the slab iff min(last, row) <= 0 <= max(last, row), with ``last`` the D the slab starts
     from; only the rows still open form the products D_k D_(k+1), add their log bridge factors to
     ``log_keep`` and cross once u >= exp(log_keep).  A product of two same-signed values that
     underflows to 0 makes its bridge factor 0, which crosses too.  Updates ``crossed`` and ``log_keep``
-    in place.
+    at ``rows`` in place.
     """
-    crossed |= (np.minimum(line.min(axis=1), last) <= 0.0) & (np.maximum(line.max(axis=1), last) >= 0.0)
-    rows = np.flatnonzero(~crossed)
-    kept = line[rows]
+    crossed[rows] |= (np.minimum(line.min(axis=1), last) <= 0.0) & (np.maximum(line.max(axis=1), last) >= 0.0)
+    keep = np.flatnonzero(~crossed[rows])
+    kept, rows = line[keep], rows[keep]
     q = np.empty_like(kept)
-    np.multiply(last[rows], kept[:, 0], out=q[:, 0])
+    np.multiply(last[keep], kept[:, 0], out=q[:, 0])
     np.multiply(kept[:, :-1], kept[:, 1:], out=q[:, 1:])
     q /= -2.0 * dt
     np.exp(q, out=q)
@@ -438,10 +404,8 @@ def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -
     radii = np.empty(replicas)
     # the path at time t is the sum of its steps, so no path is built
     for offset, inc in _increment_blocks(substream(seed, TAG_MARGINAL), 1, gamma_dim, steps, dt, replicas):
-        if gamma_dim == 1:
-            end = inc[:, 0].sum(axis=1)
-        else:  # one strided row sum per coordinate: a sum over the step axis would loop over dim innermost
-            end = np.stack([inc[:, 0, :, k].sum(axis=1) for k in range(gamma_dim)], axis=-1)
+        # one strided row sum per coordinate: a sum over the step axis would loop over dim innermost
+        end = np.stack([inc[:, 0, :, k].sum(axis=1) for k in range(gamma_dim)], axis=-1)
         radii[offset:offset + len(inc)] = np.sqrt(sq_dist(end))
     radii.sort()
     cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, t), radii)

@@ -22,8 +22,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # fixed stream-purpose tags; keeping them distinct keeps substreams disjoint
 TAG_APPLY_MC = 11
-TAG_POISSON = 12
-TAG_DIFFUSE = 13
 TAG_PATHS = 14
 TAG_INVARIANCE = 15
 TAG_GENERATOR = 16

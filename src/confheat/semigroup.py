@@ -151,12 +151,9 @@ class ExpFunctional:
     phi: object
 
     def __post_init__(self):
-        if isinstance(self.phi, GaussianBump):
+        if isinstance(self.phi, (GaussianBump, SmoothedIndicator)):
             if not (-1.0 < self.phi.amp <= 0.0):
-                raise ValueError("Gaussian-bump amplitude must lie in (-1, 0]")
-        elif isinstance(self.phi, SmoothedIndicator):
-            if not (-1.0 < self.phi.amp <= 0.0):
-                raise ValueError("smoothed-indicator amplitude must lie in (-1, 0]")
+                raise ValueError(f"{type(self.phi).__name__} amplitude must lie in (-1, 0]")
         elif isinstance(self.phi, ConstantProfile):
             if self.phi.value != 0.0:
                 raise ValueError("constant phi must be identically zero")

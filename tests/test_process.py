@@ -1,5 +1,8 @@
+import ast
 import inspect
+import json
 import math
+import pathlib
 import tracemalloc
 
 import mpmath
@@ -316,6 +319,21 @@ def _few_rows(monkeypatch, rows, points_per_row):
     monkeypatch.setattr(confheat.rng, "BLOCK_POINTS", rows * points_per_row + 1)
 
 
+def test_increment_blocks_survive_an_overwriting_consumer(monkeypatch):
+    # the consumer may overwrite each block in place: the next draw refills the buffer
+    n, dim, steps, dt, replicas = 2, 3, 7, 0.02, 23
+    want = _brownian_steps(substream(5, 2), n, dim, steps, dt, replicas)
+    for rows in (1, 4, 5):
+        _few_rows(monkeypatch, rows, n * (steps + 1))
+        blocks = []
+        for offset, inc in confheat.process._increment_blocks(substream(5, 2), n, dim, steps, dt, replicas):
+            blocks.append(inc.copy())
+            np.cumsum(inc, axis=2, out=inc)
+            inc *= -7.0
+        assert [len(inc) for inc in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), want)
+
+
 def test_path_blocks_reproduce_one_draw(monkeypatch):
     start = np.array([[0.0, 1.0], [-0.5, 0.2], [2.0, 2.0]])
     steps, dt, replicas = 5, 0.03, 17
@@ -396,7 +414,8 @@ def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)  # four slabs, the last of 8 steps
     n = gamma.expand().shape[0]
     if small:
-        # slabs in blocks of 3 live replicas (the last of 1 or 2)
+        # full slabs in blocks of 3 live replicas (the last of 1 or 2); the ragged 8-step slab in blocks sized
+        # by its own width
         _few_rows(monkeypatch, 3, (n - 1) * (SLAB_STEPS + 1))
     rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
     min_dist, crossed, live_counts = _slab_collisions(gamma, horizon, dt, replicas, 21, eps)
@@ -440,6 +459,79 @@ def test_collision_report_agrees_in_law_with_replica_major_oracle(case):
         pairs.append((rep.crossing_fraction, crossing))
     for got, want in pairs:
         assert abs(got - want) <= 4.0 * math.hypot(binomial_se(got, replicas), binomial_se(want, replicas))
+
+
+class _CountingStream:
+    """A generator that counts the normals drawn through it."""
+
+    def __init__(self, rng):
+        self.rng, self.normals = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        z = self.rng.standard_normal(*args, **kwargs)
+        self.normals += z.size
+        return z
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
+def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
+    # every normal comes from _increment_blocks, one call per slab for its live replicas
+    gamma, replicas = COLLISION_CASES[case]
+    horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
+    n, dim = gamma.expand().shape
+    streams, calls, yielded = [], [], []
+    increment_blocks = confheat.process._increment_blocks
+
+    def counting_substream(*key):
+        streams.append(_CountingStream(substream(*key)))
+        return streams[-1]
+
+    def recording_increment_blocks(rng, *args):
+        calls.append(args)
+        for offset, inc in increment_blocks(rng, *args):
+            yielded.append(inc.size)
+            yield offset, inc
+
+    monkeypatch.setattr(confheat.process, "substream", counting_substream)
+    monkeypatch.setattr(confheat.process, "_increment_blocks", recording_increment_blocks)
+    collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
+    _, _, live_counts = _slab_collisions(gamma, horizon, dt, replicas, 21, eps)
+    widths = [SLAB_STEPS] * 3 + [8]
+    step_dt = 2.0 * dt if n == 2 else dt
+    assert calls == [(n - 1, dim, width, step_dt, live) for width, live in zip(widths, live_counts)]
+    want = sum(live * (n - 1) * width * dim for width, live in zip(widths, live_counts))
+    assert sum(yielded) == sum(stream.normals for stream in streams) == want
+
+
+CONFIG_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "configs"
+
+
+@pytest.mark.parametrize("name, fractions, crossing", [
+    ("collision", (0.225, 0.0042, 0.0), None),
+    ("collision_1d", (0.9637,), 0.9621),
+])
+def test_collision_reports_of_shipped_configs_are_pinned(name, fractions, crossing):
+    # the exact reports at the shipped seeds: a refactor that moves one replica's decision shows here
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    p = doc["params"]
+    rep = collision_report(Configuration.from_points(p["dim"], p["starts"]), p["horizon"], p["dt"],
+                           doc["replicas"], doc["seed"], p["epsilon_list"])
+    assert rep.epsilons == tuple(p["epsilon_list"]) and rep.replicas == doc["replicas"]
+    assert rep.fractions == fractions
+    assert rep.crossing_fraction == crossing
+    assert rep.crossing_reference == (None if crossing is None else 2.0 * float(ndtr(-0.1 / 2.0)))
+
+
+def test_process_draws_normals_in_one_place():
+    # one sampler: a second standard_normal call site in the process layer must not come back unnoticed
+    tree = ast.parse(pathlib.Path(confheat.process.__file__).read_text())
+    sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "standard_normal"]
+    assert sites == ["_increment_blocks"]
 
 
 def test_collision_slab_length_is_pinned():
