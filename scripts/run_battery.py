@@ -2,7 +2,8 @@
 """Run every experiment config in scripts/configs through the CLI.
 
 Writes reports under ./reports, prints one verdict line per experiment with
-the CPU seconds its CLI call took (stdout only, never a report), and exits 1
+the CPU seconds its CLI call took and ends with the total CPU seconds of all
+those calls (stdout only, never a report), and exits 1
 if an experiment does not pass or a report comparison finds a difference; the
 two are counted and printed apart.  --check-determinism runs
 the battery twice (second pass with --threads 4) and compares report bytes.
@@ -28,19 +29,20 @@ from confheat.cli import main as confheat_main
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 
 
-def run_all(threads: int) -> set[str]:
-    """Run every config; return the names of those that did not pass."""
-    failed = set()
+def run_all(threads: int) -> tuple[set[str], float]:
+    """Run every config; return the names of those that did not pass and the CPU seconds of the calls."""
+    failed, total = set(), 0.0
     pathlib.Path("reports").mkdir(exist_ok=True)
     for cfg in sorted(CONFIG_DIR.glob("*.json")):
         start = time.process_time()
         code = confheat_main(["run", str(cfg), "--threads", str(threads)])
         cpu = time.process_time() - start
+        total += cpu
         status = {0: "pass", 1: "FAIL", 2: "ERROR", 3: "inconclusive"}.get(code, f"exit {code}")
         print(f"{cfg.stem:<16} {status:<12} {cpu:.3f} s cpu")
         if code != 0:
             failed.add(cfg.stem)
-    return failed
+    return failed, total
 
 
 def compare_reports(reference: pathlib.Path, current: pathlib.Path, label: str) -> int:
@@ -101,12 +103,14 @@ def main() -> int:
     if args.against is not None and not args.against.is_dir():
         parser.error(f"--against: {args.against} is not a directory")
 
-    failed = run_all(args.threads)
+    failed, cpu = run_all(args.threads)
     mismatches = 0
     if args.check_determinism:
         shutil.rmtree("reports_first", ignore_errors=True)
         shutil.move("reports", "reports_first")
-        failed |= run_all(max(args.threads, 4))
+        failed_again, cpu_again = run_all(max(args.threads, 4))
+        failed |= failed_again
+        cpu += cpu_again
         mismatches += compare_reports(pathlib.Path("reports_first"), pathlib.Path("reports"), "determinism check")
     if args.against is not None:
         mismatches += compare_reports(args.against, pathlib.Path("reports"), f"comparison against {args.against}")
@@ -114,6 +118,7 @@ def main() -> int:
         print(f"{len(failed)} experiment(s) failed")
     if mismatches:
         print(f"{mismatches} report comparison(s) found differences")
+    print(f"{'total':<29} {cpu:.3f} s cpu")
     return 1 if failed or mismatches else 0
 
 

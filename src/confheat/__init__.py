@@ -53,6 +53,7 @@ from .semigroup import (
     apply_exact_exponential,
     apply_mc,
     feller_probe,
+    generator_exact,
     generator_residual,
     invariance_test,
     lift_kernel,

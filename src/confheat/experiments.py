@@ -47,6 +47,7 @@ from .semigroup import (
     apply_exact_exponential,
     apply_mc,
     feller_probe,
+    generator_exact,
     generator_residual,
     invariance_test,
     outer_exp_neg_sum,
@@ -390,16 +391,24 @@ _METRICS = {"rho": metrics.rho, "d1": metrics.d1}
 
 
 def run_generator(p, seed, replicas, threads):
+    """Generator residuals (F - P_tF)/t - HF and their ratios under halving of t.  P_tF is in closed form
+    for the linear and square outer functions (no standard error; the note names the route) and Monte
+    Carlo over ``replicas`` draws for exp_neg_sum."""
     bumps = p["bumps"]
     outer_name = p["outer"]
     outer = _OUTERS[outer_name](len(bumps)) if outer_name == "exp_neg_sum" else _OUTERS[outer_name]()
     F = CylinderFunction(outer, bumps)
-    report = generator_residual(F, p["gamma"], p["t_list"], replicas, seed, threads=threads)
+    # P_tF in closed form where the outer function has one (linear, square); Monte Carlo otherwise
+    exact = outer.heat is not None
+    if exact:
+        report = generator_exact(F, p["gamma"], p["t_list"])
+    else:
+        report = generator_residual(F, p["gamma"], p["t_list"], replicas, seed, threads=threads)
     rows = [_row("generator_value", report.generator_value)]
     ratio_band = "[{:g}, {:g}]".format(*GENERATOR_RATIO_RANGE)
     for e in report.entries:
-        rows.append(_se_row(f"residual_t={e.t:g}", e.residual, e.std_error,
-                            note="inconclusive" if e.inconclusive else None))
+        note = "exact P_tF: closed form" if exact else "inconclusive" if e.inconclusive else None
+        rows.append(_se_row(f"residual_t={e.t:g}", e.residual, e.std_error, note=note))
     for k, r in enumerate(report.ratios):
         rows.append(_row(f"ratio_{k}", r, bound=ratio_band, note=report.note))
     return ExperimentResult(rows, {"outer": outer_name}, report.verdict)

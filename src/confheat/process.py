@@ -4,25 +4,29 @@ Every path is exact in law at grid times (Gaussian increments of variance 2 dt
 per coordinate, summed along the grid), so continuity claims are probed by grid
 refinement rather than discretization analysis.  One increment sampler,
 ``_increment_blocks``, yields the replicas' steps in consecutive blocks of at
-most ``rng.BLOCK_POINTS`` path points, written into one reused buffer, and
-every diagnostic reduces a block before it draws the next: memory is bounded by
-the block, not by the replica count, and the draws are those of one call for
-all replicas.  ``_path_blocks`` turns each block into paths by a running sum
-from the start; the time-t marginal reads only each replica's sum of steps and
-builds no path.  Each diagnostic draws all its replicas from one substream;
-``simulate_paths`` is the one-replica entry that returns the paths themselves.
+most ``rng.BLOCK_POINTS`` path points, written into one reused buffer.  Paths
+of at most ``SLAB_STEPS`` steps are plain scaled draws; longer ones are built
+coarse to fine (Levy's construction): the endpoint, then bridge midpoints down
+to leaves of at most ``SLAB_STEPS`` steps, whose steps are shifted into exact
+bridge increments.  Every diagnostic reduces a block before it draws the next:
+memory is bounded by the block, not by the replica count, and the draws are
+those of one call for all replicas.  ``_path_blocks`` turns each block into
+paths by a running sum from the start; the marginal builds no path.  Each
+diagnostic draws all its replicas from one substream; ``simulate_paths`` is the
+one-replica entry that returns the paths themselves.
 The collision diagnostics read only pair differences, so they draw the n - 1
 relative coordinates of the particles rather than all n paths.  They move all
 replicas forward together in slabs of ``SLAB_STEPS`` grid steps, each slab one
 ``_increment_blocks`` call for the replicas still undecided, and a replica
 whose statistics are decided (a minimum distance below every epsilon and, in
 d = 1, a crossing) draws no further steps, which changes no result.
-Diagnostics cover: the time-t slice against the exact one-step law (one-sample
-Kolmogorov-Smirnov), B_n continuity along paths (the median largest B_n step
-increment shrinks as the grid is refined), the oscillation bound
-2 tau(delta, r/4), and collision behavior (d >= 2 fractions decreasing in
-epsilon; the d = 1 crossing fraction of two particles against the reflection
-value, decided by one bridge uniform per replica).
+Diagnostics cover: a time slice against the exact heat law (one-sample
+Kolmogorov-Smirnov, at the skeleton's midpoint for long paths), B_n continuity
+along paths (the median largest B_n step increment shrinks as the grid is
+refined), the oscillation bound 2 tau(delta, r/4), and collision behavior
+(d >= 2 fractions decreasing in epsilon; the d = 1 crossing fraction of two
+particles against the reflection value, decided by one bridge uniform per
+replica).
 """
 from __future__ import annotations
 
@@ -88,7 +92,35 @@ def _steps_for(horizon: float, dt: float) -> int:
     return steps
 
 
-def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: int):
+def _bisection(steps: int, dt: float, levels: int | None = None):
+    """Levy's bisection of the grid 0, 1, ..., steps: every interval longer than ``SLAB_STEPS`` steps splits at
+    m = l + (r - l) // 2, for at most ``levels`` levels (all the way when None).
+
+    Returns the node times, slot 0 the start, slot 1 the endpoint and then the midpoints level by level (the
+    order they are drawn in), and per level (the slice of its midpoints' slots, their left and right
+    bounding slots, (m - l) / (r - l) and the bridge's standard deviation sqrt(2 dt (m - l)(r - m) / (r - l))).
+    A grid of at most ``SLAB_STEPS`` steps has no skeleton: the start alone and no levels.
+    """
+    if steps <= SLAB_STEPS:
+        return np.array([0]), []
+    times, intervals, bisections = [0, steps], [(0, 1)], []
+    while levels is None or len(bisections) < levels:
+        split = [(a, c) for a, c in intervals if times[c] - times[a] > SLAB_STEPS]
+        if not split:
+            break
+        first, intervals, bounds = len(times), [], []
+        for a, c in split:
+            l, r = times[a], times[c]
+            m = l + (r - l) // 2
+            times.append(m)
+            intervals += [(a, len(times) - 1), (len(times) - 1, c)]
+            bounds.append((a, c, (m - l) / (r - l), (m - l) * (r - m) / (r - l)))
+        left, right, frac, var = (np.array(v) for v in zip(*bounds))
+        bisections.append((slice(first, len(times)), left, right, frac[:, None], np.sqrt(2.0 * dt * var)[:, None]))
+    return np.array(times), bisections
+
+
+def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: int, levels: int | None = None):
     """Gaussian steps of ``replicas`` replicas of n Brownian paths in R^dim on the
     grid 0, dt, ..., steps * dt, in consecutive blocks.
 
@@ -98,18 +130,53 @@ def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: in
     replica at least.  Every block is written into the same buffer, so it must
     be reduced before the next is asked for; the consumer may overwrite it, as
     the next draw refills it.
-    ``standard_normal`` fills its output in replica-major order, so the draws
-    are those of one call for all replicas, whatever the block size.
+
+    Up to ``SLAB_STEPS`` steps are drawn and scaled.  A longer path is built
+    coarse to fine (Levy's construction), each replica's row of normals being
+    the skeleton, then the steps: the endpoint (variance 2 steps dt), then the
+    bridge midpoints of ``_bisection``, X_m = X_l + (m - l)/(r - l) (X_r - X_l)
+    plus a normal of its standard deviation.  A leaf of L steps whose skeleton
+    displacement is D gets iid steps xi minus (sum xi - D)/L: exact bridge
+    increments.  With ``levels`` the bisection stops there and a path with a
+    skeleton yields its increments between nodes, (b, n, nodes, dim), in place
+    of the steps.  ``standard_normal`` fills each block in replica-major order,
+    so the draws are those of one call for all replicas, whatever the block size.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    rows = min(replicas, block_rows(n * (steps + 1)))
-    inc = np.empty((rows, n, steps, dim))
+    times, bisections = _bisection(steps, dt, levels)
+    k = len(times) - 1  # skeleton nodes past the start
+    coarse = levels is not None and k > 0  # the skeleton's increments in place of the steps
+    fill = 0 if coarse else steps  # steps drawn after the skeleton
+    rows = min(replicas, block_rows(n * ((k if coarse else steps) + 1)))
+    z = np.empty((rows, n * (k + fill) * dim))
     scale = math.sqrt(2.0 * dt)
+    if k:
+        order = np.argsort(times)
+        edges = times[order]
+        lengths = np.diff(edges)
+        nodes = np.zeros((rows, n, k + 1, dim))  # slot 0, the start, stays 0
     for offset in range(0, replicas, rows):
-        step = inc[:replicas - offset]
-        rng.standard_normal(out=step)
+        b = min(rows, replicas - offset)
+        rng.standard_normal(out=z[:b])
+        step = z[:b, n * k * dim:].reshape(b, n, fill, dim)
         step *= scale
+        if not k:
+            yield offset, step
+            continue
+        skeleton, x = z[:b, :n * k * dim].reshape(b, n, k, dim), nodes[:b]
+        x[:, :, 1] = math.sqrt(2.0 * dt * steps) * skeleton[:, :, 0]
+        for sl, left, right, frac, sd in bisections:
+            xl = x[:, :, left]
+            x[:, :, sl] = xl + frac * (x[:, :, right] - xl) + sd * skeleton[:, :, sl.start - 1:sl.stop - 1]
+        gaps = np.diff(x[:, :, order], axis=2)
+        if coarse:
+            yield offset, gaps
+            continue
+        excess = np.add.reduceat(step, edges[:-1], axis=2)
+        excess -= gaps
+        excess /= lengths[:, None]
+        step -= np.repeat(excess, lengths, axis=2)
         yield offset, step
 
 
@@ -332,6 +399,7 @@ def collision_report(
     # per replica: the last W (D for two particles), the minimum squared distance so far (time 0 counts) and
     # the crossed flag (set from the start when no crossing is tested), log bridge product and bridge uniform
     w = np.full((replicas, n - 1, dim), w0)
+    size = (n - 1) * dim  # entries of w per replica
     dmin_sq = np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))
     crossed, log_keep = np.full(replicas, not crossing), np.zeros(replicas)
     u = substream(seed, TAG_COLLISION, 1).random(replicas) if crossing else None
@@ -342,15 +410,18 @@ def collision_report(
         live = live[(np.sqrt(dmin_sq[live]) >= eps[-1]) | ~crossed[live]]
         if not len(live):
             break
+        # the live rows' entries of w as flat indices: np.take and np.put copy them faster than fancy indexing
+        flat = (live[:, None] * size + np.arange(size)).ravel()
         width = min(SLAB_STEPS, steps - first)
         for offset, block in _increment_blocks(rng, n - 1, dim, width, step_dt, len(live)):
             rows = live[offset:offset + len(block)]
+            w_rows = np.take(w, rows, axis=0)
             # continuing the running sum from the last W gives the values one cumsum of the whole path would
-            block[:, :, 0] += w[rows]
+            block[:, :, 0] += w_rows
             np.cumsum(block, axis=2, out=block)
-            if crossing:  # the block is D, and w still holds its value at the slab's start
-                _bridge_step(block[:, 0, :, 0], w[rows, 0, 0], rows, u, crossed, log_keep, dt)
-            w[rows] = block[:, :, -1]
+            if crossing:  # the block is D, and w_rows its value at the slab's start
+                _bridge_step(block[:, 0, :, 0], w_rows[:, 0, 0], rows, u, crossed, log_keep, dt)
+            np.put(w, flat[offset * size:(offset + len(rows)) * size], block[:, :, -1])
             for gap, coeffs in pairs:
                 # a zero's sign, which the order of these adds may flip, is lost to the square
                 d = block[:, 0] if n == 2 else sum(c * block[:, k] for k, c in coeffs) + gap
@@ -379,11 +450,15 @@ def _bridge_step(line, last, rows, u, crossed, log_keep, dt):
     D crossed in the slab iff min(last, row) <= 0 <= max(last, row), with ``last`` the D the slab starts
     from; only the rows still open form the products D_k D_(k+1), add their log bridge factors to
     ``log_keep`` and cross once u >= exp(log_keep).  A product of two same-signed values that
-    underflows to 0 makes its bridge factor 0, which crosses too.  Updates ``crossed`` and ``log_keep``
-    at ``rows`` in place.
+    underflows to 0 makes its bridge factor 0, which crosses too.  A row that stays farther from 0 than
+    sqrt(2 dt 746), its start included, is skipped: each of its exp(-D_k D_(k+1) / (2 dt)) underflows
+    to 0, so its log factors are all -0.0 and would change neither ``log_keep`` nor its decision.
+    Updates ``crossed`` and ``log_keep`` at ``rows`` in place.
     """
-    crossed[rows] |= (np.minimum(line.min(axis=1), last) <= 0.0) & (np.maximum(line.max(axis=1), last) >= 0.0)
-    keep = np.flatnonzero(~crossed[rows])
+    lo, hi = np.minimum(line.min(axis=1), last), np.maximum(line.max(axis=1), last)
+    crossed[rows] |= (lo <= 0.0) & (hi >= 0.0)
+    far = math.sqrt(2.0 * dt * 746.0)
+    keep = np.flatnonzero(~crossed[rows] & (lo <= far) & (hi >= -far))
     kept, rows = line[keep], rows[keep]
     q = np.empty_like(kept)
     np.multiply(last[keep], kept[:, 0], out=q[:, 0])
@@ -398,17 +473,26 @@ def _bridge_step(line, last, rows, u, crossed, log_keep, dt):
 
 
 def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -> tuple[float, float]:
-    """One-sample KS test of the time-t slice of single-particle paths against the
-    exact law P(|xi| <= r) = 1 - tail_mass: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D)."""
+    """One-sample KS test of a time slice of single-particle paths against the exact law
+    P(|xi| <= r) = 1 - tail_mass at that time: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D).
+
+    Up to ``SLAB_STEPS`` steps the slice is at t, each replica's sum of steps.  A longer path draws only
+    the first level of its skeleton (two normals per replica and coordinate), and the slice is the
+    midpoint, at (steps // 2) dt, whose law mixes the endpoint's share with the bridge's.
+    """
     steps = _steps_for(t, dt)
+    coarse = steps > SLAB_STEPS
     radii = np.empty(replicas)
-    # the path at time t is the sum of its steps, so no path is built
-    for offset, inc in _increment_blocks(substream(seed, TAG_MARGINAL), 1, gamma_dim, steps, dt, replicas):
-        # one strided row sum per coordinate: a sum over the step axis would loop over dim innermost
-        end = np.stack([inc[:, 0, :, k].sum(axis=1) for k in range(gamma_dim)], axis=-1)
+    # no path is built: the steps' sum, or the skeleton's first increment, from the start to the midpoint
+    for offset, inc in _increment_blocks(substream(seed, TAG_MARGINAL), 1, gamma_dim, steps, dt, replicas, 1):
+        if coarse:
+            end = inc[:, 0, 0]
+        else:
+            # one strided row sum per coordinate: a sum over the step axis would loop over dim innermost
+            end = np.stack([inc[:, 0, :, k].sum(axis=1) for k in range(gamma_dim)], axis=-1)
         radii[offset:offset + len(inc)] = np.sqrt(sq_dist(end))
     radii.sort()
-    cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, t), radii)
+    cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, steps // 2 * dt if coarse else t), radii)
     n = replicas
     d = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d

@@ -408,12 +408,18 @@ def invariance_test(
 
 @dataclass(frozen=True)
 class OuterFunction:
-    """Outer map g: R^N -> R with analytic gradient and Hessian evaluators."""
+    """Outer map g: R^N -> R with analytic gradient and Hessian evaluators.
+
+    ``heat(inner, particles, t)``, where a closed form exists, is P_t F at the
+    (m, dim) particles for F = g(<phi_1, .>, ...) with the Gaussian bumps
+    ``inner``; None otherwise.
+    """
 
     name: str
     fn: object
     grad: object
     hess: object
+    heat: object = None
 
 
 def outer_linear(a: float = 1.0) -> OuterFunction:
@@ -422,6 +428,7 @@ def outer_linear(a: float = 1.0) -> OuterFunction:
         fn=lambda v: a * v[..., 0],
         grad=lambda v: np.array([a]),
         hess=lambda v: np.zeros((1, 1)),
+        heat=lambda inner, pts, t: a * float(np.sum(inner[0].heat_convolve(t)(pts))),
     )
 
 
@@ -441,12 +448,22 @@ def outer_exp_neg_sum(n_args: int = 1) -> OuterFunction:
     )
 
 
+def _square_heat(inner, pts, t: float) -> float:
+    """P_t of <phi, .>^2: sum over particle pairs x != y of phi_t(x) phi_t(y), plus sum_x P_t(phi^2)(x), where
+    phi^2 is the bump (amp^2, center, width / sqrt(2))."""
+    phi = inner[0]
+    phi_t = phi.heat_convolve(t)(pts)
+    sq_t = GaussianBump(phi.amp**2, phi.center, phi.width / math.sqrt(2.0)).heat_convolve(t)(pts)
+    return float(np.sum(phi_t)) ** 2 + float(np.sum(sq_t - phi_t * phi_t))
+
+
 def outer_square() -> OuterFunction:
     return OuterFunction(
         name="square",
         fn=lambda v: v[..., 0] ** 2,
         grad=lambda v: np.array([2.0 * float(v[0])]),
         hess=lambda v: np.array([[2.0]]),
+        heat=_square_heat,
     )
 
 
@@ -544,7 +561,7 @@ class GeneratorEntry:
     t: float
     quotient: float
     residual: float
-    std_error: float
+    std_error: float | None  # None on the exact route
     inconclusive: bool
 
 
@@ -559,6 +576,53 @@ class GeneratorReport:
 
 #: band for the ratio of successive generator residuals as t halves (first order: about 2)
 GENERATOR_RATIO_RANGE = (1.5, 3.0)
+
+
+def _t_list(t_list) -> list[float]:
+    ts = [float(t) for t in t_list]
+    if len(ts) < 2 or any(t <= 0 for t in ts) or any(a <= b for a, b in zip(ts, ts[1:])):
+        raise ValueError("t_list must be positive and strictly decreasing")
+    return ts
+
+
+def _generator_report(F: CylinderFunction, gamma: Configuration, ts, pt_values, ses) -> GeneratorReport:
+    """The quotients (F(gamma) - P_t F(gamma)) / t from P_t F(gamma) at each t and the standard error of
+    that value (None when exact), their residuals against the generator value, the residual ratios under
+    halving of t, and the verdict: inconclusive when a residual's standard error exceeds half its size,
+    else pass when every ratio lies in ``GENERATOR_RATIO_RANGE``."""
+    f0 = F.value(gamma.expand())
+    hf = F.generator_value(gamma)
+    entries = []
+    for t, pt, se in zip(ts, pt_values, ses):
+        quotient = (f0 - pt) / t
+        residual = quotient - hf
+        se_q = None if se is None else float(se) / t
+        entries.append(GeneratorEntry(t, quotient, residual, se_q, se_q is not None and se_q > abs(residual) / 2.0))
+    ratios = tuple(
+        entries[k].residual / entries[k + 1].residual if entries[k + 1].residual != 0.0 else math.inf
+        for k in range(len(entries) - 1)
+    )
+    if any(e.inconclusive for e in entries):
+        verdict = "inconclusive"
+        note = "standard error dominates a residual; increase replicas"
+    elif all(GENERATOR_RATIO_RANGE[0] <= r <= GENERATOR_RATIO_RANGE[1] for r in ratios):
+        verdict = "pass"
+        note = "residual ratios consistent with first-order convergence"
+    else:
+        verdict = "fail"
+        note = f"residual ratios {ratios} outside {GENERATOR_RATIO_RANGE}"
+    return GeneratorReport(hf, tuple(entries), ratios, verdict, note)
+
+
+def generator_exact(F: CylinderFunction, gamma: Configuration, t_list) -> GeneratorReport:
+    """The check of ``generator_residual`` with P_t F(gamma) in closed form, for an outer function
+    with a ``heat`` route (``linear`` and ``square``): the residuals carry no standard error and are
+    never inconclusive."""
+    if F.outer.heat is None:
+        raise CapabilityError(f"no closed-form P_t for the outer function {F.outer.name}")
+    ts = _t_list(t_list)
+    base = gamma.expand()
+    return _generator_report(F, gamma, ts, [F.outer.heat(F.inner, base, t) for t in ts], [None] * len(ts))
 
 
 def generator_residual(
@@ -581,13 +645,8 @@ def generator_residual(
     A residual whose standard error exceeds half its size is flagged and makes
     the verdict inconclusive (more replicas, not failure).
     """
-    ts = [float(t) for t in t_list]
-    if len(ts) < 2 or any(t <= 0 for t in ts) or any(a <= b for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_list must be positive and strictly decreasing")
+    ts = _t_list(t_list)
     base = gamma.expand()
-    f0 = F.value(base)
-    hf = F.generator_value(gamma)
-
     scales = np.sqrt(2.0 * np.array(ts))[:, None, None, None]  # correctly rounded, as math.sqrt(2.0 * t)
     starts = np.tile(base, (min(replicas, chunk), 1, 1))
 
@@ -598,26 +657,7 @@ def generator_residual(
         return F.batch(moved)
 
     means, ses = _chunked_mean_se(sample, replicas, seed, TAG_GENERATOR, threads, chunk)
-    entries = []
-    for t, mean, se_mean in zip(ts, means, ses):
-        quotient = (f0 - float(mean)) / t
-        residual = quotient - hf
-        se_q = float(se_mean) / t
-        entries.append(GeneratorEntry(t, quotient, residual, se_q, se_q > abs(residual) / 2.0))
-    ratios = tuple(
-        entries[k].residual / entries[k + 1].residual if entries[k + 1].residual != 0.0 else math.inf
-        for k in range(len(entries) - 1)
-    )
-    if any(e.inconclusive for e in entries):
-        verdict = "inconclusive"
-        note = "standard error dominates a residual; increase replicas"
-    elif all(GENERATOR_RATIO_RANGE[0] <= r <= GENERATOR_RATIO_RANGE[1] for r in ratios):
-        verdict = "pass"
-        note = "residual ratios consistent with first-order convergence"
-    else:
-        verdict = "fail"
-        note = f"residual ratios {ratios} outside {GENERATOR_RATIO_RANGE}"
-    return GeneratorReport(hf, tuple(entries), ratios, verdict, note)
+    return _generator_report(F, gamma, ts, [float(m) for m in means], ses)
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,13 @@ def test_battery_verdict_line_carries_cpu_seconds(tmp_path, monkeypatch, capsys)
     assert [line for line in lines if re.fullmatch(r"rho +pass +\d+\.\d{3} s cpu", line)], lines
     # the timing stays on stdout, out of the reports
     assert "cpu" not in (tmp_path / "reports" / "rho.json").read_text()
+    # the last line totals the CPU seconds of every config run, both passes of a determinism check included
+    for argv, passes in ((["run_battery.py"], 1), (["run_battery.py", "--check-determinism"], 2)):
+        monkeypatch.setattr(sys, "argv", argv)
+        assert battery.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        seconds = [float(line.split()[2]) for line in lines if re.fullmatch(r"rho +pass +\d+\.\d{3} s cpu", line)]
+        assert len(seconds) == passes
+        total = re.fullmatch(r"total +(\d+\.\d{3}) s cpu", lines[-1])
+        assert total, lines
+        assert abs(float(total.group(1)) - sum(seconds)) <= 0.0005 * (passes + 1) + 1e-9

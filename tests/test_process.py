@@ -245,12 +245,43 @@ def _brownian_steps(rng, n, dim, steps, dt, m):
     return inc
 
 
-def _brownian_paths(rng, start, steps, dt, m):
-    """Oracle: m replicas of paths from one draw, shape (m, n, steps + 1, dim)."""
+def _levy_steps(rng, n, dim, steps, dt, m):
+    """Oracle: the steps of m replicas of n paths built coarse to fine from one draw, shape (m, n, steps, dim).
+
+    Up to SLAB_STEPS steps these are the plain steps.  Past that each replica's row holds the skeleton's
+    normals, then the steps': the endpoint, then breadth first the midpoint m = (l + r) // 2 of every interval
+    [l, r] longer than SLAB_STEPS, given X_l and X_r; each leaf's steps are shifted to sum to the skeleton's
+    displacement over it."""
+    if steps <= SLAB_STEPS:
+        return _brownian_steps(rng, n, dim, steps, dt, m)
+    bisections, queue = [], [(0, steps)]
+    while queue:
+        l, r = queue.pop(0)
+        if r - l > SLAB_STEPS:
+            bisections.append((l, (l + r) // 2, r))
+            queue += [(l, (l + r) // 2), ((l + r) // 2, r)]
+    k = len(bisections) + 1
+    z = rng.standard_normal((m, n * (k + steps) * dim))
+    skeleton, xi = z[:, :n * k * dim].reshape(m, n, k, dim), z[:, n * k * dim:].reshape(m, n, steps, dim)
+    x = {0: 0.0, steps: math.sqrt(2.0 * dt * steps) * skeleton[:, :, 0]}
+    for j, (l, mid, r) in enumerate(bisections, start=1):
+        bridge_sd = math.sqrt(2.0 * dt * (mid - l) * (r - mid) / (r - l))
+        x[mid] = x[l] + (mid - l) / (r - l) * (x[r] - x[l]) + bridge_sd * skeleton[:, :, j]
+    inc = xi * math.sqrt(2.0 * dt)
+    nodes = sorted(x)
+    for a, b in zip(nodes, nodes[1:]):
+        leaf = inc[:, :, a:b]
+        leaf -= ((leaf.sum(axis=2) - (x[b] - x[a])) / (b - a))[:, :, None]
+    return inc
+
+
+def _brownian_paths(rng, start, steps, dt, m, draw=_brownian_steps):
+    """Oracle: m replicas of paths from one draw, shape (m, n, steps + 1, dim), as running sums of ``draw``'s
+    steps (by default the plain steps)."""
     n, dim = start.shape
     paths = np.empty((m, n, steps + 1, dim))
     paths[:, :, 0, :] = start
-    np.cumsum(_brownian_steps(rng, n, dim, steps, dt, m), axis=2, out=paths[:, :, 1:, :])
+    np.cumsum(draw(rng, n, dim, steps, dt, m), axis=2, out=paths[:, :, 1:, :])
     paths[:, :, 1:, :] += start[:, None, :]
     return paths
 
@@ -309,7 +340,8 @@ def _exceedance_oracle(dim, delta, r, replicas, seed, substeps):
     rng = substream(seed, TAG_OSCILLATION)
     count = 0
     for done in range(0, replicas, 100):
-        pos = _brownian_paths(rng, np.zeros((1, dim)), substeps, delta / substeps, min(100, replicas - done))[:, 0]
+        pos = _brownian_paths(rng, np.zeros((1, dim)), substeps, delta / substeps, min(100, replicas - done),
+                              draw=_levy_steps)[:, 0]
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         count += int(np.sum(np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2))) > r))
     return count
@@ -348,6 +380,110 @@ def test_path_blocks_reproduce_one_draw(monkeypatch):
     gamma = cfg([0.0, 0.3, -1.0])
     bundle = simulate_paths(gamma, 0.5, 0.01, seed=8, replica=5)
     assert np.array_equal(bundle.paths, _brownian_paths(substream(8, TAG_PATHS, 5), gamma.expand(), 50, 0.01, 1)[0])
+
+
+def _blocks(n, dim, steps, dt, replicas, key, levels=None):
+    return [(offset, inc.copy()) for offset, inc in
+            confheat.process._increment_blocks(substream(*key), n, dim, steps, dt, replicas, levels)]
+
+
+def test_increment_blocks_at_slab_steps_equal_the_plain_one_draw():
+    # a path of SLAB_STEPS steps has no skeleton: its steps are the plain draw-and-scale bit for bit
+    ((offset, inc),) = _blocks(2, 3, SLAB_STEPS, 0.01, 9, (6, 1))
+    assert offset == 0 and np.array_equal(inc, _brownian_steps(substream(6, 1), 2, 3, SLAB_STEPS, 0.01, 9))
+
+
+@pytest.mark.parametrize("steps", [65, 100, 127, 1000])
+def test_levy_steps_are_block_size_independent_and_equal_the_oracle(monkeypatch, steps):
+    # block size changes memory, not values; the steps are the one-draw coarse-to-fine oracle's up to rounding
+    n, dim, dt, replicas = 2, 3, 0.5 / steps, 13
+    whole = _blocks(n, dim, steps, dt, replicas, (7, steps))
+    assert [offset for offset, _ in whole] == [0]
+    want = _levy_steps(substream(7, steps), n, dim, steps, dt, replicas)
+    assert np.max(np.abs(whole[0][1] - want)) <= 1e-13
+    for rows in (1, 5):
+        _few_rows(monkeypatch, rows, n * (steps + 1))
+        blocks = _blocks(n, dim, steps, dt, replicas, (7, steps))
+        assert [offset for offset, _ in blocks] == list(range(0, replicas, rows))
+        assert np.array_equal(np.concatenate([inc for _, inc in blocks]), whole[0][1])
+
+
+@pytest.mark.parametrize("steps", [65, 100, 127, 1000])
+@pytest.mark.parametrize("dim, n", [(1, 1), (2, 3), (3, 2)])
+def test_levy_paths_agree_in_law_with_running_sums(steps, dim, n):
+    # coarse-to-fine paths against the running sums of plain steps: the law at anchors (skeleton nodes, leaf
+    # edges) and leaf interiors, and E X(s) X(s') = 2 min(s, s') per coordinate, pooled over particles and
+    # coordinates, which are independent
+    dt, replicas = 1.0 / steps, 4000
+    start = np.zeros((n, dim))
+    got = np.concatenate([paths.copy() for _, paths in
+                          confheat.process._path_blocks(substream(31, steps, dim), start, steps, dt, replicas)])
+    plain = _brownian_paths(np.random.default_rng([32, steps, dim]), start, steps, dt, replicas)
+    m = steps // 2
+    times = sorted({1, 17, steps // 8, steps // 4, m - 1, m, m + 1, steps - 1, steps})
+    for k in times:
+        assert ks_2samp(got[:, :, k].ravel(), plain[:, :, k].ravel()).pvalue > 1e-4, k
+    x = got[:, :, times].transpose(0, 1, 3, 2).reshape(-1, len(times))
+    for a in range(len(times)):
+        for b in range(a, len(times)):
+            prod = x[:, a] * x[:, b]
+            se = prod.std(ddof=1) / math.sqrt(len(prod))
+            assert abs(prod.mean() - 2.0 * min(times[a], times[b]) * dt) <= 4.0 * se, (times[a], times[b])
+
+
+def test_marginal_reads_the_first_level_of_the_path_skeleton(monkeypatch):
+    # one replica: the marginal's two normals (endpoint, then midpoint) are the first two the full path draws,
+    # so its skeleton increments are the path's values at steps // 2 and at the end
+    dim, steps, dt = 2, 1000, 1e-3
+    for seed in range(3):
+        ((_, gaps),) = _blocks(1, dim, steps, dt, 1, (seed, 9), levels=1)
+        ((_, paths),) = confheat.process._path_blocks(substream(seed, 9), np.zeros((1, dim)), steps, dt, 1)
+        assert gaps.shape == (1, 1, 2, dim)
+        assert np.max(np.abs(gaps[0, 0, 0] - paths[0, 0, steps // 2])) <= 1e-12
+        assert np.max(np.abs(gaps[0, 0].sum(axis=0) - paths[0, 0, -1])) <= 1e-12
+    # many replicas: the midpoint radii, tested at the midpoint time, from a one-draw oracle of two normals each
+    seen = []
+
+    def recording_tail_mass(params, r):
+        seen.append((params.t, np.array(r)))
+        return tail_mass(params, r)
+
+    monkeypatch.setattr(confheat.process, "tail_mass", recording_tail_mass)
+    for dim, t, dt, replicas, seed in [(1, 1.0, 1e-3, 3001, 1), (2, 0.65, 0.01, 500, 2), (3, 1.27, 0.01, 40, 3)]:
+        steps = round(t / dt)
+        marginal_ks(dim, t, dt, replicas, seed)
+        s, radii = seen.pop()
+        assert s == steps // 2 * dt
+        z = substream(seed, TAG_MARGINAL).standard_normal((replicas, 2, dim))
+        end = math.sqrt(2.0 * dt * steps) * z[:, 0]
+        mid = (steps // 2) / steps * end + math.sqrt(2.0 * dt * (steps // 2) * (steps - steps // 2) / steps) * z[:, 1]
+        assert np.max(np.abs(radii - np.sort(np.sqrt(np.sum(mid * mid, axis=-1))))) <= 1e-12
+
+
+def test_marginal_detects_a_wrong_bridge_standard_deviation(monkeypatch):
+    # at the process config's size (10^4 replicas, 1000 steps, seed 112) a level-1 bridge standard deviation
+    # 10% too large gives p = 1.6e-7; a variance 10% too large only shifts the midpoint's variance by 5% and
+    # is not resolved at this size (p = 0.012 here, below 0.001 for 5 of seeds 112-131)
+    bisection = confheat.process._bisection
+
+    def wider(steps, dt, levels=None):
+        times, bisections = bisection(steps, dt, levels)
+        return times, [(sl, left, right, frac, 1.1 * sd) for sl, left, right, frac, sd in bisections]
+
+    assert marginal_ks(1, 1.0, 1e-3, 10_000, 112)[1] > 0.001
+    monkeypatch.setattr(confheat.process, "_bisection", wider)
+    assert marginal_ks(1, 1.0, 1e-3, 10_000, 112)[1] < 1e-5
+
+
+def test_oscillation_reports_are_pinned():
+    # the shipped config (seed 113) and two nearer radii: 64 substeps draw no skeleton, so a change of the
+    # path sampler's short route shows here
+    doc = json.loads((CONFIG_DIR / "oscillation.json").read_text())
+    p = doc["params"]
+    rep = oscillation_check(p["dim"], p["delta"], p["r"], doc["replicas"], doc["seed"])
+    assert (rep.empirical, rep.std_error, rep.bound) == (0.0001, 0.0001, 0.5776887326929698)
+    assert oscillation_check(1, 0.01, 0.3, 10_000, 113).empirical == 0.0962
+    assert oscillation_check(2, 0.01, 0.4, 10_000, 113).empirical == 0.0468
 
 
 COLLISION_CASES = {

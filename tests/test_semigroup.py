@@ -27,11 +27,13 @@ from confheat.semigroup import (
     apply_exact_exponential,
     apply_mc,
     feller_probe,
+    generator_exact,
     generator_residual,
     invariance_test,
     lift_kernel,
     outer_exp_neg_sum,
     outer_linear,
+    outer_square,
 )
 from confheat.special import ball_volume
 
@@ -528,6 +530,60 @@ def test_generator_residual_reports_non_finite_replica():
     F = CylinderFunction(outer, (SmoothBump(1.0, (0.0,), 1.0),), _check=False)
     with pytest.raises(EvaluationError, match="replica 9"):
         generator_residual(F, cfg([0.0]), (0.1, 0.05), replicas=10, seed=0, chunk=4)
+
+
+GENERATOR_EXACT_CASES = {
+    # (outer, bump (amp, center, width), particles with multiplicities, t list)
+    "linear-d1": (outer_linear(1.0), (1.0, (0.0,), 1.0 / math.sqrt(2.0)), [((0.0,), 1)], (0.1, 0.05, 0.025)),
+    "linear-d2-multiple": (outer_linear(-0.7), (0.8, (0.2, -0.1), 0.6), [((0.0, 0.0), 2), ((0.5, -0.3), 1)],
+                           (0.2, 0.1, 0.05)),
+    "linear-d3": (outer_linear(2.0), (1.3, (0.0, 0.1, -0.2), 0.9), [((0.3, 0.0, 0.1), 1), ((-0.4, 0.2, 0.0), 3)],
+                  (0.1, 0.05)),
+    "square-d1": (outer_square(), (1.0, (0.0,), 1.0 / math.sqrt(2.0)), [((0.3,), 1), ((-0.5,), 1)],
+                  (0.1, 0.05, 0.025)),
+    "square-d1-multiple": (outer_square(), (-0.6, (0.4,), 0.5), [((0.0,), 3), ((0.6,), 2)], (0.08, 0.04)),
+    "square-d2": (outer_square(), (0.9, (0.1, 0.0), 0.7), [((0.0, 0.0), 1), ((0.3, 0.2), 2), ((-0.6, 0.1), 1)],
+                  (0.1, 0.05, 0.025)),
+    "square-d3-multiple": (outer_square(), (1.1, (0.0, 0.0, 0.0), 0.8), [((0.2, -0.1, 0.0), 2)], (0.1, 0.05)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_EXACT_CASES))
+def test_generator_exact_agrees_with_monte_carlo(case):
+    # the closed-form residuals against the Monte Carlo route at 4 SE (the exact side has none)
+    outer, (amp, center, width), points, ts = GENERATOR_EXACT_CASES[case]
+    dim = len(center)
+    gamma = Configuration(dim, np.array([x for x, _ in points]), np.array([c for _, c in points]), 2.0)
+    F = CylinderFunction(outer, (GaussianBump(amp, center, width),))
+    exact = generator_exact(F, gamma, ts)
+    mc = generator_residual(F, gamma, ts, replicas=200_000, seed=33)
+    assert exact.generator_value == mc.generator_value
+    assert [e.t for e in exact.entries] == list(ts)
+    for e, m in zip(exact.entries, mc.entries):
+        assert e.std_error is None and not e.inconclusive
+        assert e.quotient - e.residual == pytest.approx(exact.generator_value, rel=1e-12)
+        assert abs(e.residual - m.residual) <= 4.0 * m.std_error, (e.t, e.residual, m.residual, m.std_error)
+    assert exact.ratios == tuple(a.residual / b.residual for a, b in zip(exact.entries, exact.entries[1:]))
+
+
+def test_generator_exact_at_the_shipped_config():
+    # the generator battery config: linear outer, one bump of width 1/sqrt(2) at 0, one particle at 0, where
+    # P_t F = (1 + 4t)^(-1/2)
+    phi = GaussianBump(1.0, (0.0,), 0.7071067811865476)
+    report = generator_exact(CylinderFunction(outer_linear(), (phi,)), cfg([0.0]), (0.1, 0.05, 0.025))
+    for e in report.entries:
+        assert e.residual == pytest.approx((1.0 - (1.0 + 4.0 * e.t) ** -0.5) / e.t - 2.0, rel=1e-12)
+    assert [round(e.residual, 5) for e in report.entries] == [-0.45154, -0.25742, -0.1385]
+    assert [round(r, 3) for r in report.ratios] == [1.754, 1.859]
+    assert report.verdict == "pass"
+
+
+def test_generator_exact_needs_a_closed_form():
+    F = CylinderFunction(outer_exp_neg_sum(1), (SmoothBump(1.0, (0.0,), 1.0),))
+    with pytest.raises(CapabilityError, match="closed-form"):
+        generator_exact(F, cfg([0.0]), (0.1, 0.05))
+    with pytest.raises(ValueError):
+        generator_exact(CylinderFunction(outer_square(), (SmoothBump(1.0, (0.0,), 1.0),)), cfg([0.0]), (0.05, 0.1))
 
 
 def test_generator_residual_validates_t_list():
