@@ -11,7 +11,9 @@ the battery twice (second pass with --threads 4) and compares report bytes.
 example the reports/ directory of another checkout run on the same machine.
 Every comparison that finds a differing JSON report prints its changed rows:
 both values and, when both rows carry a standard error, their gap in combined
-standard errors, |v1 - v2| / sqrt(se1^2 + se2^2).
+standard errors, |v1 - v2| / sqrt(se1^2 + se2^2); when the current row carries
+a standard error and a numeric bound, also its signed gap to that bound in its
+own standard error, (v2 - bound) / se2.
 """
 from __future__ import annotations
 
@@ -74,8 +76,9 @@ def _rows(path: pathlib.Path) -> dict:
 
 def changed_rows(reference: pathlib.Path, current: pathlib.Path) -> list[str]:
     """One line per result row that differs between two JSON reports: its
-    measurement, the reference and the current value, and their gap in combined
-    standard errors when both rows carry a standard error."""
+    measurement, the reference and the current value, their gap in combined
+    standard errors when both rows carry a standard error, and the current
+    row's gap to its numeric bound in its own standard error."""
     old, new = _rows(reference), _rows(current)
     lines = []
     for name in list(old) + [m for m in new if m not in old]:
@@ -83,12 +86,15 @@ def changed_rows(reference: pathlib.Path, current: pathlib.Path) -> list[str]:
         if a == b:
             continue
         va, vb = (row.get("value") if row else "absent" for row in (a, b))
-        line = f"{name}: {va} -> {vb}"
+        gaps = []
         if a and b and all(isinstance(x, (int, float)) for x in (va, vb, a.get("std_error"), b.get("std_error"))):
-            se = math.hypot(a["std_error"], b["std_error"])
-            if se > 0:
-                line += f" ({abs(va - vb) / se:.2f} combined SE)"
-        lines.append(line)
+            combined = math.hypot(a["std_error"], b["std_error"])
+            if combined > 0:
+                gaps.append(f"{abs(va - vb) / combined:.2f} combined SE")
+        se, bound = (b.get("std_error"), b.get("bound")) if b else (None, None)
+        if all(isinstance(x, (int, float)) for x in (vb, se, bound)) and se > 0:
+            gaps.append(f"{(vb - bound) / se:+.2f} SE from bound {bound}")
+        lines.append(f"{name}: {va} -> {vb}" + (f" ({'; '.join(gaps)})" if gaps else ""))
     return lines
 
 

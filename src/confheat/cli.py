@@ -8,7 +8,8 @@ Configs are JSON with strict validation (unknown keys rejected; errors reported
 exhaustively, not first-only).  ``validate`` runs the same parse of the params
 as ``run``, so a config that validates never fails on its params mid-run.  A
 run writes <prefix>.csv and <prefix>.json and exits 0 exactly when the verdict
-is "pass" (1 fail, 3 inconclusive, 2 errors).
+is "pass" (1 fail, 3 inconclusive, 2 errors, among them an output directory
+that does not exist or a report that cannot be written).
 Outputs are byte-identical for identical config + seed on the same build,
 regardless of thread count.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 
 from . import __version__
@@ -73,6 +75,11 @@ def _print_invalid(errors: list[str]) -> None:
         print(f"invalid: {e}", file=sys.stderr)
 
 
+def _error(message: str, config: dict):
+    print(f"error: {message}", file=sys.stderr)
+    return 2, {"error": message, "config": config}
+
+
 def run_experiment(config: dict, threads: int = 1):
     """Execute a validated config; returns (exit_code, summary dict).  The runner
     gets the objects the params parse to, by the same parse as ``validate_config``."""
@@ -82,11 +89,13 @@ def run_experiment(config: dict, threads: int = 1):
     if errors:
         _print_invalid(errors)
         return 2, {"error": "; ".join(errors), "config": config}
+    directory = pathlib.Path(config["output"]).parent
+    if not directory.is_dir():
+        return _error(f"output directory {directory} does not exist", config)
     try:
         result: ExperimentResult = exp.run(parsed, config["seed"], config["replicas"], threads)
     except (CapacityError, CapabilityError, SolverError, EvaluationError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2, {"error": str(exc), "config": config}
+        return _error(f"{type(exc).__name__}: {exc}", config)
     summary = {
         "experiment": config["experiment"],
         "config": config,
@@ -95,7 +104,10 @@ def run_experiment(config: dict, threads: int = 1):
         "details": result.summary,
         "version": __version__,
     }
-    write_report(config["output"], config["experiment"], result.rows, summary)
+    try:
+        write_report(config["output"], config["experiment"], result.rows, summary)
+    except OSError as exc:
+        return _error(str(exc), config)
     code = {"pass": 0, "fail": 1, "inconclusive": 3}[result.verdict]
     return code, summary
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import metrics
 from .errors import CapabilityError, CapacityError
@@ -33,6 +34,7 @@ from .process import (
     bn_refinement_medians,
     collision_report,
     marginal_ks,
+    marginal_time,
     oscillation_check,
 )
 from .profiles import BoxIndicator, ConstantProfile, GaussianBump, SmoothedIndicator
@@ -542,7 +544,8 @@ def run_process(p, seed, replicas, threads):
     med = bn_refinement_medians(gamma, p["t"], (p["dt_coarse"], p["dt"]), p["n"], p["bn_replicas"], seed)
     checks = [ks_p > 0.001, med[1] < med[0]]
     rows = [
-        _row("marginal_ks_p", ks_p, bound=0.001, note=f"KS statistic {d_stat:.4g}"),
+        _row("marginal_ks_p", ks_p, bound=0.001,
+             note=f"KS statistic {d_stat:.4g} at s = {marginal_time(p['t'], p['dt']):g}"),
         _row("bn_median_coarse", med[0], note=f"dt {p['dt_coarse']:g}"),
         _row("bn_median_fine", med[1], note=f"dt {p['dt']:g}"),
     ]
@@ -571,6 +574,10 @@ def run_collision(p, seed, replicas, threads):
         decreasing = all(a > b for a, b in zip(rep.fractions, rep.fractions[1:]))
         verdict = "pass" if decreasing and rep.fractions[-1] < 0.01 else "fail"
     else:
+        # the two starts' exact fractions: P(M < e) = 2 Phi((e - g) / (2 sqrt(horizon))) for the gap g, 1 once g <= e
+        gap = abs(float(starts[0][0] - starts[1][0]))
+        for row, e in zip(rows, rep.epsilons):
+            row["bound"] = min(1.0, 2.0 * float(ndtr((e - gap) / (2.0 * math.sqrt(p["horizon"])))))
         rows.append(_se_row("crossing_fraction", rep.crossing_fraction, binomial_se(rep.crossing_fraction, replicas),
                             bound=rep.crossing_reference, note="reflection-principle reference"))
         se = binomial_se(rep.crossing_reference, replicas)

@@ -18,15 +18,16 @@ The collision diagnostics read only pair differences, so they draw the n - 1
 relative coordinates of the particles rather than all n paths.  They move all
 replicas forward together in slabs of ``SLAB_STEPS`` grid steps, each slab one
 ``_increment_blocks`` call for the replicas still undecided, and a replica
-whose statistics are decided (a minimum distance below every epsilon and, in
-d = 1, a crossing) draws no further steps, which changes no result.
+whose minimum distance is below every epsilon draws no further steps, which
+changes no result.  Two particles on the line read no grid: their difference's
+minimum comes from its Brownian-bridge law given the endpoint, exact in law for
+the continuous path.
 Diagnostics cover: a time slice against the exact heat law (one-sample
 Kolmogorov-Smirnov, at the skeleton's midpoint for long paths), B_n continuity
 along paths (the median largest B_n step increment shrinks as the grid is
 refined), the oscillation bound 2 tau(delta, r/4), and collision behavior
 (d >= 2 fractions decreasing in epsilon; the d = 1 crossing fraction of two
-particles against the reflection value, decided by one bridge uniform per
-replica).
+particles against the reflection value).
 """
 from __future__ import annotations
 
@@ -347,35 +348,27 @@ def collision_report(
     seed: int,
     epsilon_list,
 ) -> CollisionReport:
-    """Fractions of replicas whose minimum pairwise distance over the grid drops
-    below each epsilon; for d = 1 with two particles also the crossing fraction.
+    """Fractions of replicas whose minimum pairwise distance drops below each
+    epsilon; for d = 1 with two particles also the crossing fraction.
 
-    The statistics read only pair differences, so the paths are drawn in
+    Two particles on the line read no grid (``dt`` is still validated): with M
+    the minimum of their difference from ``_line_minimum``, the fractions are
+    mean(M < epsilon) and the crossing fraction mean(M <= 0), exact in law for
+    the continuous path.  Every other case takes minima over the grid, drawn in
     relative coordinates: with H the Helmert basis of the complement of the
     all-ones vector, the centred displacements are H W for n - 1 independent
-    Brownian paths W from 0 (variance 2 dt per coordinate and step), which is
-    exact in law, and X_i - X_j = x_i - x_j + (H_i - H_j) W.  Two particles need
-    one path, their difference D = x_1 - x_2 + sqrt(2) W itself: a Brownian path
-    from the start gap with steps of variance 4 dt per coordinate.
-    Min-distance detection is grid-based (between-grid near misses are not
-    counted; the note says so).  For d = 1 and n = 2 the crossing indicator is
-    exact in law: a replica whose difference D changed sign on the grid has
-    crossed, and one that did not crossed between grid times with probability
-    1 - prod_k (1 - exp(-D_k D_{k+1} / (2 dt))), the step bridges being
-    independent given the grid; one uniform u per replica decides.  For n >= 3
-    pairs that share a particle have dependent bridges, so no crossing fraction
-    is reported.
+    Brownian paths W from 0 (variance 2 dt per coordinate and step), exact in
+    law, and X_i - X_j = x_i - x_j + (H_i - H_j) W.  Two particles draw their
+    difference D = x_1 - x_2 + sqrt(2) W itself, with steps of variance 4 dt.
+    In d = 1 with n >= 3, pairs that share a particle have dependent bridges, so
+    no crossing fraction is reported.
 
-    All replicas advance together in slabs of ``SLAB_STEPS`` grid steps; a slab
-    is one ``_increment_blocks`` call for the replicas still undecided, in
-    replica order, and its blocks read and write their full-length state arrays
-    through the live replicas' indices.  A replica is decided once its minimum
-    distance, time 0 included, is below the smallest epsilon and, in the
-    crossing case, it has crossed: D changed sign (counting the slab's start
-    value) or its partial bridge product is already <= u.  Both statistics are
-    monotone along the path (a minimum only falls, and adding log factors <= 0
-    only lowers the sum, in floats too), so a decided replica's result is the
-    one its whole path would give, and stopping it changes no value.
+    All replicas advance together in slabs of ``SLAB_STEPS`` grid steps, each
+    one ``_increment_blocks`` call for the replicas still undecided, in replica
+    order, whose blocks read and write full-length state arrays through the
+    live replicas' indices.  A replica is decided once its minimum distance,
+    time 0 included, is below the smallest epsilon: a minimum only falls, so
+    stopping it changes no result.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
@@ -387,27 +380,31 @@ def collision_report(
     if replicas < 1:
         raise ValueError("replicas must be positive")
     steps = _steps_for(horizon, dt)
+    if dim == 1 and n == 2:
+        gap = abs(float(start[0, 0] - start[1, 0]))
+        minimum, _ = _line_minimum(gap, horizon, replicas, seed)
+        reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
+        return CollisionReport(tuple(eps), tuple(float(np.mean(minimum < e)) for e in eps),
+                               float(np.mean(minimum <= 0.0)), reference, replicas,
+                               "exact in law for the continuous path: the minimum distance is drawn from its "
+                               "Brownian-bridge law given the endpoint; no grid is read")
     h = _helmert(n)
     # X_i - X_j = (x_i - x_j) + sum_k c_k W_k with c = H[i] - H[j] and W from 0, so time 0 holds the
     # start gap exactly; rows i < j of H agree on the columns past j - 1
     pairs = [(start[i] - start[j], [(k, float(h[i, k] - h[j, k])) for k in np.flatnonzero(h[i] != h[j])])
              for i in range(n) for j in range(i + 1, n)]
-    crossing = dim == 1 and n == 2
     # two particles draw their difference D itself as the one relative coordinate, with step variance
     # 2 (2 dt): doubling is exact, so its scale is sqrt(4 dt) bit for bit
     w0, step_dt = (start[0] - start[1], 2.0 * dt) if n == 2 else (0.0, dt)
-    # per replica: the last W (D for two particles), the minimum squared distance so far (time 0 counts) and
-    # the crossed flag (set from the start when no crossing is tested), log bridge product and bridge uniform
+    # per replica: the last W (D for two particles) and the minimum squared distance so far (time 0 counts)
     w = np.full((replicas, n - 1, dim), w0)
     size = (n - 1) * dim  # entries of w per replica
     dmin_sq = np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))
-    crossed, log_keep = np.full(replicas, not crossing), np.zeros(replicas)
-    u = substream(seed, TAG_COLLISION, 1).random(replicas) if crossing else None
     rng = substream(seed, TAG_COLLISION)
     live = np.arange(replicas)
     for first in range(0, steps, SLAB_STEPS):
         # sqrt is monotone and matches the fractions' test below
-        live = live[(np.sqrt(dmin_sq[live]) >= eps[-1]) | ~crossed[live]]
+        live = live[np.sqrt(dmin_sq[live]) >= eps[-1]]
         if not len(live):
             break
         # the live rows' entries of w as flat indices: np.take and np.put copy them faster than fancy indexing
@@ -415,12 +412,9 @@ def collision_report(
         width = min(SLAB_STEPS, steps - first)
         for offset, block in _increment_blocks(rng, n - 1, dim, width, step_dt, len(live)):
             rows = live[offset:offset + len(block)]
-            w_rows = np.take(w, rows, axis=0)
             # continuing the running sum from the last W gives the values one cumsum of the whole path would
-            block[:, :, 0] += w_rows
+            block[:, :, 0] += np.take(w, rows, axis=0)
             np.cumsum(block, axis=2, out=block)
-            if crossing:  # the block is D, and w_rows its value at the slab's start
-                _bridge_step(block[:, 0, :, 0], w_rows[:, 0, 0], rows, u, crossed, log_keep, dt)
             np.put(w, flat[offset * size:(offset + len(rows)) * size], block[:, :, -1])
             for gap, coeffs in pairs:
                 # a zero's sign, which the order of these adds may flip, is lost to the square
@@ -433,52 +427,41 @@ def collision_report(
     min_dist = np.sqrt(dmin_sq)
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
     note = "min-distance fractions are grid-based; between-grid near misses are not counted"
-    if crossing:
-        gap = abs(float(start[0, 0] - start[1, 0]))
-        reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
-        note += "; crossing fraction uses the exact Brownian-bridge correction"
-        return CollisionReport(tuple(eps), fractions, float(np.mean(crossed)), reference, replicas, note)
     if dim == 1:
         note += ("; no crossing fraction: with 3 or more particles, pairs sharing a particle have "
                  "dependent bridges, so per-pair bridge draws would not be exact in law")
     return CollisionReport(tuple(eps), fractions, None, None, replicas, note)
 
 
-def _bridge_step(line, last, rows, u, crossed, log_keep, dt):
-    """One slab of the d = 1 crossing test, on the rows of D of replicas ``rows`` over the slab's grid times.
+def _line_minimum(gap: float, horizon: float, replicas: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum M and endpoint D_T of the difference D of two particles on the line, from D_0 = gap >= 0.
 
-    D crossed in the slab iff min(last, row) <= 0 <= max(last, row), with ``last`` the D the slab starts
-    from; only the rows still open form the products D_k D_(k+1), add their log bridge factors to
-    ``log_keep`` and cross once u >= exp(log_keep).  A product of two same-signed values that
-    underflows to 0 makes its bridge factor 0, which crosses too.  A row that stays farther from 0 than
-    sqrt(2 dt 746), its start included, is skipped: each of its exp(-D_k D_(k+1) / (2 dt)) underflows
-    to 0, so its log factors are all -0.0 and would change neither ``log_keep`` nor its decision.
-    Updates ``crossed`` and ``log_keep`` at ``rows`` in place.
+    D_T - gap is one step of variance 4 horizon from ``_increment_blocks``.  Given D_T the minimum has
+    P(M <= m) = exp(-(gap - m)(D_T - m) / (2 horizon)) for m <= min(gap, D_T) (Borodin and Salminen,
+    Handbook of Brownian Motion), so one uniform U per replica gives
+    M = (gap + D_T - sqrt((D_T - gap)^2 - 8 horizon log U)) / 2.
     """
-    lo, hi = np.minimum(line.min(axis=1), last), np.maximum(line.max(axis=1), last)
-    crossed[rows] |= (lo <= 0.0) & (hi >= 0.0)
-    far = math.sqrt(2.0 * dt * 746.0)
-    keep = np.flatnonzero(~crossed[rows] & (lo <= far) & (hi >= -far))
-    kept, rows = line[keep], rows[keep]
-    q = np.empty_like(kept)
-    np.multiply(last[keep], kept[:, 0], out=q[:, 0])
-    np.multiply(kept[:, :-1], kept[:, 1:], out=q[:, 1:])
-    q /= -2.0 * dt
-    np.exp(q, out=q)
-    np.negative(q, out=q)
-    with np.errstate(divide="ignore"):
-        np.log1p(q, out=q)
-    log_keep[rows] += q.sum(axis=1)
-    crossed[rows] = u[rows] >= np.exp(log_keep[rows])
+    step = np.empty(replicas)
+    for offset, inc in _increment_blocks(substream(seed, TAG_COLLISION), 1, 1, 1, 2.0 * horizon, replicas):
+        step[offset:offset + len(inc)] = inc[:, 0, 0, 0]
+    log_u = np.log1p(-substream(seed, TAG_COLLISION, 1).random(replicas))  # log U for U = 1 - u in (0, 1]
+    end = gap + step
+    return (gap + end - np.sqrt(step * step - 8.0 * horizon * log_u)) / 2.0, end
+
+
+def marginal_time(t: float, dt: float) -> float:
+    """The time ``marginal_ks`` tests its slice at: t up to ``SLAB_STEPS`` steps, else the midpoint (steps // 2) dt."""
+    steps = _steps_for(t, dt)
+    return steps // 2 * dt if steps > SLAB_STEPS else t
 
 
 def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -> tuple[float, float]:
     """One-sample KS test of a time slice of single-particle paths against the exact law
     P(|xi| <= r) = 1 - tail_mass at that time: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D).
 
-    Up to ``SLAB_STEPS`` steps the slice is at t, each replica's sum of steps.  A longer path draws only
-    the first level of its skeleton (two normals per replica and coordinate), and the slice is the
-    midpoint, at (steps // 2) dt, whose law mixes the endpoint's share with the bridge's.
+    Up to ``SLAB_STEPS`` steps the slice is each replica's sum of steps.  A longer path draws only the first
+    level of its skeleton (two normals per replica and coordinate), and the slice is the midpoint, whose law
+    mixes the endpoint's share with the bridge's.  ``marginal_time`` gives the slice's time.
     """
     steps = _steps_for(t, dt)
     coarse = steps > SLAB_STEPS
@@ -492,7 +475,7 @@ def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -
             end = np.stack([inc[:, 0, :, k].sum(axis=1) for k in range(gamma_dim)], axis=-1)
         radii[offset:offset + len(inc)] = np.sqrt(sq_dist(end))
     radii.sort()
-    cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, steps // 2 * dt if coarse else t), radii)
+    cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, marginal_time(t, dt)), radii)
     n = replicas
     d = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d

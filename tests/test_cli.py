@@ -232,6 +232,27 @@ def test_capacity_error_surfaces_as_exit_2(tmp_path):
     assert main(["run", cfg]) == 2
 
 
+def test_unwritable_output_is_exit_2_before_or_after_the_run(tmp_path, capsys, monkeypatch):
+    # a missing output directory is refused before the experiment runs
+    import dataclasses
+
+    import confheat.experiments
+
+    ran = []
+    rho = confheat.experiments.EXPERIMENTS["rho"]
+    monkeypatch.setitem(confheat.experiments.EXPERIMENTS, "rho",
+                        dataclasses.replace(rho, run=lambda *args: ran.append(1) or rho.run(*args)))
+    missing = tmp_path / "nodir" / "x"
+    assert main(["run", str(CONFIG_DIR / "rho.json"), "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nodir" in err and "Traceback" not in err
+    assert ran == [] and not missing.parent.exists()
+    # a report write that still fails (here the CSV path is a directory) is an error too, not "fail"
+    (tmp_path / "r.csv").mkdir()
+    assert main(["run", str(CONFIG_DIR / "rho.json"), "--out", str(tmp_path / "r")]) == 2
+    assert ran == [1] and capsys.readouterr().err.startswith("error: ")
+
+
 def test_flat_metric_config_missing_window_radius_is_exit_2(tmp_path, capsys):
     doc = {
         "experiment": "flat-metric",

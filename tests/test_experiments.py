@@ -161,23 +161,28 @@ def test_battery_comparison_prints_each_changed_row(tmp_path, monkeypatch, capsy
 
     def report(directory, rows):
         directory.mkdir()
-        results = [dict(zip(("measurement", "value", "std_error", "note"), row)) for row in rows]
+        results = [dict(zip(("measurement", "value", "std_error", "note", "bound"), row)) for row in rows]
         (directory / "mc.json").write_text(json.dumps({"experiment": "mc", "results": results}))
         (directory / "mc.csv").write_text("".join(f"{row[0]},{row[1]}\r\n" for row in rows))
         (directory / "exact.json").write_text(json.dumps({"results": [{"measurement": "x", "value": 1.0}]}))
 
     report(tmp_path / "a", [("mean", 1.0, 0.3, ""), ("p", 0.5, None, ""), ("same", 2.0, 0.1, ""),
-                            ("noted", 3.0, 0.1, "old"), ("gone", 4.0, 0.1, "")])
-    report(tmp_path / "b", [("mean", 1.5, 0.4, ""), ("p", 0.25, None, ""), ("same", 2.0, 0.1, ""),
-                            ("noted", 3.0, 0.1, "new"), ("inf", "inf", 0.1, "")])
+                            ("noted", 3.0, 0.1, "old"), ("gone", 4.0, 0.1, ""), ("near", 0.9, 0.01, "")])
+    report(tmp_path / "b", [("mean", 1.5, 0.4, ""), ("p", 0.25, None, "", 0.001), ("same", 2.0, 0.1, ""),
+                            ("noted", 3.0, 0.1, "new"), ("inf", "inf", 0.1, ""), ("near", 0.93, 0.02, "", 0.95),
+                            ("fresh", 0.5, 0.1, "", 0.3), ("unbounded", 0.5, 0.1, "", "inf")])
     assert battery.compare_reports(tmp_path / "a", tmp_path / "b", "cmp") == 1
     lines = capsys.readouterr().out.splitlines()
+    # a current row with an SE and a numeric bound also shows its signed gap to the bound in its own SE
     assert lines == ["cmp FAILED for: mc.csv, mc.json",
                      "  mc mean: 1.0 -> 1.5 (1.00 combined SE)",
                      "  mc p: 0.5 -> 0.25",
                      "  mc noted: 3.0 -> 3.0 (0.00 combined SE)",
                      "  mc gone: 4.0 -> absent",
-                     "  mc inf: absent -> inf"]
+                     "  mc near: 0.9 -> 0.93 (1.34 combined SE; -1.00 SE from bound 0.95)",
+                     "  mc inf: absent -> inf",
+                     "  mc fresh: absent -> 0.5 (+2.00 SE from bound 0.3)",
+                     "  mc unbounded: absent -> 0.5"]
 
 
 def test_battery_counts_report_mismatches_apart_from_failures(tmp_path, monkeypatch, capsys):
@@ -217,6 +222,23 @@ def test_collision_rows_carry_binomial_standard_errors():
     assert set(rows) == {"fraction_below_0.05", "fraction_below_0.02", "crossing_fraction"}
     for row in rows.values():
         assert row["std_error"] == binomial_se(row["value"], 500)
+
+
+def test_collision_1d_fraction_rows_carry_the_exact_value_as_bound():
+    # P(M < e) = 2 Phi((e - g) / (2 sqrt(horizon))) for the start gap g, and 1 once e >= g; no gate reads it
+    from scipy.special import ndtr
+
+    from confheat.experiments import run_collision
+
+    p = {"dim": 1, "starts": [[0.3], [0.1]], "horizon": 0.5, "dt": 0.01, "epsilon_list": [0.25, 0.2, 0.05]}
+    result = run_collision(p, seed=7, replicas=500, threads=1)
+    bounds = [row["bound"] for row in result.rows]
+    assert bounds[:2] == [1.0, 1.0]
+    assert bounds[2] == pytest.approx(2.0 * ndtr(-0.15 / (2.0 * 0.5**0.5)), rel=1e-12)
+    assert result.rows[3]["measurement"] == "crossing_fraction"
+    assert bounds[3] == pytest.approx(2.0 * ndtr(-0.2 / (2.0 * 0.5**0.5)), rel=1e-12)
+    two_d = dict(p, dim=2, starts=[[0.0, 0.0], [0.3, 0.0]])
+    assert all(row["bound"] is None for row in run_collision(two_d, seed=7, replicas=500, threads=1).rows)
 
 
 def test_battery_verdict_line_carries_cpu_seconds(tmp_path, monkeypatch, capsys):
