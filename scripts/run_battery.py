@@ -9,11 +9,14 @@ two are counted and printed apart.  --check-determinism runs
 the battery twice (second pass with --threads 4) and compares report bytes.
 --against DIR compares this run's report bytes with the reports in DIR, for
 example the reports/ directory of another checkout run on the same machine.
-Every comparison that finds a differing JSON report prints its changed rows:
-both values and, when both rows carry a standard error, their gap in combined
-standard errors, |v1 - v2| / sqrt(se1^2 + se2^2); when the current row carries
-a standard error and a numeric bound, also its signed gap to that bound in its
-own standard error, (v2 - bound) / se2.
+Every comparison that finds a differing JSON report prints what changed in it.
+First each field outside the result rows that differs (the verdict, details and
+config, nested objects as dotted paths), with both values.  Then each changed
+row: both values; the other fields that changed, when the value did not; when
+both rows carry a standard error, their gap in combined standard errors,
+|v1 - v2| / sqrt(se1^2 + se2^2); and when the current row carries a standard
+error and a numeric bound, its signed gap to that bound in its own standard
+error, (v2 - bound) / se2.
 """
 from __future__ import annotations
 
@@ -65,28 +68,52 @@ def compare_reports(reference: pathlib.Path, current: pathlib.Path, label: str) 
     return 0
 
 
-def _rows(path: pathlib.Path) -> dict:
-    """The result rows of a JSON report by measurement; none if it holds no readable rows."""
+def _report(path: pathlib.Path) -> dict:
+    """A JSON report as an object; empty if it is not one."""
     try:
-        results = json.loads(path.read_text()).get("results", [])
-    except (ValueError, AttributeError):
+        doc = json.loads(path.read_text())
+    except ValueError:
+        return {}
+    return doc if isinstance(doc, dict) else {}
+
+
+def _rows(doc: dict) -> dict:
+    """The result rows of a report by measurement."""
+    results = doc.get("results")
+    if not isinstance(results, list):
         return {}
     return {row.get("measurement"): row for row in results if isinstance(row, dict)}
 
 
+def _fields(value, prefix: str = "") -> dict:
+    """A report's fields by dotted path, nested objects flattened."""
+    if isinstance(value, dict) and (value or not prefix):
+        return {path: v for key, item in value.items() for path, v in _fields(item, f"{prefix}{key}.").items()}
+    return {prefix[:-1]: value}
+
+
+def _changes(old: dict, new: dict, missing=None) -> list[tuple[str, object, object]]:
+    """(key, old value, new value) for each key whose value differs, ``missing`` for an absent one, in order."""
+    keys = list(old) + [k for k in new if k not in old]
+    return [(k, old.get(k, missing), new.get(k, missing)) for k in keys
+            if k not in old or k not in new or old[k] != new[k]]
+
+
 def changed_rows(reference: pathlib.Path, current: pathlib.Path) -> list[str]:
-    """One line per result row that differs between two JSON reports: its
-    measurement, the reference and the current value, their gap in combined
-    standard errors when both rows carry a standard error, and the current
-    row's gap to its numeric bound in its own standard error."""
-    old, new = _rows(reference), _rows(current)
-    lines = []
-    for name in list(old) + [m for m in new if m not in old]:
-        a, b = old.get(name), new.get(name)
-        if a == b:
-            continue
+    """The lines that explain how two JSON reports differ: one per field outside
+    the result rows, then one per result row, with its measurement, the
+    reference and the current value, the other fields that changed when the
+    value did not, their gap in combined standard errors when both rows carry a
+    standard error, and the current row's gap to its numeric bound in its own
+    standard error."""
+    old_doc, new_doc = _report(reference), _report(current)
+    old, new = (_fields({k: v for k, v in doc.items() if k != "results"}) for doc in (old_doc, new_doc))
+    lines = [f"{path}: {a} -> {b}" for path, a, b in _changes(old, new, "absent")]
+    for name, a, b in _changes(_rows(old_doc), _rows(new_doc)):
         va, vb = (row.get("value") if row else "absent" for row in (a, b))
         gaps = []
+        if a and b and va == vb:
+            gaps.append(", ".join(k for k, _, _ in _changes(a, b)) + " changed")
         if a and b and all(isinstance(x, (int, float)) for x in (va, vb, a.get("std_error"), b.get("std_error"))):
             combined = math.hypot(a["std_error"], b["std_error"])
             if combined > 0:

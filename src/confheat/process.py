@@ -16,12 +16,10 @@ diagnostic draws all its replicas from one substream; ``simulate_paths`` is the
 one-replica entry that returns the paths themselves.
 The collision diagnostics read only pair differences, so they draw the n - 1
 relative coordinates of the particles rather than all n paths.  They move all
-replicas forward together in slabs of ``SLAB_STEPS`` grid steps, each slab one
-``_increment_blocks`` call for the replicas still undecided, and a replica
-whose minimum distance is below every epsilon draws no further steps, which
-changes no result.  Two particles on the line read no grid: their difference's
-minimum comes from its Brownian-bridge law given the endpoint, exact in law for
-the continuous path.
+replicas to the horizon together in slabs of ``SLAB_STEPS`` grid steps, each
+slab one ``_increment_blocks`` call.  Two particles on the line read no grid:
+their difference's minimum comes from its Brownian-bridge law given the
+endpoint, exact in law for the continuous path.
 Diagnostics cover: a time slice against the exact heat law (one-sample
 Kolmogorov-Smirnov, at the skeleton's midpoint for long paths), B_n continuity
 along paths (the median largest B_n step increment shrinks as the grid is
@@ -48,7 +46,7 @@ PATH_CAPACITY = 100_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
 #: one replica's substeps^2 pairwise differences fit in one oscillation batch
 OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
-#: grid steps a collision slab advances every undecided replica by; decisions are read between slabs
+#: the most steps one plain draw takes: a collision slab, and the Levy leaf width
 SLAB_STEPS = 64
 
 
@@ -363,12 +361,8 @@ def collision_report(
     In d = 1 with n >= 3, pairs that share a particle have dependent bridges, so
     no crossing fraction is reported.
 
-    All replicas advance together in slabs of ``SLAB_STEPS`` grid steps, each
-    one ``_increment_blocks`` call for the replicas still undecided, in replica
-    order, whose blocks read and write full-length state arrays through the
-    live replicas' indices.  A replica is decided once its minimum distance,
-    time 0 included, is below the smallest epsilon: a minimum only falls, so
-    stopping it changes no result.
+    All replicas walk to the horizon together in slabs of ``SLAB_STEPS`` grid
+    steps, each slab one ``_increment_blocks`` call for all of them.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
@@ -398,24 +392,16 @@ def collision_report(
     w0, step_dt = (start[0] - start[1], 2.0 * dt) if n == 2 else (0.0, dt)
     # per replica: the last W (D for two particles) and the minimum squared distance so far (time 0 counts)
     w = np.full((replicas, n - 1, dim), w0)
-    size = (n - 1) * dim  # entries of w per replica
     dmin_sq = np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))
     rng = substream(seed, TAG_COLLISION)
-    live = np.arange(replicas)
     for first in range(0, steps, SLAB_STEPS):
-        # sqrt is monotone and matches the fractions' test below
-        live = live[np.sqrt(dmin_sq[live]) >= eps[-1]]
-        if not len(live):
-            break
-        # the live rows' entries of w as flat indices: np.take and np.put copy them faster than fancy indexing
-        flat = (live[:, None] * size + np.arange(size)).ravel()
         width = min(SLAB_STEPS, steps - first)
-        for offset, block in _increment_blocks(rng, n - 1, dim, width, step_dt, len(live)):
-            rows = live[offset:offset + len(block)]
+        for offset, block in _increment_blocks(rng, n - 1, dim, width, step_dt, replicas):
+            rows = slice(offset, offset + len(block))
             # continuing the running sum from the last W gives the values one cumsum of the whole path would
-            block[:, :, 0] += np.take(w, rows, axis=0)
+            block[:, :, 0] += w[rows]
             np.cumsum(block, axis=2, out=block)
-            np.put(w, flat[offset * size:(offset + len(rows)) * size], block[:, :, -1])
+            w[rows] = block[:, :, -1]
             for gap, coeffs in pairs:
                 # a zero's sign, which the order of these adds may flip, is lost to the square
                 d = block[:, 0] if n == 2 else sum(c * block[:, k] for k, c in coeffs) + gap

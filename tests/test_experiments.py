@@ -159,27 +159,40 @@ def test_battery_comparison_prints_each_changed_row(tmp_path, monkeypatch, capsy
 
     battery = _one_config_battery(tmp_path, monkeypatch)
 
-    def report(directory, rows):
+    def report(directory, rows, **fields):
         directory.mkdir()
         results = [dict(zip(("measurement", "value", "std_error", "note", "bound"), row)) for row in rows]
-        (directory / "mc.json").write_text(json.dumps({"experiment": "mc", "results": results}))
+        (directory / "mc.json").write_text(json.dumps({"experiment": "mc", **fields, "results": results}))
         (directory / "mc.csv").write_text("".join(f"{row[0]},{row[1]}\r\n" for row in rows))
         (directory / "exact.json").write_text(json.dumps({"results": [{"measurement": "x", "value": 1.0}]}))
 
     report(tmp_path / "a", [("mean", 1.0, 0.3, ""), ("p", 0.5, None, ""), ("same", 2.0, 0.1, ""),
-                            ("noted", 3.0, 0.1, "old"), ("gone", 4.0, 0.1, ""), ("near", 0.9, 0.01, "")])
+                            ("noted", 3.0, 0.1, "old"), ("gone", 4.0, 0.1, ""), ("near", 0.9, 0.01, ""),
+                            ("rebound", 1.0, 0.1, "", 0.5)],
+           verdict="pass", details={"outer": "linear", "kept": 1},
+           config={"replicas": 2, "params": {"t": [0.1], "dim": 1}})
     report(tmp_path / "b", [("mean", 1.5, 0.4, ""), ("p", 0.25, None, "", 0.001), ("same", 2.0, 0.1, ""),
                             ("noted", 3.0, 0.1, "new"), ("inf", "inf", 0.1, ""), ("near", 0.93, 0.02, "", 0.95),
-                            ("fresh", 0.5, 0.1, "", 0.3), ("unbounded", 0.5, 0.1, "", "inf")])
+                            ("rebound", 1.0, 0.2, "", 0.6), ("fresh", 0.5, 0.1, "", 0.3),
+                            ("unbounded", 0.5, 0.1, "", "inf")],
+           verdict="fail", details={"outer": "square", "kept": 1},
+           config={"replicas": 10, "params": {"t": [0.1, 0.05], "dim": 1, "seed": 3}})
     assert battery.compare_reports(tmp_path / "a", tmp_path / "b", "cmp") == 1
     lines = capsys.readouterr().out.splitlines()
-    # a current row with an SE and a numeric bound also shows its signed gap to the bound in its own SE
+    # the fields outside the rows come first, as dotted paths; a row whose value did not change names the
+    # fields that did; a current row with an SE and a numeric bound also shows its signed gap to the bound
     assert lines == ["cmp FAILED for: mc.csv, mc.json",
+                     "  mc verdict: pass -> fail",
+                     "  mc details.outer: linear -> square",
+                     "  mc config.replicas: 2 -> 10",
+                     "  mc config.params.t: [0.1] -> [0.1, 0.05]",
+                     "  mc config.params.seed: absent -> 3",
                      "  mc mean: 1.0 -> 1.5 (1.00 combined SE)",
                      "  mc p: 0.5 -> 0.25",
-                     "  mc noted: 3.0 -> 3.0 (0.00 combined SE)",
+                     "  mc noted: 3.0 -> 3.0 (note changed; 0.00 combined SE)",
                      "  mc gone: 4.0 -> absent",
                      "  mc near: 0.9 -> 0.93 (1.34 combined SE; -1.00 SE from bound 0.95)",
+                     "  mc rebound: 1.0 -> 1.0 (std_error, bound changed; 0.00 combined SE; +2.00 SE from bound 0.6)",
                      "  mc inf: absent -> inf",
                      "  mc fresh: absent -> 0.5 (+2.00 SE from bound 0.3)",
                      "  mc unbounded: absent -> 0.5"]

@@ -516,12 +516,10 @@ COLLISION_CASES = {
 }
 
 
-def _slab_collisions(gamma, horizon, dt, replicas, seed, eps, walk=None):
-    """Oracle: per replica the minimum pair distance over the grid, with all replicas advanced together in
-    slabs of SLAB_STEPS steps.  A slab draws the steps of the undecided replicas in one call, in replica
-    order; with a generator ``walk``, decided replicas keep walking to the horizon on its draws.  Two
-    particles draw their difference D, from the start gap with step variance 4 dt.  Also returns the live
-    count per slab."""
+def _slab_collisions(gamma, horizon, dt, replicas, seed):
+    """Oracle: per replica the minimum pair distance over the grid, with all replicas walked to the horizon
+    together in slabs of SLAB_STEPS steps, each slab one draw for all replicas in replica order.  Two
+    particles draw their difference D, from the start gap with step variance 4 dt."""
     start = gamma.expand()
     (n, dim), steps = start.shape, round(horizon / dt)
     h = _helmert(n)
@@ -530,24 +528,15 @@ def _slab_collisions(gamma, horizon, dt, replicas, seed, eps, walk=None):
     w = np.zeros((replicas, n - 1, dim)) + (start[0] - start[1] if n == 2 else 0.0)
     scale = math.sqrt((4.0 if n == 2 else 2.0) * dt)
     dmin_sq = np.full(replicas, min(np.sum(gap * gap) for gap, _ in pairs))
-    live_counts = []
     for first in range(0, steps, SLAB_STEPS):
-        width = min(SLAB_STEPS, steps - first)
-        live = np.sqrt(dmin_sq) >= eps[-1]
-        live_counts.append(int(live.sum()))
-        z = np.empty((replicas, n - 1, width, dim))
-        z[live] = rng.standard_normal((live_counts[-1], n - 1, width, dim))
-        if walk is not None:
-            z[~live] = walk.standard_normal((replicas - live_counts[-1], n - 1, width, dim))
-        moving = live if walk is None else np.ones(replicas, dtype=bool)
-        inc = z[moving] * scale
-        inc[:, :, 0] += w[moving]
+        inc = rng.standard_normal((replicas, n - 1, min(SLAB_STEPS, steps - first), dim)) * scale
+        inc[:, :, 0] += w
         path = np.cumsum(inc, axis=2)
-        w[moving] = path[:, :, -1]
+        w = path[:, :, -1]
         for gap, c in pairs:
             diff = path[:, 0] if n == 2 else sum(c[k] * path[:, k] for k in range(n - 1) if c[k] != 0) + gap
-            dmin_sq[moving] = np.minimum(dmin_sq[moving], np.sum(diff * diff, axis=-1).min(axis=1))
-    return np.sqrt(dmin_sq), live_counts
+            dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
+    return np.sqrt(dmin_sq)
 
 
 def _line_minimum_oracle(gap, horizon, replicas, seed):
@@ -565,7 +554,7 @@ def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)  # four slabs, the last of 8 steps
     n = gamma.expand().shape[0]
     if small:
-        # full slabs in blocks of 3 live replicas (the last of 1 or 2); the ragged 8-step slab in blocks sized
+        # full slabs in blocks of 3 replicas (the last of 1); the ragged 8-step slab in blocks sized
         # by its own width; two particles on the line in blocks of 98 replicas of one step
         _few_rows(monkeypatch, 3, (n - 1) * (SLAB_STEPS + 1))
     rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
@@ -575,32 +564,15 @@ def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
         assert rep.crossing_fraction == float(np.mean(minimum <= 0.0))
         assert 0.0 < rep.fractions[-1] < 1.0 and 0.0 < rep.crossing_fraction < 1.0
         return
-    min_dist, live_counts = _slab_collisions(gamma, horizon, dt, replicas, 21, eps)
+    min_dist = _slab_collisions(gamma, horizon, dt, replicas, 21)
     assert rep.fractions == tuple(float(np.mean(min_dist < e)) for e in eps)
     assert rep.crossing_fraction is None
     assert 0.0 < rep.fractions[-1] < 1.0
-    # some replicas stop early and some walk to the horizon
-    assert len(live_counts) == 4 and live_counts[0] > live_counts[-1] > 0
-
-
-@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
-def test_collision_stopping_changes_no_decision(case):
-    # decided replicas that keep walking to the horizon, on draws of a second stream, end with the same
-    # fractions, although their minimum distances fall further
-    gamma, replicas = COLLISION_CASES[case]
-    horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
-    stop_dist, _ = _slab_collisions(gamma, horizon, dt, replicas, 26, eps)
-    walk_dist, _ = _slab_collisions(gamma, horizon, dt, replicas, 26, eps, walk=np.random.default_rng(26))
-    for e in eps:
-        assert np.array_equal(stop_dist < e, walk_dist < e)
-    assert np.all(walk_dist <= stop_dist)
-    if case in ("d1-mixed", "d1-two", "d2", "d2-two"):  # in d = 3, or from far apart, few come closer again
-        assert np.any(walk_dist < stop_dist)
 
 
 @pytest.mark.parametrize("case", sorted(COLLISION_CASES))
 def test_collision_report_agrees_in_law_with_replica_major_oracle(case):
-    # slabs of the undecided replicas (the closed form for two particles on the line) against one replica-major
+    # slabs of all replicas (the closed form for two particles on the line) against one replica-major
     # draw of whole paths for all replicas
     gamma, replicas = COLLISION_CASES[case]
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
@@ -630,7 +602,7 @@ class _CountingStream:
 
 @pytest.mark.parametrize("case", sorted(COLLISION_CASES))
 def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
-    # every normal comes from _increment_blocks, one call per slab for its live replicas
+    # every normal comes from _increment_blocks, one call per slab for all replicas
     gamma, replicas = COLLISION_CASES[case]
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
     n, dim = gamma.expand().shape
@@ -654,12 +626,27 @@ def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
         assert calls == [(1, 1, 1, 2.0 * horizon, replicas)]
         assert sum(yielded) == sum(stream.normals for stream in streams) == replicas
         return
-    _, live_counts = _slab_collisions(gamma, horizon, dt, replicas, 21, eps)
     widths = [SLAB_STEPS] * 3 + [8]
     step_dt = 2.0 * dt if n == 2 else dt
-    assert calls == [(n - 1, dim, width, step_dt, live) for width, live in zip(widths, live_counts)]
-    want = sum(live * (n - 1) * width * dim for width, live in zip(widths, live_counts))
+    assert calls == [(n - 1, dim, width, step_dt, replicas) for width in widths]
+    want = replicas * (n - 1) * sum(widths) * dim
     assert sum(yielded) == sum(stream.normals for stream in streams) == want
+
+
+def test_collision_draws_every_slab_when_every_replica_is_decided(monkeypatch):
+    # two particles 0.05 apart against a smallest epsilon of 0.1: every replica is below it from time 0 on,
+    # after the first slab included, and every slab still draws all replicas to the horizon
+    calls = []
+    increment_blocks = confheat.process._increment_blocks
+
+    def recording_increment_blocks(rng, *args):
+        calls.append(args)
+        yield from increment_blocks(rng, *args)
+
+    monkeypatch.setattr(confheat.process, "_increment_blocks", recording_increment_blocks)
+    rep = collision_report(cfg([[0.0, 0.0], [0.05, 0.0]], dim=2), 0.2, 0.001, 301, seed=21, epsilon_list=(0.3, 0.1))
+    assert rep.fractions == (1.0, 1.0)
+    assert calls == [(1, 2, width, 0.002, 301) for width in [SLAB_STEPS] * 3 + [8]]
 
 
 CONFIG_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "configs"
