@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import metrics
 from .errors import CapabilityError, CapacityError
@@ -563,21 +562,16 @@ def run_oscillation(p, seed, replicas, threads):
 
 def run_collision(p, seed, replicas, threads):
     dim = p["dim"]
-    starts = p["starts"]
-    gamma = Configuration.from_points(dim, starts)
+    gamma = Configuration.from_points(dim, p["starts"])
     rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, p["epsilon_list"])
     rows = [
-        _se_row(f"fraction_below_{e:g}", f, binomial_se(f, replicas), note=rep.note)
-        for e, f in zip(rep.epsilons, rep.fractions)
+        _se_row(f"fraction_below_{e:g}", f, binomial_se(f, replicas), bound=b, note=rep.note)
+        for e, f, b in zip(rep.epsilons, rep.fractions, rep.bounds or [None] * len(rep.epsilons))
     ]
     if dim >= 2:
         decreasing = all(a > b for a, b in zip(rep.fractions, rep.fractions[1:]))
         verdict = "pass" if decreasing and rep.fractions[-1] < 0.01 else "fail"
     else:
-        # the two starts' exact fractions: P(M < e) = 2 Phi((e - g) / (2 sqrt(horizon))) for the gap g, 1 once g <= e
-        gap = abs(float(starts[0][0] - starts[1][0]))
-        for row, e in zip(rows, rep.epsilons):
-            row["bound"] = min(1.0, 2.0 * float(ndtr((e - gap) / (2.0 * math.sqrt(p["horizon"])))))
         rows.append(_se_row("crossing_fraction", rep.crossing_fraction, binomial_se(rep.crossing_fraction, replicas),
                             bound=rep.crossing_reference, note="reflection-principle reference"))
         se = binomial_se(rep.crossing_reference, replicas)

@@ -69,14 +69,6 @@ class PathBundle:
         if not np.all(np.isfinite(self.paths)):
             raise ValueError("paths must be finite")
 
-    @property
-    def n_particles(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.paths.shape[1] - 1
-
 
 def _steps_for(horizon: float, dt: float) -> int:
     if dt <= 0:
@@ -320,6 +312,7 @@ class CollisionReport:
     fractions: tuple[float, ...]
     crossing_fraction: float | None
     crossing_reference: float | None
+    bounds: tuple[float, ...] | None  # the exact P(M < epsilon) per epsilon; None on the grid route
     replicas: int
     note: str
 
@@ -377,9 +370,12 @@ def collision_report(
     if dim == 1 and n == 2:
         gap = abs(float(start[0, 0] - start[1, 0]))
         minimum, _ = _line_minimum(gap, horizon, replicas, seed)
-        reference = 2.0 * float(ndtr(-gap / math.sqrt(4.0 * horizon)))
+
+        def below(e):  # the exact P(M < e) = 2 Phi((e - g) / sqrt(4T)), 1 once g <= e
+            return min(1.0, 2.0 * float(ndtr((e - gap) / math.sqrt(4.0 * horizon))))
+
         return CollisionReport(tuple(eps), tuple(float(np.mean(minimum < e)) for e in eps),
-                               float(np.mean(minimum <= 0.0)), reference, replicas,
+                               float(np.mean(minimum <= 0.0)), below(0.0), tuple(map(below, eps)), replicas,
                                "exact in law for the continuous path: the minimum distance is drawn from its "
                                "Brownian-bridge law given the endpoint; no grid is read")
     h = _helmert(n)
@@ -416,7 +412,7 @@ def collision_report(
     if dim == 1:
         note += ("; no crossing fraction: with 3 or more particles, pairs sharing a particle have "
                  "dependent bridges, so per-pair bridge draws would not be exact in law")
-    return CollisionReport(tuple(eps), fractions, None, None, replicas, note)
+    return CollisionReport(tuple(eps), fractions, None, None, None, replicas, note)
 
 
 def _line_minimum(gap: float, horizon: float, replicas: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

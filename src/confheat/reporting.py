@@ -40,21 +40,11 @@ def jsonable(value: Any) -> Any:
 
 
 def format_cell(value: Any) -> str:
+    """One CSV cell: the value as ``jsonable`` converts it, then "" for None, repr for a float, else str."""
+    value = jsonable(value)
     if value is None:
         return ""
-    # numpy scalars are written as the Python numbers they hold: under numpy 2 the
-    # repr of np.float64(3.5) is "np.float64(3.5)"
-    if isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_csv(experiment: str, rows: list[dict], verdict: str) -> str:

@@ -423,6 +423,21 @@ def test_semigroup_exp_smoothed_indicator_passes(tmp_path, dim, t, phi, replicas
     assert main(["run", write_config(tmp_path, doc)]) == 0
 
 
+def test_generator_narrow_bump_validates_and_runs(tmp_path):
+    # a bump of width 0.01 on the particle at 0.3, with t well below w^2: what validate accepts, run must
+    # check; H F = 1/w^2 = 10^4 and the residual ratios lie near 2
+    doc = shipped("generator", tmp_path)
+    doc["params"]["bumps"][0].update(center=[0.3], width=0.01)
+    doc["params"]["gamma"]["points"] = [[[0.3], 1]]
+    doc["params"]["t_list"] = [2e-6, 1e-6, 5e-7]
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "generator.json").read_text())
+    assert report["verdict"] == "pass"
+    assert report["results"][0]["value"] == pytest.approx(1e4, rel=1e-12)
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "confheat.cli", "--help"], capture_output=True, text=True

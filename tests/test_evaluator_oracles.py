@@ -109,7 +109,7 @@ def test_cylinder_batch_equals_stacked_expression(dim):
     inner = tuple(bumps(dim))
     for outer, outer_oracle in [(outer_exp_neg_sum(len(inner)), exp_neg_sum_oracle),
                                 (outer_linear(0.7), lambda v: 0.7 * v[..., 0])]:
-        F = CylinderFunction(outer, inner, _check=False)
+        F = CylinderFunction(outer, inner)
         for shape in [(1, 3, dim), (40, 5, dim), (3, 40, 2, dim)]:
             x = points(rng, shape)
             v = np.stack([last_axis_sum(bump_oracle(phi, x)) for phi in inner], axis=-1)

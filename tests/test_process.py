@@ -725,6 +725,8 @@ def test_line_collisions_match_closed_forms(starts, horizon, eps):
     exact = [min(1.0, 2.0 * float(ndtr((e - gap) / sd))) for e in eps]
     crossing = 2.0 * float(ndtr(-gap / sd))
     assert rep.crossing_reference == pytest.approx(crossing, rel=1e-12)
+    # the bounds the report rows carry: the same closed form, and sqrt(4T) = 2 sqrt(T) bit for bit
+    assert rep.bounds == tuple(exact)
     assert "no grid is read" in rep.note
     for got, want in [*zip(rep.fractions, exact), (rep.crossing_fraction, crossing)]:
         assert abs(got - want) <= 4.0 * binomial_se(want, replicas), (got, want)
@@ -798,7 +800,7 @@ def test_helmert_basis_is_orthonormal_and_centres():
 def test_collision_d1_crossing_only_for_two_particles():
     # with 3 or more particles, pairs that share a particle have dependent bridges given the grid
     rep = collision_report(cfg([0.0, 0.1, 0.2]), 0.2, 0.01, replicas=50, seed=23, epsilon_list=(0.05,))
-    assert rep.crossing_fraction is None and rep.crossing_reference is None
+    assert rep.crossing_fraction is None and rep.crossing_reference is None and rep.bounds is None
     assert "dependent bridges" in rep.note
     assert 0.0 < rep.fractions[0] <= 1.0
     two = collision_report(cfg([0.0, 0.1]), 0.2, 0.01, replicas=50, seed=23, epsilon_list=(0.05,))

@@ -32,6 +32,27 @@ def test_gaussian_bump_value_and_laplacian_bitwise_as_coordinate_reduce(dim):
         assert np.array_equal(bump.laplacian(x), value * (sq / bump.width**4 - dim / bump.width**2))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_bump_derivatives_match_central_differences(dim):
+    # the closed-form gradient and Laplacian against central differences whose step scales with the width
+    # (1e-5 w for the gradient, 1e-3 w for the second differences), at points within 1.5 widths of the
+    # centre, to 1e-5 of amp/w and amp/w^2
+    rng = np.random.default_rng(60 + dim)
+    eye = np.eye(dim)
+    for width in (2.0, 0.5, 0.1, 0.01, 1e-3):
+        for amp in (1.3, -0.7):
+            bump = GaussianBump(amp, tuple(rng.uniform(-1.0, 1.0, dim)), width)
+            u = rng.standard_normal((20, dim))
+            u *= rng.uniform(0.0, 1.5, (20, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+            x = np.asarray(bump.center) + width * u
+            h = 1e-5 * width
+            grad_fd = np.stack([(bump(x + h * e) - bump(x - h * e)) / (2.0 * h) for e in eye], axis=-1)
+            assert np.max(np.abs(bump.gradient(x) - grad_fd)) <= 1e-5 * abs(amp) / width, (width, amp)
+            h = 1e-3 * width
+            lap_fd = sum((bump(x + h * e) - 2.0 * bump(x) + bump(x - h * e)) / h**2 for e in eye)
+            assert np.max(np.abs(bump.laplacian(x) - lap_fd)) <= 1e-5 * abs(amp) / width**2, (width, amp)
+
+
 def test_gaussian_bump_convolution_matches_quadrature_1d():
     bump = GaussianBump(0.7, (0.4,), 0.9)
     conv = bump.heat_convolve(0.6)

@@ -70,8 +70,6 @@ NEVER_CALLED = [
     ("points", "Configuration.to_json"),
     ("points", "truncation_tail_bound"),
     ("process", "PathBundle.__post_init__"),
-    ("process", "PathBundle.n_particles"),
-    ("process", "PathBundle.n_steps"),
     ("process", "simulate_paths"),
     ("profiles", "BoxIndicator.__call__"),
     ("profiles", "BoxIndicator.__post_init__"),

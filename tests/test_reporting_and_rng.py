@@ -87,6 +87,11 @@ def test_format_cell_writes_numpy_scalars_as_python_numbers():
     assert csv_text.splitlines()[1] == "e,m,2.5,3,-1e-300,pass,"
 
 
+def test_format_cell_writes_bools_and_strings_with_str():
+    assert format_cell(True) == "True" and format_cell(np.bool_(False)) == "False"
+    assert format_cell("[1.5, 3]") == "[1.5, 3]" and format_cell("") == ""
+
+
 def test_render_csv_rfc4180_quoting():
     rows = [{"measurement": "m,1", "value": 1.25, "note": 'says "hi", twice'}]
     text = render_csv("exp", rows, "pass")

@@ -483,15 +483,20 @@ def test_cylinder_generator_stated_value():
         assert quotient == pytest.approx(2.0, abs=7.0 * t)
 
 
-def test_cylinder_validation_catches_wrong_derivatives():
-    bad_outer = OuterFunction(
-        name="bad",
-        fn=lambda v: v[..., 0] ** 2,
-        grad=lambda v: np.array([1.0]),  # wrong: should be 2v
-        hess=lambda v: np.array([[2.0]]),
-    )
-    with pytest.raises(ValueError, match="outer gradient"):
-        CylinderFunction(bad_outer, (SmoothBump(1.0, (0.0,), 1.0),))
+@pytest.mark.parametrize("outer, n", [(outer_linear(0.7), 1), (outer_linear(-2.0), 1), (outer_square(), 1),
+                                      (outer_exp_neg_sum(1), 1), (outer_exp_neg_sum(2), 2), (outer_exp_neg_sum(8), 8)],
+                         ids=lambda o: getattr(o, "name", None))
+def test_outer_derivatives_match_central_differences(outer, n):
+    # grad against central differences of fn, and hess against central differences of grad, step 1e-5
+    rng = np.random.default_rng(n)
+    h, eye = 1e-5, np.eye(n)
+    for v in rng.uniform(-1.0, 1.0, (10, n)):
+        grad_fd = np.array([(outer.fn(v + h * e) - outer.fn(v - h * e)) / (2.0 * h) for e in eye])
+        # row j holds the derivative of grad along v_j, so column j of the Hessian
+        hess_fd = np.array([(outer.grad(v + h * e) - outer.grad(v - h * e)) / (2.0 * h) for e in eye]).T
+        scale = max(1.0, abs(float(outer.fn(v))))
+        assert np.allclose(outer.grad(v), grad_fd, rtol=0.0, atol=1e-8 * scale), (outer.name, v)
+        assert np.allclose(outer.hess(v), hess_fd, rtol=0.0, atol=1e-8 * scale), (outer.name, v)
 
 
 def test_generator_residual_linear_case():
@@ -527,7 +532,7 @@ def test_generator_residual_reports_non_finite_replica():
         return out
 
     outer = OuterFunction(name="nan", fn=fn, grad=lambda v: np.array([1.0]), hess=lambda v: np.zeros((1, 1)))
-    F = CylinderFunction(outer, (SmoothBump(1.0, (0.0,), 1.0),), _check=False)
+    F = CylinderFunction(outer, (SmoothBump(1.0, (0.0,), 1.0),))
     with pytest.raises(EvaluationError, match="replica 9"):
         generator_residual(F, cfg([0.0]), (0.1, 0.05), replicas=10, seed=0, chunk=4)
 
