@@ -33,7 +33,6 @@ from .process import (
     bn_refinement_medians,
     collision_report,
     marginal_ks,
-    marginal_time,
     oscillation_check,
 )
 from .profiles import BoxIndicator, ConstantProfile, GaussianBump, SmoothedIndicator
@@ -536,7 +535,7 @@ def run_permanent(p, seed, replicas, threads):
 
 def run_process(p, seed, replicas, threads):
     dim = p["dim"]
-    d_stat, ks_p = marginal_ks(dim, p["t"], p["dt"], replicas, seed)
+    d_stat, ks_p = marginal_ks(dim, p["t"], replicas, seed)
     gamma = p["gamma"] if p["gamma"] is not None else Configuration.from_points(
         dim, np.zeros((1, dim)), window_radius=1.0
     )
@@ -544,7 +543,7 @@ def run_process(p, seed, replicas, threads):
     checks = [ks_p > 0.001, med[1] < med[0]]
     rows = [
         _row("marginal_ks_p", ks_p, bound=0.001,
-             note=f"KS statistic {d_stat:.4g} at s = {marginal_time(p['t'], p['dt']):g}"),
+             note=f"KS statistic {d_stat:.4g} at s = {p['t']:g}"),
         _row("bn_median_coarse", med[0], note=f"dt {p['dt_coarse']:g}"),
         _row("bn_median_fine", med[1], note=f"dt {p['dt']:g}"),
     ]

@@ -1,27 +1,23 @@
 """Discretized independent-particle process and its path-regularity diagnostics.
 
-Every path is exact in law at grid times (Gaussian increments of variance 2 dt
-per coordinate, summed along the grid), so continuity claims are probed by grid
+Every path is a running sum of iid Gaussian steps of variance 2 dt per
+coordinate, exact in law at grid times, so continuity claims are probed by grid
 refinement rather than discretization analysis.  One increment sampler,
-``_increment_blocks``, yields the replicas' steps in consecutive blocks of at
-most ``rng.BLOCK_POINTS`` path points, written into one reused buffer.  Paths
-of at most ``SLAB_STEPS`` steps are plain scaled draws; longer ones are built
-coarse to fine (Levy's construction): the endpoint, then bridge midpoints down
-to leaves of at most ``SLAB_STEPS`` steps, whose steps are shifted into exact
-bridge increments.  Every diagnostic reduces a block before it draws the next:
-memory is bounded by the block, not by the replica count, and the draws are
-those of one call for all replicas.  ``_path_blocks`` turns each block into
-paths by a running sum from the start; the marginal builds no path.  Each
-diagnostic draws all its replicas from one substream; ``simulate_paths`` is the
-one-replica entry that returns the paths themselves.
+``_increment_blocks``, draws and scales the replicas' steps in consecutive
+blocks of at most ``rng.BLOCK_POINTS`` path points, written into one reused
+buffer.  Every diagnostic reduces a block before it draws the next: memory is
+bounded by the block, not by the replica count, and the draws are those of one
+call for all replicas.  ``_path_blocks`` turns each block into paths by a
+running sum from the start.  Each diagnostic draws all its replicas from one
+substream; ``simulate_paths`` is the one-replica entry that returns the paths
+themselves.
 The collision diagnostics read only pair differences, so they draw the n - 1
-relative coordinates of the particles rather than all n paths.  They move all
-replicas to the horizon together in slabs of ``SLAB_STEPS`` grid steps, each
-slab one ``_increment_blocks`` call.  Two particles on the line read no grid:
-their difference's minimum comes from its Brownian-bridge law given the
-endpoint, exact in law for the continuous path.
-Diagnostics cover: a time slice against the exact heat law (one-sample
-Kolmogorov-Smirnov, at the skeleton's midpoint for long paths), B_n continuity
+relative coordinates of the particles rather than all n paths, in one
+``_increment_blocks`` call over the whole horizon.  Two particles on the line
+read no grid: their difference's minimum comes from its Brownian-bridge law
+given the endpoint, exact in law for the continuous path.
+Diagnostics cover: the time-t law against the exact heat law (one-sample
+Kolmogorov-Smirnov on one step of variance 2 t per coordinate), B_n continuity
 along paths (the median largest B_n step increment shrinks as the grid is
 refined), the oscillation bound 2 tau(delta, r/4), and collision behavior
 (d >= 2 fractions decreasing in epsilon; the d = 1 crossing fraction of two
@@ -46,8 +42,6 @@ PATH_CAPACITY = 100_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
 #: one replica's substeps^2 pairwise differences fit in one oscillation batch
 OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
-#: the most steps one plain draw takes: a collision slab, and the Levy leaf width
-SLAB_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -83,35 +77,7 @@ def _steps_for(horizon: float, dt: float) -> int:
     return steps
 
 
-def _bisection(steps: int, dt: float, levels: int | None = None):
-    """Levy's bisection of the grid 0, 1, ..., steps: every interval longer than ``SLAB_STEPS`` steps splits at
-    m = l + (r - l) // 2, for at most ``levels`` levels (all the way when None).
-
-    Returns the node times, slot 0 the start, slot 1 the endpoint and then the midpoints level by level (the
-    order they are drawn in), and per level (the slice of its midpoints' slots, their left and right
-    bounding slots, (m - l) / (r - l) and the bridge's standard deviation sqrt(2 dt (m - l)(r - m) / (r - l))).
-    A grid of at most ``SLAB_STEPS`` steps has no skeleton: the start alone and no levels.
-    """
-    if steps <= SLAB_STEPS:
-        return np.array([0]), []
-    times, intervals, bisections = [0, steps], [(0, 1)], []
-    while levels is None or len(bisections) < levels:
-        split = [(a, c) for a, c in intervals if times[c] - times[a] > SLAB_STEPS]
-        if not split:
-            break
-        first, intervals, bounds = len(times), [], []
-        for a, c in split:
-            l, r = times[a], times[c]
-            m = l + (r - l) // 2
-            times.append(m)
-            intervals += [(a, len(times) - 1), (len(times) - 1, c)]
-            bounds.append((a, c, (m - l) / (r - l), (m - l) * (r - m) / (r - l)))
-        left, right, frac, var = (np.array(v) for v in zip(*bounds))
-        bisections.append((slice(first, len(times)), left, right, frac[:, None], np.sqrt(2.0 * dt * var)[:, None]))
-    return np.array(times), bisections
-
-
-def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: int, levels: int | None = None):
+def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: int):
     """Gaussian steps of ``replicas`` replicas of n Brownian paths in R^dim on the
     grid 0, dt, ..., steps * dt, in consecutive blocks.
 
@@ -120,54 +86,19 @@ def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: in
     covers at most ``BLOCK_POINTS`` path points (steps + 1 per particle) and one
     replica at least.  Every block is written into the same buffer, so it must
     be reduced before the next is asked for; the consumer may overwrite it, as
-    the next draw refills it.
-
-    Up to ``SLAB_STEPS`` steps are drawn and scaled.  A longer path is built
-    coarse to fine (Levy's construction), each replica's row of normals being
-    the skeleton, then the steps: the endpoint (variance 2 steps dt), then the
-    bridge midpoints of ``_bisection``, X_m = X_l + (m - l)/(r - l) (X_r - X_l)
-    plus a normal of its standard deviation.  A leaf of L steps whose skeleton
-    displacement is D gets iid steps xi minus (sum xi - D)/L: exact bridge
-    increments.  With ``levels`` the bisection stops there and a path with a
-    skeleton yields its increments between nodes, (b, n, nodes, dim), in place
-    of the steps.  ``standard_normal`` fills each block in replica-major order,
-    so the draws are those of one call for all replicas, whatever the block size.
+    the next draw refills it.  ``standard_normal`` fills each block in
+    replica-major order, so the draws are those of one call for all replicas,
+    whatever the block size.
     """
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    times, bisections = _bisection(steps, dt, levels)
-    k = len(times) - 1  # skeleton nodes past the start
-    coarse = levels is not None and k > 0  # the skeleton's increments in place of the steps
-    fill = 0 if coarse else steps  # steps drawn after the skeleton
-    rows = min(replicas, block_rows(n * ((k if coarse else steps) + 1)))
-    z = np.empty((rows, n * (k + fill) * dim))
+    rows = min(replicas, block_rows(n * (steps + 1)))
+    z = np.empty((rows, n, steps, dim))
     scale = math.sqrt(2.0 * dt)
-    if k:
-        order = np.argsort(times)
-        edges = times[order]
-        lengths = np.diff(edges)
-        nodes = np.zeros((rows, n, k + 1, dim))  # slot 0, the start, stays 0
     for offset in range(0, replicas, rows):
-        b = min(rows, replicas - offset)
-        rng.standard_normal(out=z[:b])
-        step = z[:b, n * k * dim:].reshape(b, n, fill, dim)
+        step = z[:min(rows, replicas - offset)]
+        rng.standard_normal(out=step)
         step *= scale
-        if not k:
-            yield offset, step
-            continue
-        skeleton, x = z[:b, :n * k * dim].reshape(b, n, k, dim), nodes[:b]
-        x[:, :, 1] = math.sqrt(2.0 * dt * steps) * skeleton[:, :, 0]
-        for sl, left, right, frac, sd in bisections:
-            xl = x[:, :, left]
-            x[:, :, sl] = xl + frac * (x[:, :, right] - xl) + sd * skeleton[:, :, sl.start - 1:sl.stop - 1]
-        gaps = np.diff(x[:, :, order], axis=2)
-        if coarse:
-            yield offset, gaps
-            continue
-        excess = np.add.reduceat(step, edges[:-1], axis=2)
-        excess -= gaps
-        excess /= lengths[:, None]
-        step -= np.repeat(excess, lengths, axis=2)
         yield offset, step
 
 
@@ -180,6 +111,8 @@ def _path_blocks(rng, start: np.ndarray, steps: int, dt: float, replicas: int):
     replicas offset .. offset + b - 1, in one reused buffer like the steps.
     """
     n, dim = start.shape
+    if start.size * (steps + 1) > PATH_CAPACITY:
+        raise CapacityError("path array exceeds capacity")
     paths = None
     nonzero_start = bool(np.any(start))  # adding a zero start would change no value but the sign of a zero
     for offset, inc in _increment_blocks(rng, n, dim, steps, dt, replicas):
@@ -207,8 +140,6 @@ def simulate_paths(
     """
     steps = _steps_for(horizon, dt)
     start = gamma.expand()
-    if start.size * (steps + 1) > PATH_CAPACITY:
-        raise CapacityError("path array exceeds capacity")
     _, paths = next(_path_blocks(substream(seed, TAG_PATHS, replica), start, steps, dt, 1))
     times = np.arange(steps + 1) * dt
     return PathBundle(gamma.dim, dt, steps * dt, times, paths[0], seed)
@@ -233,10 +164,7 @@ def bn_refinement_medians(
     start = gamma.expand()
     medians = []
     for k, dt in enumerate(dt_list):
-        steps = _steps_for(horizon, dt)
-        if start.size * (steps + 1) > PATH_CAPACITY:
-            raise CapacityError("path array exceeds capacity")
-        maxima = _bn_max_increments(substream(seed, TAG_PATHS, k), start, steps, dt, n, replicas)
+        maxima = _bn_max_increments(substream(seed, TAG_PATHS, k), start, _steps_for(horizon, dt), dt, n, replicas)
         medians.append(float(np.median(maxima)))
     return medians
 
@@ -352,10 +280,8 @@ def collision_report(
     law, and X_i - X_j = x_i - x_j + (H_i - H_j) W.  Two particles draw their
     difference D = x_1 - x_2 + sqrt(2) W itself, with steps of variance 4 dt.
     In d = 1 with n >= 3, pairs that share a particle have dependent bridges, so
-    no crossing fraction is reported.
-
-    All replicas walk to the horizon together in slabs of ``SLAB_STEPS`` grid
-    steps, each slab one ``_increment_blocks`` call for all of them.
+    no crossing fraction is reported.  The grid route is one
+    ``_increment_blocks`` call over the whole horizon for all replicas.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
@@ -384,27 +310,21 @@ def collision_report(
     pairs = [(start[i] - start[j], [(k, float(h[i, k] - h[j, k])) for k in np.flatnonzero(h[i] != h[j])])
              for i in range(n) for j in range(i + 1, n)]
     # two particles draw their difference D itself as the one relative coordinate, with step variance
-    # 2 (2 dt): doubling is exact, so its scale is sqrt(4 dt) bit for bit
+    # 2 (2 dt), from the start gap: doubling is exact, so its scale is sqrt(4 dt) bit for bit
     w0, step_dt = (start[0] - start[1], 2.0 * dt) if n == 2 else (0.0, dt)
-    # per replica: the last W (D for two particles) and the minimum squared distance so far (time 0 counts)
-    w = np.full((replicas, n - 1, dim), w0)
+    # per replica the minimum squared distance (time 0 counts)
     dmin_sq = np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))
-    rng = substream(seed, TAG_COLLISION)
-    for first in range(0, steps, SLAB_STEPS):
-        width = min(SLAB_STEPS, steps - first)
-        for offset, block in _increment_blocks(rng, n - 1, dim, width, step_dt, replicas):
-            rows = slice(offset, offset + len(block))
-            # continuing the running sum from the last W gives the values one cumsum of the whole path would
-            block[:, :, 0] += w[rows]
-            np.cumsum(block, axis=2, out=block)
-            w[rows] = block[:, :, -1]
-            for gap, coeffs in pairs:
-                # a zero's sign, which the order of these adds may flip, is lost to the square
-                d = block[:, 0] if n == 2 else sum(c * block[:, k] for k, c in coeffs) + gap
-                # squared in place and summed in coordinate order: sq_dist(d) bit for bit, with fewer buffers
-                d *= d
-                dist_sq = functools.reduce(np.add, (d[..., k] for k in range(dim)))
-                dmin_sq[rows] = np.minimum(dmin_sq[rows], dist_sq.min(axis=1))
+    for offset, block in _increment_blocks(substream(seed, TAG_COLLISION), n - 1, dim, steps, step_dt, replicas):
+        rows = slice(offset, offset + len(block))
+        block[:, :, 0] += w0
+        np.cumsum(block, axis=2, out=block)
+        for gap, coeffs in pairs:
+            # a zero's sign, which the order of these adds may flip, is lost to the square
+            d = block[:, 0] if n == 2 else sum(c * block[:, k] for k, c in coeffs) + gap
+            # squared in place and summed in coordinate order: sq_dist(d) bit for bit, with fewer buffers
+            d *= d
+            dist_sq = functools.reduce(np.add, (d[..., k] for k in range(dim)))
+            dmin_sq[rows] = np.minimum(dmin_sq[rows], dist_sq.min(axis=1))
     # sqrt is monotone, so the minimum distance is the root of the minimum square
     min_dist = np.sqrt(dmin_sq)
     fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
@@ -431,33 +351,18 @@ def _line_minimum(gap: float, horizon: float, replicas: int, seed: int) -> tuple
     return (gap + end - np.sqrt(step * step - 8.0 * horizon * log_u)) / 2.0, end
 
 
-def marginal_time(t: float, dt: float) -> float:
-    """The time ``marginal_ks`` tests its slice at: t up to ``SLAB_STEPS`` steps, else the midpoint (steps // 2) dt."""
-    steps = _steps_for(t, dt)
-    return steps // 2 * dt if steps > SLAB_STEPS else t
+def marginal_ks(gamma_dim: int, t: float, replicas: int, seed: int) -> tuple[float, float]:
+    """One-sample KS test of the time-t displacement of one particle against the exact law
+    P(|xi| <= r) = 1 - tail_mass: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D).
 
-
-def marginal_ks(gamma_dim: int, t: float, dt: float, replicas: int, seed: int) -> tuple[float, float]:
-    """One-sample KS test of a time slice of single-particle paths against the exact law
-    P(|xi| <= r) = 1 - tail_mass at that time: D and Stephens' p = P(K > (sqrt(n) + 0.12 + 0.11/sqrt(n)) D).
-
-    Up to ``SLAB_STEPS`` steps the slice is each replica's sum of steps.  A longer path draws only the first
-    level of its skeleton (two normals per replica and coordinate), and the slice is the midpoint, whose law
-    mixes the endpoint's share with the bridge's.  ``marginal_time`` gives the slice's time.
+    Each replica's displacement is one step of variance 2 t per coordinate, exact in law at time t.
     """
-    steps = _steps_for(t, dt)
-    coarse = steps > SLAB_STEPS
+    params = HeatKernelParams(gamma_dim, t)
     radii = np.empty(replicas)
-    # no path is built: the steps' sum, or the skeleton's first increment, from the start to the midpoint
-    for offset, inc in _increment_blocks(substream(seed, TAG_MARGINAL), 1, gamma_dim, steps, dt, replicas, 1):
-        if coarse:
-            end = inc[:, 0, 0]
-        else:
-            # one strided row sum per coordinate: a sum over the step axis would loop over dim innermost
-            end = np.stack([inc[:, 0, :, k].sum(axis=1) for k in range(gamma_dim)], axis=-1)
-        radii[offset:offset + len(inc)] = np.sqrt(sq_dist(end))
+    for offset, inc in _increment_blocks(substream(seed, TAG_MARGINAL), 1, gamma_dim, 1, t, replicas):
+        radii[offset:offset + len(inc)] = np.sqrt(sq_dist(inc[:, 0, 0]))
     radii.sort()
-    cdf = 1.0 - tail_mass(HeatKernelParams(gamma_dim, marginal_time(t, dt)), radii)
+    cdf = 1.0 - tail_mass(params, radii)
     n = replicas
     d = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d

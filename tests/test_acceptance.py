@@ -326,9 +326,9 @@ def test_c11_feller_probes():
 
 def test_c12_process_diagnostics():
     with criterion(12, "process: marginal KS, oscillation battery, collision fractions, crossing"):
-        _, p = marginal_ks(1, 0.2, 0.002, replicas=10_000, seed=1012)
+        _, p = marginal_ks(1, 0.2, replicas=10_000, seed=1012)
         assert p > 0.001
-        _, p2 = marginal_ks(2, 0.5, 0.005, replicas=10_000, seed=1013)
+        _, p2 = marginal_ks(2, 0.5, replicas=10_000, seed=1013)
         assert p2 > 0.001
         battery = [
             (1, 0.01, 0.42), (1, 0.01, 0.57), (1, 0.02, 0.8),

@@ -20,11 +20,9 @@ from confheat.points import Configuration
 from confheat.process import (
     OSCILLATION_MAX_SUBSTEPS,
     PAIR_POINTS,
-    SLAB_STEPS,
     bn_refinement_medians,
     collision_report,
     marginal_ks,
-    marginal_time,
     oscillation_check,
     simulate_paths,
 )
@@ -60,6 +58,17 @@ def test_simulate_paths_validation():
         simulate_paths(gamma, 2.0e8, 1.0, seed=0)
 
 
+def test_path_capacity_is_checked_before_drawing(monkeypatch):
+    # one replica's path points against PATH_CAPACITY, for every route that builds paths
+    monkeypatch.setattr(confheat.process, "_increment_blocks", _no_draws)
+    monkeypatch.setattr(confheat.process, "PATH_CAPACITY", 3 * 11 - 1)
+    gamma = cfg([0.0, 0.5, 1.0])
+    with pytest.raises(CapacityError, match="path array"):
+        bn_refinement_medians(gamma, 1.0, (0.1,), n=1, replicas=10, seed=0)
+    with pytest.raises(CapacityError, match="path array"):
+        simulate_paths(gamma, 1.0, 0.1, seed=0)
+
+
 def test_simulate_paths_terminal_variance():
     gamma = Configuration(1, np.zeros((1, 1)), np.array([4000]), 1.0)
     bundle = simulate_paths(gamma, 1.0, 0.05, seed=9)
@@ -81,9 +90,9 @@ def test_simulate_paths_particle_independence():
 
 
 def test_marginal_matches_one_heat_step():
-    d_stat, p = marginal_ks(1, 0.2, 0.2, replicas=10000, seed=5)
+    d_stat, p = marginal_ks(1, 0.2, replicas=10000, seed=5)
     assert p > 0.001
-    d_stat2, p2 = marginal_ks(2, 0.5, 0.05, replicas=10000, seed=6)
+    d_stat2, p2 = marginal_ks(2, 0.5, replicas=10000, seed=6)
     assert p2 > 0.001
 
 
@@ -102,9 +111,9 @@ def test_marginal_ks_p_value_against_kolmogorov_series(monkeypatch):
         return tail_mass(params, r)
 
     monkeypatch.setattr(confheat.process, "tail_mass", recording_tail_mass)
-    for dim, t, dt, n, seed in [(1, 0.2, 0.02, 50, 1), (2, 0.5, 0.1, 200, 2), (3, 0.3, 0.1, 1000, 3),
-                                (1, 1.0, 0.25, 5000, 4), (2, 0.2, 0.2, 10000, 5)]:
-        d, p = marginal_ks(dim, t, dt, replicas=n, seed=seed)
+    for dim, t, n, seed in [(1, 0.2, 50, 1), (2, 0.5, 200, 2), (3, 0.3, 1000, 3), (1, 1.0, 5000, 4),
+                            (2, 0.2, 10000, 5)]:
+        d, p = marginal_ks(dim, t, replicas=n, seed=seed)
         radii = seen.pop()
         # the time-t slice: n radii, statistic = sup |ECDF - exact CDF| over both one-sided limits
         assert radii.shape == (n,)
@@ -119,13 +128,13 @@ def test_marginal_ks_p_value_against_kolmogorov_series(monkeypatch):
 def test_marginal_ks_detects_ten_percent_variance_error(monkeypatch):
     # the exact CDF of a heat step with 10% too much variance (2.2 t per coordinate).  At 10^4 replicas
     # the d = 1 p-value lies near 1e-6 across seeds (median 2e-6 over seeds 0-39, under 1e-6 for 45%);
-    # at 10^5 replicas of one step it is below 1e-39 for every one of them.  d = 2 at 10^4 replicas of
-    # ten steps stays below 2e-8 over seeds 0-39.
+    # at 10^5 replicas it is below 1e-39 for every one of them.  d = 2 at 10^4 replicas stays below 1e-6
+    # over seeds 0-39.
     monkeypatch.setattr(confheat.process, "tail_mass",
                         lambda params, r: tail_mass(HeatKernelParams(params.dim, 1.1 * params.t), r))
-    _, p = marginal_ks(1, 0.2, 0.2, replicas=100_000, seed=5)
+    _, p = marginal_ks(1, 0.2, replicas=100_000, seed=5)
     assert p < 1e-6
-    _, p2 = marginal_ks(2, 0.5, 0.05, replicas=10000, seed=6)
+    _, p2 = marginal_ks(2, 0.5, replicas=10000, seed=6)
     assert p2 < 1e-6
 
 
@@ -246,43 +255,12 @@ def _brownian_steps(rng, n, dim, steps, dt, m):
     return inc
 
 
-def _levy_steps(rng, n, dim, steps, dt, m):
-    """Oracle: the steps of m replicas of n paths built coarse to fine from one draw, shape (m, n, steps, dim).
-
-    Up to SLAB_STEPS steps these are the plain steps.  Past that each replica's row holds the skeleton's
-    normals, then the steps': the endpoint, then breadth first the midpoint m = (l + r) // 2 of every interval
-    [l, r] longer than SLAB_STEPS, given X_l and X_r; each leaf's steps are shifted to sum to the skeleton's
-    displacement over it."""
-    if steps <= SLAB_STEPS:
-        return _brownian_steps(rng, n, dim, steps, dt, m)
-    bisections, queue = [], [(0, steps)]
-    while queue:
-        l, r = queue.pop(0)
-        if r - l > SLAB_STEPS:
-            bisections.append((l, (l + r) // 2, r))
-            queue += [(l, (l + r) // 2), ((l + r) // 2, r)]
-    k = len(bisections) + 1
-    z = rng.standard_normal((m, n * (k + steps) * dim))
-    skeleton, xi = z[:, :n * k * dim].reshape(m, n, k, dim), z[:, n * k * dim:].reshape(m, n, steps, dim)
-    x = {0: 0.0, steps: math.sqrt(2.0 * dt * steps) * skeleton[:, :, 0]}
-    for j, (l, mid, r) in enumerate(bisections, start=1):
-        bridge_sd = math.sqrt(2.0 * dt * (mid - l) * (r - mid) / (r - l))
-        x[mid] = x[l] + (mid - l) / (r - l) * (x[r] - x[l]) + bridge_sd * skeleton[:, :, j]
-    inc = xi * math.sqrt(2.0 * dt)
-    nodes = sorted(x)
-    for a, b in zip(nodes, nodes[1:]):
-        leaf = inc[:, :, a:b]
-        leaf -= ((leaf.sum(axis=2) - (x[b] - x[a])) / (b - a))[:, :, None]
-    return inc
-
-
-def _brownian_paths(rng, start, steps, dt, m, draw=_brownian_steps):
-    """Oracle: m replicas of paths from one draw, shape (m, n, steps + 1, dim), as running sums of ``draw``'s
-    steps (by default the plain steps)."""
+def _brownian_paths(rng, start, steps, dt, m):
+    """Oracle: m replicas of paths from one draw, shape (m, n, steps + 1, dim), as running sums of the steps."""
     n, dim = start.shape
     paths = np.empty((m, n, steps + 1, dim))
     paths[:, :, 0, :] = start
-    np.cumsum(draw(rng, n, dim, steps, dt, m), axis=2, out=paths[:, :, 1:, :])
+    np.cumsum(_brownian_steps(rng, n, dim, steps, dt, m), axis=2, out=paths[:, :, 1:, :])
     paths[:, :, 1:, :] += start[:, None, :]
     return paths
 
@@ -359,8 +337,7 @@ def _exceedance_oracle(dim, delta, r, replicas, seed, substeps):
     rng = substream(seed, TAG_OSCILLATION)
     count = 0
     for done in range(0, replicas, 100):
-        pos = _brownian_paths(rng, np.zeros((1, dim)), substeps, delta / substeps, min(100, replicas - done),
-                              draw=_levy_steps)[:, 0]
+        pos = _brownian_paths(rng, np.zeros((1, dim)), substeps, delta / substeps, min(100, replicas - done))[:, 0]
         diff = pos[:, :, None, :] - pos[:, None, :, :]
         count += int(np.sum(np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2))) > r))
     return count
@@ -401,97 +378,18 @@ def test_path_blocks_reproduce_one_draw(monkeypatch):
     assert np.array_equal(bundle.paths, _brownian_paths(substream(8, TAG_PATHS, 5), gamma.expand(), 50, 0.01, 1)[0])
 
 
-def _blocks(n, dim, steps, dt, replicas, key, levels=None):
-    return [(offset, inc.copy()) for offset, inc in
-            confheat.process._increment_blocks(substream(*key), n, dim, steps, dt, replicas, levels)]
-
-
-def test_increment_blocks_at_slab_steps_equal_the_plain_one_draw():
-    # a path of SLAB_STEPS steps has no skeleton: its steps are the plain draw-and-scale bit for bit
-    ((offset, inc),) = _blocks(2, 3, SLAB_STEPS, 0.01, 9, (6, 1))
-    assert offset == 0 and np.array_equal(inc, _brownian_steps(substream(6, 1), 2, 3, SLAB_STEPS, 0.01, 9))
-
-
-@pytest.mark.parametrize("steps", [65, 100, 127, 1000])
-def test_levy_steps_are_block_size_independent_and_equal_the_oracle(monkeypatch, steps):
-    # block size changes memory, not values; the steps are the one-draw coarse-to-fine oracle's up to rounding
+@pytest.mark.parametrize("rows", [1, 5, None])
+@pytest.mark.parametrize("steps", [1, 64, 65, 100, 127, 1000])
+def test_increment_blocks_equal_the_plain_one_draw(monkeypatch, steps, rows):
+    # every path length is drawn and scaled: the steps are one draw's bit for bit, whatever the block size
     n, dim, dt, replicas = 2, 3, 0.5 / steps, 13
-    whole = _blocks(n, dim, steps, dt, replicas, (7, steps))
-    assert [offset for offset, _ in whole] == [0]
-    want = _levy_steps(substream(7, steps), n, dim, steps, dt, replicas)
-    assert np.max(np.abs(whole[0][1] - want)) <= 1e-13
-    for rows in (1, 5):
+    if rows:
         _few_rows(monkeypatch, rows, n * (steps + 1))
-        blocks = _blocks(n, dim, steps, dt, replicas, (7, steps))
-        assert [offset for offset, _ in blocks] == list(range(0, replicas, rows))
-        assert np.array_equal(np.concatenate([inc for _, inc in blocks]), whole[0][1])
-
-
-@pytest.mark.parametrize("steps", [65, 100, 127, 1000])
-@pytest.mark.parametrize("dim, n", [(1, 1), (2, 3), (3, 2)])
-def test_levy_paths_agree_in_law_with_running_sums(steps, dim, n):
-    # coarse-to-fine paths against the running sums of plain steps: the law at anchors (skeleton nodes, leaf
-    # edges) and leaf interiors, and E X(s) X(s') = 2 min(s, s') per coordinate, pooled over particles and
-    # coordinates, which are independent
-    dt, replicas = 1.0 / steps, 4000
-    start = np.zeros((n, dim))
-    got = np.concatenate([paths.copy() for _, paths in
-                          confheat.process._path_blocks(substream(31, steps, dim), start, steps, dt, replicas)])
-    plain = _brownian_paths(np.random.default_rng([32, steps, dim]), start, steps, dt, replicas)
-    m = steps // 2
-    times = sorted({1, 17, steps // 8, steps // 4, m - 1, m, m + 1, steps - 1, steps})
-    for k in times:
-        assert ks_2samp(got[:, :, k].ravel(), plain[:, :, k].ravel()).pvalue > 1e-4, k
-    x = got[:, :, times].transpose(0, 1, 3, 2).reshape(-1, len(times))
-    for a in range(len(times)):
-        for b in range(a, len(times)):
-            prod = x[:, a] * x[:, b]
-            se = prod.std(ddof=1) / math.sqrt(len(prod))
-            assert abs(prod.mean() - 2.0 * min(times[a], times[b]) * dt) <= 4.0 * se, (times[a], times[b])
-
-
-def test_marginal_reads_the_first_level_of_the_path_skeleton(monkeypatch):
-    # one replica: the marginal's two normals (endpoint, then midpoint) are the first two the full path draws,
-    # so its skeleton increments are the path's values at steps // 2 and at the end
-    dim, steps, dt = 2, 1000, 1e-3
-    for seed in range(3):
-        ((_, gaps),) = _blocks(1, dim, steps, dt, 1, (seed, 9), levels=1)
-        ((_, paths),) = confheat.process._path_blocks(substream(seed, 9), np.zeros((1, dim)), steps, dt, 1)
-        assert gaps.shape == (1, 1, 2, dim)
-        assert np.max(np.abs(gaps[0, 0, 0] - paths[0, 0, steps // 2])) <= 1e-12
-        assert np.max(np.abs(gaps[0, 0].sum(axis=0) - paths[0, 0, -1])) <= 1e-12
-    # many replicas: the midpoint radii, tested at the midpoint time, from a one-draw oracle of two normals each
-    seen = []
-
-    def recording_tail_mass(params, r):
-        seen.append((params.t, np.array(r)))
-        return tail_mass(params, r)
-
-    monkeypatch.setattr(confheat.process, "tail_mass", recording_tail_mass)
-    for dim, t, dt, replicas, seed in [(1, 1.0, 1e-3, 3001, 1), (2, 0.65, 0.01, 500, 2), (3, 1.27, 0.01, 40, 3)]:
-        steps = round(t / dt)
-        marginal_ks(dim, t, dt, replicas, seed)
-        s, radii = seen.pop()
-        assert s == steps // 2 * dt
-        z = substream(seed, TAG_MARGINAL).standard_normal((replicas, 2, dim))
-        end = math.sqrt(2.0 * dt * steps) * z[:, 0]
-        mid = (steps // 2) / steps * end + math.sqrt(2.0 * dt * (steps // 2) * (steps - steps // 2) / steps) * z[:, 1]
-        assert np.max(np.abs(radii - np.sort(np.sqrt(np.sum(mid * mid, axis=-1))))) <= 1e-12
-
-
-def test_marginal_detects_a_wrong_bridge_standard_deviation(monkeypatch):
-    # at the process config's size (10^4 replicas, 1000 steps, seed 112) a level-1 bridge standard deviation
-    # 10% too large gives p = 1.6e-7; a variance 10% too large only shifts the midpoint's variance by 5% and
-    # is not resolved at this size (p = 0.012 here, below 0.001 for 5 of seeds 112-131)
-    bisection = confheat.process._bisection
-
-    def wider(steps, dt, levels=None):
-        times, bisections = bisection(steps, dt, levels)
-        return times, [(sl, left, right, frac, 1.1 * sd) for sl, left, right, frac, sd in bisections]
-
-    assert marginal_ks(1, 1.0, 1e-3, 10_000, 112)[1] > 0.001
-    monkeypatch.setattr(confheat.process, "_bisection", wider)
-    assert marginal_ks(1, 1.0, 1e-3, 10_000, 112)[1] < 1e-5
+    blocks = [(offset, inc.copy()) for offset, inc in
+              confheat.process._increment_blocks(substream(7, steps), n, dim, steps, dt, replicas)]
+    assert [offset for offset, _ in blocks] == list(range(0, replicas, rows or replicas))
+    want = _brownian_steps(substream(7, steps), n, dim, steps, dt, replicas)
+    assert np.array_equal(np.concatenate([inc for _, inc in blocks]), want)
 
 
 def test_oscillation_reports_are_pinned():
@@ -506,7 +404,7 @@ def test_oscillation_reports_are_pinned():
 
 
 COLLISION_CASES = {
-    "d1-two": (cfg([0.0, 0.1]), 3001),  # the closed-form route; every other case takes slabs
+    "d1-two": (cfg([0.0, 0.1]), 3001),  # the closed-form route; every other case reads the grid
     "d1-far": (cfg([0.0, 3.0, 6.0, 9.0]), 1201),  # few replicas come within epsilon
     "d1-mixed": (cfg([0.0, 0.15, 0.3, 2.0]), 1201),
     "d2": (cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), 1201),
@@ -516,26 +414,23 @@ COLLISION_CASES = {
 }
 
 
-def _slab_collisions(gamma, horizon, dt, replicas, seed):
-    """Oracle: per replica the minimum pair distance over the grid, with all replicas walked to the horizon
-    together in slabs of SLAB_STEPS steps, each slab one draw for all replicas in replica order.  Two
-    particles draw their difference D, from the start gap with step variance 4 dt."""
+def _grid_collisions(gamma, horizon, dt, replicas, seed):
+    """Oracle: per replica the minimum pair distance over the grid, from one replica-major draw of the whole
+    horizon for all replicas.  Two particles draw their difference D, from the start gap with step variance
+    4 dt."""
     start = gamma.expand()
     (n, dim), steps = start.shape, round(horizon / dt)
     h = _helmert(n)
     pairs = [(start[i] - start[j], h[i] - h[j]) for i in range(n) for j in range(i + 1, n)]
-    rng = substream(seed, TAG_COLLISION)
-    w = np.zeros((replicas, n - 1, dim)) + (start[0] - start[1] if n == 2 else 0.0)
-    scale = math.sqrt((4.0 if n == 2 else 2.0) * dt)
+    inc = substream(seed, TAG_COLLISION).standard_normal((replicas, n - 1, steps, dim))
+    inc *= math.sqrt((4.0 if n == 2 else 2.0) * dt)
+    if n == 2:
+        inc[:, :, 0] += start[0] - start[1]
+    path = np.cumsum(inc, axis=2)
     dmin_sq = np.full(replicas, min(np.sum(gap * gap) for gap, _ in pairs))
-    for first in range(0, steps, SLAB_STEPS):
-        inc = rng.standard_normal((replicas, n - 1, min(SLAB_STEPS, steps - first), dim)) * scale
-        inc[:, :, 0] += w
-        path = np.cumsum(inc, axis=2)
-        w = path[:, :, -1]
-        for gap, c in pairs:
-            diff = path[:, 0] if n == 2 else sum(c[k] * path[:, k] for k in range(n - 1) if c[k] != 0) + gap
-            dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
+    for gap, c in pairs:
+        diff = path[:, 0] if n == 2 else sum(c[k] * path[:, k] for k in range(n - 1) if c[k] != 0) + gap
+        dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
     return np.sqrt(dmin_sq)
 
 
@@ -551,20 +446,20 @@ def _line_minimum_oracle(gap, horizon, replicas, seed):
 @pytest.mark.parametrize("case", sorted(COLLISION_CASES))
 def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
     gamma, replicas = COLLISION_CASES[case]
-    horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)  # four slabs, the last of 8 steps
+    horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)  # 200 grid steps
     n = gamma.expand().shape[0]
     if small:
-        # full slabs in blocks of 3 replicas (the last of 1); the ragged 8-step slab in blocks sized
-        # by its own width; two particles on the line in blocks of 98 replicas of one step
-        _few_rows(monkeypatch, 3, (n - 1) * (SLAB_STEPS + 1))
+        # the grid in blocks of 3 replicas (the last of 1); two particles on the line in blocks of 302
+        # replicas of one step
+        _few_rows(monkeypatch, 3, (n - 1) * 201)
     rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
-    if case == "d1-two":  # no slabs: the closed form, bit for bit, whatever the block size
+    if case == "d1-two":  # no grid: the closed form, bit for bit, whatever the block size
         minimum = _line_minimum_oracle(0.1, horizon, replicas, 21)
         assert rep.fractions == tuple(float(np.mean(minimum < e)) for e in eps)
         assert rep.crossing_fraction == float(np.mean(minimum <= 0.0))
         assert 0.0 < rep.fractions[-1] < 1.0 and 0.0 < rep.crossing_fraction < 1.0
         return
-    min_dist = _slab_collisions(gamma, horizon, dt, replicas, 21)
+    min_dist = _grid_collisions(gamma, horizon, dt, replicas, 21)
     assert rep.fractions == tuple(float(np.mean(min_dist < e)) for e in eps)
     assert rep.crossing_fraction is None
     assert 0.0 < rep.fractions[-1] < 1.0
@@ -602,7 +497,7 @@ class _CountingStream:
 
 @pytest.mark.parametrize("case", sorted(COLLISION_CASES))
 def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
-    # every normal comes from _increment_blocks, one call per slab for all replicas
+    # every normal comes from _increment_blocks, one call over the whole horizon for all replicas
     gamma, replicas = COLLISION_CASES[case]
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
     n, dim = gamma.expand().shape
@@ -626,34 +521,17 @@ def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
         assert calls == [(1, 1, 1, 2.0 * horizon, replicas)]
         assert sum(yielded) == sum(stream.normals for stream in streams) == replicas
         return
-    widths = [SLAB_STEPS] * 3 + [8]
     step_dt = 2.0 * dt if n == 2 else dt
-    assert calls == [(n - 1, dim, width, step_dt, replicas) for width in widths]
-    want = replicas * (n - 1) * sum(widths) * dim
+    assert calls == [(n - 1, dim, 200, step_dt, replicas)]
+    want = replicas * (n - 1) * 200 * dim
     assert sum(yielded) == sum(stream.normals for stream in streams) == want
-
-
-def test_collision_draws_every_slab_when_every_replica_is_decided(monkeypatch):
-    # two particles 0.05 apart against a smallest epsilon of 0.1: every replica is below it from time 0 on,
-    # after the first slab included, and every slab still draws all replicas to the horizon
-    calls = []
-    increment_blocks = confheat.process._increment_blocks
-
-    def recording_increment_blocks(rng, *args):
-        calls.append(args)
-        yield from increment_blocks(rng, *args)
-
-    monkeypatch.setattr(confheat.process, "_increment_blocks", recording_increment_blocks)
-    rep = collision_report(cfg([[0.0, 0.0], [0.05, 0.0]], dim=2), 0.2, 0.001, 301, seed=21, epsilon_list=(0.3, 0.1))
-    assert rep.fractions == (1.0, 1.0)
-    assert calls == [(1, 2, width, 0.002, 301) for width in [SLAB_STEPS] * 3 + [8]]
 
 
 CONFIG_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "configs"
 
 
 @pytest.mark.parametrize("name, fractions, crossing", [
-    ("collision", (0.225, 0.0042, 0.0), None),
+    ("collision", (0.2304, 0.0037, 0.0), None),
     ("collision_1d", (0.9797,), 0.9592),
 ])
 def test_collision_reports_of_shipped_configs_are_pinned(name, fractions, crossing):
@@ -679,8 +557,7 @@ def test_process_draws_normals_in_one_place():
     assert sites == ["_increment_blocks"]
 
 
-def test_collision_slab_length_is_pinned():
-    assert SLAB_STEPS == 64
+def test_collision_report_signature_is_pinned():
     assert list(inspect.signature(collision_report).parameters) == [
         "gamma", "horizon", "dt", "replicas", "seed", "epsilon_list"]
 
@@ -775,16 +652,26 @@ def test_line_minimum_counts_strictly_below_epsilon_and_a_touch_of_zero_as_a_cro
 
 
 def test_process_report_names_the_time_its_marginal_is_tested_at(monkeypatch):
-    # t up to SLAB_STEPS steps, the skeleton's midpoint (steps // 2) dt past them; marginal_ks tests there
-    assert marginal_time(0.2, 0.02) == 0.2 and marginal_time(0.064, 0.001) == 0.064
-    assert marginal_time(0.065, 0.001) == 32 * 0.001 and marginal_time(1.0, 1e-3) == 0.5
+    # the marginal is tested at t itself, whatever the B_n grid's dt
     seen = []
     monkeypatch.setattr(confheat.process, "tail_mass", lambda params, r: seen.append(params.t) or tail_mass(params, r))
-    for t, s in ((0.02, "0.02"), (1.0, "0.5")):
+    for t, s in ((0.02, "0.02"), (1.0, "1")):
         p = {"dim": 1, "t": t, "dt": 0.001, "dt_coarse": 0.01, "n": 1, "bn_replicas": 20, "gamma": None}
         rows = confheat.experiments.EXPERIMENTS["process"].run(p, 112, 200, 1).rows
-        assert seen.pop() == marginal_time(t, 0.001)
+        assert seen.pop() == t
         assert rows[0]["measurement"] == "marginal_ks_p" and rows[0]["note"].endswith(f" at s = {s}")
+
+
+def test_process_report_of_shipped_config_is_pinned():
+    # the B_n medians are those of running sums of plain steps; the marginal tests one step of variance 2 t
+    doc = json.loads((CONFIG_DIR / "process.json").read_text())
+    p = dict(doc["params"], gamma=None)
+    rows = {row["measurement"]: row for row in
+            confheat.experiments.EXPERIMENTS["process"].run(p, doc["seed"], doc["replicas"], 1).rows}
+    assert rows["bn_median_coarse"]["value"] == 0.24877552117813329
+    assert rows["bn_median_fine"]["value"] == 0.11121686472798081
+    assert rows["marginal_ks_p"]["value"] == 0.28112418163020453
+    assert rows["marginal_ks_p"]["note"] == "KS statistic 0.009886 at s = 1"
 
 
 def test_helmert_basis_is_orthonormal_and_centres():
@@ -809,8 +696,8 @@ def test_collision_d1_crossing_only_for_two_particles():
 
 @pytest.mark.parametrize("rows", [None, 3])
 def test_marginal_radii_equal_one_draw(monkeypatch, rows):
-    # the marginal reads each replica's summed steps where the path oracle takes their running sum: its steps
-    # are the oracle's bit for bit, and the end radii agree up to the order of the additions
+    # the marginal draws one step of variance 2 t per replica: its steps are one draw's bit for bit, and so
+    # are the radii
     seen, blocks = [], []
     increment_blocks = confheat.process._increment_blocks
 
@@ -825,19 +712,16 @@ def test_marginal_radii_equal_one_draw(monkeypatch, rows):
 
     monkeypatch.setattr(confheat.process, "tail_mass", recording_tail_mass)
     monkeypatch.setattr(confheat.process, "_increment_blocks", recording_increment_blocks)
-    for dim, t, dt, n, seed in [(1, 0.3, 0.01, 2003, 1), (2, 0.2, 0.05, 1001, 2), (3, 0.1, 0.1, 50, 3)]:
-        steps = round(t / dt)
+    for dim, t, n, seed in [(1, 0.3, 2003, 1), (2, 0.2, 1001, 2), (3, 0.1, 50, 3)]:
         if rows:
-            _few_rows(monkeypatch, rows, steps + 1)
+            _few_rows(monkeypatch, rows, 2)
         blocks.clear()
-        marginal_ks(dim, t, dt, replicas=n, seed=seed)
+        marginal_ks(dim, t, replicas=n, seed=seed)
         assert [offset for offset, _ in blocks] == list(range(0, n, rows or n))
-        want_steps = _brownian_steps(substream(seed, TAG_MARGINAL), 1, dim, steps, dt, n)
+        want_steps = _brownian_steps(substream(seed, TAG_MARGINAL), 1, dim, 1, t, n)
         assert np.array_equal(np.concatenate([inc for _, inc in blocks]), want_steps)
-        paths = _brownian_paths(substream(seed, TAG_MARGINAL), np.zeros((1, dim)), steps, dt, n)
-        want = np.sort(np.sqrt(np.sum(paths[:, 0, -1] ** 2, axis=-1)))
-        got = seen.pop()
-        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+        end = want_steps[:, 0, 0]
+        assert np.array_equal(seen.pop(), np.sort(np.sqrt(np.sum(end * end, axis=-1))))
 
 
 @pytest.mark.parametrize("rows", [None, 5])
@@ -932,5 +816,5 @@ def test_collision_memory_is_bounded_by_blocks():
 
 def test_marginal_memory_is_bounded_by_blocks():
     # the process battery config: 10 000 replicas of 1001 points (a whole batch held 61 MB)
-    peak = _traced_peak(lambda: marginal_ks(1, 1.0, 1e-3, 10_000, 112))
+    peak = _traced_peak(lambda: marginal_ks(1, 1.0, 10_000, 112))
     assert peak < 8e6

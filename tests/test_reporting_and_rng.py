@@ -167,9 +167,9 @@ def _generator_mc_rows(replicas: int) -> dict:
 
 
 def _marginal_rows(replicas: int) -> dict:
-    # the marginal of the process config at a coarser grid; sqrt(n) D has the Kolmogorov law under the
-    # null, whose standard deviation is sqrt(pi^2/12 - (pi/2) ln^2 2)
-    d, _ = confheat.process.marginal_ks(1, 1.0, 0.01, replicas, 112)
+    # the marginal of the process config; sqrt(n) D has the Kolmogorov law under the null, whose standard
+    # deviation is sqrt(pi^2/12 - (pi/2) ln^2 2)
+    d, _ = confheat.process.marginal_ks(1, 1.0, replicas, 112)
     return {"D": {"value": d, "std_error": math.sqrt(math.pi**2 / 12 - math.pi / 2 * math.log(2) ** 2)
                   / math.sqrt(replicas)}}
 
