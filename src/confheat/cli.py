@@ -28,15 +28,23 @@ from .reporting import write_report
 _TOP_KEYS = {"experiment", "seed", "replicas", "output", "params"}
 
 
-def validate_config(text: str):
-    """Parse and validate a config document; returns (config | None, errors)."""
-    errors: list[str] = []
+def _load(text: str):
+    """Parse a config document; returns (doc, None), or (None, the error that stops its validation)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        return None, [f"syntax error: {exc}"]
+        return None, f"syntax error: {exc}"
     if not isinstance(doc, dict):
-        return None, ["config must be a JSON object"]
+        return None, "config must be a JSON object"
+    return doc, None
+
+
+def validate_config(text: str):
+    """Parse and validate a config document; returns (config | None, errors)."""
+    doc, error = _load(text)
+    if error:
+        return None, [error]
+    errors: list[str] = []
     for key in doc:
         if key not in _TOP_KEYS:
             errors.append(f"{key}: unknown key")
@@ -165,13 +173,9 @@ def main(argv=None) -> int:
         print(json.dumps(config, sort_keys=True, indent=2))
         return 0
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"invalid: syntax error: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(doc, dict):
-        print("invalid: config must be a JSON object", file=sys.stderr)
+    doc, error = _load(text)
+    if error:
+        _print_invalid([error])
         return 2
     for item in args.overrides:
         if "=" not in item:

@@ -54,7 +54,7 @@ def b_n(gamma: Configuration, n: int) -> float:
         raise ValueError("n must be a positive integer")
     if gamma.n_sites == 0:
         return 0.0
-    return float(np.sum(gamma.multiplicities * np.exp(-gamma.norms() / n)))
+    return float(np.sum(gamma.multiplicities * np.exp(-np.sqrt(sq_dist(gamma.positions)) / n)))
 
 
 def _weighted_support(g1: Configuration, g2: Configuration):

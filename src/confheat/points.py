@@ -98,9 +98,6 @@ class Configuration:
         """Positions repeated per multiplicity, shape (total_count, dim)."""
         return np.repeat(self.positions, self.multiplicities, axis=0)
 
-    def norms(self) -> np.ndarray:
-        return np.sqrt(sq_dist(self.positions))
-
     def same_as(self, other: "Configuration") -> bool:
         """Order-independent equality of the underlying multisets."""
         a, b = as_multiset(self), as_multiset(other)

@@ -11,11 +11,10 @@ call for all replicas.  ``_path_blocks`` turns each block into paths by a
 running sum from the start.  Each diagnostic draws all its replicas from one
 substream; ``simulate_paths`` is the one-replica entry that returns the paths
 themselves.
-The collision diagnostics read only pair differences, so they draw the n - 1
-relative coordinates of the particles rather than all n paths, in one
-``_increment_blocks`` call over the whole horizon.  Two particles on the line
-read no grid: their difference's minimum comes from its Brownian-bridge law
-given the endpoint, exact in law for the continuous path.
+The collision grid draws all n paths, or for two particles their difference
+alone, in one ``_increment_blocks`` call over the whole horizon.  Two particles
+on the line read no grid: their difference's minimum comes from its
+Brownian-bridge law given the endpoint, exact in law for the continuous path.
 Diagnostics cover: the time-t law against the exact heat law (one-sample
 Kolmogorov-Smirnov on one step of variance 2 t per coordinate), B_n continuity
 along paths (the median largest B_n step increment shrinks as the grid is
@@ -245,20 +244,6 @@ class CollisionReport:
     note: str
 
 
-def _helmert(n: int) -> np.ndarray:
-    """The n x (n - 1) Helmert basis of the complement of the all-ones vector.
-
-    Column k - 1 (k = 1 .. n - 1) holds 1/sqrt(k (k + 1)) on rows 0 .. k - 1,
-    -k/sqrt(k (k + 1)) on row k and 0 below; the columns are orthonormal.
-    """
-    h = np.zeros((n, n - 1))
-    for k in range(1, n):
-        norm = math.sqrt(k * (k + 1))
-        h[:k, k - 1] = 1.0 / norm
-        h[k, k - 1] = -k / norm
-    return h
-
-
 def collision_report(
     gamma: Configuration,
     horizon: float,
@@ -273,15 +258,13 @@ def collision_report(
     Two particles on the line read no grid (``dt`` is still validated): with M
     the minimum of their difference from ``_line_minimum``, the fractions are
     mean(M < epsilon) and the crossing fraction mean(M <= 0), exact in law for
-    the continuous path.  Every other case takes minima over the grid, drawn in
-    relative coordinates: with H the Helmert basis of the complement of the
-    all-ones vector, the centred displacements are H W for n - 1 independent
-    Brownian paths W from 0 (variance 2 dt per coordinate and step), exact in
-    law, and X_i - X_j = x_i - x_j + (H_i - H_j) W.  Two particles draw their
-    difference D = x_1 - x_2 + sqrt(2) W itself, with steps of variance 4 dt.
-    In d = 1 with n >= 3, pairs that share a particle have dependent bridges, so
-    no crossing fraction is reported.  The grid route is one
-    ``_increment_blocks`` call over the whole horizon for all replicas.
+    the continuous path.  Every other case takes minima over the grid, where
+    time 0 counts through the start gaps.  Three or more particles draw their
+    own n paths and take each pair difference X_i - X_j; two particles draw
+    their difference D = X_1 - X_2 itself, from the start gap with steps of
+    variance 4 dt.  In d = 1 with n >= 3, pairs that share a particle have
+    dependent bridges, so no crossing fraction is reported.  The grid route is
+    one ``_increment_blocks`` call over the whole horizon for all replicas.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
@@ -304,23 +287,18 @@ def collision_report(
                                float(np.mean(minimum <= 0.0)), below(0.0), tuple(map(below, eps)), replicas,
                                "exact in law for the continuous path: the minimum distance is drawn from its "
                                "Brownian-bridge law given the endpoint; no grid is read")
-    h = _helmert(n)
-    # X_i - X_j = (x_i - x_j) + sum_k c_k W_k with c = H[i] - H[j] and W from 0, so time 0 holds the
-    # start gap exactly; rows i < j of H agree on the columns past j - 1
-    pairs = [(start[i] - start[j], [(k, float(h[i, k] - h[j, k])) for k in np.flatnonzero(h[i] != h[j])])
-             for i in range(n) for j in range(i + 1, n)]
-    # two particles draw their difference D itself as the one relative coordinate, with step variance
-    # 2 (2 dt), from the start gap: doubling is exact, so its scale is sqrt(4 dt) bit for bit
-    w0, step_dt = (start[0] - start[1], 2.0 * dt) if n == 2 else (0.0, dt)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # two particles draw their difference D itself as one path, with step variance 2 (2 dt), from the
+    # start gap: doubling is exact, so its scale is sqrt(4 dt) bit for bit
+    first, step_dt = (start[:1] - start[1:], 2.0 * dt) if n == 2 else (start, dt)
     # per replica the minimum squared distance (time 0 counts)
-    dmin_sq = np.full(replicas, min(float(sq_dist(gap)) for gap, _ in pairs))
-    for offset, block in _increment_blocks(substream(seed, TAG_COLLISION), n - 1, dim, steps, step_dt, replicas):
+    dmin_sq = np.full(replicas, min(float(sq_dist(start[i] - start[j])) for i, j in pairs))
+    for offset, block in _increment_blocks(substream(seed, TAG_COLLISION), len(first), dim, steps, step_dt, replicas):
         rows = slice(offset, offset + len(block))
-        block[:, :, 0] += w0
+        block[:, :, 0] += first
         np.cumsum(block, axis=2, out=block)
-        for gap, coeffs in pairs:
-            # a zero's sign, which the order of these adds may flip, is lost to the square
-            d = block[:, 0] if n == 2 else sum(c * block[:, k] for k, c in coeffs) + gap
+        for i, j in pairs:
+            d = block[:, 0] if n == 2 else block[:, i] - block[:, j]
             # squared in place and summed in coordinate order: sq_dist(d) bit for bit, with fewer buffers
             d *= d
             dist_sq = functools.reduce(np.add, (d[..., k] for k in range(dim)))

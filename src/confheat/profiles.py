@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import exprel, i0e
+from scipy.special import erf, exprel, i0e
 
 from .errors import CapabilityError, SolverError
 from .kernel import HeatKernelParams
@@ -148,8 +148,6 @@ class ErfBox:
         return len(self.lo)
 
     def __call__(self, x) -> np.ndarray:
-        from scipy.special import erf
-
         x = np.asarray(x, dtype=float)
         s = math.sqrt(4.0 * self.t)
         lo = np.asarray(self.lo)

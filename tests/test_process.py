@@ -393,8 +393,8 @@ def test_increment_blocks_equal_the_plain_one_draw(monkeypatch, steps, rows):
 
 
 def test_oscillation_reports_are_pinned():
-    # the shipped config (seed 113) and two nearer radii: 64 substeps draw no skeleton, so a change of the
-    # path sampler's short route shows here
+    # the shipped config (seed 113) and two nearer radii: a change of the path sampler or of the pairwise
+    # spread shows here
     doc = json.loads((CONFIG_DIR / "oscillation.json").read_text())
     p = doc["params"]
     rep = oscillation_check(p["dim"], p["delta"], p["r"], doc["replicas"], doc["seed"])
@@ -414,22 +414,25 @@ COLLISION_CASES = {
 }
 
 
+def _collision_paths(n):
+    """The number of paths the collision grid draws for n particles: their difference alone for two."""
+    return 1 if n == 2 else n
+
+
 def _grid_collisions(gamma, horizon, dt, replicas, seed):
     """Oracle: per replica the minimum pair distance over the grid, from one replica-major draw of the whole
-    horizon for all replicas.  Two particles draw their difference D, from the start gap with step variance
-    4 dt."""
+    horizon for all replicas.  Three or more particles draw all n paths from their starts; two particles draw
+    their difference D, from the start gap with step variance 4 dt."""
     start = gamma.expand()
     (n, dim), steps = start.shape, round(horizon / dt)
-    h = _helmert(n)
-    pairs = [(start[i] - start[j], h[i] - h[j]) for i in range(n) for j in range(i + 1, n)]
-    inc = substream(seed, TAG_COLLISION).standard_normal((replicas, n - 1, steps, dim))
+    gaps = [start[i] - start[j] for i in range(n) for j in range(i + 1, n)]
+    inc = substream(seed, TAG_COLLISION).standard_normal((replicas, _collision_paths(n), steps, dim))
     inc *= math.sqrt((4.0 if n == 2 else 2.0) * dt)
-    if n == 2:
-        inc[:, :, 0] += start[0] - start[1]
+    inc[:, :, 0] += start[:1] - start[1:] if n == 2 else start
     path = np.cumsum(inc, axis=2)
-    dmin_sq = np.full(replicas, min(np.sum(gap * gap) for gap, _ in pairs))
-    for gap, c in pairs:
-        diff = path[:, 0] if n == 2 else sum(c[k] * path[:, k] for k in range(n - 1) if c[k] != 0) + gap
+    diffs = [path[:, 0]] if n == 2 else [path[:, i] - path[:, j] for i in range(n) for j in range(i + 1, n)]
+    dmin_sq = np.full(replicas, min(np.sum(gap * gap) for gap in gaps))
+    for diff in diffs:
         dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
     return np.sqrt(dmin_sq)
 
@@ -451,7 +454,7 @@ def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
     if small:
         # the grid in blocks of 3 replicas (the last of 1); two particles on the line in blocks of 302
         # replicas of one step
-        _few_rows(monkeypatch, 3, (n - 1) * 201)
+        _few_rows(monkeypatch, 3, _collision_paths(n) * 201)
     rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
     if case == "d1-two":  # no grid: the closed form, bit for bit, whatever the block size
         minimum = _line_minimum_oracle(0.1, horizon, replicas, 21)
@@ -467,8 +470,8 @@ def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
 
 @pytest.mark.parametrize("case", sorted(COLLISION_CASES))
 def test_collision_report_agrees_in_law_with_replica_major_oracle(case):
-    # slabs of all replicas (the closed form for two particles on the line) against one replica-major
-    # draw of whole paths for all replicas
+    # the report (the closed form for two particles on the line) against one replica-major whole-batch draw
+    # of the n - 1 Helmert relative coordinates
     gamma, replicas = COLLISION_CASES[case]
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
     rep = collision_report(gamma, horizon, dt, replicas, seed=27, epsilon_list=eps)
@@ -521,9 +524,9 @@ def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
         assert calls == [(1, 1, 1, 2.0 * horizon, replicas)]
         assert sum(yielded) == sum(stream.normals for stream in streams) == replicas
         return
-    step_dt = 2.0 * dt if n == 2 else dt
-    assert calls == [(n - 1, dim, 200, step_dt, replicas)]
-    want = replicas * (n - 1) * 200 * dim
+    paths, step_dt = (1, 2.0 * dt) if n == 2 else (n, dt)
+    assert calls == [(paths, dim, 200, step_dt, replicas)]
+    want = replicas * paths * 200 * dim
     assert sum(yielded) == sum(stream.normals for stream in streams) == want
 
 
@@ -564,9 +567,9 @@ def test_collision_report_signature_is_pinned():
 
 @pytest.mark.parametrize("case", ["d1-two", "d2-three"])
 def test_collision_report_agrees_in_law_with_full_coordinates(case):
-    # relative coordinates (the closed-form minimum for two particles on the line) against all n paths, with
-    # one bridge uniform per step on the line.  Epsilon stays below the gap 0.1 on the line, where the
-    # fraction below 0.1 would be 1 on both sides and compare nothing
+    # the report (the closed-form minimum for two particles on the line) against all n paths from another
+    # generator, with one bridge uniform per step on the line.  Epsilon stays below the gap 0.1 on the line,
+    # where the fraction below 0.1 would be 1 on both sides and compare nothing
     if case == "d1-two":
         gamma, eps = cfg([0.0, 0.1]), (0.09, 0.05, 0.01)
     else:
@@ -675,9 +678,9 @@ def test_process_report_of_shipped_config_is_pinned():
 
 
 def test_helmert_basis_is_orthonormal_and_centres():
+    # the basis of the in-law oracle's relative coordinates
     for n in range(2, 7):
-        h = confheat.process._helmert(n)
-        assert np.array_equal(h, _helmert(n))
+        h = _helmert(n)
         assert np.allclose(h.T @ h, np.eye(n - 1), atol=1e-15)
         assert np.allclose(h.sum(axis=0), 0.0, atol=1e-15)
         x = np.random.default_rng(n).standard_normal((n, 2))

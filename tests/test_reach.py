@@ -64,7 +64,6 @@ NEVER_CALLED = [
     ("metrics", "solve_lp"),
     ("points", "Configuration.empty"),
     ("points", "Configuration.from_json"),
-    ("points", "Configuration.norms"),
     ("points", "Configuration.same_as"),
     ("points", "Configuration.to_dict"),
     ("points", "Configuration.to_json"),
