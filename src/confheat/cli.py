@@ -58,8 +58,8 @@ def validate_config(text: str):
         errors.append("seed: must be a 64-bit integer")
         seed = 0
     replicas = doc.get("replicas", exp.default_replicas)
-    if isinstance(replicas, bool) or not isinstance(replicas, int) or replicas < 1:
-        errors.append("replicas: must be a positive integer")
+    if isinstance(replicas, bool) or not isinstance(replicas, int) or replicas < 2:
+        errors.append("replicas: must be an integer >= 2")
         replicas = exp.default_replicas
     output = doc.get("output", "report")
     if not isinstance(output, str) or not output:

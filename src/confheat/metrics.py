@@ -1,7 +1,7 @@
 """The configuration functionals B_n and the four distances between configurations.
 
-* b_n: sum of exp(-|x|/n) over particles; finiteness for all n is the membership
-  test for the computational state space.
+* b_n: sum of exp(-|x|/n) over particles, of a configuration or of position
+  arrays such as paths; finite for all n exactly on Gamma_infinity.
 * flat_metric: the scale-i dual-Lipschitz distance d_{K,i}, computed exactly for
   finite point measures as an assignment problem: the Kantorovich-Rubinstein
   transport between the two configurations with the sphere |x| = i as a free
@@ -48,13 +48,15 @@ class MetricValue:
             raise ValueError("metric values and truncation errors are nonnegative")
 
 
-def b_n(gamma: Configuration, n: int) -> float:
-    """B_n(gamma) = sum over particles (with multiplicity) of exp(-|x|/n)."""
+def b_n(gamma: Configuration | np.ndarray, n: int, axis: int = 0):
+    """B_n = sum over particles of exp(-|x|/n): a float on a Configuration, with
+    multiplicities unfolded, or the sums along the particle ``axis`` of positions
+    (..., d), such as paths (replicas, particles, steps + 1, d) with ``axis=1``."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if gamma.n_sites == 0:
-        return 0.0
-    return float(np.sum(gamma.multiplicities * np.exp(-np.sqrt(sq_dist(gamma.positions)) / n)))
+    if isinstance(gamma, Configuration):
+        return float(b_n(gamma.expand(), n))
+    return np.exp(-np.sqrt(sq_dist(gamma)) / n).sum(axis=axis)
 
 
 def _weighted_support(g1: Configuration, g2: Configuration):

@@ -2,7 +2,7 @@
 
 A Configuration is the window restriction of a (possibly infinite) configuration:
 positions inside B(0, R) with integer multiplicities.  Infinite configurations
-are represented by a finite window plus an analytic tail bound
+are represented by a finite window plus the exact Poisson tail of B_n beyond it
 (truncation_tail_bound); nothing here ever claims to hold an infinite set.
 Poisson configurations come from one batched sampler, ``poisson_points``, which
 draws the counts of all replicas and then all their positions; ``diffuse``
@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError
-from .special import ball_volume, sq_dist
+from .special import ball_volume, exp_radial_integral, sq_dist
 
 _WINDOW_SLACK = 1.0e-9
 
@@ -43,8 +42,8 @@ class Configuration:
     ``positions`` has shape (n_sites, dim); ``multiplicities`` is int per site.
     Simple configurations (all multiplicities 1) model plain point sets; higher
     multiplicities model coinciding particles, which one-dimensional flows
-    cannot exclude.  ``intensity`` optionally records the Poisson intensity for
-    analytic tail bounds attached to the window truncation.
+    cannot exclude.  ``intensity`` optionally records the Poisson intensity, for
+    the exact B_n tail beyond the window (``truncation_tail_bound``).
     """
 
     dim: int
@@ -223,24 +222,17 @@ def diffuse(gamma: Configuration, t: float, rng: np.random.Generator) -> Configu
 
 
 def truncation_tail_bound(R: float, n: int, dim: int, intensity: float) -> float:
-    """Upper bound on E[sum over |x| > R of exp(-|x|/n)] under the Poisson law.
+    """E[sum over |x| > R of exp(-|x|/n)] under the Poisson law of intensity z, exactly.
 
-    Shell decomposition: the shells (k-1, k] beyond the window contribute at
-    most z * exp(-(k-1)/n) * vol(B(0,1)) * k^d each.  The series starts at
-    k = floor(R) + 1 so the partial shell (R, ceil(R)] is covered for
-    fractional R, and it is summed to floating-point convergence.
+    By Campbell's formula it is z times the integral of exp(-|x|/n) over
+    |x| > R: z |S^{d-1}| (d-1)! n^d Q(d, R/n), the full-space integral times the
+    regularized upper incomplete gamma, which for integer d is the Poisson tail
+    Q(d, x) = e^{-x} sum_{k<d} x^k/k!.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"R must be positive, got {R!r}")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    c_d = ball_volume(dim)
-    total = 0.0
-    k = math.floor(R) + 1
-    for _ in range(10_000_000):
-        term = intensity * math.exp(-(k - 1) / n) * c_d * float(k) ** dim
-        total += term
-        k += 1
-        if term < 1.0e-17 * max(total, 1.0e-300) and k > math.floor(R) + 2:
-            return total
-    raise CapacityError("truncation tail series did not converge")
+    x = R / n
+    q = math.exp(-x) * sum(x**k / math.factorial(k) for k in range(dim))
+    return intensity * exp_radial_integral(1.0 / n, dim) * q

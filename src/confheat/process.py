@@ -33,6 +33,7 @@ from scipy.special import kolmogorov, ndtr
 
 from .errors import CapacityError
 from .kernel import HeatKernelParams, tail_mass, tau
+from .metrics import b_n
 from .points import Configuration
 from .rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, block_rows, substream
 from .special import binomial_se, sq_dist
@@ -170,10 +171,10 @@ def bn_refinement_medians(
 
 def _bn_max_increments(rng, start: np.ndarray, steps: int, dt: float, n: int, replicas: int) -> np.ndarray:
     """Per replica, the largest step increment |B_n(omega(t + dt)) - B_n(omega(t))|
-    of B_n(omega) = sum_k exp(-|omega_k| / n) along paths from the rows of start."""
+    of B_n (``metrics.b_n``) along paths from the rows of start."""
     maxima = np.empty(replicas)
     for offset, paths in _path_blocks(rng, start, steps, dt, replicas):
-        b = np.exp(-np.sqrt(sq_dist(paths)) / n).sum(axis=1)
+        b = b_n(paths, n, axis=1)
         maxima[offset:offset + len(paths)] = np.abs(np.diff(b, axis=1)).max(axis=1)
     return maxima
 

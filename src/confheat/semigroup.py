@@ -234,7 +234,7 @@ def _truncation_note(gamma: Configuration) -> str:
     bound = truncation_tail_bound(gamma.window_radius, 1, gamma.dim, gamma.intensity)
     return (
         f"window truncation at R={gamma.window_radius:g}; "
-        f"B_1-class tail bound {bound:.6g} (intensity {gamma.intensity:g})"
+        f"exact B_1 tail beyond it {bound:.6g} (intensity {gamma.intensity:g})"
     )
 
 

@@ -145,6 +145,30 @@ def test_cli_validate_subcommand(tmp_path, capsys):
     assert main(["validate", bad]) == 2
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_one_replica_is_refused_before_the_run(tmp_path, capsys, name):
+    # one replica has no standard error: every experiment refuses it at validation, never partway through a run
+    out = tmp_path / name
+    assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--replicas", "1", "--out", str(out)]) == 2
+    assert "replicas: must be an integer >= 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    assert main(["validate", write_config(tmp_path, {**doc, "replicas": 1})]) == 2
+
+
+def test_shipped_configs_pass_at_seeds_0_to_15(tmp_path):
+    # the null size of every shipped gate: each config passes at 16 seeds, not only at its own.  If a stream
+    # change makes one fail, report the seed and the margin; do not pick seeds to make it pass.
+    failed = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        for config in sorted(CONFIG_DIR.glob("*.json")):
+            for seed in range(16):
+                out = tmp_path / f"{config.stem}-{seed}"
+                if main(["run", str(config), "--seed", str(seed), "--out", str(out)]) != 0:
+                    failed.append((config.stem, seed))
+    assert failed == []
+
+
 def test_cli_exit_status_contract(tmp_path):
     # deliberately unsatisfiable statistical check -> nonzero exit
     cfg = write_config(

@@ -45,6 +45,17 @@ def test_b_n_examples():
     assert b_n(cfg([0.0], mults=[3]), 1) == pytest.approx(3.0)
 
 
+def test_b_n_batched_over_paths_equals_per_configuration():
+    # paths of shape (replicas, particles, steps + 1, d): B_n along the particle axis at every grid time
+    rng = np.random.default_rng(3)
+    paths = rng.normal(size=(4, 3, 5, 2))
+    batched = b_n(paths, 2, axis=1)
+    assert batched.shape == (4, 5)
+    for r in range(4):
+        for k in range(5):
+            assert batched[r, k] == b_n(cfg(paths[r, :, k], dim=2, radius=10.0), 2)
+
+
 # ---------------------------------------------------------------------------
 # flat metric d_{K,i}
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,30 +281,37 @@ def test_truncation_tail_bound_monotone_to_zero():
     assert vals[-1] < 1e-4
 
 
-def test_truncation_tail_bound_matches_direct_series():
-    # d=1, z=1, n=1, R=10: 2 * sum_{k>=11} k e^{1-k}
-    direct = 2.0 * sum(k * math.exp(1.0 - k) for k in range(11, 200))
-    assert truncation_tail_bound(10.0, 1, 1, 1.0) == pytest.approx(direct, rel=1e-12)
+def test_truncation_tail_bound_matches_upper_incomplete_gamma():
+    # z |S^{d-1}| n^d Gamma(d, R/n): the integral of exp(-|x|/n) over |x| > R, at 40 digits
+    mpmath.mp.dps = 40
+    z = 1.3
+    for dim in range(1, 6):
+        area = 2 * mpmath.pi ** (mpmath.mpf(dim) / 2) / mpmath.gamma(mpmath.mpf(dim) / 2)
+        for n in (1, 2, 4, 20, 100):
+            for R in (0.1, 0.5, 3.0, 10.5, 12.0, 50.0, 200.0, 1000.0):
+                exact = z * area * mpmath.mpf(n) ** dim * mpmath.gammainc(dim, mpmath.mpf(R) / n)
+                assert truncation_tail_bound(R, n, dim, z) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
-def test_truncation_tail_bound_dominates_monte_carlo():
-    # one-sided: bound >= MC estimate of E[sum_{|x|>R} exp(-|x|/n)]
+def test_truncation_tail_bound_matches_monte_carlo():
+    # the exact tail against a Monte Carlo estimate of E[sum_{|x|>R} exp(-|x|/n)] on B(0, R + 15), within 4 SE;
+    # the mass beyond R + 15 is 1.8e-6, against an SE of 1.2e-3
     rng = substream(35, 1)
     R, n, dim, z = 3.0, 1, 2, 1.0
     outer = R + 15.0
     lam = z * ball_volume(dim, outer)
-    total = 0.0
     n_rep = 20000
-    for _ in range(n_rep):
+    sums = np.empty(n_rep)
+    for rep in range(n_rep):
         k = int(rng.poisson(lam))
         pts = uniform_ball(rng, k, dim, outer)
         norms = np.linalg.norm(pts, axis=1)
-        total += float(np.exp(-norms[norms > R] / n).sum())
-    mc = total / n_rep
-    assert truncation_tail_bound(R, n, dim, z) >= mc
+        sums[rep] = float(np.exp(-norms[norms > R] / n).sum())
+    se = sums.std(ddof=1) / math.sqrt(n_rep)
+    assert truncation_tail_bound(outer, n, dim, z) < 0.01 * se
+    assert abs(sums.mean() - truncation_tail_bound(R, n, dim, z)) <= 4 * se
 
 
-def test_truncation_tail_bound_fractional_radius_still_dominates():
-    # the series must cover the partial shell (R, ceil R]
-    exact = 2.0 * math.exp(-10.5)  # integral of e^{-|x|} over |x| > 10.5 in d=1
-    assert truncation_tail_bound(10.5, 1, 1, 1.0) >= exact
+def test_truncation_tail_bound_fractional_radius_is_exact():
+    # integral of e^{-|x|} over |x| > 10.5 in d=1
+    assert truncation_tail_bound(10.5, 1, 1, 1.0) == pytest.approx(2.0 * math.exp(-10.5), rel=1e-14, abs=0.0)

@@ -57,7 +57,6 @@ NEVER_CALLED = [
     ("harmonic", "verify_d_class"),
     ("kernel", "chapman_kolmogorov_residual"),
     ("kernel", "verify_dominating_bound"),
-    ("metrics", "b_n"),
     ("metrics", "d1"),
     ("metrics", "d_infty"),
     ("metrics", "flat_metric_lp"),
