@@ -210,6 +210,28 @@ def _configuration_where(ok: Callable[[Configuration], bool], msg: str):
     return lambda doc, parsed: _require(ok, msg)(_configuration(doc, parsed), parsed)
 
 
+def _matched_count(g1: Configuration, g2: Configuration) -> int:
+    """Particles rho matches: the common count with multiplicity, or 0 when the
+    counts differ, since rho is then inf and matches nothing."""
+    return g1.total_count if g1.total_count == g2.total_count else 0
+
+
+def _second_configuration(size: Callable[[Configuration, Configuration], int], cap: int, what: str):
+    """Parse of ``g2``: the configuration, refused when the pair with ``g1`` holds
+    more than ``cap`` particles by ``size``, the metric's own count, so a pair
+    the metric would refuse with CapacityError is a config error."""
+
+    def parse(doc, parsed):
+        g2 = _configuration(doc, parsed)
+        g1 = parsed.get("g1")
+        n = size(g1, g2) if g1 is not None and g1.dim == g2.dim else 0
+        if n > cap:
+            raise ValueError(f"{what} of {n} particles exceeds {cap}")
+        return g2
+
+    return parse
+
+
 _simple_configuration = _configuration_where(lambda g: g.is_simple,
                                              "must be a simple configuration (every multiplicity 1)")
 _occupied_configuration = _configuration_where(lambda g: g.total_count > 0, "needs at least one particle")
@@ -233,11 +255,15 @@ def _cross_check(p: dict, errors: list[str]) -> None:
     the permanent's ``eta`` and ``theta`` hold equally many points, a d = 1
     collision has the 2 starts its crossing reference needs, time
     grids are whole steps with the fine step below the coarse one, and the
-    feller schedule suits its ``gamma`` and ``metric``."""
-    if p.get("schedule") == "shift" and p.get("gamma") is not None and not p["gamma"].total_count:
+    feller schedule suits its ``gamma`` and ``metric`` (rho matches at most
+    RHO_MAX_POINTS particles)."""
+    gamma = p.get("gamma")
+    if p.get("schedule") == "shift" and gamma is not None and not gamma.total_count:
         errors.append("params.gamma: the shift schedule needs at least one particle")
     if p.get("schedule") == "far-point" and p.get("metric") == "rho":
         errors.append("params.metric: rho is infinite once far-point adds a particle; use d1")
+    if p.get("metric") == "rho" and gamma is not None and gamma.total_count > metrics.RHO_MAX_POINTS:
+        errors.append(f"params.gamma: rho matching of {gamma.total_count} particles exceeds {metrics.RHO_MAX_POINTS}")
     for horizon, step in _TIME_GRIDS:
         if horizon in p and step in p:
             try:
@@ -697,7 +723,10 @@ _register(
 )
 _register(
     "rho",
-    {"g1": Field("dict", parse=_configuration), "g2": Field("dict", parse=_configuration)},
+    {
+        "g1": Field("dict", parse=_configuration),
+        "g2": Field("dict", parse=_second_configuration(_matched_count, metrics.RHO_MAX_POINTS, "rho matching")),
+    },
     run_rho,
     2,
 )
@@ -705,7 +734,8 @@ _register(
     "flat-metric",
     {
         "g1": Field("dict", parse=_configuration),
-        "g2": Field("dict", parse=_configuration),
+        "g2": Field("dict", parse=_second_configuration(metrics.flat_metric_size, metrics.FLAT_METRIC_MAX_SUPPORT,
+                                                        "flat-metric support")),
         "i": Field("int", 5, parse=_positive),
         "sum_scales": Field("bool", False),
         "i_max": Field("int", 20, parse=_positive),

@@ -12,7 +12,8 @@
 * d_k / d1 / d_infty: the summed-scale flat metric and its B_n-augmented variants,
   with explicit truncation errors.
 * rho: the L2 matching (Wasserstein-type) distance, infinite across unequal
-  cardinalities, solved by assignment on the squared-distance cost matrix.
+  cardinalities, solved by assignment on the squared-distance cost matrix, one
+  n x n array for n <= RHO_MAX_POINTS = 4096 particles.
 """
 from __future__ import annotations
 
@@ -34,6 +35,10 @@ FLAT_METRIC_MAX_SUPPORT = 2000
 
 #: largest number of distinct support points accepted by the LP oracle
 FLAT_METRIC_LP_MAX_SUPPORT = 500
+
+#: largest particle count (with multiplicity) rho matches: its one float64
+#: n x n cost matrix then holds at most 128 MiB
+RHO_MAX_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,12 @@ def _weighted_support(g1: Configuration, g2: Configuration):
     return np.array(pts), np.array(wts, dtype=float)
 
 
+def flat_metric_size(g1: Configuration, g2: Configuration) -> int:
+    """Unit particles, with multiplicity, in the signed support of g1 - g2: the
+    count flat_metric holds to FLAT_METRIC_MAX_SUPPORT."""
+    return int(np.abs(_weighted_support(g1, g2)[1]).sum())
+
+
 def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
     """d_{K,i}(g1, g2): sup of |integral of f d(g1 - g2)| over 1-Lipschitz f
     vanishing outside B(0, i).
@@ -108,8 +119,9 @@ def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
     cap_y = np.repeat(caps[neg], counts[neg])
     p, n = x.shape[0], y.shape[0]
     cost = np.zeros((size, size))
-    dist = np.sqrt(sq_dist(x[:, None, :], y[None, :, :]))
-    cost[:p, :n] = np.minimum(dist, cap_x[:, None] + cap_y[None, :])
+    pairs = cost[:p, :n]
+    np.sqrt(sq_dist(x[:, None, :], y[None, :, :]), out=pairs)
+    np.minimum(pairs, cap_x[:, None] + cap_y[None, :], out=pairs)
     cost[:p, n:] = cap_x[:, None]
     cost[p:, :n] = cap_y[None, :]
     rows, cols = linear_sum_assignment(cost)
@@ -148,16 +160,20 @@ def rho(g1: Configuration, g2: Configuration) -> float:
     """L2 matching distance: min over particle bijections of the l2 displacement.
 
     Returns inf when the particle counts (with multiplicity) differ; that is a
-    value of the metric, not an error.
+    value of the metric, not an error.  Equal counts above RHO_MAX_POINTS raise
+    CapacityError before anything is allocated.
     """
     if g1.dim != g2.dim:
         raise ValueError("configurations must share a dimension")
+    n = g1.total_count
+    if n != g2.total_count:
+        return math.inf
+    if n == 0:
+        return 0.0
+    if n > RHO_MAX_POINTS:
+        raise CapacityError(f"rho matching of {n} particles exceeds {RHO_MAX_POINTS}")
     x = g1.expand()
     y = g2.expand()
-    if x.shape[0] != y.shape[0]:
-        return math.inf
-    if x.shape[0] == 0:
-        return 0.0
     cost = sq_dist(x[:, None, :], y[None, :, :])
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(float(cost[rows, cols].sum()))

@@ -299,6 +299,45 @@ def test_flat_metric_config_missing_window_radius_is_exit_2(tmp_path, capsys):
     assert code == 2 and "window_radius" in summary["error"]
 
 
+def test_metric_configs_above_capacity_are_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # a rho pair above RHO_MAX_POINTS, a flat-metric support above FLAT_METRIC_MAX_SUPPORT and a feller
+    # gamma that rho would match above the cap are refused by validate, so run never builds a cost matrix
+    # (an unbounded rho matrix once ran out of memory and left with exit 1)
+    import confheat.metrics
+
+    monkeypatch.setattr(confheat.metrics, "sq_dist", lambda *args: pytest.fail("sq_dist called"))
+
+    def site(x, m):
+        return {"dim": 1, "window_radius": 5.0, "points": [[[x], m]]}
+
+    feller = shipped("feller", tmp_path)["params"]
+    cases = [
+        ("rho", {"g1": site(0.0, 4097), "g2": site(1.0, 4097)},
+         "params.g2: rho matching of 4097 particles exceeds 4096"),
+        ("flat-metric", {"g1": site(0.0, 1001), "g2": site(1.0, 1000)},
+         "params.g2: flat-metric support of 2001 particles exceeds 2000"),
+        ("feller", {**feller, "gamma": site(0.0, 4097)}, "params.gamma: rho matching of 4097 particles exceeds 4096"),
+    ]
+    for experiment, params, message in cases:
+        cfg = write_config(tmp_path, {"experiment": experiment, "output": str(tmp_path / "r"), "params": params})
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2 and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+    # at the caps, across unequal rho counts (inf, with no matching) and with feller's d1 the configs validate
+    at_caps = [
+        ("rho", {"g1": site(0.0, 4096), "g2": site(1.0, 4096)}),
+        ("rho", {"g1": site(0.0, 5000), "g2": site(1.0, 4999)}),
+        ("flat-metric", {"g1": site(0.0, 1000), "g2": site(1.0, 1000)}),
+        ("flat-metric", {"g1": site(0.0, 3000), "g2": site(0.0, 2000)}),
+        ("feller", {**feller, "gamma": site(0.0, 4097), "metric": "d1"}),
+    ]
+    for experiment, params in at_caps:
+        config, errors = validate_config(json.dumps({"experiment": experiment, "params": params}))
+        assert errors == [], (experiment, errors)
+
+
 def shipped(name, tmp_path):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     doc["output"] = str(tmp_path / name)

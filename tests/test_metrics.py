@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import confheat.metrics
 from confheat.errors import CapacityError, SolverError
 from confheat.metrics import (
     FLAT_METRIC_LP_MAX_SUPPORT,
     FLAT_METRIC_MAX_SUPPORT,
+    RHO_MAX_POINTS,
     MetricValue,
     b_n,
     d1,
@@ -15,6 +18,7 @@ from confheat.metrics import (
     d_k,
     flat_metric,
     flat_metric_lp,
+    flat_metric_size,
     rho,
     rho_bruteforce,
     solve_lp,
@@ -31,6 +35,15 @@ def cfg(points, dim=1, mults=None, radius=None):
 def random_cfg(rng, dim=1, max_pts=6, spread=3.0):
     n = int(rng.integers(0, max_pts + 1))
     return cfg(rng.uniform(-spread, spread, size=(n, dim)), dim=dim, radius=spread * math.sqrt(dim) + 1)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +179,21 @@ def test_flat_metric_capacity_boundary():
         flat_metric(cfg(a, 2, [half + 1], 3.0), cfg(b, 2, [half], 3.0), 2)
 
 
+def test_flat_metric_size_counts_the_signed_support():
+    # the count flat_metric holds to FLAT_METRIC_MAX_SUPPORT: mass on a shared site cancels
+    assert flat_metric_size(cfg([0.0, 1.0], mults=[3, 2]), cfg([1.0, 2.0], mults=[1, 4])) == 3 + 1 + 4
+    assert flat_metric_size(cfg([0.5], mults=[2]), cfg([0.5], mults=[2])) == 0
+
+
+def test_flat_metric_builds_its_pair_block_in_place():
+    # p = n = 1000 in d = 2, the support cap: the 2000 x 2000 cost matrix (30.5 MiB) and one 1000 x 1000
+    # temporary at a time; separate distance, root, cap-sum and minimum arrays peaked at 53.6 MiB
+    rng = substream(46, 1)
+    g1, g2 = (cfg(rng.uniform(-5.0, 5.0, size=(1000, 2)), 2, radius=8.0) for _ in range(2))
+    assert flat_metric_size(g1, g2) == FLAT_METRIC_MAX_SUPPORT
+    assert _traced_peak(lambda: flat_metric(g1, g2, 3)) < 42e6
+
+
 def test_flat_metric_lp_oracle_capacity():
     line = np.linspace(-1.0, 1.0, 121)
     value = flat_metric_lp(cfg(line[:60]), cfg(line[60:]), 2)
@@ -254,6 +282,27 @@ def test_rho_finiteness_iff_equal_cardinality():
             assert math.isfinite(r)
         else:
             assert r == math.inf
+
+
+def test_rho_holds_one_cost_matrix():
+    # n = 1000 in d = 2: one 8 MB squared-distance matrix; with a second, full-size array for the later
+    # coordinates the peak was 15.4 MiB
+    rng = substream(45, 1)
+    n = 1000
+    g1, g2 = (cfg(rng.uniform(-5.0, 5.0, size=(n, 2)), 2, radius=8.0) for _ in range(2))
+    assert _traced_peak(lambda: rho(g1, g2)) < 1.1 * n * n * 8
+
+
+def test_rho_capacity_is_checked_before_allocating(monkeypatch):
+    assert RHO_MAX_POINTS == 4096 and 8 * RHO_MAX_POINTS**2 <= 128 * 2**20
+    over = RHO_MAX_POINTS + 1
+    g1, g2, g3 = cfg([0.0], mults=[over]), cfg([1.0], mults=[over]), cfg([1.0], mults=[over + 1])
+    monkeypatch.setattr(confheat.metrics, "sq_dist", lambda *args: pytest.fail("sq_dist called above the cap"))
+    monkeypatch.setattr(Configuration, "expand", lambda self: pytest.fail("expand called above the cap"))
+    with pytest.raises(CapacityError, match="rho matching of 4097 particles exceeds 4096"):
+        rho(g1, g2)
+    # unequal counts are a value of the metric, whatever their size
+    assert rho(g1, g3) == math.inf
 
 
 def test_rho_matches_bruteforce():

@@ -3,11 +3,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from confheat import rng as confheat_rng
 from confheat.kernel import HeatKernelParams, tail_mass, tau
 from confheat.special import ball_volume, exp_radial_integral, last_axis_sum, sphere_area, sq_dist
 
@@ -175,6 +177,77 @@ def test_sq_dist_agrees_to_ulps_on_longer_axes(dim):
     y = rng.standard_normal((1000, dim))
     np.testing.assert_allclose(sq_dist(x, y), np.sum((x - y) ** 2, axis=-1), rtol=4 * np.finfo(float).eps, atol=0)
     np.testing.assert_allclose(np.sqrt(sq_dist(x)), np.linalg.norm(x, axis=-1), rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def _sq_dist_full_term(x, y=None):
+    """sq_dist before its scratch slab: the later squares go through a second output-sized array."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    shape = x.shape[:-1]
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(shape, y.shape[:-1])
+    out = np.empty(shape) if d else np.zeros(shape)
+    term = np.empty(shape) if d > 1 else None
+    for k in range(d):
+        dst = term if k else out
+        if y is None:
+            np.multiply(x[..., k], x[..., k], out=dst)
+        else:
+            np.subtract(x[..., k], y[..., k], out=dst)
+            dst *= dst
+        if k:
+            out += term
+    return out
+
+
+# (x shape, y shape or None) without the coordinate axis: 0-d and empty outputs, a leading axis of length 1 on
+# either operand, operands of fewer dimensions than the output, and a rho-shaped pair; 41 rows and 30 columns are
+# split unevenly by slabs of 1, 7 and 64 values
+SLAB_SHAPES = [
+    ((), None), ((), ()), ((0, 5), (5,)), ((41, 30), None), ((41, 30), (41, 30)),
+    ((41, 1), (1, 30)), ((1, 30), (41, 1)), ((30,), (3, 1, 30)), ((3, 1, 30), (30,)), ((3, 41, 30), (3, 1, 1)),
+    ((200, 1), (1, 200)),
+]
+
+
+def _awkward(gen, shape):
+    """Normals spread over 16 decades, with signed zeros and subnormals mixed in."""
+    a = gen.standard_normal(shape) * 10.0 ** gen.uniform(-8, 8, size=shape)
+    pick = gen.integers(0, 8, size=shape)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-320, -2.5e-320])
+    a[pick < len(specials)] = specials[pick[pick < len(specials)]]
+    return a
+
+
+@pytest.mark.parametrize("block_points", [1, 7, 64, confheat_rng.BLOCK_POINTS])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 8, 9])
+def test_sq_dist_slabs_equal_the_full_term_route(monkeypatch, block_points, dim):
+    # a scratch slab of at most BLOCK_POINTS values changes no bit of the sums, signs included
+    monkeypatch.setattr(confheat_rng, "BLOCK_POINTS", block_points)
+    gen = np.random.default_rng(600 + dim)
+    for x_shape, y_shape in SLAB_SHAPES:
+        x = _awkward(gen, (*x_shape, dim))
+        y = None if y_shape is None else _awkward(gen, (*y_shape, dim))
+        got, want = sq_dist(x, y), _sq_dist_full_term(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("block_points", [64, confheat_rng.BLOCK_POINTS])
+def test_sq_dist_holds_its_output_and_one_slab(monkeypatch, block_points):
+    # the full-term route held two output-sized arrays; the slab route one, plus BLOCK_POINTS scratch values
+    # and the ufunc call's own buffers (about 128 KiB for a lone np.subtract into a preallocated array)
+    monkeypatch.setattr(confheat_rng, "BLOCK_POINTS", block_points)
+    gen = np.random.default_rng(700)
+    x, y = gen.standard_normal((700, 1, 3)), gen.standard_normal((1, 900, 3))
+    tracemalloc.start()
+    try:
+        out = sq_dist(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * block_points + 2**18
 
 
 @pytest.mark.parametrize("n", range(0, 11))
