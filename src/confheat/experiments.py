@@ -59,7 +59,7 @@ from .special import ball_volume, binomial_se, sq_dist
 _REQUIRED = object()
 
 #: what a parse raises on a bad value; ``validate_params`` reports each as a param error
-_BAD_INPUT = (CapabilityError, KeyError, TypeError, ValueError)
+_BAD_INPUT = (CapabilityError, KeyError, OverflowError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,8 @@ def _coerce(kind: str, value):
     types, expected = _KINDS[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
         raise TypeError(f"expected {expected}")
+    if kind == "float" and not math.isfinite(value):  # an int past the float range raises OverflowError here
+        raise ValueError("must be a finite number")
     return float(value) if kind == "float" else value
 
 
@@ -237,10 +239,11 @@ _simple_configuration = _configuration_where(lambda g: g.is_simple,
 _occupied_configuration = _configuration_where(lambda g: g.total_count > 0, "needs at least one particle")
 
 
-def _point_rows(at_least: int):
+def _point_rows(at_least: int, at_most: float = math.inf):
     """Parse of a ``starts``/``eta``/``theta`` param: one row of coordinates per point."""
-    check = _require(lambda pos: pos.ndim == 2 and pos.shape[0] >= at_least,
-                     f"expected a list of at least {at_least} points, each a list of coordinates")
+    count = f"exactly {at_least}" if at_most == at_least else f"at least {at_least}"
+    check = _require(lambda pos: pos.ndim == 2 and at_least <= pos.shape[0] <= at_most and np.isfinite(pos).all(),
+                     f"expected a list of {count} points, each a list of finite coordinates")
     return lambda value, parsed: check(np.asarray(value, dtype=float), parsed)
 
 
@@ -252,8 +255,7 @@ def _cross_check(p: dict, errors: list[str]) -> None:
     """Cross-field pass over the parsed params: ``phi``, ``profile``, the
     configurations, the ``bumps`` centres and the point lists share one
     dimension (``dim``, else that of the first configuration or point list),
-    the permanent's ``eta`` and ``theta`` hold equally many points, a d = 1
-    collision has the 2 starts its crossing reference needs, time
+    the permanent's ``eta`` and ``theta`` hold equally many points, time
     grids are whole steps with the fine step below the coarse one, and the
     feller schedule suits its ``gamma`` and ``metric`` (rho matches at most
     RHO_MAX_POINTS particles)."""
@@ -283,8 +285,6 @@ def _cross_check(p: dict, errors: list[str]) -> None:
                   for key, d in dims.items() if d != want)
     if "eta" in p and "theta" in p and len(p["eta"]) != len(p["theta"]):
         errors.append(f"params.theta: {len(p['theta'])} points, but eta has {len(p['eta'])}")
-    if "starts" in p and want == 1 and len(p["starts"]) != 2:
-        errors.append("params.starts: in d = 1 the crossing check has a reference only for 2 starts")
 
 
 @dataclass
@@ -804,7 +804,7 @@ _register(
     "collision",
     {
         "dim": Field("int", parse=_dim),
-        "starts": Field("list", parse=_point_rows(2)),
+        "starts": Field("list", parse=_point_rows(2, 2)),  # collisions are a pair diagnostic
         "horizon": Field("float", 1.0, parse=_positive),
         "dt": Field("float", 0.01, parse=_positive),
         "epsilon_list": Field("list", [0.1, 0.01, 0.001], parse=_decreasing_positives(1)),

@@ -215,22 +215,21 @@ def fit_condition_certificate(
     if not (0 < theta_t < params.t):
         raise ValueError("theta_t must lie in (0, t)")
     s_hi = params.t + theta_t
-    # maximizer of r^(1+eps) - r^2/(4s) sits at r* = (2s(1+eps))^(1/(1-eps))
-    if eps_t < 1.0:
-        r_star = (2.0 * s_hi * (1.0 + eps_t)) ** (1.0 / (1.0 - eps_t))
-    else:
-        r_star = 4.0 * s_hi * (1.0 + eps_t)
-    r_max = max(20.0, 1.5 * r_star)
-    r_grid = np.arange(0.0, r_max + r_step, r_step)
     s_grid = params.t + theta_t * 0.999 * np.linspace(-1.0, 1.0, 41)
     c_t = 0.0
     with np.errstate(over="raise"):
         try:
+            # maximizer of r^(1+eps) - r^2/(4s) sits at r* = (2s(1+eps))^(1/(1-eps))
+            if eps_t < 1.0:
+                r_star = (2.0 * s_hi * (1.0 + eps_t)) ** (1.0 / (1.0 - eps_t))
+            else:
+                r_star = 4.0 * s_hi * (1.0 + eps_t)
+            r_grid = np.arange(0.0, max(20.0, 1.5 * r_star) + r_step, r_step)
             for s in s_grid:
                 norm = (4.0 * math.pi * s) ** (-params.dim / 2.0)
                 vals = norm * np.exp(r_grid ** (1.0 + eps_t) - r_grid**2 / (4.0 * s))
                 c_t = max(c_t, float(vals.max()))
-        except FloatingPointError:
+        except (FloatingPointError, OverflowError):
             raise ValueError(
                 f"dominating constant overflows for t={params.t:g}, eps_t={eps_t:g}; "
                 "use a smaller time window or a smaller exponent"

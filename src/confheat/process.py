@@ -11,16 +11,17 @@ call for all replicas.  ``_path_blocks`` turns each block into paths by a
 running sum from the start.  Each diagnostic draws all its replicas from one
 substream; ``simulate_paths`` is the one-replica entry that returns the paths
 themselves.
-The collision grid draws all n paths, or for two particles their difference
-alone, in one ``_increment_blocks`` call over the whole horizon.  Two particles
-on the line read no grid: their difference's minimum comes from its
-Brownian-bridge law given the endpoint, exact in law for the continuous path.
+Collisions are a pair diagnostic: exactly two particles, through their
+difference.  In d >= 2 the collision grid draws that difference alone, in one
+``_increment_blocks`` call over the whole horizon; on the line no grid is read,
+and its minimum comes from its Brownian-bridge law given the endpoint, exact in
+law for the continuous path.
 Diagnostics cover: the time-t law against the exact heat law (one-sample
 Kolmogorov-Smirnov on one step of variance 2 t per coordinate), B_n continuity
 along paths (the median largest B_n step increment shrinks as the grid is
 refined), the oscillation bound 2 tau(delta, r/4), and collision behavior
-(d >= 2 fractions decreasing in epsilon; the d = 1 crossing fraction of two
-particles against the reflection value).
+(d >= 2 fractions decreasing in epsilon; the d = 1 crossing fraction against
+the reflection value).
 """
 from __future__ import annotations
 
@@ -65,15 +66,16 @@ class PathBundle:
 
 
 def _steps_for(horizon: float, dt: float) -> int:
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if horizon < dt:
+    if not horizon >= dt:
         raise ValueError("horizon must be at least dt")
-    steps = int(round(horizon / dt))
+    ratio = horizon / dt
+    if not ratio <= PATH_CAPACITY:  # inf too, before int() could overflow
+        raise CapacityError(f"step count {ratio:.6g} exceeds capacity")
+    steps = int(round(ratio))
     if abs(steps * dt - horizon) > 1.0e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer multiple of dt")
-    if steps > PATH_CAPACITY:
-        raise CapacityError(f"step count {steps} exceeds capacity")
     return steps
 
 
@@ -253,65 +255,55 @@ def collision_report(
     seed: int,
     epsilon_list,
 ) -> CollisionReport:
-    """Fractions of replicas whose minimum pairwise distance drops below each
-    epsilon; for d = 1 with two particles also the crossing fraction.
+    """Fractions of replicas whose two particles come closer than each epsilon;
+    in d = 1 also the crossing fraction.  Any other particle count is a ValueError.
 
-    Two particles on the line read no grid (``dt`` is still validated): with M
-    the minimum of their difference from ``_line_minimum``, the fractions are
-    mean(M < epsilon) and the crossing fraction mean(M <= 0), exact in law for
-    the continuous path.  Every other case takes minima over the grid, where
-    time 0 counts through the start gaps.  Three or more particles draw their
-    own n paths and take each pair difference X_i - X_j; two particles draw
-    their difference D = X_1 - X_2 itself, from the start gap with steps of
-    variance 4 dt.  In d = 1 with n >= 3, pairs that share a particle have
-    dependent bridges, so no crossing fraction is reported.  The grid route is
-    one ``_increment_blocks`` call over the whole horizon for all replicas.
+    Both routes read the difference D = X_1 - X_2 from the start gap.  On the
+    line no grid is read (``dt`` is still validated): with M the minimum of D
+    from ``_line_minimum``, the fractions are mean(M < epsilon) and the crossing
+    fraction mean(M <= 0), exact in law for the continuous path.  In d >= 2 the
+    fractions take minima of |D| over the grid, time 0 included, with D drawn
+    as one path of step variance 4 dt in one ``_increment_blocks`` call over the
+    whole horizon for all replicas.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
         raise ValueError("epsilon_list must be positive and strictly decreasing")
     start = gamma.expand()
     n, dim = start.shape
-    if n < 2:
-        raise ValueError("collision diagnostics need at least 2 particles")
+    if n != 2:
+        raise ValueError(f"collision diagnostics take exactly 2 particles, got {n}")
     if replicas < 1:
         raise ValueError("replicas must be positive")
     steps = _steps_for(horizon, dt)
-    if dim == 1 and n == 2:
-        gap = abs(float(start[0, 0] - start[1, 0]))
-        minimum, _ = _line_minimum(gap, horizon, replicas, seed)
+    gap = start[0] - start[1]
+    if dim == 1:
+        g = abs(float(gap[0]))
+        minimum, _ = _line_minimum(g, horizon, replicas, seed)
 
         def below(e):  # the exact P(M < e) = 2 Phi((e - g) / sqrt(4T)), 1 once g <= e
-            return min(1.0, 2.0 * float(ndtr((e - gap) / math.sqrt(4.0 * horizon))))
+            return min(1.0, 2.0 * float(ndtr((e - g) / math.sqrt(4.0 * horizon))))
 
         return CollisionReport(tuple(eps), tuple(float(np.mean(minimum < e)) for e in eps),
                                float(np.mean(minimum <= 0.0)), below(0.0), tuple(map(below, eps)), replicas,
                                "exact in law for the continuous path: the minimum distance is drawn from its "
                                "Brownian-bridge law given the endpoint; no grid is read")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # two particles draw their difference D itself as one path, with step variance 2 (2 dt), from the
-    # start gap: doubling is exact, so its scale is sqrt(4 dt) bit for bit
-    first, step_dt = (start[:1] - start[1:], 2.0 * dt) if n == 2 else (start, dt)
-    # per replica the minimum squared distance (time 0 counts)
-    dmin_sq = np.full(replicas, min(float(sq_dist(start[i] - start[j])) for i, j in pairs))
-    for offset, block in _increment_blocks(substream(seed, TAG_COLLISION), len(first), dim, steps, step_dt, replicas):
-        rows = slice(offset, offset + len(block))
-        block[:, :, 0] += first
+    gap_sq = float(sq_dist(gap))
+    # per replica the minimum squared distance, time 0 counted through the gap
+    dmin_sq = np.empty(replicas)
+    # D as one path with step variance 2 (2 dt): doubling is exact, so its scale is sqrt(4 dt) bit for bit
+    for offset, block in _increment_blocks(substream(seed, TAG_COLLISION), 1, dim, steps, 2.0 * dt, replicas):
+        block[:, :, 0] += gap
         np.cumsum(block, axis=2, out=block)
-        for i, j in pairs:
-            d = block[:, 0] if n == 2 else block[:, i] - block[:, j]
-            # squared in place and summed in coordinate order: sq_dist(d) bit for bit, with fewer buffers
-            d *= d
-            dist_sq = functools.reduce(np.add, (d[..., k] for k in range(dim)))
-            dmin_sq[rows] = np.minimum(dmin_sq[rows], dist_sq.min(axis=1))
+        d = block[:, 0]
+        # squared in place and summed in coordinate order: sq_dist(d) bit for bit, with fewer buffers
+        d *= d
+        dist_sq = functools.reduce(np.add, (d[..., k] for k in range(dim)))
+        np.minimum(dist_sq.min(axis=1), gap_sq, out=dmin_sq[offset:offset + len(block)])
     # sqrt is monotone, so the minimum distance is the root of the minimum square
     min_dist = np.sqrt(dmin_sq)
-    fractions = tuple(float(np.mean(min_dist < e)) for e in eps)
-    note = "min-distance fractions are grid-based; between-grid near misses are not counted"
-    if dim == 1:
-        note += ("; no crossing fraction: with 3 or more particles, pairs sharing a particle have "
-                 "dependent bridges, so per-pair bridge draws would not be exact in law")
-    return CollisionReport(tuple(eps), fractions, None, None, None, replicas, note)
+    return CollisionReport(tuple(eps), tuple(float(np.mean(min_dist < e)) for e in eps), None, None, None, replicas,
+                           "min-distance fractions are grid-based; between-grid near misses are not counted")
 
 
 def _line_minimum(gap: float, horizon: float, replicas: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confheat.cli import main, run_experiment, validate_config
+from confheat.experiments import EXPERIMENTS
 
 CONFIG_DIR = pathlib.Path(__file__).parent.parent / "scripts" / "configs"
 
@@ -424,6 +425,13 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
                                                      phi={"family": "constant", "value": 0}), "params.phi"),
         ("collision_1d", _set("starts", [[0.0], [0.1], [0.5]]), "params.starts"),
         ("oscillation", _set("substeps", 1415), "params.substeps"),
+        ("collision", _set("starts", [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]), "params.starts"),
+        ("collision", lambda doc: doc["params"].update(dim=3, starts=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0],
+                                                                     [0.0, 0.5, 0.0]]), "params.starts"),
+        ("process", _set("dt", 1e-320), "params.dt"),
+        ("process", _set("dt", 10**400), "params.dt"),
+        ("collision", _set("starts", [[0.0, math.inf], [0.5, 0.0]]), "params.starts"),
+        ("permanent", lambda doc: doc["params"]["eta"][0].__setitem__(0, math.nan), "params.eta"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
@@ -437,7 +445,9 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
          "feller-kernel-constant", "feller-far-point-rho", "process-dt-off-grid", "process-t-below-dt",
          "collision-dt-off-grid", "collision-horizon-below-dt", "generator-empty-gamma",
          "process-coarse-below-fine", "generator-zero-bumps", "feller-zero-amp", "feller-zero-constant",
-         "collision-1d-three-starts", "oscillation-substeps-over-cap"],
+         "collision-1d-three-starts", "oscillation-substeps-over-cap", "collision-2d-three-starts",
+         "collision-3d-three-starts", "process-dt-subnormal", "process-dt-past-float-range",
+         "collision-starts-inf", "permanent-eta-nan"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)
@@ -448,6 +458,40 @@ def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, fiel
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
     assert not (tmp_path / f"{name}.json").exists()
+
+
+def _float_params():
+    """(config, key) for every scalar float param of every shipped config's experiment."""
+    docs = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
+    return [(name, key) for name, doc in docs.items()
+            for key, fld in EXPERIMENTS[doc["experiment"]].schema.items() if fld.kind == "float"]
+
+
+@pytest.mark.parametrize("name, key", _float_params())
+def test_non_finite_float_params_are_refused_by_validate(tmp_path, capsys, name, key):
+    # JSON 1e999 parses to inf and --set key=Infinity or NaN passes a JSON literal: each is a config error at
+    # validate, not a failure partway through run
+    for value, literal in ((math.inf, "Infinity"), (math.nan, "NaN")):
+        doc = shipped(name, tmp_path)
+        doc["params"][key] = value
+        assert main(["validate", write_config(tmp_path, doc)]) == 2, value
+        override = f"params.{key}={literal}"
+        assert main(["run", write_config(tmp_path, shipped(name, tmp_path)), "--set", override]) == 2, value
+        err = capsys.readouterr().err
+        assert err.count(f"params.{key}: must be a finite number") == 2 and "Traceback" not in err, err
+        assert not (tmp_path / f"{name}.json").exists()
+
+
+def test_certificate_overflow_is_a_config_error_at_run(tmp_path, capsys):
+    # tail-tau at t = 1e300 validates (t is finite), and its certificate's overflow is an error, not a "fail"
+    doc = shipped("tail_tau", tmp_path)
+    doc["params"]["t"], doc["replicas"] = 1e300, 100
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ValueError: dominating constant overflows" in err and "Traceback" not in err
+    assert not (tmp_path / "tail_tau.json").exists()
 
 
 def test_semigroup_exp_tiny_amplitude_passes(tmp_path):

@@ -228,6 +228,12 @@ def test_fitted_certificate_verifies(dim):
         assert tau(dim, 0.25, float(r)) <= cert.tail_c * math.exp(-float(r))
 
 
+def test_certificate_overflow_is_its_own_value_error():
+    # at t = 1e300 the maximizer r* = (2 s (1 + eps))^2 itself overflows, before any grid is built
+    with pytest.raises(ValueError, match="dominating constant overflows for t=1e\\+300"):
+        fit_condition_certificate(HeatKernelParams(2, 1e300))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_tail_constants_match_scalar_loop(dim):
     # reference: per-radius scalar loops; np.exp may differ from math.exp in the last ulp

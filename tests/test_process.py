@@ -56,6 +56,12 @@ def test_simulate_paths_validation():
         simulate_paths(gamma, 1.05, 0.1, seed=0)
     with pytest.raises(CapacityError):
         simulate_paths(gamma, 2.0e8, 1.0, seed=0)
+    # an infinite step count is refused before int(round(horizon / dt)) could overflow
+    for horizon, dt in ((math.inf, 0.01), (1.0, 1e-320), (math.inf, math.inf)):
+        with pytest.raises(CapacityError, match="step count inf|step count nan"):
+            simulate_paths(gamma, horizon, dt, seed=0)
+    with pytest.raises(ValueError, match="at least dt"):
+        simulate_paths(gamma, math.nan, 0.1, seed=0)
 
 
 def test_path_capacity_is_checked_before_drawing(monkeypatch):
@@ -235,10 +241,15 @@ def test_collision_d1_crossing_matches_reflection_principle():
     assert rep.crossing_fraction > 0.5
 
 
-def test_collision_validation():
-    gamma = cfg([0.0])
-    with pytest.raises(ValueError):
-        collision_report(gamma, 1.0, 0.1, 100, 0, (0.1,))
+def test_collision_validation(monkeypatch):
+    # collisions are a pair diagnostic: any other count, like a bad epsilon list, is refused before a single
+    # normal is drawn
+    monkeypatch.setattr(confheat.process, "_increment_blocks", _no_draws)
+    for dim in (1, 2, 3):
+        points = np.arange(4 * dim, dtype=float).reshape(4, dim) / 10.0
+        for n in (1, 3, 4):
+            with pytest.raises(ValueError, match=f"exactly 2 particles, got {n}"):
+                collision_report(cfg(points[:n], dim=dim), 0.2, 0.01, 100, 0, (0.1,))
     two = cfg([0.0, 1.0])
     with pytest.raises(ValueError):
         collision_report(two, 1.0, 0.1, 100, 0, (0.1, 0.2))
@@ -265,32 +276,18 @@ def _brownian_paths(rng, start, steps, dt, m):
     return paths
 
 
-def _helmert(n):
-    """The n x (n - 1) Helmert basis in closed form: column k - 1 holds 1/sqrt(k (k + 1)) above row k
-    and -k/sqrt(k (k + 1)) on it."""
-    k = np.arange(1, n)
-    rows = np.arange(n)[:, None]
-    return np.where(rows < k, 1.0, np.where(rows == k, -k, 0.0)) / np.sqrt(k * (k + 1.0))
-
-
 def _collision_oracle(gamma, horizon, dt, replicas, seed, eps):
-    """In-law oracle: fractions and crossing fraction from one replica-major whole-batch draw of the n - 1
-    relative coordinates W = H^T (X - x), each pair difference summed column by column onto its start gap.
-    Two particles on the line get one bridge uniform per replica: D came below e iff it did on the grid or
-    u >= prod_k (1 - q_k) over the step dips q of ``_bridge_dips``; e = 0 gives the crossing, so both are
+    """In-law oracle: fractions and crossing fraction from one replica-major whole-batch draw of the pair's
+    scaled difference W = (X_1 - X_2) / sqrt(2), a standard path of step variance 2 dt, so D = sqrt(2) W plus
+    the start gap.  On the line one bridge uniform per replica decides: D came below e iff it did on the grid
+    or u >= prod_k (1 - q_k) over the step dips q of ``_bridge_dips``; e = 0 gives the crossing, so both are
     exact in law for the continuous path."""
     start = gamma.expand()
-    n, steps = start.shape[0], round(horizon / dt)
-    h = _helmert(n)
-    w = _brownian_paths(substream(seed, TAG_COLLISION), np.zeros((n - 1, gamma.dim)), steps, dt, replicas)
-    dmin_sq = np.full(replicas, np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = sum((h[i, k] - h[j, k]) * w[:, k] for k in range(n - 1) if h[i, k] != h[j, k])
-            diff += start[i] - start[j]
-            dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
-    fractions = tuple(float(np.mean(np.sqrt(dmin_sq) < e)) for e in eps)
-    if gamma.dim != 1 or n != 2:
+    steps = round(horizon / dt)
+    w = _brownian_paths(substream(seed, TAG_COLLISION), np.zeros((1, gamma.dim)), steps, dt, replicas)
+    diff = math.sqrt(2.0) * w[:, 0] + (start[0] - start[1])
+    fractions = tuple(float(np.mean(np.sqrt(np.sum(diff * diff, axis=-1).min(axis=1)) < e)) for e in eps)
+    if gamma.dim != 1:
         return fractions, None
     u = substream(seed, TAG_COLLISION, 1).random(replicas)
 
@@ -312,21 +309,20 @@ def _bridge_dips(line, e, dt):
 
 
 def _full_coordinate_collisions(gamma, horizon, dt, replicas, rng, eps):
-    """Fractions and crossing fraction from all n paths of every replica: the route that simulates the
-    particles themselves.  The fractions are grid minima, except for two particles on the line, where one
-    bridge uniform per grid step decides whether D came below e between grid times (e = 0 for the
-    crossing), which makes both exact in law for the continuous path."""
-    start = gamma.expand()
-    n, steps = start.shape[0], round(horizon / dt)
-    pos = _brownian_paths(rng, start, steps, dt, replicas)
-    diffs = [pos[:, i] - pos[:, j] for i in range(n) for j in range(i + 1, n)]
-    min_dist = np.sqrt(np.min([np.sum(d * d, axis=-1).min(axis=1) for d in diffs], axis=0))
+    """Fractions and crossing fraction from both particles' paths in every replica: the route that simulates
+    the particles themselves.  The fractions are grid minima, except on the line, where one bridge uniform per
+    grid step decides whether D came below e between grid times (e = 0 for the crossing), which makes both
+    exact in law for the continuous path."""
+    steps = round(horizon / dt)
+    pos = _brownian_paths(rng, gamma.expand(), steps, dt, replicas)
+    diff = pos[:, 0] - pos[:, 1]
     if gamma.dim != 1:
+        min_dist = np.sqrt(np.sum(diff * diff, axis=-1).min(axis=1))
         return [float(np.mean(min_dist < e)) for e in eps], None
     r = rng.random((replicas, steps))
 
     def below(e):
-        grid, q = _bridge_dips(diffs[0][..., 0], e, dt)
+        grid, q = _bridge_dips(diff[..., 0], e, dt)
         return float(np.mean(grid | np.any(r < q, axis=1)))
 
     return [below(e) for e in eps], below(0.0)
@@ -403,38 +399,27 @@ def test_oscillation_reports_are_pinned():
     assert oscillation_check(2, 0.01, 0.4, 10_000, 113).empirical == 0.0468
 
 
+#: pairs of particles: the three on the line take the closed form, the others read the grid
 COLLISION_CASES = {
-    "d1-two": (cfg([0.0, 0.1]), 3001),  # the closed-form route; every other case reads the grid
-    "d1-far": (cfg([0.0, 3.0, 6.0, 9.0]), 1201),  # few replicas come within epsilon
-    "d1-mixed": (cfg([0.0, 0.15, 0.3, 2.0]), 1201),
-    "d2": (cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), 1201),
+    "d1-two": (cfg([0.0, 0.1]), 3001),
+    "d1-far": (cfg([0.0, 2.0]), 1201),  # few replicas come within epsilon
+    "d1-mixed": (cfg([0.35, 0.2]), 1201),  # the second start on the left; epsilon above and below the gap
+    "d2": (cfg([[0.0, 0.0], [0.3, -0.4]], dim=2), 1201),
     "d2-two": (cfg([[0.0, 0.0], [0.1, 0.05]], dim=2), 1201),
-    "d3": (cfg([[0.0, 0.0, 0.0], [0.03, 0.0, 0.0], [0.0, 0.03, 0.0], [0.0, 0.0, 0.03], [0.03, 0.03, 0.0]],
-               dim=3), 1201),
+    "d3": (cfg([[0.0, 0.0, 0.0], [0.03, 0.03, 0.0]], dim=3), 1201),
 }
 
 
-def _collision_paths(n):
-    """The number of paths the collision grid draws for n particles: their difference alone for two."""
-    return 1 if n == 2 else n
-
-
 def _grid_collisions(gamma, horizon, dt, replicas, seed):
-    """Oracle: per replica the minimum pair distance over the grid, from one replica-major draw of the whole
-    horizon for all replicas.  Three or more particles draw all n paths from their starts; two particles draw
-    their difference D, from the start gap with step variance 4 dt."""
+    """Oracle: per replica the minimum distance of the pair over the grid, from one replica-major draw of the
+    whole horizon for all replicas: their difference D, from the start gap with step variance 4 dt."""
     start = gamma.expand()
-    (n, dim), steps = start.shape, round(horizon / dt)
-    gaps = [start[i] - start[j] for i in range(n) for j in range(i + 1, n)]
-    inc = substream(seed, TAG_COLLISION).standard_normal((replicas, _collision_paths(n), steps, dim))
-    inc *= math.sqrt((4.0 if n == 2 else 2.0) * dt)
-    inc[:, :, 0] += start[:1] - start[1:] if n == 2 else start
-    path = np.cumsum(inc, axis=2)
-    diffs = [path[:, 0]] if n == 2 else [path[:, i] - path[:, j] for i in range(n) for j in range(i + 1, n)]
-    dmin_sq = np.full(replicas, min(np.sum(gap * gap) for gap in gaps))
-    for diff in diffs:
-        dmin_sq = np.minimum(dmin_sq, np.sum(diff * diff, axis=-1).min(axis=1))
-    return np.sqrt(dmin_sq)
+    gap = start[0] - start[1]
+    inc = substream(seed, TAG_COLLISION).standard_normal((replicas, round(horizon / dt), gamma.dim))
+    inc *= math.sqrt(4.0 * dt)
+    inc[:, 0] += gap
+    path = np.cumsum(inc, axis=1)
+    return np.sqrt(np.minimum(np.sum(path * path, axis=-1).min(axis=1), np.sum(gap * gap)))
 
 
 def _line_minimum_oracle(gap, horizon, replicas, seed):
@@ -450,14 +435,13 @@ def _line_minimum_oracle(gap, horizon, replicas, seed):
 def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
     gamma, replicas = COLLISION_CASES[case]
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)  # 200 grid steps
-    n = gamma.expand().shape[0]
+    start = gamma.expand()
     if small:
-        # the grid in blocks of 3 replicas (the last of 1); two particles on the line in blocks of 302
-        # replicas of one step
-        _few_rows(monkeypatch, 3, _collision_paths(n) * 201)
+        # the grid in blocks of 3 replicas (the last of 1); the line in blocks of 302 replicas of one step
+        _few_rows(monkeypatch, 3, 201)
     rep = collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
-    if case == "d1-two":  # no grid: the closed form, bit for bit, whatever the block size
-        minimum = _line_minimum_oracle(0.1, horizon, replicas, 21)
+    if gamma.dim == 1:  # no grid: the closed form, bit for bit, whatever the block size
+        minimum = _line_minimum_oracle(abs(start[0, 0] - start[1, 0]), horizon, replicas, 21)
         assert rep.fractions == tuple(float(np.mean(minimum < e)) for e in eps)
         assert rep.crossing_fraction == float(np.mean(minimum <= 0.0))
         assert 0.0 < rep.fractions[-1] < 1.0 and 0.0 < rep.crossing_fraction < 1.0
@@ -470,8 +454,8 @@ def test_collision_report_equals_whole_batch_oracle(monkeypatch, case, small):
 
 @pytest.mark.parametrize("case", sorted(COLLISION_CASES))
 def test_collision_report_agrees_in_law_with_replica_major_oracle(case):
-    # the report (the closed form for two particles on the line) against one replica-major whole-batch draw
-    # of the n - 1 Helmert relative coordinates
+    # the report (the closed form on the line) against one replica-major whole-batch draw of the pair's
+    # scaled difference
     gamma, replicas = COLLISION_CASES[case]
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
     rep = collision_report(gamma, horizon, dt, replicas, seed=27, epsilon_list=eps)
@@ -503,7 +487,7 @@ def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
     # every normal comes from _increment_blocks, one call over the whole horizon for all replicas
     gamma, replicas = COLLISION_CASES[case]
     horizon, dt, eps = 0.2, 0.001, (0.3, 0.1, 0.02)
-    n, dim = gamma.expand().shape
+    dim = gamma.dim
     streams, calls, yielded = [], [], []
     increment_blocks = confheat.process._increment_blocks
 
@@ -520,13 +504,12 @@ def test_collision_draws_only_through_the_increment_sampler(monkeypatch, case):
     monkeypatch.setattr(confheat.process, "substream", counting_substream)
     monkeypatch.setattr(confheat.process, "_increment_blocks", recording_increment_blocks)
     collision_report(gamma, horizon, dt, replicas, seed=21, epsilon_list=eps)
-    if case == "d1-two":  # one step of variance 4 horizon per replica, the difference's endpoint
+    if dim == 1:  # one step of variance 4 horizon per replica, the difference's endpoint
         assert calls == [(1, 1, 1, 2.0 * horizon, replicas)]
         assert sum(yielded) == sum(stream.normals for stream in streams) == replicas
         return
-    paths, step_dt = (1, 2.0 * dt) if n == 2 else (n, dt)
-    assert calls == [(paths, dim, 200, step_dt, replicas)]
-    want = replicas * paths * 200 * dim
+    assert calls == [(1, dim, 200, 2.0 * dt, replicas)]  # the difference alone, with step variance 4 dt
+    want = replicas * 200 * dim
     assert sum(yielded) == sum(stream.normals for stream in streams) == want
 
 
@@ -565,15 +548,15 @@ def test_collision_report_signature_is_pinned():
         "gamma", "horizon", "dt", "replicas", "seed", "epsilon_list"]
 
 
-@pytest.mark.parametrize("case", ["d1-two", "d2-three"])
+@pytest.mark.parametrize("case", ["d1-two", "d2-two"])
 def test_collision_report_agrees_in_law_with_full_coordinates(case):
-    # the report (the closed-form minimum for two particles on the line) against all n paths from another
-    # generator, with one bridge uniform per step on the line.  Epsilon stays below the gap 0.1 on the line,
-    # where the fraction below 0.1 would be 1 on both sides and compare nothing
+    # the report (the closed-form minimum on the line) against both particles' paths from another generator,
+    # with one bridge uniform per step on the line.  Epsilon stays below the gap 0.1 on the line, where the
+    # fraction below 0.1 would be 1 on both sides and compare nothing
     if case == "d1-two":
         gamma, eps = cfg([0.0, 0.1]), (0.09, 0.05, 0.01)
     else:
-        gamma, eps = cfg([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]], dim=2), (0.3, 0.1, 0.02)
+        gamma, eps = cfg([[0.0, 0.0], [0.3, 0.0]], dim=2), (0.3, 0.1, 0.02)
     horizon, dt, replicas = 0.2, 0.01, 20_000
     rep = collision_report(gamma, horizon, dt, replicas, seed=22, epsilon_list=eps)
     fractions, crossing = _full_coordinate_collisions(gamma, horizon, dt, replicas, np.random.default_rng(22), eps)
@@ -675,26 +658,6 @@ def test_process_report_of_shipped_config_is_pinned():
     assert rows["bn_median_fine"]["value"] == 0.11121686472798081
     assert rows["marginal_ks_p"]["value"] == 0.28112418163020453
     assert rows["marginal_ks_p"]["note"] == "KS statistic 0.009886 at s = 1"
-
-
-def test_helmert_basis_is_orthonormal_and_centres():
-    # the basis of the in-law oracle's relative coordinates
-    for n in range(2, 7):
-        h = _helmert(n)
-        assert np.allclose(h.T @ h, np.eye(n - 1), atol=1e-15)
-        assert np.allclose(h.sum(axis=0), 0.0, atol=1e-15)
-        x = np.random.default_rng(n).standard_normal((n, 2))
-        assert np.allclose(h @ (h.T @ x), x - x.mean(axis=0), atol=1e-14)
-
-
-def test_collision_d1_crossing_only_for_two_particles():
-    # with 3 or more particles, pairs that share a particle have dependent bridges given the grid
-    rep = collision_report(cfg([0.0, 0.1, 0.2]), 0.2, 0.01, replicas=50, seed=23, epsilon_list=(0.05,))
-    assert rep.crossing_fraction is None and rep.crossing_reference is None and rep.bounds is None
-    assert "dependent bridges" in rep.note
-    assert 0.0 < rep.fractions[0] <= 1.0
-    two = collision_report(cfg([0.0, 0.1]), 0.2, 0.01, replicas=50, seed=23, epsilon_list=(0.05,))
-    assert two.crossing_fraction is not None and "dependent" not in two.note
 
 
 @pytest.mark.parametrize("rows", [None, 3])
