@@ -2,8 +2,9 @@
 """Fit and verify dominating-bound certificates across dimensions and times.
 
 Prints one row per (d, t): the kernel-bound constants (C_t, eps_t, theta_t)
-and the exponential-tail constants (C, delta), each re-verified on a dense
-grid after fitting.  Exits nonzero if any certificate fails its own check.
+and the exponential-tail constants (C, delta), each re-verified after fitting
+on a dense grid plus the kernel bound's maximizer at both window edges.  Exits
+nonzero if any certificate fails its own check.
 """
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ def main() -> int:
             cert = fit_condition_certificate(params)
             s_values = params.t + cert.theta_t * 0.98 * np.linspace(-1.0, 1.0, 9)
             grid = [(float(s), float(r)) for s in s_values for r in np.linspace(0.0, 20.0, 81)]
+            # the supremum sits at a window edge, at the maximizer r*(s) = (2s(1+eps))^(1/(1-eps))
+            for s in (t - cert.theta_t * (1 - 1e-9), t + cert.theta_t * (1 - 1e-9)):
+                grid.append((s, (2.0 * s * (1.0 + cert.eps_t)) ** (1.0 / (1.0 - cert.eps_t))))
             report = verify_dominating_bound(params, grid, cert)
             ok = report.passed
             failures += 0 if ok else 1

@@ -110,6 +110,13 @@ def _one_of(*values):
     return _require(lambda x: x in values, "unknown value {!r}; valid: " + ", ".join(values))
 
 
+def _certificate(on, parsed):
+    """The certificate the tail-tau check reads, fitted at t >= 0.5; None when the check is off."""
+    if on and "dim" in parsed and "t" in parsed:
+        return fit_condition_certificate(HeatKernelParams(parsed["dim"], max(parsed["t"], 0.5)))
+    return None
+
+
 def _coeffs(doc, parsed) -> dict[int, float]:
     # plain digits with no leading zero, so no two keys name the same order
     if not all(k.isascii() and k.isdecimal() and k[0] != "0" and _is_number(v) for k, v in doc.items()):
@@ -617,8 +624,8 @@ def run_tail_tau(p, seed, replicas, threads):
         se = binomial_se(exact, replicas)
         checks.append(abs(emp - exact) <= 4 * se)
         rows.append(_se_row(f"tail_r={r:g}", emp, se, bound=exact, note="closed form Q(d/2, r^2/4t)"))
-    if p["check_certificate"]:
-        cert = fit_condition_certificate(HeatKernelParams(dim, max(t, 0.5)))
+    cert = p["check_certificate"]
+    if cert is not None:
         radii = np.linspace(0.0, 20.0, 201)
         worst = float(np.max(tau(dim, cert.tail_delta, radii) / (cert.tail_c * np.exp(-radii))))
         rows.append(_row("c3_worst_ratio", worst, bound=1.0,
@@ -818,7 +825,7 @@ _register(
         "dim": Field("int", parse=_dim),
         "t": Field("float", parse=_positive),
         "r_list": Field("list", [0.5, 1.0, 2.0], parse=_nonnegatives),
-        "check_certificate": Field("bool", True),
+        "check_certificate": Field("bool", True, parse=_certificate),
     },
     run_tail_tau,
     100000,

@@ -213,13 +213,12 @@ def elementary_symmetric(values: np.ndarray, k_max: int) -> np.ndarray:
     if squeeze:
         vals = vals[None, :]
     r, n = vals.shape
-    points = vals.T.copy()  # one contiguous row per point
     e = np.zeros((k_max + 1, r))
     e[0] = 1.0
     term = np.empty((k_max, r))
     for j in range(n):
         top = min(j + 1, k_max)
-        np.multiply(e[:top], points[j], out=term[:top])
+        np.multiply(e[:top], vals[:, j], out=term[:top])
         e[1:top + 1] += term[:top]
     return e[:, 0] if squeeze else e.T
 

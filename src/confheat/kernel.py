@@ -6,8 +6,8 @@ coordinate.  Tail masses are exact regularized upper incomplete gamma values
 (closed forms in d <= 3, ``scipy.special.gammaincc`` above) at one radius or an
 array of radii, and the
 dominating-bound certificates (constants C_t, eps_t, theta_t for the kernel
-bound and C, delta for the exponential tail bound) are produced by
-constrained grid search with a safety margin.
+bound and C, delta for the exponential tail bound) carry a safety margin: C_t
+is closed form over the whole time window, the tail C a grid maximum.
 """
 from __future__ import annotations
 
@@ -204,40 +204,34 @@ def fit_condition_certificate(
     margin: float = 1.1,
     r_step: float = 0.01,
 ) -> BoundCertificate:
-    """Produce certificate constants by grid search with a safety margin.
+    """Certificate constants: C_t in closed form, the tail C by a grid over r, both times ``margin``.
 
-    The search grids extend past the analytic maximizer of
-    exp(r^(1+eps) - r^2/(4s)), so the margin covers only grid slack, not a
-    missed interior maximum.
+    For 0 < eps < 1, r^(1+eps) - r^2/(4s) peaks at r*(s) = (2s(1+eps))^(1/(1-eps)),
+    so log sup_r p(s, r) e^(r^(1+eps)) = h(s) = -(d/2) log(4 pi s) + ((1-eps)/2) r*^(1+eps).
+    h is convex in s, so its supremum over the window is at an edge.
     """
     if theta_t is None:
         theta_t = params.t / 2.0
     if not (0 < theta_t < params.t):
         raise ValueError("theta_t must lie in (0, t)")
-    s_hi = params.t + theta_t
-    s_grid = params.t + theta_t * 0.999 * np.linspace(-1.0, 1.0, 41)
-    c_t = 0.0
-    with np.errstate(over="raise"):
-        try:
-            # maximizer of r^(1+eps) - r^2/(4s) sits at r* = (2s(1+eps))^(1/(1-eps))
-            if eps_t < 1.0:
-                r_star = (2.0 * s_hi * (1.0 + eps_t)) ** (1.0 / (1.0 - eps_t))
-            else:
-                r_star = 4.0 * s_hi * (1.0 + eps_t)
-            r_grid = np.arange(0.0, max(20.0, 1.5 * r_star) + r_step, r_step)
-            for s in s_grid:
-                norm = (4.0 * math.pi * s) ** (-params.dim / 2.0)
-                vals = norm * np.exp(r_grid ** (1.0 + eps_t) - r_grid**2 / (4.0 * s))
-                c_t = max(c_t, float(vals.max()))
-        except (FloatingPointError, OverflowError):
-            raise ValueError(
-                f"dominating constant overflows for t={params.t:g}, eps_t={eps_t:g}; "
-                "use a smaller time window or a smaller exponent"
-            ) from None
+    if not (0 < eps_t < 1):
+        raise ValueError(f"eps_t must lie in (0, 1), got {eps_t!r}")
+
+    def h(s):
+        r_star = (2.0 * s * (1.0 + eps_t)) ** (1.0 / (1.0 - eps_t))
+        return -params.dim / 2.0 * math.log(4.0 * math.pi * s) + (1.0 - eps_t) / 2.0 * r_star ** (1.0 + eps_t)
+
+    try:
+        c_t = math.exp(math.log(margin) + max(h(params.t - theta_t), h(params.t + theta_t)))
+    except OverflowError:
+        raise ValueError(
+            f"dominating constant overflows for t={params.t:g}, eps_t={eps_t:g}; "
+            "use a smaller time window or a smaller exponent"
+        ) from None
     tail_grid = np.arange(0.0, 25.0 + r_step, r_step)
     tail_c = float(np.max(tau(params.dim, tail_delta, tail_grid) * np.exp(tail_grid)))
     return BoundCertificate(
-        c_t=margin * c_t,
+        c_t=c_t,
         eps_t=eps_t,
         theta_t=theta_t,
         tail_c=margin * tail_c,

@@ -84,15 +84,14 @@ def gaussian_bumps(bumps, x) -> np.ndarray:
     """The values of Gaussian bumps at the points x (..., dim), as (len(bumps), ...).
 
     Row j is amp_j * exp(-|x - c_j|^2 / (2 w_j^2)), computed for all bumps at
-    once in sq_dist's fresh output: negated, divided, exponentiated and scaled
-    in place, the operations and order of the plain expression, so each row
-    equals it bit for bit.
+    once in sq_dist's fresh output: divided by -(2 w^2), exponentiated and
+    scaled in place.  x / -y is -(x / y) exactly, so each row equals the plain
+    expression bit for bit.
     """
     x = np.asarray(x, dtype=float)
     pad = (len(bumps),) + (1,) * (x.ndim - 1)
     v = sq_dist(x, np.array([b.center for b in bumps], dtype=float).reshape(*pad, -1))
-    np.negative(v, out=v)
-    v /= np.array([2.0 * b.width**2 for b in bumps]).reshape(pad)
+    v /= np.array([-(2.0 * b.width**2) for b in bumps]).reshape(pad)
     np.exp(v, out=v)
     v *= np.array([b.amp for b in bumps], dtype=float).reshape(pad)
     return v

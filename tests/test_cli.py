@@ -482,16 +482,28 @@ def test_non_finite_float_params_are_refused_by_validate(tmp_path, capsys, name,
         assert not (tmp_path / f"{name}.json").exists()
 
 
-def test_certificate_overflow_is_a_config_error_at_run(tmp_path, capsys):
-    # tail-tau at t = 1e300 validates (t is finite), and its certificate's overflow is an error, not a "fail"
+def test_uncertifiable_tail_tau_t_is_refused_by_validate(tmp_path, capsys):
+    # the certificate overflows for every t above 3.1525 in d = 2: validate refuses such a t, and run with it
+    # stops at the same config error before any draw
+    for t in (3.2, 1e300):
+        doc = shipped("tail_tau", tmp_path)
+        doc["params"]["t"], doc["replicas"] = t, 100
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", cfg]) == 2, t
+        assert main(["run", cfg]) == 2, t
+        err = capsys.readouterr().err
+        assert err.count("params.check_certificate: dominating constant overflows") == 2 and "Traceback" not in err
+        assert not (tmp_path / "tail_tau.json").exists()
+
+
+def test_certifiable_tail_tau_t_validates_and_runs(tmp_path):
     doc = shipped("tail_tau", tmp_path)
-    doc["params"]["t"], doc["replicas"] = 1e300, 100
+    doc["params"]["t"] = 3.1
     cfg = write_config(tmp_path, doc)
     assert main(["validate", cfg]) == 0
-    assert main(["run", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "ValueError: dominating constant overflows" in err and "Traceback" not in err
-    assert not (tmp_path / "tail_tau.json").exists()
+    assert main(["run", cfg]) == 0
+    rows = json.loads((tmp_path / "tail_tau.json").read_text())["results"]
+    assert rows[-1]["measurement"] == "c3_worst_ratio"
 
 
 def test_semigroup_exp_tiny_amplitude_passes(tmp_path):

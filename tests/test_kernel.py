@@ -234,6 +234,47 @@ def test_certificate_overflow_is_its_own_value_error():
         fit_condition_certificate(HeatKernelParams(2, 1e300))
 
 
+def _window_edges(cert, t):
+    """Times just inside both ends of the certified window and the maximizer r*(s) of the bound's ratio there."""
+    eps = cert.eps_t
+    return [(s, (2.0 * s * (1.0 + eps)) ** (1.0 / (1.0 - eps)))
+            for s in (t - cert.theta_t * (1 - 1e-9), t + cert.theta_t * (1 - 1e-9))]
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_certificate_holds_at_window_edges_at_the_maximizer(dim, t):
+    # the supremum over the window sits at an edge, at r*(s): there the ratio is 1/margin
+    params = HeatKernelParams(dim, t)
+    cert = fit_condition_certificate(params)
+    report = verify_dominating_bound(params, _window_edges(cert, t), cert)
+    assert report.passed and report.worst_ratio <= 1.0 / 1.1 * (1 + 1e-6), report
+
+
+@pytest.mark.parametrize("eps_t", [1.0, 1.5, 0.0, -0.5])
+def test_certificate_refuses_eps_t_outside_unit_interval(eps_t):
+    # for eps_t > 1, r^(1+eps) - r^2/(4s) is unbounded above: no finite constant exists
+    with pytest.raises(ValueError, match="eps_t must lie in"):
+        fit_condition_certificate(HeatKernelParams(2, 1.0), eps_t=eps_t)
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_constant_is_the_fine_grid_maximum(dim, t):
+    # oracle: sup over r of p(s, r) e^(r^(1+eps)) on a 1e-4 step grid at each window edge, with no margin.
+    # Where r* lies on the grid (r* = 81 at t = 2) the two agree up to rounding: the grid's exponent
+    # r^(1+eps) - r^2/(4s) cancels 729 - 546.75, about 1e-13 relative
+    params = HeatKernelParams(dim, t)
+    cert = fit_condition_certificate(params, margin=1.0)
+    grid_max = 0.0
+    for s in (t - cert.theta_t, t + cert.theta_t):
+        r_star = (2.0 * s * (1.0 + cert.eps_t)) ** (1.0 / (1.0 - cert.eps_t))
+        r = np.arange(0.0, 2.0 * r_star + 1.0, 1e-4)
+        vals = (4.0 * math.pi * s) ** (-dim / 2.0) * np.exp(r ** (1.0 + cert.eps_t) - r * r / (4.0 * s))
+        grid_max = max(grid_max, float(vals.max()))
+    assert grid_max <= cert.c_t * (1 + 1e-12) and cert.c_t <= grid_max * (1 + 1e-8)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_tail_constants_match_scalar_loop(dim):
     # reference: per-radius scalar loops; np.exp may differ from math.exp in the last ulp
