@@ -9,7 +9,8 @@ exhaustively, not first-only).  ``validate`` runs the same parse of the params
 as ``run``, so a config that validates never fails on its params mid-run.  A
 run writes <prefix>.csv and <prefix>.json and exits 0 exactly when the verdict
 is "pass" (1 fail, 3 inconclusive, 2 errors, among them an output directory
-that does not exist or a report that cannot be written).
+that does not exist, an allocation that fails or a report that cannot be
+written).
 Outputs are byte-identical for identical config + seed on the same build,
 regardless of thread count.
 """
@@ -102,7 +103,8 @@ def run_experiment(config: dict, threads: int = 1):
         return _error(f"output directory {directory} does not exist", config)
     try:
         result: ExperimentResult = exp.run(parsed, config["seed"], config["replicas"], threads)
-    except (CapacityError, CapabilityError, SolverError, EvaluationError, KeyError, TypeError, ValueError) as exc:
+    except (CapacityError, CapabilityError, SolverError, EvaluationError, KeyError, MemoryError, TypeError,
+            ValueError) as exc:
         return _error(f"{type(exc).__name__}: {exc}", config)
     summary = {
         "experiment": config["experiment"],

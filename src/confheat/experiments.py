@@ -1,9 +1,11 @@
 """Experiment runners behind the CLI: strict param validation and dispatch.
 
 Every experiment consumes a validated config (experiment name, seed, replicas,
-params) and produces measurement rows plus a ternary verdict: pass, fail, or
-inconclusive (statistically underpowered, never masquerading as failure).  All
-randomness flows from keyed substreams of the config seed.
+params) and produces measurement rows plus its gates, one per check: true when
+the check holds, false when it fails, None when the run is too small to decide
+it (underpowered, never masquerading as failure).  ``ExperimentResult.verdict``
+turns the gates into the run's verdict.  All randomness flows from keyed
+substreams of the config seed.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .harmonic import (
     permanent_kernel,
     product_kernel,
 )
-from .kernel import HeatKernelParams, density, fit_condition_certificate, tail_mass, tau
+from .kernel import HeatKernelParams, density, fit_tail_bound, tail_mass, tau
 from .points import Configuration, Window, diffuse, poisson_points, sample_poisson
 from .process import (
     OSCILLATION_MAX_SUBSTEPS,
@@ -110,11 +112,9 @@ def _one_of(*values):
     return _require(lambda x: x in values, "unknown value {!r}; valid: " + ", ".join(values))
 
 
-def _certificate(on, parsed):
-    """The certificate the tail-tau check reads, fitted at t >= 0.5; None when the check is off."""
-    if on and "dim" in parsed and "t" in parsed:
-        return fit_condition_certificate(HeatKernelParams(parsed["dim"], max(parsed["t"], 0.5)))
-    return None
+def _tail_bound(on, parsed):
+    """The constants (C, delta) of the exponential tail bound the tail-tau check reads; None when it is off."""
+    return fit_tail_bound(parsed["dim"]) if on and "dim" in parsed else None
 
 
 def _coeffs(doc, parsed) -> dict[int, float]:
@@ -296,21 +296,25 @@ def _cross_check(p: dict, errors: list[str]) -> None:
 
 @dataclass
 class ExperimentResult:
+    """A run's rows, its details and its gates: one per check, true when it holds, false when it fails and
+    None when it is undecided."""
+
     rows: list[dict]
     summary: dict = field(default_factory=dict)
-    verdict: str = "pass"
+    gates: list = field(default_factory=list)
+
+    @property
+    def verdict(self) -> str:
+        """fail when a decided gate fails, else inconclusive when a gate is undecided, else pass (also with no
+        gates)."""
+        decided = [gate for gate in self.gates if gate is not None]
+        if not all(decided):
+            return "fail"
+        return "pass" if len(decided) == len(self.gates) else "inconclusive"
 
 
-def _se_row(name, value, se, bound=None, note=None):
+def _row(name, value, se=None, *, bound=None, note=None):
     return {"measurement": name, "value": value, "std_error": se, "bound": bound, "note": note}
-
-
-def _row(name, value, bound=None, note=None):
-    return {"measurement": name, "value": value, "std_error": None, "bound": bound, "note": note}
-
-
-def _verdict_all(checks: list[bool]) -> str:
-    return "pass" if all(checks) else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +336,20 @@ def run_sample_poisson(p, seed, replicas, threads):
     mean_radius = float(radii.mean())
     expected_radius = win.radius * dim / (dim + 1.0)
     se_radius = float(radii.std(ddof=1) / math.sqrt(len(radii))) if len(radii) > 1 else math.inf
-    # a count SE of 0 (every replica drew the same count) or fewer than 2 positions leaves its check
-    # undecided: the run is then underpowered, inconclusive unless a decided check fails
-    decided = [se_mean > 0.0, True, len(pos) >= 2]
-    checks = [
-        abs(mean - lam) <= 4 * se_mean,
+    # a count SE of 0 (every replica drew the same count) or fewer than 2 positions leaves its gate undecided
+    gates = [
+        abs(mean - lam) <= 4 * se_mean if se_mean > 0.0 else None,
         abs(var - lam) <= 4 * se_var,
-        abs(mean_radius - expected_radius) <= 4 * se_radius,
+        abs(mean_radius - expected_radius) <= 4 * se_radius if len(pos) >= 2 else None,
     ]
     rows = [
-        _se_row("mean_count", mean, se_mean, bound=lam, note="expected z*vol" + (
-            "" if decided[0] else "; undecided: every replica drew the same count, so the SE is 0")),
-        _se_row("count_variance", var, se_var, bound=lam, note="Poisson variance"),
-        _se_row("mean_radius", mean_radius, se_radius, bound=expected_radius, note="uniform-in-ball E|x|" + (
-            "" if decided[2] else f"; undecided: {len(pos)} position(s) drawn, an SE needs 2")),
+        _row("mean_count", mean, se_mean, bound=lam, note="expected z*vol" + (
+            "" if gates[0] is not None else "; undecided: every replica drew the same count, so the SE is 0")),
+        _row("count_variance", var, se_var, bound=lam, note="Poisson variance"),
+        _row("mean_radius", mean_radius, se_radius, bound=expected_radius, note="uniform-in-ball E|x|" + (
+            "" if gates[2] is not None else f"; undecided: {len(pos)} position(s) drawn, an SE needs 2")),
     ]
-    verdict = ("fail" if not all(ok for ok, known in zip(checks, decided) if known)
-               else "pass" if all(decided) else "inconclusive")
-    return ExperimentResult(rows, {"lambda": lam}, verdict)
+    return ExperimentResult(rows, {"lambda": lam}, gates)
 
 
 def run_diffuse(p, seed, replicas, threads):
@@ -367,12 +367,11 @@ def run_diffuse(p, seed, replicas, threads):
     disp = (moved.expand() - start).ravel()
     var = float(disp.var(ddof=1))
     se_var = var * math.sqrt(2.0 / (disp.size - 1))
-    checks = [preserved, abs(var - 2 * t) <= 4 * se_var]
     rows = [
         _row("count_preserved", 1.0 if preserved else 0.0, note=f"base count {base.total_count}"),
-        _se_row("displacement_variance", var, se_var, bound=2 * t, note="target 2t"),
+        _row("displacement_variance", var, se_var, bound=2 * t, note="target 2t"),
     ]
-    return ExperimentResult(rows, {"draws": n_draws}, _verdict_all(checks))
+    return ExperimentResult(rows, {"draws": n_draws}, [preserved, abs(var - 2 * t) <= 4 * se_var])
 
 
 def run_semigroup_exp(p, seed, replicas, threads):
@@ -383,13 +382,12 @@ def run_semigroup_exp(p, seed, replicas, threads):
     exact = apply_exact_exponential(ef, gamma, p["t"])
     est = apply_mc(ef.functional(), gamma, p["t"], replicas, seed, threads=threads)
     gap = abs(est.mean - exact)
-    ok = gap <= 4 * est.std_error
     rows = [
-        _se_row("mc_estimate", est.mean, est.std_error, note=est.truncation_note),
+        _row("mc_estimate", est.mean, est.std_error, note=est.truncation_note),
         _row("exact_value", exact, note="closed-form / quadrature convolution route"),
-        _se_row("difference", gap, est.std_error, bound=4 * est.std_error, note="|mc - exact| vs 4 SE"),
+        _row("difference", gap, est.std_error, bound=4 * est.std_error, note="|mc - exact| vs 4 SE"),
     ]
-    return ExperimentResult(rows, {"particles": gamma.total_count}, "pass" if ok else "fail")
+    return ExperimentResult(rows, {"particles": gamma.total_count}, [gap <= 4 * est.std_error])
 
 
 _INVARIANCE_FUNCTIONALS = {
@@ -415,8 +413,8 @@ def run_invariance(p, seed, replicas, threads):
         seed=seed,
         threads=threads,
     )
-    rows = [_se_row("paired_difference", rep.mean_diff, rep.std_error, bound=4 * rep.std_error, note=rep.note)]
-    return ExperimentResult(rows, {"functional": kind}, "pass" if rep.passed else "fail")
+    rows = [_row("paired_difference", rep.mean_diff, rep.std_error, bound=4 * rep.std_error, note=rep.note)]
+    return ExperimentResult(rows, {"functional": kind}, [rep.passed])
 
 
 _OUTERS = {"linear": outer_linear, "exp_neg_sum": outer_exp_neg_sum, "square": outer_square}
@@ -441,10 +439,12 @@ def run_generator(p, seed, replicas, threads):
     ratio_band = "[{:g}, {:g}]".format(*GENERATOR_RATIO_RANGE)
     for e in report.entries:
         note = "exact P_tF: closed form" if exact else "inconclusive" if e.inconclusive else None
-        rows.append(_se_row(f"residual_t={e.t:g}", e.residual, e.std_error, note=note))
+        rows.append(_row(f"residual_t={e.t:g}", e.residual, e.std_error, note=note))
     for k, r in enumerate(report.ratios):
         rows.append(_row(f"ratio_{k}", r, bound=ratio_band, note=report.note))
-    return ExperimentResult(rows, {"outer": outer_name}, report.verdict)
+    # the report's verdict is one gate, so an undecided residual outranks a ratio out of its band
+    gate = {"pass": True, "fail": False, "inconclusive": None}[report.verdict]
+    return ExperimentResult(rows, {"outer": outer_name}, [gate])
 
 
 def _shift(gamma, j):
@@ -479,27 +479,25 @@ def run_feller(p, seed, replicas, threads):
         for k, (m, v) in enumerate(zip(rep.metric_gaps, rep.value_gaps))
     ]
     rows.append(_row("route", 0.0, note=rep.route))
-    return ExperimentResult(rows, {"route": rep.route, "note": rep.note}, "pass" if rep.passed else "fail")
+    return ExperimentResult(rows, {"route": rep.route, "note": rep.note}, [rep.passed])
 
 
 def run_rho(p, seed, replicas, threads):
     g1, g2 = p["g1"], p["g2"]
     val = metrics.rho(g1, g2)
-    rows = [_row("rho", val)]
-    verdict = "pass"
+    rows, gates = [_row("rho", val)], []
     if math.isfinite(val) and g1.total_count <= 7:
         oracle = metrics.rho_bruteforce(g1, g2)
         rows.append(_row("bruteforce_oracle", oracle, note="exhaustive permutation minimum"))
-        verdict = "pass" if abs(val - oracle) <= 1e-9 else "fail"
-    return ExperimentResult(rows, {}, verdict)
+        gates.append(abs(val - oracle) <= 1e-9)
+    return ExperimentResult(rows, {}, gates)
 
 
 def run_flat_metric(p, seed, replicas, threads):
     g1, g2 = p["g1"], p["g2"]
     i = p["i"]
     val = metrics.flat_metric(g1, g2, i)
-    rows = [_row(f"d_K_{i}", val)]
-    verdict = "pass"
+    rows, gates = [_row(f"d_K_{i}", val)], []
     if g1.total_count <= 1 and g2.total_count <= 1:
         a = g1.positions[0] if g1.n_sites else None
         b = g2.positions[0] if g2.n_sites else None
@@ -511,19 +509,18 @@ def run_flat_metric(p, seed, replicas, threads):
         else:
             oracle = min(float(np.linalg.norm(a - b)), cap(a) + cap(b))
         rows.append(_row("closed_form_oracle", oracle))
-        verdict = "pass" if abs(val - oracle) <= 1e-7 else "fail"
+        gates.append(abs(val - oracle) <= 1e-7)
     if p["sum_scales"]:
         mv = metrics.d_k(g1, g2, p["i_max"])
         rows.append(_row("d_K_summed", mv.value, note=f"truncation error {mv.truncation_error:g}"))
-    return ExperimentResult(rows, {}, verdict)
+    return ExperimentResult(rows, {}, gates)
 
 
 def run_ktransform(p, seed, replicas, threads):
     G = product_kernel(p["dim"], p["coeffs"], p["profile"])
     gamma = p["gamma"]
     val = k_transform(G, gamma)
-    rows = [_row("k_transform", val)]
-    verdict = "pass"
+    rows, gates = [_row("k_transform", val)], []
     if gamma.total_count <= 6:
         worst = 0.0
         F = lambda pts: k_transform_finite(G, pts)
@@ -532,38 +529,35 @@ def run_ktransform(p, seed, replicas, threads):
             direct = G.value_at_empty if n_sub == 0 else G.value(sub)
             worst = max(worst, abs(inverse_k_transform(F, sub) - direct))
         rows.append(_row("round_trip_error", worst, bound=1e-9, note="inverse K of K vs direct levels"))
-        verdict = "pass" if worst <= 1e-9 else "fail"
-    return ExperimentResult(rows, {}, verdict)
+        gates.append(worst <= 1e-9)
+    return ExperimentResult(rows, {}, gates)
 
 
 def run_correlation(p, seed, replicas, threads):
     gamma, theta, t = p["gamma"], p["theta"], p["t"]
     val = correlation_function(gamma, theta, t)
     bound = correlation_product_bound(gamma, theta, t)
-    rows = [_row("correlation", val, bound=bound, note="product bound")]
-    verdict = "pass" if val <= bound * (1 + 1e-12) else "fail"
+    rows, gates = [_row("correlation", val, bound=bound, note="product bound")], [val <= bound * (1 + 1e-12)]
     if math.perm(gamma.total_count, theta.shape[0]) <= 200_000:
         oracle = correlation_function(gamma, theta, t, method="enumerate")
         rel = abs(val - oracle) / max(abs(oracle), 1e-300)
         rows.append(_row("dual_route_rel_gap", rel, bound=1e-9, note="subset DP vs injective enumeration"))
-        if rel > 1e-9:
-            verdict = "fail"
-    return ExperimentResult(rows, {}, verdict)
+        gates.append(rel <= 1e-9)
+    return ExperimentResult(rows, {}, gates)
 
 
 def run_permanent(p, seed, replicas, threads):
     eta, theta, t = p["eta"], p["theta"], p["t"]
     val = permanent_kernel(eta, theta, t)
-    rows = [_row("permanent", val)]
-    verdict = "pass"
+    rows, gates = [_row("permanent", val)], []
     if eta.shape == theta.shape and 0 < eta.shape[0] <= 6:
         params = HeatKernelParams(eta.shape[1], t)
         m = np.array([[density(params, a, b) for b in theta] for a in eta])
         oracle = permanent_bruteforce(m)
         rel = abs(val - oracle) / max(abs(oracle), 1e-300)
         rows.append(_row("bruteforce_rel_gap", rel, bound=1e-10))
-        verdict = "pass" if rel <= 1e-10 else "fail"
-    return ExperimentResult(rows, {}, verdict)
+        gates.append(rel <= 1e-10)
+    return ExperimentResult(rows, {}, gates)
 
 
 def run_process(p, seed, replicas, threads):
@@ -573,23 +567,22 @@ def run_process(p, seed, replicas, threads):
         dim, np.zeros((1, dim)), window_radius=1.0
     )
     med = bn_refinement_medians(gamma, p["t"], (p["dt_coarse"], p["dt"]), p["n"], p["bn_replicas"], seed)
-    checks = [ks_p > 0.001, med[1] < med[0]]
     rows = [
         _row("marginal_ks_p", ks_p, bound=0.001,
              note=f"KS statistic {d_stat:.4g} at s = {p['t']:g}"),
         _row("bn_median_coarse", med[0], note=f"dt {p['dt_coarse']:g}"),
         _row("bn_median_fine", med[1], note=f"dt {p['dt']:g}"),
     ]
-    return ExperimentResult(rows, {}, _verdict_all(checks))
+    return ExperimentResult(rows, {}, [ks_p > 0.001, med[1] < med[0]])
 
 
 def run_oscillation(p, seed, replicas, threads):
     rep = oscillation_check(p["dim"], p["delta"], p["r"], replicas, seed, substeps=p["substeps"])
     rows = [
-        _se_row("exceedance_probability", rep.empirical, rep.std_error, bound=rep.bound,
-                note="one-sided vs 2 tau(delta, r/4)"),
+        _row("exceedance_probability", rep.empirical, rep.std_error, bound=rep.bound,
+             note="one-sided vs 2 tau(delta, r/4)"),
     ]
-    return ExperimentResult(rows, {}, "pass" if rep.passed else "fail")
+    return ExperimentResult(rows, {}, [rep.passed])
 
 
 def run_collision(p, seed, replicas, threads):
@@ -597,18 +590,17 @@ def run_collision(p, seed, replicas, threads):
     gamma = Configuration.from_points(dim, p["starts"])
     rep = collision_report(gamma, p["horizon"], p["dt"], replicas, seed, p["epsilon_list"])
     rows = [
-        _se_row(f"fraction_below_{e:g}", f, binomial_se(f, replicas), bound=b, note=rep.note)
+        _row(f"fraction_below_{e:g}", f, binomial_se(f, replicas), bound=b, note=rep.note)
         for e, f, b in zip(rep.epsilons, rep.fractions, rep.bounds or [None] * len(rep.epsilons))
     ]
     if dim >= 2:
-        decreasing = all(a > b for a, b in zip(rep.fractions, rep.fractions[1:]))
-        verdict = "pass" if decreasing and rep.fractions[-1] < 0.01 else "fail"
+        gates = [all(a > b for a, b in zip(rep.fractions, rep.fractions[1:])), rep.fractions[-1] < 0.01]
     else:
-        rows.append(_se_row("crossing_fraction", rep.crossing_fraction, binomial_se(rep.crossing_fraction, replicas),
-                            bound=rep.crossing_reference, note="reflection-principle reference"))
+        rows.append(_row("crossing_fraction", rep.crossing_fraction, binomial_se(rep.crossing_fraction, replicas),
+                         bound=rep.crossing_reference, note="reflection-principle reference"))
         se = binomial_se(rep.crossing_reference, replicas)
-        verdict = "pass" if abs(rep.crossing_fraction - rep.crossing_reference) <= 4 * se else "fail"
-    return ExperimentResult(rows, {}, verdict)
+        gates = [abs(rep.crossing_fraction - rep.crossing_reference) <= 4 * se]
+    return ExperimentResult(rows, {}, gates)
 
 
 def run_tail_tau(p, seed, replicas, threads):
@@ -616,22 +608,20 @@ def run_tail_tau(p, seed, replicas, threads):
     params = HeatKernelParams(dim, t)
     rng = substream(seed, TAG_EXPERIMENT, 4)
     norms = np.sqrt(sq_dist(math.sqrt(2 * t) * rng.standard_normal((replicas, dim))))
-    rows = []
-    checks = []
+    rows, gates = [], []
     for r in p["r_list"]:
         exact = tail_mass(params, float(r))
         emp = float(np.mean(norms > r))
         se = binomial_se(exact, replicas)
-        checks.append(abs(emp - exact) <= 4 * se)
-        rows.append(_se_row(f"tail_r={r:g}", emp, se, bound=exact, note="closed form Q(d/2, r^2/4t)"))
-    cert = p["check_certificate"]
-    if cert is not None:
+        gates.append(abs(emp - exact) <= 4 * se)
+        rows.append(_row(f"tail_r={r:g}", emp, se, bound=exact, note="closed form Q(d/2, r^2/4t)"))
+    if p["check_certificate"] is not None:
+        tail_c, delta = p["check_certificate"]
         radii = np.linspace(0.0, 20.0, 201)
-        worst = float(np.max(tau(dim, cert.tail_delta, radii) / (cert.tail_c * np.exp(-radii))))
-        rows.append(_row("c3_worst_ratio", worst, bound=1.0,
-                         note=f"tau({cert.tail_delta:g}, r) vs {cert.tail_c:.4g} e^-r"))
-        checks.append(worst <= 1.0)
-    return ExperimentResult(rows, {}, _verdict_all(checks))
+        worst = float(np.max(tau(dim, delta, radii) / (tail_c * np.exp(-radii))))
+        rows.append(_row("c3_worst_ratio", worst, bound=1.0, note=f"tau({delta:g}, r) vs {tail_c:.4g} e^-r"))
+        gates.append(worst <= 1.0)
+    return ExperimentResult(rows, {}, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +815,7 @@ _register(
         "dim": Field("int", parse=_dim),
         "t": Field("float", parse=_positive),
         "r_list": Field("list", [0.5, 1.0, 2.0], parse=_nonnegatives),
-        "check_certificate": Field("bool", True, parse=_certificate),
+        "check_certificate": Field("bool", True, parse=_tail_bound),
     },
     run_tail_tau,
     100000,

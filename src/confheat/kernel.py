@@ -181,15 +181,17 @@ def verify_dominating_bound(params: HeatKernelParams, grid, cert: BoundCertifica
         if theta is not None:
             raise ValueError(f"grid time {gs} outside the certified window ({params.t - theta}, {params.t + theta})")
         raise ValueError(f"certificate without theta_t only covers s = t, got s = {gs}")
-    ratios = (4.0 * math.pi * s) ** (-params.dim / 2.0) * np.exp(-r * r / (4.0 * s)) / (
-        cert.c_t * np.exp(-(r ** (1.0 + cert.eps_t)))
-    )
+    # in log space: the density and the bound underflow together far out, where their quotient is finite
+    log_ratios = r ** (1.0 + cert.eps_t) - r * r / (4.0 * s) - params.dim / 2.0 * np.log(4.0 * math.pi * s)
+    ratios = np.exp(log_ratios - math.log(cert.c_t))
     k = int(np.argmax(ratios))
     worst, worst_pair = float(ratios[k]), (float(s[k]), float(r[k]))
     tail_worst = None
     tail_worst_r = None
     if cert.tail_c is not None:
-        tail = tau(params.dim, cert.tail_delta, r) / (cert.tail_c * np.exp(-r))
+        mass = tau(params.dim, cert.tail_delta, r)
+        # once the tail mass underflows to 0 the ratio is 0, also past r = 745 where e^-r underflows too
+        tail = np.divide(mass, cert.tail_c * np.exp(-r), out=np.zeros_like(mass), where=mass > 0)
         k = int(np.argmax(tail))
         tail_worst, tail_worst_r = float(tail[k]), float(r[k])
     passed = worst <= 1.0 and (tail_worst is None or tail_worst <= 1.0)
@@ -204,7 +206,7 @@ def fit_condition_certificate(
     margin: float = 1.1,
     r_step: float = 0.01,
 ) -> BoundCertificate:
-    """Certificate constants: C_t in closed form, the tail C by a grid over r, both times ``margin``.
+    """Certificate constants: C_t in closed form, the tail C by ``fit_tail_bound``, both times ``margin``.
 
     For 0 < eps < 1, r^(1+eps) - r^2/(4s) peaks at r*(s) = (2s(1+eps))^(1/(1-eps)),
     so log sup_r p(s, r) e^(r^(1+eps)) = h(s) = -(d/2) log(4 pi s) + ((1-eps)/2) r*^(1+eps).
@@ -228,12 +230,12 @@ def fit_condition_certificate(
             f"dominating constant overflows for t={params.t:g}, eps_t={eps_t:g}; "
             "use a smaller time window or a smaller exponent"
         ) from None
+    tail_c, tail_delta = fit_tail_bound(params.dim, tail_delta, margin, r_step)
+    return BoundCertificate(c_t=c_t, eps_t=eps_t, theta_t=theta_t, tail_c=tail_c, tail_delta=tail_delta)
+
+
+def fit_tail_bound(dim: int, tail_delta: float = 0.25, margin: float = 1.1, r_step: float = 0.01):
+    """(C, tail_delta) with tau(tail_delta, r) <= C e^(-r): C is the maximum of tau e^r over a grid on
+    [0, 25] with step ``r_step``, times ``margin``.  It depends on neither t nor the kernel bound."""
     tail_grid = np.arange(0.0, 25.0 + r_step, r_step)
-    tail_c = float(np.max(tau(params.dim, tail_delta, tail_grid) * np.exp(tail_grid)))
-    return BoundCertificate(
-        c_t=c_t,
-        eps_t=eps_t,
-        theta_t=theta_t,
-        tail_c=margin * tail_c,
-        tail_delta=tail_delta,
-    )
+    return margin * float(np.max(tau(dim, tail_delta, tail_grid) * np.exp(tail_grid))), tail_delta

@@ -1,10 +1,11 @@
 """Every experiment in the registry runs end to end on a small config."""
 import json
 
+import numpy as np
 import pytest
 
 from confheat.cli import run_experiment, validate_config
-from confheat.experiments import EXPERIMENTS
+from confheat.experiments import EXPERIMENTS, ExperimentResult
 
 POINT = {"dim": 1, "window_radius": 2.0, "points": [[[0.0], 1]]}
 PAIR = {"dim": 1, "window_radius": 2.0, "points": [[[0.0], 1], [[0.8], 1]]}
@@ -275,3 +276,39 @@ def test_battery_verdict_line_carries_cpu_seconds(tmp_path, monkeypatch, capsys)
         total = re.fullmatch(r"total +(\d+\.\d{3}) s cpu", lines[-1])
         assert total, lines
         assert abs(float(total.group(1)) - sum(seconds)) <= 0.0005 * (passes + 1) + 1e-9
+
+
+@pytest.mark.parametrize("gates, verdict", [
+    ([], "pass"),
+    ([True, True], "pass"),
+    ([None], "inconclusive"),
+    ([True, None], "inconclusive"),
+    ([False, None], "fail"),
+    ([None, False, True], "fail"),
+    ([np.True_, True], "pass"),
+    ([np.True_, None], "inconclusive"),
+    ([np.False_], "fail"),
+    ([np.False_, None], "fail"),
+])
+def test_verdict_is_derived_from_the_gates(gates, verdict):
+    # numpy booleans count as Python ones: a decided gate fails by being falsy, not by being False
+    assert ExperimentResult([], {}, gates).verdict == verdict
+
+
+def test_inconclusive_generator_stays_inconclusive_with_ratios_out_of_band(monkeypatch):
+    # an undecided residual outranks the ratios: the report's verdict is the run's one generator gate
+    from confheat import experiments
+    from confheat.semigroup import GENERATOR_RATIO_RANGE, GeneratorEntry, GeneratorReport
+
+    entries = (GeneratorEntry(0.1, 1.0, 0.5, 1.0, True), GeneratorEntry(0.05, 1.0, 0.01, 0.001, False))
+    report = GeneratorReport(0.5, entries, (50.0,), "inconclusive", "standard error dominates a residual")
+    assert not GENERATOR_RATIO_RANGE[0] <= report.ratios[0] <= GENERATOR_RATIO_RANGE[1]
+    monkeypatch.setattr(experiments, "generator_residual", lambda *args, **kwargs: report)
+    params = dict(SMALL_CONFIGS["generator"]["params"], outer="exp_neg_sum", t_list=[0.1, 0.05])
+    errors = []
+    _, parsed = experiments.validate_params(EXPERIMENTS["generator"].schema, params, errors)
+    assert not errors
+    result = experiments.run_generator(parsed, 0, 1000, 1)
+    assert result.verdict == "inconclusive"
+    assert [row["measurement"] for row in result.rows] == ["generator_value", "residual_t=0.1", "residual_t=0.05",
+                                                           "ratio_0"]

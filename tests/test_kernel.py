@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import pathlib
+import warnings
 
 import mpmath
 import numpy as np
@@ -291,7 +292,7 @@ def test_tail_constants_match_scalar_loop(dim):
 
 
 def scalar_bound_ratios(params, grid, cert):
-    """Reference: the per-pair loop over the grid, with math.exp."""
+    """Reference: the per-pair loop over the grid, each ratio the exp of its log, with math.exp and math.log."""
     worst, worst_pair = -math.inf, None
     for s, r in grid:
         if s <= 0:
@@ -306,7 +307,8 @@ def scalar_bound_ratios(params, grid, cert):
                 )
         elif abs(s - params.t) > 1.0e-12 * max(1.0, params.t):
             raise ValueError(f"certificate without theta_t only covers s = t, got s = {s}")
-        ratio = _density_at_distance(params, r, t=s) / (cert.c_t * math.exp(-(r ** (1.0 + cert.eps_t))))
+        log_ratio = r ** (1.0 + cert.eps_t) - r * r / (4.0 * s) - params.dim / 2.0 * math.log(4.0 * math.pi * s)
+        ratio = math.exp(log_ratio - math.log(cert.c_t))
         if ratio > worst:
             worst, worst_pair = ratio, (float(s), float(r))
     return worst, worst_pair
@@ -330,6 +332,23 @@ def test_bound_ratios_match_scalar_loop(dim):
         report = verify_dominating_bound(params, at_t, plain)
         worst, worst_pair = scalar_bound_ratios(params, at_t, plain)
         assert report.worst_ratio == pytest.approx(worst, rel=1e-14) and report.worst_pair == worst_pair
+
+
+def test_bound_ratio_is_finite_where_density_and_bound_underflow():
+    # d = 2, t = 3 near the window edge at r = 182: p(s, r) and C_t e^(-r^1.5) both underflow to 0, while their
+    # quotient is e^-0.1568 = 0.855.  At r = 800 the tail mass and e^-r underflow too, and the tail ratio is 0
+    params = HeatKernelParams(2, 3.0)
+    cert = fit_condition_certificate(params)
+    s, r = 4.49985, 182.24
+    assert _density_at_distance(params, r, t=s) == 0.0 and math.exp(-(r ** 1.5)) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_dominating_bound(params, [(s, r), (s, 800.0)], cert)
+    assert report.worst_pair == (s, r) and report.tail_worst_ratio == 0.0
+    exact = mpmath.exp(mpmath.mpf(r) ** 1.5 - mpmath.mpf(r) ** 2 / (4 * s) - mpmath.log(4 * mpmath.pi * s)
+                       - mpmath.log(cert.c_t))
+    assert report.passed and report.worst_ratio == pytest.approx(float(exact), rel=1e-10)
+    assert report.worst_ratio == pytest.approx(math.exp(-0.1568), rel=1e-3)
 
 
 def test_bound_ratio_errors_match_scalar_loop():
