@@ -7,7 +7,6 @@ from .kernel import (
     chapman_kolmogorov_residual,
     density,
     fit_condition_certificate,
-    fit_tail_bound,
     tail_mass,
     tau,
     verify_dominating_bound,

@@ -27,7 +27,7 @@ from .harmonic import (
     permanent_kernel,
     product_kernel,
 )
-from .kernel import HeatKernelParams, density, fit_tail_bound, tail_mass, tau
+from .kernel import HeatKernelParams, density, fit_condition_certificate, tail_mass, tau
 from .points import Configuration, Window, diffuse, poisson_points, sample_poisson
 from .process import (
     OSCILLATION_MAX_SUBSTEPS,
@@ -112,9 +112,11 @@ def _one_of(*values):
     return _require(lambda x: x in values, "unknown value {!r}; valid: " + ", ".join(values))
 
 
-def _tail_bound(on, parsed):
-    """The constants (C, delta) of the exponential tail bound the tail-tau check reads; None when it is off."""
-    return fit_tail_bound(parsed["dim"]) if on and "dim" in parsed else None
+def _certificate(on, parsed):
+    """The certificate the tail-tau check reads, fitted at t >= 0.5; None when the check is off."""
+    if on and "dim" in parsed and "t" in parsed:
+        return fit_condition_certificate(HeatKernelParams(parsed["dim"], max(parsed["t"], 0.5)))
+    return None
 
 
 def _coeffs(doc, parsed) -> dict[int, float]:
@@ -615,11 +617,12 @@ def run_tail_tau(p, seed, replicas, threads):
         se = binomial_se(exact, replicas)
         gates.append(abs(emp - exact) <= 4 * se)
         rows.append(_row(f"tail_r={r:g}", emp, se, bound=exact, note="closed form Q(d/2, r^2/4t)"))
-    if p["check_certificate"] is not None:
-        tail_c, delta = p["check_certificate"]
+    cert = p["check_certificate"]
+    if cert is not None:
         radii = np.linspace(0.0, 20.0, 201)
-        worst = float(np.max(tau(dim, delta, radii) / (tail_c * np.exp(-radii))))
-        rows.append(_row("c3_worst_ratio", worst, bound=1.0, note=f"tau({delta:g}, r) vs {tail_c:.4g} e^-r"))
+        worst = float(np.max(tau(dim, cert.tail_delta, radii) / (cert.tail_c * np.exp(-radii))))
+        rows.append(_row("c3_worst_ratio", worst, bound=1.0,
+                         note=f"tau({cert.tail_delta:g}, r) vs {cert.tail_c:.4g} e^-r"))
         gates.append(worst <= 1.0)
     return ExperimentResult(rows, {}, gates)
 
@@ -815,7 +818,7 @@ _register(
         "dim": Field("int", parse=_dim),
         "t": Field("float", parse=_positive),
         "r_list": Field("list", [0.5, 1.0, 2.0], parse=_nonnegatives),
-        "check_certificate": Field("bool", True, parse=_tail_bound),
+        "check_certificate": Field("bool", True, parse=_certificate),
     },
     run_tail_tau,
     100000,

@@ -206,7 +206,7 @@ def fit_condition_certificate(
     margin: float = 1.1,
     r_step: float = 0.01,
 ) -> BoundCertificate:
-    """Certificate constants: C_t in closed form, the tail C by ``fit_tail_bound``, both times ``margin``.
+    """Certificate constants: C_t in closed form, the tail C by a grid over r, both times ``margin``.
 
     For 0 < eps < 1, r^(1+eps) - r^2/(4s) peaks at r*(s) = (2s(1+eps))^(1/(1-eps)),
     so log sup_r p(s, r) e^(r^(1+eps)) = h(s) = -(d/2) log(4 pi s) + ((1-eps)/2) r*^(1+eps).
@@ -230,12 +230,12 @@ def fit_condition_certificate(
             f"dominating constant overflows for t={params.t:g}, eps_t={eps_t:g}; "
             "use a smaller time window or a smaller exponent"
         ) from None
-    tail_c, tail_delta = fit_tail_bound(params.dim, tail_delta, margin, r_step)
-    return BoundCertificate(c_t=c_t, eps_t=eps_t, theta_t=theta_t, tail_c=tail_c, tail_delta=tail_delta)
-
-
-def fit_tail_bound(dim: int, tail_delta: float = 0.25, margin: float = 1.1, r_step: float = 0.01):
-    """(C, tail_delta) with tau(tail_delta, r) <= C e^(-r): C is the maximum of tau e^r over a grid on
-    [0, 25] with step ``r_step``, times ``margin``.  It depends on neither t nor the kernel bound."""
     tail_grid = np.arange(0.0, 25.0 + r_step, r_step)
-    return margin * float(np.max(tau(dim, tail_delta, tail_grid) * np.exp(tail_grid))), tail_delta
+    tail_c = float(np.max(tau(params.dim, tail_delta, tail_grid) * np.exp(tail_grid)))
+    return BoundCertificate(
+        c_t=c_t,
+        eps_t=eps_t,
+        theta_t=theta_t,
+        tail_c=margin * tail_c,
+        tail_delta=tail_delta,
+    )

@@ -483,21 +483,18 @@ def test_non_finite_float_params_are_refused_by_validate(tmp_path, capsys, name,
         assert not (tmp_path / f"{name}.json").exists()
 
 
-def test_tail_tau_t_is_not_limited_by_the_kernel_certificate(tmp_path):
-    # the tail-tau check reads only the tail constants, which depend on dim alone: t = 3.2 and 50, past the
-    # kernel constant's float range (t > 3.1525 in d = 2), validate and run, with the shipped t's ratio
-    def c3_worst_ratio(t):
+def test_uncertifiable_tail_tau_t_is_refused_by_validate(tmp_path, capsys):
+    # the certificate overflows for every t above 3.1525 in d = 2: validate refuses such a t, and run with it
+    # stops at the same config error before any draw
+    for t in (3.2, 1e300):
         doc = shipped("tail_tau", tmp_path)
-        doc["params"]["t"] = t
+        doc["params"]["t"], doc["replicas"] = t, 100
         cfg = write_config(tmp_path, doc)
-        assert main(["validate", cfg]) == 0, t
-        assert main(["run", cfg]) == 0, t
-        rows = json.loads((tmp_path / "tail_tau.json").read_text())["results"]
-        assert rows[-1]["measurement"] == "c3_worst_ratio"
-        return rows[-1]["value"]
-
-    shipped_ratio = c3_worst_ratio(0.25)
-    assert c3_worst_ratio(3.2) == shipped_ratio and c3_worst_ratio(50.0) == shipped_ratio
+        assert main(["validate", cfg]) == 2, t
+        assert main(["run", cfg]) == 2, t
+        err = capsys.readouterr().err
+        assert err.count("params.check_certificate: dominating constant overflows") == 2 and "Traceback" not in err
+        assert not (tmp_path / "tail_tau.json").exists()
 
 
 def test_allocation_failure_is_an_error_not_a_fail(tmp_path, monkeypatch, capsys):

@@ -292,7 +292,8 @@ def test_tail_constants_match_scalar_loop(dim):
 
 
 def scalar_bound_ratios(params, grid, cert):
-    """Reference: the per-pair loop over the grid, each ratio the exp of its log, with math.exp and math.log."""
+    """Reference: the per-pair loop over the grid, each ratio the exp of its log: the log of the oracle density
+    where it is positive, the log of its radial form where it underflows."""
     worst, worst_pair = -math.inf, None
     for s, r in grid:
         if s <= 0:
@@ -307,8 +308,12 @@ def scalar_bound_ratios(params, grid, cert):
                 )
         elif abs(s - params.t) > 1.0e-12 * max(1.0, params.t):
             raise ValueError(f"certificate without theta_t only covers s = t, got s = {s}")
-        log_ratio = r ** (1.0 + cert.eps_t) - r * r / (4.0 * s) - params.dim / 2.0 * math.log(4.0 * math.pi * s)
-        ratio = math.exp(log_ratio - math.log(cert.c_t))
+        density = _density_at_distance(params, r, t=s)
+        if density > 0:
+            log_density = math.log(density)
+        else:  # underflowed: the log of the radial form
+            log_density = -r * r / (4.0 * s) - params.dim / 2.0 * math.log(4.0 * math.pi * s)
+        ratio = math.exp(log_density + r ** (1.0 + cert.eps_t) - math.log(cert.c_t))
         if ratio > worst:
             worst, worst_pair = ratio, (float(s), float(r))
     return worst, worst_pair

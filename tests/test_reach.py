@@ -55,11 +55,7 @@ NEVER_CALLED = [
     ("harmonic", "star_kernel"),
     ("harmonic", "transfer_expectation"),
     ("harmonic", "verify_d_class"),
-    # the kernel bound's certificate: scripts/fit_certificates.py and the tests fit it, and no config reads C_t
-    ("kernel", "BoundCertificate.__post_init__"),
     ("kernel", "chapman_kolmogorov_residual"),
-    ("kernel", "fit_condition_certificate"),
-    ("kernel", "fit_condition_certificate.<locals>.h"),
     ("kernel", "verify_dominating_bound"),
     ("metrics", "d1"),
     ("metrics", "d_infty"),
