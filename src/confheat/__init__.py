@@ -62,12 +62,10 @@ from .semigroup import (
     outer_square,
 )
 from .process import (
-    PathBundle,
     bn_refinement_medians,
     collision_report,
     marginal_ks,
     oscillation_check,
-    simulate_paths,
 )
 from .errors import CapabilityError, CapacityError, EvaluationError, SolverError
 

@@ -40,6 +40,14 @@ def _load(text: str):
     return doc, None
 
 
+def _parse_params(exp, raw_params: dict, replicas: int, errors: list[str]):
+    """``validate_params``, then the experiment's capacity rule, which reads ``replicas`` too."""
+    values, parsed = validate_params(exp.schema, raw_params, errors)
+    if not errors and exp.capacity is not None:
+        exp.capacity(parsed, replicas, errors)
+    return values, parsed
+
+
 def validate_config(text: str):
     """Parse and validate a config document; returns (config | None, errors)."""
     doc, error = _load(text)
@@ -70,7 +78,7 @@ def validate_config(text: str):
     if not isinstance(raw_params, dict):
         errors.append("params: must be an object")
         raw_params = {}
-    params, _ = validate_params(exp.schema, raw_params, errors)
+    params, _ = _parse_params(exp, raw_params, replicas, errors)
     if errors:
         return None, errors
     return (
@@ -94,7 +102,7 @@ def run_experiment(config: dict, threads: int = 1):
     gets the objects the params parse to, by the same parse as ``validate_config``."""
     exp = EXPERIMENTS[config["experiment"]]
     errors: list[str] = []
-    _, parsed = validate_params(exp.schema, config["params"], errors)
+    _, parsed = _parse_params(exp, config["params"], config["replicas"], errors)
     if errors:
         _print_invalid(errors)
         return 2, {"error": "; ".join(errors), "config": config}

@@ -40,6 +40,7 @@ from .process import (
 from .profiles import BoxIndicator, ConstantProfile, GaussianBump, SmoothedIndicator
 from .rng import TAG_EXPERIMENT, substream
 from .semigroup import (
+    DEFAULT_CHUNK,
     GENERATOR_RATIO_RANGE,
     CylinderFunction,
     ExpFunctional,
@@ -354,13 +355,36 @@ def run_sample_poisson(p, seed, replicas, threads):
     return ExperimentResult(rows, {"lambda": lam}, gates)
 
 
+#: draws of the diffuse start, whatever the replica count
+DIFFUSE_DRAWS = 20000
+#: largest expected number of float64 coordinates (128 MiB) in the diffuse start tiled over its draws
+DIFFUSE_MAX_POINTS = 1 << 24
+#: largest expected number of float64 coordinates (128 MiB) in one invariance chunk's Poisson particles
+INVARIANCE_MAX_POINTS = 1 << 24
+
+
+def _poisson_cap(what: str, cap: int, radius: str, fields: int, rows: int):
+    """Capacity rule refusing a run whose ``fields`` Poisson(z) fields on B(0, p[radius]) for each of
+    min(replicas, rows) replicas hold more than ``cap`` float64 coordinates in expectation."""
+
+    def check(p, replicas, errors):
+        try:
+            held = fields * p["intensity"] * ball_volume(p["dim"], p[radius]) * p["dim"] * min(replicas, rows)
+        except OverflowError:  # a ball too large for a float holds too many
+            held = math.inf
+        if held > cap:
+            errors.append(f"replicas: {what} holds about {held:.4g} coordinates at once, which exceeds {cap}")
+
+    return check
+
+
 def run_diffuse(p, seed, replicas, threads):
     dim, t = p["dim"], p["t"]
     rng = substream(seed, TAG_EXPERIMENT, 2)
     base = sample_poisson(Window(p["radius"], p["intensity"]), dim, rng)
     if base.total_count == 0:
         base = Configuration.from_points(dim, np.zeros((1, dim)), window_radius=p["radius"])
-    n_draws = min(replicas, 20000)
+    n_draws = min(replicas, DIFFUSE_DRAWS)
     # all replicas step as one configuration: one (n_draws * n, dim) normal draw
     # is the same stream as n_draws draws of shape (n, dim)
     start = np.tile(base.expand(), (n_draws, 1))
@@ -637,13 +661,15 @@ class Experiment:
     schema: dict[str, Field]
     run: Callable
     default_replicas: int
+    #: capacity(parsed params, replicas, errors) appends an error when a run would hold more than its cap
+    capacity: Callable | None = None
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _register(name, schema, run, default_replicas):
-    EXPERIMENTS[name] = Experiment(name, schema, run, default_replicas)
+def _register(name, schema, run, default_replicas, capacity=None):
+    EXPERIMENTS[name] = Experiment(name, schema, run, default_replicas, capacity)
 
 
 _register(
@@ -666,6 +692,7 @@ _register(
     },
     run_diffuse,
     20000,
+    _poisson_cap("diffuse's tiled start", DIFFUSE_MAX_POINTS, "radius", 1, DIFFUSE_DRAWS),
 )
 _register(
     "semigroup-exp",
@@ -693,6 +720,8 @@ _register(
     },
     run_invariance,
     100000,
+    # a replica holds the particles in B(0, inner_radius) before the step and those in it after the step
+    _poisson_cap("an invariance chunk", INVARIANCE_MAX_POINTS, "inner_radius", 2, DEFAULT_CHUNK),
 )
 _register(
     "generator",

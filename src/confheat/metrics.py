@@ -14,6 +14,8 @@
 * rho: the L2 matching (Wasserstein-type) distance, infinite across unequal
   cardinalities, solved by assignment on the squared-distance cost matrix, one
   n x n array for n <= RHO_MAX_POINTS = 4096 particles.
+
+scipy.optimize and scipy.sparse load inside the solving functions, not at import.
 """
 from __future__ import annotations
 
@@ -22,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapacityError, SolverError
 from .points import Configuration, as_multiset
@@ -102,6 +102,7 @@ def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
     cap, two ground copies cost 0.  The assignment polytope is integral, so the
     assignment optimum is the exact value; flat_metric_lp is the LP oracle.
     """
+    from scipy.optimize import linear_sum_assignment
     if i < 1:
         raise ValueError("scale index i must be a positive integer")
     pts, w = _weighted_support(g1, g2)
@@ -163,6 +164,7 @@ def rho(g1: Configuration, g2: Configuration) -> float:
     value of the metric, not an error.  Equal counts above RHO_MAX_POINTS raise
     CapacityError before anything is allocated.
     """
+    from scipy.optimize import linear_sum_assignment
     if g1.dim != g2.dim:
         raise ValueError("configurations must share a dimension")
     n = g1.total_count
@@ -200,6 +202,7 @@ def rho_bruteforce(g1: Configuration, g2: Configuration, max_points: int = 8) ->
 
 def solve_lp(c, a_ub, b_ub, bounds):
     """Optimal value of max c.x s.t. a_ub x <= b_ub, lo_j <= x_j <= hi_j, by HiGHS."""
+    from scipy.optimize import linprog
     res = linprog(-np.asarray(c, dtype=float), A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
                   options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
@@ -214,6 +217,7 @@ def flat_metric_lp(g1: Configuration, g2: Configuration, i: int) -> float:
     of any feasible assignment.  Solved by HiGHS, on at most
     FLAT_METRIC_LP_MAX_SUPPORT (500) support points.
     """
+    from scipy import sparse
     if i < 1:
         raise ValueError("scale index i must be a positive integer")
     pts, w = _weighted_support(g1, g2)

@@ -9,8 +9,7 @@ buffer.  Every diagnostic reduces a block before it draws the next: memory is
 bounded by the block, not by the replica count, and the draws are those of one
 call for all replicas.  ``_path_blocks`` turns each block into paths by a
 running sum from the start.  Each diagnostic draws all its replicas from one
-substream; ``simulate_paths`` is the one-replica entry that returns the paths
-themselves.
+substream.
 Collisions are a pair diagnostic: exactly two particles, through their
 difference.  In d >= 2 the collision grid draws that difference alone, in one
 ``_increment_blocks`` call over the whole horizon; on the line no grid is read,
@@ -43,26 +42,6 @@ PATH_CAPACITY = 100_000_000
 PAIR_POINTS = 2_000_000  # pairwise differences one oscillation batch holds
 #: one replica's substeps^2 pairwise differences fit in one oscillation batch
 OSCILLATION_MAX_SUBSTEPS = math.isqrt(PAIR_POINTS)
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Discretized Brownian trajectories of all particles on a shared time grid."""
-
-    dim: int
-    dt: float
-    horizon: float
-    times: np.ndarray
-    paths: np.ndarray  # (particles, steps + 1, dim)
-    seed: int
-
-    def __post_init__(self):
-        if self.paths.ndim != 3 or self.paths.shape[2] != self.dim:
-            raise ValueError("paths must have shape (particles, steps + 1, dim)")
-        if self.times.shape != (self.paths.shape[1],):
-            raise ValueError("time grid must match the step axis")
-        if not np.all(np.isfinite(self.paths)):
-            raise ValueError("paths must be finite")
 
 
 def _steps_for(horizon: float, dt: float) -> int:
@@ -126,25 +105,6 @@ def _path_blocks(rng, start: np.ndarray, steps: int, dt: float, replicas: int):
         if nonzero_start:
             block[:, :, 1:, :] += start[:, None, :]
         yield offset, block
-
-
-def simulate_paths(
-    gamma: Configuration,
-    horizon: float,
-    dt: float,
-    seed: int,
-    replica: int = 0,
-) -> PathBundle:
-    """Independent discretized Brownian paths from every particle of gamma.
-
-    The time-t marginal equals one heat step of size t in distribution at every
-    grid time.  Multiplicities unfold into independent particles.
-    """
-    steps = _steps_for(horizon, dt)
-    start = gamma.expand()
-    _, paths = next(_path_blocks(substream(seed, TAG_PATHS, replica), start, steps, dt, 1))
-    times = np.arange(steps + 1) * dt
-    return PathBundle(gamma.dim, dt, steps * dt, times, paths[0], seed)
 
 
 def bn_refinement_medians(

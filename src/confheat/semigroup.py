@@ -12,12 +12,14 @@ generator_residual alike.  Every Monte Carlo estimate
 estimator: each chunk draws from its own keyed substream and reduces
 to a count, mean and centred sum of squares, and the chunks are merged in
 chunk order.  Results are reproducible, independent of thread count, and
-stable when the variance is tiny next to the mean.  A chunk works in a few
-whole-array passes that write into the arrays it already holds: the start is
-added from a copy tiled to the block's rows, the functionals finish in the
-buffer their first operation allocates (a cylinder function evaluates all its
-bumps in one array), and generator_residual moves the particles for its whole
-t-list in one array and evaluates it in one ``F.batch`` call.  Each value goes
+stable when the variance is tiny next to the mean.  apply_mc and
+generator_residual share one heat-step sampler, which moves the particles for
+every t of a time list (one t, or the whole t-list) in blocks of at most
+``rng.BLOCK_POINTS`` coordinates (one replica at least), so memory is bounded
+by the block, not by the chunk.  A chunk works in a few whole-array passes that write into the
+arrays it already holds: the start is added from a copy tiled to the block's
+rows, and the functionals finish in the buffer their first operation allocates
+(a cylinder function evaluates all its bumps in one array).  Each value goes
 through the same floating-point operations in the same order as the plain
 expression, so the fewer passes (and, with threads, fewer GIL hand-overs)
 change no bit of a result.
@@ -215,6 +217,34 @@ def _chunked_mean_se(sample, replicas: int, seed: int, tag: int, threads: int, c
     return mean, np.sqrt(m2 / (n - 1) / n)
 
 
+def _heat_step_sampler(F: ConfigurationFunctional, base: np.ndarray, ts, replicas: int, chunk: int):
+    """``sample(rng, m)`` for ``_chunked_mean_se``: F at base + sqrt(2t) z for each t of ``ts``, as a
+    (len(ts), m) array, one standard normal z per replica shared by every t.  Blocks of at most
+    ``BLOCK_POINTS`` moved coordinates go through one buffer per call (chunks may run on several threads)
+    and continue the chunk's stream; ``F.batch`` gets (m, n, d) for one t and (T, m, n, d) for several.
+    """
+    scales = [math.sqrt(2.0 * t) for t in ts]
+    # the start, tiled over the rows of the largest block: adding it is one long pass, where
+    # broadcasting the (particles, dim) start would run an inner loop of particles * dim values
+    starts = np.tile(base, (min(replicas, chunk, block_rows(len(ts) * base.size)), 1, 1))
+
+    def sample(rng, m):
+        rows = min(m, len(starts))
+        buffer = np.empty(len(ts) * rows * base.size)
+        values = np.empty((len(ts), m))
+        for offset in range(0, m, rows):
+            b = min(rows, m - offset)
+            moved = buffer[:len(ts) * b * base.size].reshape(len(ts), b, *base.shape)
+            rng.standard_normal(out=moved[-1])  # z, in the last t's slot: scaled in place after the others
+            for slot, scale in zip(moved, scales):
+                np.multiply(moved[-1], scale, out=slot)
+                slot += starts[:b]
+            values[:, offset:offset + b] = F.batch(moved if len(ts) > 1 else moved[0])
+        return values
+
+    return sample
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo application of the semigroup
 
@@ -251,29 +281,9 @@ def apply_mc(
 
     Deterministic for a fixed seed, for any thread count: replica chunks draw
     from substreams keyed by (seed, chunk index) and are reduced in chunk order.
-    A chunk draws and evaluates its replicas in blocks of at most
-    ``BLOCK_POINTS`` coordinates in one reused buffer; the blocks continue the
-    chunk's stream, so the values are those of one draw for the whole chunk.
     """
     HeatKernelParams(gamma.dim, t)
-    base = gamma.expand()
-    scale = math.sqrt(2.0 * t)
-    # the start, tiled over the rows of the largest block: adding it is one long pass, where
-    # broadcasting the (particles, dim) start would run an inner loop of particles * dim values
-    starts = np.tile(base, (min(replicas, chunk, block_rows(base.size)), 1, 1))
-
-    def sample(rng, m):
-        rows = min(m, len(starts))
-        moved = np.empty((rows, base.shape[0], gamma.dim))
-        values = np.empty((1, m))
-        for offset in range(0, m, rows):
-            block = moved[:m - offset]
-            rng.standard_normal(out=block)
-            block *= scale
-            block += starts[:len(block)]
-            values[0, offset:offset + len(block)] = F.batch(block)
-        return values
-
+    sample = _heat_step_sampler(F, gamma.expand(), (t,), replicas, chunk)
     (mean,), (se,) = _chunked_mean_se(sample, replicas, seed, TAG_APPLY_MC, threads, chunk)
     return SemigroupEstimate(
         mean=float(mean),
@@ -585,24 +595,13 @@ def generator_residual(
 
     Computes (F(gamma) - P_t F(gamma)) / t against the analytic generator value
     for each t; the residual is first order in t, so halving t should roughly
-    halve it.  Common random numbers across the t-list keep the ratios stable:
-    a chunk draws one standard normal z per particle coordinate and moves the
-    particles to gamma + sqrt(2t) z for every t at once, as one (T, replicas,
-    particles, dim) array that ``F.batch`` evaluates in one call.
-    A residual whose standard error exceeds half its size is flagged and makes
+    halve it.  Common random numbers across the t-list (one z moves the
+    particles to gamma + sqrt(2t) z for every t) keep the ratios stable.  A
+    residual whose standard error exceeds half its size is flagged and makes
     the verdict inconclusive (more replicas, not failure).
     """
     ts = _t_list(t_list)
-    base = gamma.expand()
-    scales = np.sqrt(2.0 * np.array(ts))[:, None, None, None]  # correctly rounded, as math.sqrt(2.0 * t)
-    starts = np.tile(base, (min(replicas, chunk), 1, 1))
-
-    def sample(rng, m):
-        z = rng.standard_normal((m, base.shape[0], gamma.dim))
-        moved = scales * z
-        moved += starts[:m]
-        return F.batch(moved)
-
+    sample = _heat_step_sampler(F, gamma.expand(), ts, replicas, chunk)
     means, ses = _chunked_mean_se(sample, replicas, seed, TAG_GENERATOR, threads, chunk)
     return _generator_report(F, gamma, ts, [float(m) for m in means], ses)
 

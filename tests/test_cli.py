@@ -340,6 +340,56 @@ def test_metric_configs_above_capacity_are_exit_2_before_the_run(tmp_path, capsy
         assert errors == [], (experiment, errors)
 
 
+def test_monte_carlo_configs_above_capacity_are_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # invariance holds one chunk's Poisson particles (2 z |B| d per replica, 4096 replicas) and diffuse tiles its
+    # Poisson start (z |B| d per draw, 20 000 draws) at once; validate refuses both above 2^24 coordinates, so
+    # run never samples
+    import confheat.experiments
+
+    monkeypatch.setattr(confheat.experiments, "invariance_test", lambda *a, **k: pytest.fail("invariance sampled"))
+    monkeypatch.setattr(confheat.experiments, "sample_poisson", lambda *a: pytest.fail("diffuse sampled"))
+    invariance, diffuse = shipped("invariance", tmp_path), shipped("diffuse", tmp_path)
+    cap = 1 << 24
+    assert confheat.experiments.INVARIANCE_MAX_POINTS == confheat.experiments.DIFFUSE_MAX_POINTS == cap
+    # d = 1 and radius 1 (|B| = 2): intensity z holds 2 z 2 4096 = 16384 z coordinates in an invariance chunk;
+    # d = 1 and radius 2 (|B| = 4): it holds 80 000 z in the diffuse start
+    z_inv, z_dif = cap / 16384, cap / 80_000
+    inv = {**invariance["params"], "dim": 1, "inner_radius": 1.0}
+    dif = {**diffuse["params"], "dim": 1, "radius": 2.0}
+    cases = [
+        ("invariance", {**inv, "intensity": 1.001 * z_inv}, None),
+        ("invariance", {**invariance["params"], "intensity": 2000.0}, None),
+        ("invariance", {**invariance["params"], "inner_radius": 1e200, "dim": 3}, None),
+        ("diffuse", {**dif, "intensity": 1.001 * z_dif}, 20000),
+        ("diffuse", {**dif, "intensity": 1.001 * z_dif}, 10**9),
+        ("diffuse", {**dif, "radius": 1e300, "dim": 2}, None),
+    ]
+    for experiment, params, replicas in cases:
+        doc = {"experiment": experiment, "output": str(tmp_path / "r"), "params": params}
+        if replicas:
+            doc["replicas"] = replicas
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg]) == 2
+        # a runner that meets the same document unvalidated refuses it too
+        code, summary = run_experiment({"seed": 0, "replicas": 20000, **doc})
+        assert code == 2 and f"which exceeds {cap}" in summary["error"]
+        err = capsys.readouterr().err
+        assert err.count(f"coordinates at once, which exceeds {cap}") == 3 and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+    # below the caps, or with fewer replicas than the chunk or the draws, the configs validate
+    below = [
+        ("invariance", {**inv, "intensity": 0.999 * z_inv}, 100_000),
+        ("invariance", {**inv, "intensity": 1.5 * z_inv}, 2048),
+        ("diffuse", {**dif, "intensity": 0.999 * z_dif}, 20000),
+        ("diffuse", {**dif, "intensity": 1.5 * z_dif}, 10000),
+    ]
+    for experiment, params, replicas in below:
+        config, errors = validate_config(json.dumps({"experiment": experiment, "replicas": replicas,
+                                                     "params": params}))
+        assert errors == [], (experiment, errors)
+
+
 def shipped(name, tmp_path):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     doc["output"] = str(tmp_path / name)

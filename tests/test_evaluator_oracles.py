@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import confheat.rng
 from confheat.harmonic import elementary_symmetric
 from confheat.points import Configuration
 from confheat.profiles import GaussianBump, gaussian_bumps
@@ -148,14 +149,20 @@ def per_t_generator_means(F, base, ts, replicas, seed, threads, chunk):
     return _chunked_mean_se(sample, replicas, seed, TAG_GENERATOR, threads, chunk)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_fused_generator_equals_per_t_loop(dim, threads):
+#: (dim, threads, replicas per block): None leaves BLOCK_POINTS as it is
+FUSED_CASES = [(dim, threads, rows) for rows in (None, 1, 7) for dim in (1, 2) for threads in (1, 2)]
+FUSED_IDS = [f"{dim}-{threads}" + (f"-rows{rows}" if rows else "") for dim, threads, rows in FUSED_CASES]
+
+
+@pytest.mark.parametrize("dim, threads, rows", FUSED_CASES, ids=FUSED_IDS)
+def test_fused_generator_equals_per_t_loop(monkeypatch, dim, threads, rows):
     inner = (GaussianBump(2.0, (0.0,) * dim, 0.6), GaussianBump(1.5, (0.3,) * dim, 0.5))
     F = CylinderFunction(outer_exp_neg_sum(2), inner)
     base = np.array([[0.0] * dim, [-0.3] * dim, [0.5] * dim])
     gamma = Configuration.from_points(dim, base, window_radius=1.0)
     ts, replicas, seed, chunk = (0.1, 0.05, 0.025), 1000, 7, 300  # the last chunk holds 100 replicas
+    if rows:  # blocks of `rows` replicas, each moved to every t: the blocks must not change a bit
+        monkeypatch.setattr(confheat.rng, "BLOCK_POINTS", rows * len(ts) * base.size)
     report = generator_residual(F, gamma, ts, replicas, seed, threads=threads, chunk=chunk)
     means, ses = per_t_generator_means(F, base, ts, replicas, seed, threads, chunk)
     f0 = F.value(base)

@@ -24,7 +24,6 @@ from confheat.process import (
     collision_report,
     marginal_ks,
     oscillation_check,
-    simulate_paths,
 )
 from confheat.rng import TAG_COLLISION, TAG_MARGINAL, TAG_OSCILLATION, TAG_PATHS, substream
 from confheat.special import binomial_se
@@ -35,33 +34,39 @@ def cfg(points, dim=1, radius=None):
     return Configuration.from_points(dim, pts, None, radius)
 
 
-def test_simulate_paths_shapes_and_determinism():
-    gamma = cfg([0.0, 1.0], radius=2.0)
-    b1 = simulate_paths(gamma, 1.0, 0.1, seed=3)
-    b2 = simulate_paths(gamma, 1.0, 0.1, seed=3)
-    assert b1.paths.shape == (2, 11, 1)
-    assert np.array_equal(b1.paths, b2.paths)
-    assert np.allclose(b1.times, np.arange(11) * 0.1)
-    empty = simulate_paths(Configuration.empty(2), 0.5, 0.1, seed=0)
-    assert empty.paths.shape == (0, 6, 2)
+def test_path_blocks_shapes_and_determinism():
+    start = np.array([[0.0], [1.0]])
+    [(offset, one)] = [(o, p.copy()) for o, p in confheat.process._path_blocks(substream(3, 1), start, 10, 0.1, 4)]
+    [(_, two)] = confheat.process._path_blocks(substream(3, 1), start, 10, 0.1, 4)
+    assert offset == 0 and one.shape == (4, 2, 11, 1)
+    assert np.array_equal(one, two)
+    assert np.array_equal(one[:, :, 0], np.broadcast_to(start, (4, 2, 1)))
+    [(_, empty)] = confheat.process._path_blocks(substream(0, 1), np.zeros((0, 2)), 5, 0.1, 3)
+    assert empty.shape == (3, 0, 6, 2)
 
 
-def test_simulate_paths_validation():
+def test_time_grids_are_refused_before_drawing(monkeypatch):
+    # _steps_for's refusals, through the B_n refinement that builds its grid from them
+    monkeypatch.setattr(confheat.process, "_increment_blocks", _no_draws)
     gamma = cfg([0.0])
-    with pytest.raises(ValueError):
-        simulate_paths(gamma, 0.05, 0.1, seed=0)
-    with pytest.raises(ValueError):
-        simulate_paths(gamma, 1.0, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        simulate_paths(gamma, 1.05, 0.1, seed=0)
-    with pytest.raises(CapacityError):
-        simulate_paths(gamma, 2.0e8, 1.0, seed=0)
+
+    def medians(horizon, dt):
+        return bn_refinement_medians(gamma, horizon, (dt,), n=1, replicas=2, seed=0)
+
+    with pytest.raises(ValueError, match="at least dt"):
+        medians(0.05, 0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        medians(1.0, 0.0)
+    with pytest.raises(ValueError, match="integer multiple"):
+        medians(1.05, 0.1)
+    with pytest.raises(CapacityError, match="step count"):
+        medians(2.0e8, 1.0)
     # an infinite step count is refused before int(round(horizon / dt)) could overflow
     for horizon, dt in ((math.inf, 0.01), (1.0, 1e-320), (math.inf, math.inf)):
         with pytest.raises(CapacityError, match="step count inf|step count nan"):
-            simulate_paths(gamma, horizon, dt, seed=0)
+            medians(horizon, dt)
     with pytest.raises(ValueError, match="at least dt"):
-        simulate_paths(gamma, math.nan, 0.1, seed=0)
+        medians(math.nan, 0.1)
 
 
 def test_path_capacity_is_checked_before_drawing(monkeypatch):
@@ -71,26 +76,21 @@ def test_path_capacity_is_checked_before_drawing(monkeypatch):
     gamma = cfg([0.0, 0.5, 1.0])
     with pytest.raises(CapacityError, match="path array"):
         bn_refinement_medians(gamma, 1.0, (0.1,), n=1, replicas=10, seed=0)
-    with pytest.raises(CapacityError, match="path array"):
-        simulate_paths(gamma, 1.0, 0.1, seed=0)
 
 
-def test_simulate_paths_terminal_variance():
-    gamma = Configuration(1, np.zeros((1, 1)), np.array([4000]), 1.0)
-    bundle = simulate_paths(gamma, 1.0, 0.05, seed=9)
-    terminal = bundle.paths[:, -1, 0]
+def test_path_blocks_terminal_variance():
+    [(_, paths)] = confheat.process._path_blocks(substream(9, TAG_PATHS), np.zeros((4000, 1)), 20, 0.05, 1)
+    terminal = paths[0, :, -1, 0]
     var = terminal.var(ddof=1)
     se_var = var * math.sqrt(2.0 / (len(terminal) - 1))
     assert abs(var - 2.0) <= 4 * se_var
 
 
-def test_simulate_paths_particle_independence():
-    gamma = cfg([0.0, 0.0001], radius=1.0)
-    disp = []
-    for r in range(4000):
-        b = simulate_paths(gamma, 0.2, 0.2, seed=77, replica=r)
-        disp.append(b.paths[:, -1, 0] - b.paths[:, 0, 0])
-    disp = np.array(disp)
+def test_path_blocks_particle_independence():
+    start = np.array([[0.0], [0.0001]])
+    disp = np.concatenate([paths[:, :, -1, 0] - paths[:, :, 0, 0] for _, paths in
+                           confheat.process._path_blocks(substream(77, TAG_PATHS), start, 1, 0.2, 4000)])
+    assert disp.shape == (4000, 2)
     corr = np.corrcoef(disp[:, 0], disp[:, 1])[0, 1]
     assert abs(corr) <= 4.0 / math.sqrt(len(disp))
 
@@ -369,9 +369,10 @@ def test_path_blocks_reproduce_one_draw(monkeypatch):
         assert [offset for offset, _ in blocks] == list(range(0, replicas, min(rows, replicas)))
         assert all(len(paths) <= rows for _, paths in blocks)
         assert np.array_equal(np.concatenate([paths for _, paths in blocks]), want)
-    gamma = cfg([0.0, 0.3, -1.0])
-    bundle = simulate_paths(gamma, 0.5, 0.01, seed=8, replica=5)
-    assert np.array_equal(bundle.paths, _brownian_paths(substream(8, TAG_PATHS, 5), gamma.expand(), 50, 0.01, 1)[0])
+    # one replica of 50 steps from the TAG_PATHS stream, whose first block is the whole draw
+    start = cfg([0.0, 0.3, -1.0]).expand()
+    [(_, paths)] = confheat.process._path_blocks(substream(8, TAG_PATHS, 5), start, 50, 0.01, 1)
+    assert np.array_equal(paths, _brownian_paths(substream(8, TAG_PATHS, 5), start, 50, 0.01, 1))
 
 
 @pytest.mark.parametrize("rows", [1, 5, None])

@@ -67,8 +67,6 @@ NEVER_CALLED = [
     ("points", "Configuration.to_dict"),
     ("points", "Configuration.to_json"),
     ("points", "truncation_tail_bound"),
-    ("process", "PathBundle.__post_init__"),
-    ("process", "simulate_paths"),
     ("profiles", "BoxIndicator.__call__"),
     ("profiles", "BoxIndicator.__post_init__"),
     ("profiles", "BoxIndicator.decay_bound"),
@@ -101,7 +99,6 @@ NEVER_CALLED = [
     ("semigroup", "WindowedCount.segments"),
     ("semigroup", "_square_heat"),
     ("semigroup", "generator_residual"),
-    ("semigroup", "generator_residual.<locals>.sample"),
     ("semigroup", "outer_exp_neg_sum"),
     ("semigroup", "outer_exp_neg_sum.<locals>.fn"),
     ("semigroup", "outer_square"),

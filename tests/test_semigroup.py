@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,6 +515,20 @@ def test_generator_residual_thread_invariant_across_chunks():
     a = generator_residual(F, cfg([0.0, 0.4]), (0.1, 0.05), replicas=6000, seed=32, threads=1, chunk=1000)
     b = generator_residual(F, cfg([0.0, 0.4]), (0.1, 0.05), replicas=6000, seed=32, threads=3, chunk=1000)
     assert a.entries == b.entries and a.ratios == b.ratios
+
+
+def test_generator_residual_memory_is_a_few_blocks():
+    # the t-list is moved in blocks of BLOCK_POINTS coordinates, so 400 particles hold a few blocks at once; a
+    # whole (T, 4096, 400, 1) chunk held about 200 blocks
+    F = CylinderFunction(outer_exp_neg_sum(1), (GaussianBump(0.01, (0.0,), 0.7),))
+    gamma = Configuration.from_points(1, np.linspace(-1.0, 1.0, 400)[:, None], window_radius=2.0)
+    tracemalloc.start()
+    try:
+        generator_residual(F, gamma, (0.1, 0.05, 0.025), replicas=5000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * confheat.rng.BLOCK_POINTS, peak
 
 
 def test_invariance_and_generator_need_two_replicas():

@@ -107,8 +107,11 @@ def test_exp_radial_integral_d3_quadrature():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.6 s of import time and scipy.integrate about 20 ms; the package needs neither
-    probe = "import sys, confheat; sys.exit('scipy.stats' in sys.modules or 'scipy.integrate' in sys.modules)"
+    # scipy.stats costs about 0.6 s of import time and scipy.integrate about 20 ms; the package needs neither.
+    # scipy.optimize and scipy.sparse load only when a metric solves, so the CLI's import leaves them out too;
+    # mpmath is a test oracle, never a dependency
+    unloaded = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse", "mpmath")
+    probe = f"import sys, confheat, confheat.cli; sys.exit(any(m in sys.modules for m in {unloaded!r}))"
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
