@@ -5,12 +5,14 @@
     confheat validate <config.json>
 
 Configs are JSON with strict validation (unknown keys rejected; errors reported
-exhaustively, not first-only).  ``validate`` runs the same parse of the params
-as ``run``, so a config that validates never fails on its params mid-run.  A
-run writes <prefix>.csv and <prefix>.json and exits 0 exactly when the verdict
-is "pass" (1 fail, 3 inconclusive, 2 errors, among them an output directory
-that does not exist, an allocation that fails or a report that cannot be
-written).
+exhaustively, not first-only).  ``validate`` and ``run`` share one check of a
+loaded document: the parse of its params into the objects the runner uses,
+then the experiment's size caps (``Experiment.capacity``).  ``run`` parses the
+document once, with its overrides applied, so a config that validates never
+fails on its params or a size cap mid-run.  A run writes <prefix>.csv and
+<prefix>.json and exits 0 exactly when the verdict is "pass" (1 fail, 3
+inconclusive, 2 errors, among them an output directory that does not exist,
+an allocation that fails or a report that cannot be written).
 Outputs are byte-identical for identical config + seed on the same build,
 regardless of thread count.
 """
@@ -40,27 +42,15 @@ def _load(text: str):
     return doc, None
 
 
-def _parse_params(exp, raw_params: dict, replicas: int, errors: list[str]):
-    """``validate_params``, then the experiment's capacity rule, which reads ``replicas`` too."""
-    values, parsed = validate_params(exp.schema, raw_params, errors)
-    if not errors and exp.capacity is not None:
-        exp.capacity(parsed, replicas, errors)
-    return values, parsed
-
-
-def validate_config(text: str):
-    """Parse and validate a config document; returns (config | None, errors)."""
-    doc, error = _load(text)
-    if error:
-        return None, [error]
-    errors: list[str] = []
-    for key in doc:
-        if key not in _TOP_KEYS:
-            errors.append(f"{key}: unknown key")
+def _check(doc: dict):
+    """Check a loaded config document and parse its params; returns (config, parsed params, errors), with
+    config and parsed None when there are errors.  The experiment's capacity checks run once the rest is
+    valid, and each ``CapacityError`` becomes an error "<key>: <message>"."""
+    errors = [f"{key}: unknown key" for key in doc if key not in _TOP_KEYS]
     name = doc.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         errors.append(f"experiment: unknown experiment {name!r}; valid: {', '.join(sorted(EXPERIMENTS))}")
-        return None, errors
+        return None, None, errors
     exp = EXPERIMENTS[name]
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not (-(2**63) <= seed < 2**64):
@@ -78,13 +68,25 @@ def validate_config(text: str):
     if not isinstance(raw_params, dict):
         errors.append("params: must be an object")
         raw_params = {}
-    params, _ = _parse_params(exp, raw_params, replicas, errors)
+    params, parsed = validate_params(exp.schema, raw_params, errors)
+    if not errors:
+        for key, check in exp.capacity:
+            try:
+                check(parsed, replicas)
+            except CapacityError as exc:
+                errors.append(f"{key}: {exc}")
     if errors:
-        return None, errors
-    return (
-        {"experiment": name, "seed": seed, "replicas": replicas, "output": output, "params": params},
-        [],
-    )
+        return None, None, errors
+    return {"experiment": name, "seed": seed, "replicas": replicas, "output": output, "params": params}, parsed, []
+
+
+def validate_config(text: str):
+    """Parse and validate a config document; returns (config | None, errors)."""
+    doc, error = _load(text)
+    if error:
+        return None, [error]
+    config, _, errors = _check(doc)
+    return config, errors
 
 
 def _print_invalid(errors: list[str]) -> None:
@@ -97,15 +99,15 @@ def _error(message: str, config: dict):
     return 2, {"error": message, "config": config}
 
 
-def run_experiment(config: dict, threads: int = 1):
-    """Execute a validated config; returns (exit_code, summary dict).  The runner
-    gets the objects the params parse to, by the same parse as ``validate_config``."""
-    exp = EXPERIMENTS[config["experiment"]]
-    errors: list[str] = []
-    _, parsed = _parse_params(exp, config["params"], config["replicas"], errors)
+def run_experiment(doc: dict, threads: int = 1):
+    """Check and parse a loaded config document, as ``validate_config`` does, and
+    execute it; returns (exit_code, summary dict).  A document that does not
+    validate is refused with exit 2 before anything runs."""
+    config, parsed, errors = _check(doc)
     if errors:
         _print_invalid(errors)
-        return 2, {"error": "; ".join(errors), "config": config}
+        return 2, {"error": "; ".join(errors), "config": doc}
+    exp = EXPERIMENTS[config["experiment"]]
     directory = pathlib.Path(config["output"]).parent
     if not directory.is_dir():
         return _error(f"output directory {directory} does not exist", config)
@@ -204,16 +206,12 @@ def main(argv=None) -> int:
     if args.out is not None:
         doc["output"] = args.out
 
-    config, errors = validate_config(json.dumps(doc))
-    if errors:
-        _print_invalid(errors)
-        return 2
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
-    code, summary = run_experiment(config, threads=args.threads)
+    code, summary = run_experiment(doc, threads=args.threads)
     if "verdict" in summary:
-        print(f"{config['experiment']}: verdict {summary['verdict']} -> {config['output']}.csv/.json")
+        print(f"{summary['experiment']}: verdict {summary['verdict']} -> {summary['config']['output']}.csv/.json")
     return code
 
 

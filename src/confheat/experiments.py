@@ -25,6 +25,7 @@ from .harmonic import (
     k_transform_finite,
     permanent_bruteforce,
     permanent_kernel,
+    permanent_work,
     product_kernel,
 )
 from .kernel import HeatKernelParams, density, fit_condition_certificate, tail_mass, tau
@@ -36,6 +37,7 @@ from .process import (
     collision_report,
     marginal_ks,
     oscillation_check,
+    path_size,
 )
 from .profiles import BoxIndicator, ConstantProfile, GaussianBump, SmoothedIndicator
 from .rng import TAG_EXPERIMENT, substream
@@ -222,28 +224,6 @@ def _configuration_where(ok: Callable[[Configuration], bool], msg: str):
     return lambda doc, parsed: _require(ok, msg)(_configuration(doc, parsed), parsed)
 
 
-def _matched_count(g1: Configuration, g2: Configuration) -> int:
-    """Particles rho matches: the common count with multiplicity, or 0 when the
-    counts differ, since rho is then inf and matches nothing."""
-    return g1.total_count if g1.total_count == g2.total_count else 0
-
-
-def _second_configuration(size: Callable[[Configuration, Configuration], int], cap: int, what: str):
-    """Parse of ``g2``: the configuration, refused when the pair with ``g1`` holds
-    more than ``cap`` particles by ``size``, the metric's own count, so a pair
-    the metric would refuse with CapacityError is a config error."""
-
-    def parse(doc, parsed):
-        g2 = _configuration(doc, parsed)
-        g1 = parsed.get("g1")
-        n = size(g1, g2) if g1 is not None and g1.dim == g2.dim else 0
-        if n > cap:
-            raise ValueError(f"{what} of {n} particles exceeds {cap}")
-        return g2
-
-    return parse
-
-
 _simple_configuration = _configuration_where(lambda g: g.is_simple,
                                              "must be a simple configuration (every multiplicity 1)")
 _occupied_configuration = _configuration_where(lambda g: g.total_count > 0, "needs at least one particle")
@@ -267,15 +247,14 @@ def _cross_check(p: dict, errors: list[str]) -> None:
     dimension (``dim``, else that of the first configuration or point list),
     the permanent's ``eta`` and ``theta`` hold equally many points, time
     grids are whole steps with the fine step below the coarse one, and the
-    feller schedule suits its ``gamma`` and ``metric`` (rho matches at most
-    RHO_MAX_POINTS particles)."""
+    feller schedule and functional suit its ``gamma`` and ``metric``."""
     gamma = p.get("gamma")
+    if p.get("functional") == "kernel" and gamma is not None and not gamma.is_simple:
+        errors.append("params.gamma: the kernel functional needs a simple configuration (every multiplicity 1)")
     if p.get("schedule") == "shift" and gamma is not None and not gamma.total_count:
         errors.append("params.gamma: the shift schedule needs at least one particle")
     if p.get("schedule") == "far-point" and p.get("metric") == "rho":
         errors.append("params.metric: rho is infinite once far-point adds a particle; use d1")
-    if p.get("metric") == "rho" and gamma is not None and gamma.total_count > metrics.RHO_MAX_POINTS:
-        errors.append(f"params.gamma: rho matching of {gamma.total_count} particles exceeds {metrics.RHO_MAX_POINTS}")
     for horizon, step in _TIME_GRIDS:
         if horizon in p and step in p:
             try:
@@ -333,8 +312,8 @@ def run_sample_poisson(p, seed, replicas, threads):
     mean, var = counts.mean(), counts.var(ddof=1)
     se_mean = counts.std(ddof=1) / math.sqrt(replicas)
     se_var = math.sqrt((lam + 2 * lam * lam) / replicas)
-    # the positions of at most 2000 replicas, so memory stays bounded when z*vol is large
-    _, pos = poisson_points(rng, min(replicas, 2000), win, dim)
+    # the positions of at most SAMPLE_POISSON_ROWS replicas, so memory stays bounded when z*vol is large
+    _, pos = poisson_points(rng, min(replicas, SAMPLE_POISSON_ROWS), win, dim)
     radii = np.sqrt(sq_dist(pos)) if len(pos) else np.array([0.0])
     mean_radius = float(radii.mean())
     expected_radius = win.radius * dim / (dim + 1.0)
@@ -355,25 +334,31 @@ def run_sample_poisson(p, seed, replicas, threads):
     return ExperimentResult(rows, {"lambda": lam}, gates)
 
 
+#: replicas whose positions sample-poisson holds, whatever the replica count
+SAMPLE_POISSON_ROWS = 2000
+#: largest expected number of float64 coordinates (128 MiB) in sample-poisson's positions
+SAMPLE_POISSON_MAX_POINTS = 1 << 24
 #: draws of the diffuse start, whatever the replica count
 DIFFUSE_DRAWS = 20000
 #: largest expected number of float64 coordinates (128 MiB) in the diffuse start tiled over its draws
 DIFFUSE_MAX_POINTS = 1 << 24
 #: largest expected number of float64 coordinates (128 MiB) in one invariance chunk's Poisson particles
 INVARIANCE_MAX_POINTS = 1 << 24
+#: largest expected number of float64 coordinates (128 MiB) in semigroup-exp's sampled gamma
+SEMIGROUP_GAMMA_MAX_POINTS = 1 << 24
 
 
-def _poisson_cap(what: str, cap: int, radius: str, fields: int, rows: int):
-    """Capacity rule refusing a run whose ``fields`` Poisson(z) fields on B(0, p[radius]) for each of
-    min(replicas, rows) replicas hold more than ``cap`` float64 coordinates in expectation."""
+def _poisson_cap(what: str, cap: int, radius: str, fields: int, rows: int, intensity: str = "intensity"):
+    """Capacity rule refusing a run whose ``fields`` Poisson(p[intensity]) fields on B(0, p[radius]) for
+    each of min(replicas, rows) replicas hold more than ``cap`` float64 coordinates in expectation."""
 
-    def check(p, replicas, errors):
+    def check(p, replicas):
         try:
-            held = fields * p["intensity"] * ball_volume(p["dim"], p[radius]) * p["dim"] * min(replicas, rows)
+            held = fields * p[intensity] * ball_volume(p["dim"], p[radius]) * p["dim"] * min(replicas, rows)
         except OverflowError:  # a ball too large for a float holds too many
             held = math.inf
         if held > cap:
-            errors.append(f"replicas: {what} holds about {held:.4g} coordinates at once, which exceeds {cap}")
+            raise CapacityError(f"{what} holds about {held:.4g} coordinates at once, which exceeds {cap}")
 
     return check
 
@@ -398,6 +383,13 @@ def run_diffuse(p, seed, replicas, threads):
         _row("displacement_variance", var, se_var, bound=2 * t, note="target 2t"),
     ]
     return ExperimentResult(rows, {"draws": n_draws}, [preserved, abs(var - 2 * t) <= 4 * se_var])
+
+
+def _sampled_gamma_cap(p, replicas):
+    """semigroup-exp's capacity rule: a null ``gamma`` is one Poisson field on B(0, gamma_radius)."""
+    if p["gamma"] is None:
+        _poisson_cap("semigroup-exp's sampled gamma", SEMIGROUP_GAMMA_MAX_POINTS, "gamma_radius", 1, 1,
+                     "gamma_intensity")(p, replicas)
 
 
 def run_semigroup_exp(p, seed, replicas, threads):
@@ -445,6 +437,7 @@ def run_invariance(p, seed, replicas, threads):
 
 _OUTERS = {"linear": outer_linear, "exp_neg_sum": outer_exp_neg_sum, "square": outer_square}
 _METRICS = {"rho": metrics.rho, "d1": metrics.d1}
+_METRIC_SIZES = {"rho": metrics.rho_size, "d1": metrics.flat_metric_size}
 
 
 def run_generator(p, seed, replicas, threads):
@@ -476,7 +469,7 @@ def run_generator(p, seed, replicas, threads):
 def _shift(gamma, j):
     pts = gamma.positions.copy()
     pts[0, 0] += 2.0**-j
-    return Configuration.from_points(gamma.dim, pts, None, gamma.window_radius + 1.0)
+    return Configuration.from_points(gamma.dim, pts, gamma.multiplicities, gamma.window_radius + 1.0)
 
 
 def _far_point(gamma, j):
@@ -484,7 +477,8 @@ def _far_point(gamma, j):
     extra = np.zeros((1, gamma.dim))
     extra[0, 0] = r
     pts = np.vstack([gamma.positions, extra])
-    return Configuration.from_points(gamma.dim, pts, None, max(gamma.window_radius, r) + 1.0)
+    return Configuration.from_points(gamma.dim, pts, np.append(gamma.multiplicities, 1),
+                                     max(gamma.window_radius, r) + 1.0)
 
 
 _FELLER_FUNCTIONALS = {
@@ -586,6 +580,13 @@ def run_permanent(p, seed, replicas, threads):
     return ExperimentResult(rows, {}, gates)
 
 
+def _path_cap(p, replicas):
+    """process's capacity rule: one replica's B_n paths from ``gamma`` (one particle when null) at each step."""
+    coords = p["dim"] * (1 if p["gamma"] is None else p["gamma"].total_count)
+    for step in ("dt", "dt_coarse"):
+        path_size(coords, _steps_for(p["t"], p[step]))
+
+
 def run_process(p, seed, replicas, threads):
     dim = p["dim"]
     d_stat, ks_p = marginal_ks(dim, p["t"], replicas, seed)
@@ -661,14 +662,15 @@ class Experiment:
     schema: dict[str, Field]
     run: Callable
     default_replicas: int
-    #: capacity(parsed params, replicas, errors) appends an error when a run would hold more than its cap
-    capacity: Callable | None = None
+    #: size caps as (key, check) pairs: ``check(parsed params, replicas)`` raises CapacityError where the run would
+    #: exceed a cap, mostly through the size function its route calls before allocating; cli reports "<key>: <message>"
+    capacity: tuple[tuple[str, Callable], ...] = ()
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _register(name, schema, run, default_replicas, capacity=None):
+def _register(name, schema, run, default_replicas, capacity=()):
     EXPERIMENTS[name] = Experiment(name, schema, run, default_replicas, capacity)
 
 
@@ -681,6 +683,8 @@ _register(
     },
     run_sample_poisson,
     20000,
+    (("replicas", _poisson_cap("sample-poisson's positions", SAMPLE_POISSON_MAX_POINTS, "radius", 1,
+                               SAMPLE_POISSON_ROWS)),),
 )
 _register(
     "diffuse",
@@ -692,7 +696,7 @@ _register(
     },
     run_diffuse,
     20000,
-    _poisson_cap("diffuse's tiled start", DIFFUSE_MAX_POINTS, "radius", 1, DIFFUSE_DRAWS),
+    (("replicas", _poisson_cap("diffuse's tiled start", DIFFUSE_MAX_POINTS, "radius", 1, DIFFUSE_DRAWS)),),
 )
 _register(
     "semigroup-exp",
@@ -706,6 +710,7 @@ _register(
     },
     run_semigroup_exp,
     100000,
+    (("params.gamma_radius", _sampled_gamma_cap),),
 )
 _register(
     "invariance",
@@ -721,7 +726,7 @@ _register(
     run_invariance,
     100000,
     # a replica holds the particles in B(0, inner_radius) before the step and those in it after the step
-    _poisson_cap("an invariance chunk", INVARIANCE_MAX_POINTS, "inner_radius", 2, DEFAULT_CHUNK),
+    (("replicas", _poisson_cap("an invariance chunk", INVARIANCE_MAX_POINTS, "inner_radius", 2, DEFAULT_CHUNK)),),
 )
 _register(
     "generator",
@@ -749,28 +754,33 @@ _register(
     },
     run_feller,
     20000,
+    # the metric's size between gamma and its first perturbation: a shift moves the same site at every level
+    # and far-point adds one particle
+    (("params.gamma",
+      lambda p, replicas: _METRIC_SIZES[p["metric"]](p["gamma"], _SCHEDULES[p["schedule"]](p["gamma"], 1))),),
 )
 _register(
     "rho",
     {
         "g1": Field("dict", parse=_configuration),
-        "g2": Field("dict", parse=_second_configuration(_matched_count, metrics.RHO_MAX_POINTS, "rho matching")),
+        "g2": Field("dict", parse=_configuration),
     },
     run_rho,
     2,
+    (("params.g2", lambda p, replicas: metrics.rho_size(p["g1"], p["g2"])),),
 )
 _register(
     "flat-metric",
     {
         "g1": Field("dict", parse=_configuration),
-        "g2": Field("dict", parse=_second_configuration(metrics.flat_metric_size, metrics.FLAT_METRIC_MAX_SUPPORT,
-                                                        "flat-metric support")),
+        "g2": Field("dict", parse=_configuration),
         "i": Field("int", 5, parse=_positive),
         "sum_scales": Field("bool", False),
         "i_max": Field("int", 20, parse=_positive),
     },
     run_flat_metric,
     2,
+    (("params.g2", lambda p, replicas: metrics.flat_metric_size(p["g1"], p["g2"])),),
 )
 _register(
     "ktransform",
@@ -792,6 +802,7 @@ _register(
     },
     run_correlation,
     2,
+    (("params.theta", lambda p, replicas: permanent_work(p["gamma"].total_count, len(p["theta"]))),),
 )
 _register(
     "permanent",
@@ -802,6 +813,7 @@ _register(
     },
     run_permanent,
     2,
+    (("params.theta", lambda p, replicas: permanent_work(len(p["eta"]), len(p["theta"]))),),
 )
 _register(
     "process",
@@ -816,6 +828,7 @@ _register(
     },
     run_process,
     10000,
+    (("params.dt", _path_cap),),
 )
 _register(
     "oscillation",

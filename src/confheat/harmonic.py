@@ -304,6 +304,16 @@ def star_kernel(G1: KernelFunction, G2: KernelFunction) -> KernelFunction:
 # permanents and correlation functions
 
 
+def permanent_work(rows: int, n: int) -> int:
+    """Multiply-adds ``permanent`` spends on ``rows`` nonzero rows and n columns,
+    0 when rows < n (the permanent is 0) or n = 0; CapacityError above PERMANENT_CAPACITY_WORK."""
+    work = rows * n * 2 ** (n - 1) if rows >= n > 0 else 0
+    if work > PERMANENT_CAPACITY_WORK:
+        raise CapacityError(f"permanent of {rows} nonzero rows and {n} columns exceeds "
+                            f"{PERMANENT_CAPACITY_WORK} multiply-adds")
+    return work
+
+
 def permanent(matrix: np.ndarray) -> float:
     """Permanent of an r x n matrix: the sum over injective row choices
     (i_1..i_n) of prod_k M[i_k, k]; the ordinary permanent when r = n, and
@@ -325,11 +335,8 @@ def permanent(matrix: np.ndarray) -> float:
         raise ValueError("matrix must be 2-d")
     m = m[np.any(m != 0.0, axis=1)]
     rows, n = m.shape
-    if rows < n:
-        return 0.0
-    if rows * n * 2 ** (n - 1) > PERMANENT_CAPACITY_WORK:
-        raise CapacityError(f"permanent of {rows} nonzero rows and {n} columns exceeds "
-                            f"{PERMANENT_CAPACITY_WORK} multiply-adds")
+    if not permanent_work(rows, n):  # no work: 0 when rows < n, the empty product 1 when n = 0
+        return float(n == 0)
     dp = np.zeros(1 << n)
     dp[0] = 1.0
     for row in m:

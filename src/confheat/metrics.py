@@ -64,7 +64,8 @@ def b_n(gamma: Configuration | np.ndarray, n: int, axis: int = 0):
     return np.exp(-np.sqrt(sq_dist(gamma)) / n).sum(axis=axis)
 
 
-def _weighted_support(g1: Configuration, g2: Configuration):
+def _weighted_support(g1: Configuration, g2: Configuration, cap: float = math.inf):
+    """Distinct points of g1 - g2 and their nonzero signed weights; CapacityError past ``cap`` unit particles."""
     if g1.dim != g2.dim:
         raise ValueError("configurations must share a dimension")
     a, b = as_multiset(g1), as_multiset(g2)
@@ -77,15 +78,18 @@ def _weighted_support(g1: Configuration, g2: Configuration):
             weights[key] = (p, w)
     pts = [p for p, w in weights.values() if w != 0]
     wts = [w for _, w in weights.values() if w != 0]
+    size = sum(map(abs, wts))
+    if size > cap:
+        raise CapacityError(f"flat-metric support of {size} particles exceeds {cap}")
     if not pts:
         return np.zeros((0, g1.dim)), np.zeros(0)
     return np.array(pts), np.array(wts, dtype=float)
 
 
 def flat_metric_size(g1: Configuration, g2: Configuration) -> int:
-    """Unit particles, with multiplicity, in the signed support of g1 - g2: the
-    count flat_metric holds to FLAT_METRIC_MAX_SUPPORT."""
-    return int(np.abs(_weighted_support(g1, g2)[1]).sum())
+    """Unit particles, with multiplicity, in the signed support of g1 - g2, the
+    count flat_metric holds; CapacityError above FLAT_METRIC_MAX_SUPPORT."""
+    return int(np.abs(_weighted_support(g1, g2, FLAT_METRIC_MAX_SUPPORT)[1]).sum())
 
 
 def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
@@ -105,13 +109,11 @@ def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
     from scipy.optimize import linear_sum_assignment
     if i < 1:
         raise ValueError("scale index i must be a positive integer")
-    pts, w = _weighted_support(g1, g2)
+    pts, w = _weighted_support(g1, g2, FLAT_METRIC_MAX_SUPPORT)
     counts = np.abs(w).astype(np.int64)
     size = int(counts.sum())
     if size == 0:
         return 0.0
-    if size > FLAT_METRIC_MAX_SUPPORT:
-        raise CapacityError(f"flat-metric support of {size} particles exceeds {FLAT_METRIC_MAX_SUPPORT}")
     caps = np.maximum(0.0, i - np.sqrt(sq_dist(pts)))
     pos, neg = w > 0, w < 0
     x = np.repeat(pts[pos], counts[pos], axis=0)
@@ -157,6 +159,16 @@ def d_infty(g1: Configuration, g2: Configuration, i_max: int = 20, n_max: int = 
     return MetricValue(total, base.truncation_error + 2.0**-n_max)
 
 
+def rho_size(g1: Configuration, g2: Configuration) -> int:
+    """Particles rho matches, with multiplicity (0 when the counts differ: rho is inf); capped at RHO_MAX_POINTS."""
+    if g1.dim != g2.dim:
+        raise ValueError("configurations must share a dimension")
+    n = g1.total_count if g1.total_count == g2.total_count else 0
+    if n > RHO_MAX_POINTS:
+        raise CapacityError(f"rho matching of {n} particles exceeds {RHO_MAX_POINTS}")
+    return n
+
+
 def rho(g1: Configuration, g2: Configuration) -> float:
     """L2 matching distance: min over particle bijections of the l2 displacement.
 
@@ -165,15 +177,8 @@ def rho(g1: Configuration, g2: Configuration) -> float:
     CapacityError before anything is allocated.
     """
     from scipy.optimize import linear_sum_assignment
-    if g1.dim != g2.dim:
-        raise ValueError("configurations must share a dimension")
-    n = g1.total_count
-    if n != g2.total_count:
-        return math.inf
-    if n == 0:
-        return 0.0
-    if n > RHO_MAX_POINTS:
-        raise CapacityError(f"rho matching of {n} particles exceeds {RHO_MAX_POINTS}")
+    if rho_size(g1, g2) == 0:  # both empty, or unequal counts
+        return 0.0 if g1.total_count == g2.total_count else math.inf
     x = g1.expand()
     y = g2.expand()
     cost = sq_dist(x[:, None, :], y[None, :, :])

@@ -58,6 +58,13 @@ def _steps_for(horizon: float, dt: float) -> int:
     return steps
 
 
+def path_size(coords: int, steps: int) -> int:
+    """Coordinates of one replica's ``_path_blocks`` paths from ``coords`` start coordinates, at most PATH_CAPACITY."""
+    if coords * (steps + 1) > PATH_CAPACITY:
+        raise CapacityError("path array exceeds capacity")
+    return coords * (steps + 1)
+
+
 def _increment_blocks(rng, n: int, dim: int, steps: int, dt: float, replicas: int):
     """Gaussian steps of ``replicas`` replicas of n Brownian paths in R^dim on the
     grid 0, dt, ..., steps * dt, in consecutive blocks.
@@ -92,8 +99,7 @@ def _path_blocks(rng, start: np.ndarray, steps: int, dt: float, replicas: int):
     replicas offset .. offset + b - 1, in one reused buffer like the steps.
     """
     n, dim = start.shape
-    if start.size * (steps + 1) > PATH_CAPACITY:
-        raise CapacityError("path array exceeds capacity")
+    path_size(start.size, steps)
     paths = None
     nonzero_start = bool(np.any(start))  # adding a zero start would change no value but the sign of a zero
     for offset, inc in _increment_blocks(rng, n, dim, steps, dt, replicas):

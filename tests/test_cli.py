@@ -302,38 +302,77 @@ def test_flat_metric_config_missing_window_radius_is_exit_2(tmp_path, capsys):
 
 
 def test_metric_configs_above_capacity_are_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
-    # a rho pair above RHO_MAX_POINTS, a flat-metric support above FLAT_METRIC_MAX_SUPPORT and a feller
-    # gamma that rho would match above the cap are refused by validate, so run never builds a cost matrix
-    # (an unbounded rho matrix once ran out of memory and left with exit 1)
+    # a rho pair above RHO_MAX_POINTS, a flat-metric support above FLAT_METRIC_MAX_SUPPORT, a feller gamma whose
+    # first perturbation its metric would refuse, a permanent or correlation above PERMANENT_CAPACITY_WORK and
+    # process paths above PATH_CAPACITY are refused by validate, so run never enters the route (an unbounded rho
+    # matrix once ran out of memory and left with exit 1)
+    import confheat.experiments
     import confheat.metrics
+    import confheat.process
 
     monkeypatch.setattr(confheat.metrics, "sq_dist", lambda *args: pytest.fail("sq_dist called"))
+    for route in ("permanent_kernel", "correlation_function", "marginal_ks", "bn_refinement_medians"):
+        monkeypatch.setattr(confheat.experiments, route, lambda *a, route=route: pytest.fail(f"{route} called"))
+    # one replica's paths from 3 particles over 100 steps hold 3 * 101 coordinates
+    monkeypatch.setattr(confheat.process, "PATH_CAPACITY", 3 * 101)
 
     def site(x, m):
         return {"dim": 1, "window_radius": 5.0, "points": [[[x], m]]}
 
-    feller = shipped("feller", tmp_path)["params"]
+    def line(n):
+        return [[0.1 * k] for k in range(n)]
+
+    def simple(n):
+        return {"dim": 1, "window_radius": 5.0, "points": [[[0.1 * k], 1] for k in range(n)]}
+
+    feller = {**shipped("feller", tmp_path)["params"], "functional": "exponential",
+              "phi": {"family": "gaussian_bump", "amp": -0.6, "width": 1.0}}
+    process = {"dim": 1, "t": 1.0, "dt": 0.01, "dt_coarse": 0.1}
     cases = [
         ("rho", {"g1": site(0.0, 4097), "g2": site(1.0, 4097)},
          "params.g2: rho matching of 4097 particles exceeds 4096"),
         ("flat-metric", {"g1": site(0.0, 1001), "g2": site(1.0, 1000)},
          "params.g2: flat-metric support of 2001 particles exceeds 2000"),
         ("feller", {**feller, "gamma": site(0.0, 4097)}, "params.gamma: rho matching of 4097 particles exceeds 4096"),
+        # the shift moves all 1001 particles of the site, so the support holds 2002
+        ("feller", {**feller, "gamma": site(0.0, 1001), "metric": "d1"},
+         "params.gamma: flat-metric support of 2002 particles exceeds 2000"),
+        ("permanent", {"eta": line(25), "theta": line(25), "t": 0.5},
+         "params.theta: permanent of 25 nonzero rows and 25 columns exceeds 4831838208 multiply-adds"),
+        ("permanent", {"eta": line(30), "theta": line(30), "t": 0.5},
+         "params.theta: permanent of 30 nonzero rows and 30 columns exceeds 4831838208 multiply-adds"),
+        ("correlation", {"gamma": simple(40), "theta": line(26), "t": 0.5},
+         "params.theta: permanent of 40 nonzero rows and 26 columns exceeds 4831838208 multiply-adds"),
+        ("process", {**process, "gamma": simple(4)}, "params.dt: path array exceeds capacity"),
+        ("process", {**process, "dim": 3, "gamma": None, "dt": 0.005}, "params.dt: path array exceeds capacity"),
     ]
     for experiment, params, message in cases:
-        cfg = write_config(tmp_path, {"experiment": experiment, "output": str(tmp_path / "r"), "params": params})
+        doc = {"experiment": experiment, "output": str(tmp_path / "r"), "params": params}
+        cfg = write_config(tmp_path, doc)
         assert main(["validate", cfg]) == 2
         assert main(["run", cfg]) == 2
+        # a runner that meets the same document unvalidated refuses it too
+        code, summary = run_experiment(doc)
+        assert code == 2 and message in summary["error"]
         err = capsys.readouterr().err
-        assert err.count(message) == 2 and "Traceback" not in err
+        assert err.count(message) == 3 and "Traceback" not in err, (experiment, err)
         assert not (tmp_path / "r.json").exists()
-    # at the caps, across unequal rho counts (inf, with no matching) and with feller's d1 the configs validate
+    # at the caps, across unequal rho counts (inf, with no matching), with feller's d1, with fewer gamma points
+    # than marks (a correlation of 0, with no work) and with a null process gamma (one particle) the configs
+    # validate
     at_caps = [
         ("rho", {"g1": site(0.0, 4096), "g2": site(1.0, 4096)}),
         ("rho", {"g1": site(0.0, 5000), "g2": site(1.0, 4999)}),
         ("flat-metric", {"g1": site(0.0, 1000), "g2": site(1.0, 1000)}),
         ("flat-metric", {"g1": site(0.0, 3000), "g2": site(0.0, 2000)}),
-        ("feller", {**feller, "gamma": site(0.0, 4097), "metric": "d1"}),
+        ("feller", {**feller, "gamma": site(0.0, 4096)}),
+        ("feller", {**feller, "gamma": site(0.0, 1000), "metric": "d1"}),
+        ("feller", {**feller, "gamma": site(0.0, 4097), "metric": "d1", "schedule": "far-point"}),
+        ("permanent", {"eta": line(24), "theta": line(24), "t": 0.5}),
+        ("correlation", {"gamma": simple(24), "theta": line(24), "t": 0.5}),
+        ("correlation", {"gamma": simple(3), "theta": line(40), "t": 0.5}),
+        ("process", {**process, "gamma": simple(3)}),
+        ("process", {**process, "dim": 3, "gamma": None}),
     ]
     for experiment, params in at_caps:
         config, errors = validate_config(json.dumps({"experiment": experiment, "params": params}))
@@ -341,21 +380,27 @@ def test_metric_configs_above_capacity_are_exit_2_before_the_run(tmp_path, capsy
 
 
 def test_monte_carlo_configs_above_capacity_are_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
-    # invariance holds one chunk's Poisson particles (2 z |B| d per replica, 4096 replicas) and diffuse tiles its
-    # Poisson start (z |B| d per draw, 20 000 draws) at once; validate refuses both above 2^24 coordinates, so
-    # run never samples
+    # invariance holds one chunk's Poisson particles (2 z |B| d per replica, 4096 replicas), diffuse tiles its
+    # Poisson start (z |B| d per draw, 20 000 draws), sample-poisson holds the positions of up to 2000 replicas
+    # (z |B| d each) and semigroup-exp with a null gamma samples it (z |B| d once) at once; validate refuses each
+    # above 2^24 coordinates, so run never samples
     import confheat.experiments
 
     monkeypatch.setattr(confheat.experiments, "invariance_test", lambda *a, **k: pytest.fail("invariance sampled"))
     monkeypatch.setattr(confheat.experiments, "sample_poisson", lambda *a: pytest.fail("diffuse sampled"))
+    monkeypatch.setattr(confheat.experiments, "poisson_points", lambda *a: pytest.fail("positions sampled"))
     invariance, diffuse = shipped("invariance", tmp_path), shipped("diffuse", tmp_path)
+    semigroup = {**shipped("semigroup_exp", tmp_path)["params"], "gamma": None}
     cap = 1 << 24
     assert confheat.experiments.INVARIANCE_MAX_POINTS == confheat.experiments.DIFFUSE_MAX_POINTS == cap
+    assert confheat.experiments.SAMPLE_POISSON_MAX_POINTS == confheat.experiments.SEMIGROUP_GAMMA_MAX_POINTS == cap
     # d = 1 and radius 1 (|B| = 2): intensity z holds 2 z 2 4096 = 16384 z coordinates in an invariance chunk;
-    # d = 1 and radius 2 (|B| = 4): it holds 80 000 z in the diffuse start
-    z_inv, z_dif = cap / 16384, cap / 80_000
+    # d = 1 and radius 2 (|B| = 4): it holds 80 000 z in the diffuse start, 8000 z in sample-poisson's positions
+    # and 4 z in semigroup-exp's gamma
+    z_inv, z_dif, z_sp, z_se = cap / 16384, cap / 80_000, cap / 8000, cap / 4
     inv = {**invariance["params"], "dim": 1, "inner_radius": 1.0}
     dif = {**diffuse["params"], "dim": 1, "radius": 2.0}
+    sp = {"dim": 1, "radius": 2.0}
     cases = [
         ("invariance", {**inv, "intensity": 1.001 * z_inv}, None),
         ("invariance", {**invariance["params"], "intensity": 2000.0}, None),
@@ -363,6 +408,12 @@ def test_monte_carlo_configs_above_capacity_are_exit_2_before_the_run(tmp_path, 
         ("diffuse", {**dif, "intensity": 1.001 * z_dif}, 20000),
         ("diffuse", {**dif, "intensity": 1.001 * z_dif}, 10**9),
         ("diffuse", {**dif, "radius": 1e300, "dim": 2}, None),
+        ("sample-poisson", {**sp, "intensity": 1.001 * z_sp}, 2000),
+        ("sample-poisson", {**sp, "intensity": 1.001 * z_sp}, 10**9),
+        ("sample-poisson", {"dim": 2, "radius": 1000.0, "intensity": 1.0}, None),
+        ("semigroup-exp", {**semigroup, "gamma_radius": 2.0, "gamma_intensity": 1.001 * z_se}, None),
+        ("semigroup-exp", {**semigroup, "dim": 3, "phi": {**semigroup["phi"], "center": [0.0] * 3},
+                           "gamma_radius": 1000.0}, None),
     ]
     for experiment, params, replicas in cases:
         doc = {"experiment": experiment, "output": str(tmp_path / "r"), "params": params}
@@ -383,6 +434,12 @@ def test_monte_carlo_configs_above_capacity_are_exit_2_before_the_run(tmp_path, 
         ("invariance", {**inv, "intensity": 1.5 * z_inv}, 2048),
         ("diffuse", {**dif, "intensity": 0.999 * z_dif}, 20000),
         ("diffuse", {**dif, "intensity": 1.5 * z_dif}, 10000),
+        ("sample-poisson", {**sp, "intensity": 0.999 * z_sp}, 20000),
+        ("sample-poisson", {**sp, "intensity": 1.5 * z_sp}, 1000),
+        ("semigroup-exp", {**semigroup, "gamma_radius": 2.0, "gamma_intensity": 0.999 * z_se}, 10**9),
+        # an explicit gamma samples nothing, whatever the window it would be sampled on
+        ("semigroup-exp", {**shipped("semigroup_exp", tmp_path)["params"], "gamma_radius": 1000.0,
+                           "gamma_intensity": 1e6}, 100_000),
     ]
     for experiment, params, replicas in below:
         config, errors = validate_config(json.dumps({"experiment": experiment, "replicas": replicas,
@@ -483,6 +540,7 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
         ("process", _set("dt", 10**400), "params.dt"),
         ("collision", _set("starts", [[0.0, math.inf], [0.5, 0.0]]), "params.starts"),
         ("permanent", lambda doc: doc["params"]["eta"][0].__setitem__(0, math.nan), "params.eta"),
+        ("feller", _set("gamma", GAMMA_DOUBLE_SITE), "params.gamma"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
@@ -498,7 +556,7 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
          "process-coarse-below-fine", "generator-zero-bumps", "feller-zero-amp", "feller-zero-constant",
          "collision-1d-three-starts", "oscillation-substeps-over-cap", "collision-2d-three-starts",
          "collision-3d-three-starts", "process-dt-subnormal", "process-dt-past-float-range",
-         "collision-starts-inf", "permanent-eta-nan"],
+         "collision-starts-inf", "permanent-eta-nan", "feller-kernel-double-site"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)
@@ -568,6 +626,39 @@ def test_certifiable_tail_tau_t_validates_and_runs(tmp_path):
     assert main(["run", cfg]) == 0
     rows = json.loads((tmp_path / "tail_tau.json").read_text())["results"]
     assert rows[-1]["measurement"] == "c3_worst_ratio"
+
+
+def test_run_parses_its_config_once(tmp_path, monkeypatch):
+    # one run of tail_tau checks its params and fits its certificate once, with the overrides applied
+    import confheat.cli
+    import confheat.experiments
+
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
+
+    counted(confheat.cli, "validate_params")
+    counted(confheat.experiments, "fit_condition_certificate")
+    argv = ["run", str(CONFIG_DIR / "tail_tau.json"), "--out", str(tmp_path / "t"), "--set", "replicas=1000"]
+    assert main(argv) == 0
+    assert sorted(calls) == ["fit_condition_certificate", "validate_params"]
+    assert json.loads((tmp_path / "t.json").read_text())["config"]["replicas"] == 1000
+
+
+@pytest.mark.parametrize("metric", ["rho", "d1"])
+def test_feller_schedule_keeps_multiplicities(tmp_path, metric):
+    # gamma = {0.0 x2, 1.5}: the shift moves both particles of the first site, so every perturbation holds
+    # 3 particles; dropping the multiplicity once made the rho schedule non-monotone (exit 2) and the d1 gaps
+    # level off at 0.185 (a false fail)
+    doc = shipped("feller", tmp_path)
+    doc["params"].update(functional="exponential", gamma=GAMMA_DOUBLE_SITE, metric=metric,
+                         phi={"family": "gaussian_bump", "amp": -0.6, "width": 1.0})
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 0
+    assert json.loads((tmp_path / "feller.json").read_text())["verdict"] == "pass"
 
 
 def test_semigroup_exp_tiny_amplitude_passes(tmp_path):
