@@ -23,7 +23,6 @@ from .points import (
 from .metrics import MetricValue, b_n, d1, d_infty, d_k, flat_metric, rho, rho_bruteforce
 from .harmonic import (
     DClassCertificate,
-    IntegralSpec,
     KernelFunction,
     correlation_function,
     correlation_product_bound,

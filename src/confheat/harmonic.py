@@ -25,7 +25,8 @@ from .rng import TAG_INTEGRAL, substream
 from .special import exp_radial_integral, ball_volume, sq_dist
 
 SUBSET_CAPACITY = 2**30
-PARTITION_CAPACITY_POINTS = 12
+#: points of the largest star convolution: 2^(n+1) kernel calls and two tables of 2^n floats (8 MiB at 19)
+STAR_CAPACITY_POINTS = 19
 #: multiply-adds of the largest permanent: 24 x 24, the old 24-column cap
 PERMANENT_CAPACITY_WORK = 24 * 24 * 2**23
 INVERSE_CAPACITY_POINTS = 25
@@ -249,6 +250,13 @@ def k_transform_product_batch(G: KernelFunction, positions: np.ndarray) -> np.nd
     return out
 
 
+def _subsets(pts: np.ndarray):
+    """The sub-configurations eta_S of the rows of ``pts`` in bit-mask order: row i is in S when bit i of S is set."""
+    n = pts.shape[0]
+    for mask in range(1 << n):
+        yield pts[[i for i in range(n) if mask >> i & 1]]
+
+
 def inverse_k_transform(F, eta) -> float:
     """(K^-1 F)(eta) = sum over theta subset eta of (-1)^(|eta - theta|) F(theta).
 
@@ -259,28 +267,32 @@ def inverse_k_transform(F, eta) -> float:
     if n > INVERSE_CAPACITY_POINTS:
         raise CapacityError(f"inverse K-transform limited to {INVERSE_CAPACITY_POINTS} points")
     total = 0.0
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        sign = -1.0 if (n - len(idx)) % 2 else 1.0
-        total += sign * float(F(pts[idx]))
+    for mask, sub in enumerate(_subsets(pts)):
+        sign = -1.0 if (n - mask.bit_count()) % 2 else 1.0
+        total += sign * float(F(sub))
     return total
 
 
 def star_convolution(G1: KernelFunction, G2: KernelFunction, eta) -> float:
     """Star-convolution value: sum over ordered 3-partitions (a, b, c) of eta of
-    G1(a u b) * G2(b u c)."""
+    G1(a u b) * G2(b u c).
+
+    The pairs S = a u b, T = b u c with S u T = eta are the partitions, so this
+    is sum_S G1(eta_S) * h(eta - S), h(U) the sum of G2(eta_T) over T containing
+    U: 2^n calls per kernel, and n passes over G2's table that only add.
+    """
     pts = _positions_of(eta)
     n = pts.shape[0]
-    if n > PARTITION_CAPACITY_POINTS:
-        raise CapacityError(f"3-partition enumeration limited to {PARTITION_CAPACITY_POINTS} points")
-    if n == 0:
-        return G1.value_at_empty * G2.value_at_empty
-    total = 0.0
-    for assignment in itertools.product((0, 1, 2), repeat=n):
-        left = [i for i, a in enumerate(assignment) if a != 2]
-        right = [i for i, a in enumerate(assignment) if a != 0]
-        total += G1.value(pts[left]) * G2.value(pts[right])
-    return total
+    if n > STAR_CAPACITY_POINTS:
+        raise CapacityError(f"star convolution limited to {STAR_CAPACITY_POINTS} points")
+    g1, h = np.empty(1 << n), np.empty(1 << n)
+    for mask, sub in enumerate(_subsets(pts)):
+        g1[mask], h[mask] = G1.value(sub), G2.value(sub)
+    for j in range(n):
+        # axis 1 of the reshape is bit j: [:, 0] are the subsets without j, [:, 1] the same with it
+        v = h.reshape(-1, 2, 1 << j)
+        v[:, 0] += v[:, 1]
+    return float(g1 @ h[::-1])  # the complement of mask S is 2^n - 1 - S
 
 
 def star_kernel(G1: KernelFunction, G2: KernelFunction) -> KernelFunction:
@@ -348,15 +360,14 @@ def permanent(matrix: np.ndarray) -> float:
 
 
 def permanent_bruteforce(matrix: np.ndarray) -> float:
-    """Naive n!-sum permanent of a square matrix; independent oracle for ``permanent``."""
+    """Sum over injective row choices (i_1..i_n) of prod_k M[i_k, k], term by
+    term in permutation order: the n!-loop oracle for ``permanent``."""
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    if n == 0:
-        return 1.0
-    if n > 10:
-        raise CapacityError("brute-force permanent limited to 10 points")
-    rows = np.arange(n)
-    return float(sum(np.prod(m[rows, perm]) for perm in itertools.permutations(range(n))))
+    rows, n = m.shape
+    if math.perm(rows, n) > math.factorial(10):
+        raise CapacityError("brute-force permanent limited to 10! terms")
+    cols = np.arange(n)
+    return float(sum(np.prod(m[list(perm), cols]) for perm in itertools.permutations(range(rows), n)))
 
 
 def _heat_matrix(points_x: np.ndarray, points_y: np.ndarray, dim: int, t: float) -> np.ndarray:
@@ -398,16 +409,9 @@ def _rectangular_injective_sum(m: np.ndarray) -> float:
     return total if n % 2 == 0 else -total
 
 
-def _enumerated_injective_sum(m: np.ndarray) -> float:
-    """The same sum term by term over all injective tuples; an oracle for ``permanent``."""
-    rows, n = m.shape
-    cols = np.arange(n)
-    return float(sum(np.prod(m[list(perm), cols]) for perm in itertools.permutations(range(rows), n)))
-
-
 _CORRELATION_ROUTES = {
     "auto": permanent,
-    "enumerate": _enumerated_injective_sum,
+    "enumerate": permanent_bruteforce,
     "inclusion_exclusion": _rectangular_injective_sum,
 }
 
@@ -448,14 +452,10 @@ def correlation_product_bound(gamma: Configuration, theta, t: float) -> float:
 # Lebesgue-Poisson integration
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
-    """Quadrature / Monte Carlo controls for Lebesgue-Poisson integration."""
-
-    nodes_per_axis: int = 24
-    mc_samples: int = 20000
-    seed: int = 0
-    quad_budget: int = 300_000
+#: Gauss-Legendre nodes per axis of the coarse ball rule; the fine rule has 8 more
+_QUAD_NODES_PER_AXIS = 24
+#: largest tensor grid (nodes^order) on which a generic level is integrated; Monte Carlo above it
+_QUAD_BUDGET = 300_000
 
 
 @dataclass(frozen=True)
@@ -499,8 +499,8 @@ def _ball_nodes(dim: int, radius: float, n_axis: int):
     raise CapabilityError("ball quadrature implemented for d in {1, 2, 3}")
 
 
-def _tensor_quadrature(level, nodes, weights, order, budget):
-    if len(nodes) ** order > budget:
+def _tensor_quadrature(level, nodes, weights, order):
+    if len(nodes) ** order > _QUAD_BUDGET:
         return None
     total = 0.0
     # canonical sorting keeps the structural symmetrization consistent with
@@ -515,7 +515,7 @@ def lebesgue_poisson_integral(
     G: KernelFunction,
     window: Window,
     n_max: int,
-    spec: IntegralSpec = IntegralSpec(),
+    mc_samples: int = 20000,
 ) -> LebesguePoissonResult:
     """Integral of G against the Lebesgue-Poisson measure with intensity
     z * Lebesgue restricted to B(0, R): G(empty) + sum_n (1/n!) * int G^(n) d sigma^n.
@@ -531,9 +531,9 @@ def lebesgue_poisson_integral(
     per_order = [G.value_at_empty]
     error = 0.0
 
-    nodes, weights = _ball_nodes(G.dim, radius, spec.nodes_per_axis)
-    nodes_f, weights_f = _ball_nodes(G.dim, radius, spec.nodes_per_axis + 8)
-    rng = substream(spec.seed, TAG_INTEGRAL)
+    nodes, weights = _ball_nodes(G.dim, radius, _QUAD_NODES_PER_AXIS)
+    nodes_f, weights_f = _ball_nodes(G.dim, radius, _QUAD_NODES_PER_AXIS + 8)
+    rng = substream(0, TAG_INTEGRAL)
 
     for order in range(1, min(n_max, G.max_order) + 1):
         if order not in G.levels:
@@ -550,8 +550,8 @@ def lebesgue_poisson_integral(
             error += abs(term - term_c)
             continue
         if order <= 3:
-            coarse = _tensor_quadrature(level, nodes, weights, order, spec.quad_budget)
-            fine = _tensor_quadrature(level, nodes_f, weights_f, order, spec.quad_budget)
+            coarse = _tensor_quadrature(level, nodes, weights, order)
+            fine = _tensor_quadrature(level, nodes_f, weights_f, order)
             if coarse is not None and fine is not None:
                 term = z**order * fine / math.factorial(order)
                 per_order.append(term)
@@ -562,11 +562,11 @@ def lebesgue_poisson_integral(
         draws = np.array(
             [
                 level(_canonical_rows(uniform_ball(rng, order, G.dim, radius)))
-                for _ in range(spec.mc_samples)
+                for _ in range(mc_samples)
             ]
         )
         mean = float(draws.mean())
-        se = float(draws.std(ddof=1) / math.sqrt(spec.mc_samples)) if spec.mc_samples > 1 else math.inf
+        se = float(draws.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else math.inf
         factor = (z * vol) ** order / math.factorial(order)
         per_order.append(factor * mean)
         error += factor * se
@@ -594,11 +594,11 @@ def lebesgue_poisson_integral(
 # transfer identity right-hand side (independent quadrature route)
 
 
-def transfer_expectation(G: KernelFunction, gamma: Configuration, t: float, nodes_per_axis: int = 48) -> float:
+def transfer_expectation(G: KernelFunction, gamma: Configuration, t: float) -> float:
     """Expectation of KG under the one-step heat flow from gamma, via the
     correlation-measure side: sum_n (1/n!) int G^(n) k_t^(n) dm^n.
 
-    Independent of the closed-form convolution route: uses Gauss-Legendre
+    Independent of the closed-form convolution route: uses 48-node Gauss-Legendre
     quadrature of the per-point integrals q_i = int phi(y) p_t(x_i, y) dy over
     the profile's support box; level n adds coeffs[n] * e_n(q), the elementary
     symmetric polynomial, for product kernels of any order.
@@ -615,7 +615,7 @@ def transfer_expectation(G: KernelFunction, gamma: Configuration, t: float, node
         axes = []
         wts = []
         for k in range(G.dim):
-            u, w = np.polynomial.legendre.leggauss(nodes_per_axis)
+            u, w = np.polynomial.legendre.leggauss(48)
             mid, half = (hi[k] + lo[k]) / 2.0, (hi[k] - lo[k]) / 2.0
             axes.append(mid + half * u)
             wts.append(half * w)
@@ -631,22 +631,17 @@ def transfer_expectation(G: KernelFunction, gamma: Configuration, t: float, node
     return total
 
 
-def verify_d_class(
-    G: KernelFunction,
-    cert: DClassCertificate,
-    seed: int = 0,
-    samples_per_order: int = 200,
-    radius: float = 8.0,
-) -> tuple[bool, float]:
-    """Spot-check |G^(n)| <= C^n exp(-(1+eps) sum |x_k|) on sampled point tuples.
+def verify_d_class(G: KernelFunction, cert: DClassCertificate, seed: int = 0) -> tuple[bool, float]:
+    """Spot-check |G^(n)| <= C^n exp(-(1+eps) sum |x_k|) on 200 uniform point
+    tuples per order in B(0, 8).
 
     Returns (passed, worst_ratio).
     """
     rng = substream(seed, TAG_INTEGRAL, 777)
     worst = 0.0
     for order in G.level_orders():
-        for _ in range(samples_per_order):
-            pts = uniform_ball(rng, order, G.dim, radius)
+        for _ in range(200):
+            pts = uniform_ball(rng, order, G.dim, 8.0)
             val = abs(G.value(pts))
             bound = cert.c**order * math.exp(-(1.0 + cert.eps) * float(np.sqrt(sq_dist(pts)).sum()))
             if val > 0.0:

@@ -201,21 +201,17 @@ def verify_dominating_bound(params: HeatKernelParams, grid, cert: BoundCertifica
 def fit_condition_certificate(
     params: HeatKernelParams,
     eps_t: float = 0.5,
-    theta_t: float | None = None,
     tail_delta: float = 0.25,
     margin: float = 1.1,
-    r_step: float = 0.01,
 ) -> BoundCertificate:
-    """Certificate constants: C_t in closed form, the tail C by a grid over r, both times ``margin``.
+    """Certificate constants: C_t in closed form on the window (t/2, 3t/2), the
+    tail C by a grid over r in steps of 0.01, both times ``margin``.
 
     For 0 < eps < 1, r^(1+eps) - r^2/(4s) peaks at r*(s) = (2s(1+eps))^(1/(1-eps)),
     so log sup_r p(s, r) e^(r^(1+eps)) = h(s) = -(d/2) log(4 pi s) + ((1-eps)/2) r*^(1+eps).
     h is convex in s, so its supremum over the window is at an edge.
     """
-    if theta_t is None:
-        theta_t = params.t / 2.0
-    if not (0 < theta_t < params.t):
-        raise ValueError("theta_t must lie in (0, t)")
+    theta_t = params.t / 2.0
     if not (0 < eps_t < 1):
         raise ValueError(f"eps_t must lie in (0, 1), got {eps_t!r}")
 
@@ -228,9 +224,9 @@ def fit_condition_certificate(
     except OverflowError:
         raise ValueError(
             f"dominating constant overflows for t={params.t:g}, eps_t={eps_t:g}; "
-            "use a smaller time window or a smaller exponent"
+            "use a smaller t or a smaller exponent"
         ) from None
-    tail_grid = np.arange(0.0, 25.0 + r_step, r_step)
+    tail_grid = np.arange(0.0, 25.01, 0.01)
     tail_c = float(np.max(tau(params.dim, tail_delta, tail_grid) * np.exp(tail_grid)))
     return BoundCertificate(
         c_t=c_t,

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, SolverError
 from .points import Configuration, as_multiset
+from .rng import block_rows
 from .special import sq_dist
 
 #: largest number of unit particles (positive plus negative, with multiplicity)
@@ -122,9 +123,12 @@ def flat_metric(g1: Configuration, g2: Configuration, i: int) -> float:
     cap_y = np.repeat(caps[neg], counts[neg])
     p, n = x.shape[0], y.shape[0]
     cost = np.zeros((size, size))
-    pairs = cost[:p, :n]
-    np.sqrt(sq_dist(x[:, None, :], y[None, :, :]), out=pairs)
-    np.minimum(pairs, cap_x[:, None] + cap_y[None, :], out=pairs)
+    step = block_rows(n)
+    for lo in range(0, p, step):  # a block of rows at a time, so no p x n temporary sits beside the cost matrix
+        block = slice(lo, min(lo + step, p))
+        pairs = cost[block, :n]
+        np.sqrt(sq_dist(x[block, None, :], y[None, :, :]), out=pairs)
+        np.minimum(pairs, cap_x[block, None] + cap_y[None, :], out=pairs)
     cost[:p, n:] = cap_x[:, None]
     cost[p:, :n] = cap_y[None, :]
     rows, cols = linear_sum_assignment(cost)
@@ -186,8 +190,8 @@ def rho(g1: Configuration, g2: Configuration) -> float:
     return math.sqrt(float(cost[rows, cols].sum()))
 
 
-def rho_bruteforce(g1: Configuration, g2: Configuration, max_points: int = 8) -> float:
-    """Exhaustive-permutation oracle for rho; exact for small configurations."""
+def rho_bruteforce(g1: Configuration, g2: Configuration) -> float:
+    """Exhaustive-permutation oracle for rho; exact for at most 8 particles."""
     x = g1.expand()
     y = g2.expand()
     if x.shape[0] != y.shape[0]:
@@ -195,8 +199,8 @@ def rho_bruteforce(g1: Configuration, g2: Configuration, max_points: int = 8) ->
     n = x.shape[0]
     if n == 0:
         return 0.0
-    if n > max_points:
-        raise CapacityError(f"brute-force matching limited to {max_points} points")
+    if n > 8:
+        raise CapacityError("brute-force matching limited to 8 points")
     best = math.inf
     for perm in itertools.permutations(range(n)):
         total = float(np.sum((x - y[list(perm)]) ** 2))

@@ -69,9 +69,9 @@ class GaussianBump:
         factor = (w2 / (w2 + 2.0 * t)) ** (self.dim / 2.0)
         return GaussianBump(self.amp * factor, self.center, math.sqrt(w2 + 2.0 * t))
 
-    def support_box(self, widths: float = 9.0):
+    def support_box(self):
         c = np.asarray(self.center)
-        half = widths * self.width
+        half = 9.0 * self.width
         return c - half, c + half
 
     def decay_bound(self, eps: float) -> float:
@@ -125,7 +125,7 @@ class BoxIndicator:
     def heat_convolve(self, t: float) -> "ErfBox":
         return ErfBox(self.amp, self.lo, self.hi, t)
 
-    def support_box(self, widths: float = 0.0):
+    def support_box(self):
         return np.asarray(self.lo), np.asarray(self.hi)
 
     def decay_bound(self, eps: float) -> float:
@@ -157,8 +157,8 @@ class ErfBox:
     def heat_convolve(self, s: float) -> "ErfBox":
         return replace(self, t=self.t + s)
 
-    def support_box(self, widths: float = 9.0):
-        pad = widths * math.sqrt(2.0 * self.t)
+    def support_box(self):
+        pad = 9.0 * math.sqrt(2.0 * self.t)
         return np.asarray(self.lo) - pad, np.asarray(self.hi) + pad
 
 
@@ -212,7 +212,7 @@ class SmoothedIndicator:
         HeatKernelParams(self.ndim, t)
         return RadialHeatConvolution(self, t)
 
-    def support_box(self, widths: float = 0.0):
+    def support_box(self):
         half = self.radius + 40.0 * self.width
         return -half * np.ones(self.ndim), half * np.ones(self.ndim)
 

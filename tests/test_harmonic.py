@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from confheat.errors import CapacityError
 from confheat.harmonic import (
-    IntegralSpec,
+    STAR_CAPACITY_POINTS,
     KernelFunction,
     correlation_function,
     correlation_product_bound,
@@ -182,10 +183,51 @@ def test_star_convolution_empty_and_singleton():
     assert star_convolution(G1, G2, x) == pytest.approx(expected, rel=1e-12)
 
 
-def test_star_convolution_capacity():
+def test_star_convolution_capacity(monkeypatch):
+    # the cap is checked before any kernel is evaluated
+    def evaluated(self, eta):
+        raise AssertionError("kernel evaluated")
+
     G = wavy_kernel(1, 2, 3)
+    monkeypatch.setattr(KernelFunction, "value", evaluated)
     with pytest.raises(CapacityError):
-        star_convolution(G, G, np.zeros((13, 1)))
+        star_convolution(G, G, np.zeros((STAR_CAPACITY_POINTS + 1, 1)))
+
+
+def _star_by_partitions(G1, G2, pts):
+    """The star convolution term by term over the 3^n ordered 3-partitions (a, b, c): G1(a u b) * G2(b u c)."""
+    n = pts.shape[0]
+    total = 0.0
+    for assignment in itertools.product((0, 1, 2), repeat=n):
+        left = [i for i, a in enumerate(assignment) if a != 2]
+        right = [i for i, a in enumerate(assignment) if a != 0]
+        total += G1.value(pts[left]) * G2.value(pts[right])
+    return total
+
+
+def integer_kernel(max_order, seed):
+    """A non-product kernel with small integer values, so that every sum over its values is exact."""
+    shift = float(substream(seed, 56).integers(-3, 4))
+    levels = {n: (lambda pts, k=n: float(np.floor(4.0 * pts.sum()) + k + shift)) for n in range(1, max_order + 1)}
+    return KernelFunction(dim=1, max_order=max_order, value_at_empty=shift, levels=levels)
+
+
+def test_star_convolution_matches_partition_enumeration():
+    rng = substream(12, 10)
+    bump = GaussianBump(0.9, (0.2,), 0.8)
+    for n in range(11):
+        pts = rng.uniform(-2, 2, size=(n, 1))
+        pairs = [(wavy_kernel(1, n + 1, 300 + n), wavy_kernel(1, n + 1, 400 + n))]
+        if n in (1, 4, 7):
+            coeffs = {k: float(c) for k, c in enumerate(rng.uniform(-1, 1, size=n + 1), start=1)}
+            pairs.append((product_kernel(1, coeffs, bump, value_at_empty=0.4),
+                          product_kernel(1, {k: -c for k, c in coeffs.items()}, bump, value_at_empty=0.6)))
+        for G1, G2 in pairs:
+            want = _star_by_partitions(G1, G2, pts)
+            assert star_convolution(G1, G2, pts) == pytest.approx(want, rel=1e-13, abs=0.0), n
+        if n <= 6:  # integer values: both routes are exact
+            G1, G2 = integer_kernel(n, n), integer_kernel(n, 50 + n)
+            assert star_convolution(G1, G2, pts) == _star_by_partitions(G1, G2, pts), n
 
 
 def test_star_product_rule_random_instances():
@@ -211,6 +253,18 @@ def test_permanent_kernel_base_cases():
     assert permanent_kernel(x, y, 0.5) == pytest.approx(
         density(HeatKernelParams(1, 0.5), [0.2], [1.0]), rel=1e-12
     )
+
+
+def test_bruteforce_is_the_square_loop_of_the_transposed_matrix():
+    # over injective row choices of m.T the terms are prod_k m[k, sigma(k)], in the order of the n!-loop over
+    # column permutations of m: the same sum bit for bit
+    rng = substream(13, 7)
+    for n in range(8):
+        for _ in range(3):
+            m = rng.uniform(-1.0, 1.0, size=(n, n))
+            rows = np.arange(n)
+            loop = float(sum(np.prod(m[rows, perm]) for perm in itertools.permutations(range(n))))
+            assert permanent_bruteforce(m.T) == loop, n
 
 
 def test_permanent_vs_bruteforce_random():
@@ -394,7 +448,7 @@ def test_lp_integral_generic_quadrature_and_mc():
     # integrates to Im(e^{in} (2 sin 1)^n), so order n is
     # c_n ((2 sin 1)^n sin n + 0.3 * 2^n) / n!
     rng_kernel = wavy_kernel(1, 4, 321)
-    res = lebesgue_poisson_integral(rng_kernel, Window(1.0, 1.0), n_max=4, spec=IntegralSpec(mc_samples=4000))
+    res = lebesgue_poisson_integral(rng_kernel, Window(1.0, 1.0), n_max=4, mc_samples=4000)
     c = substream(321, 55).uniform(-1.0, 1.0, size=5)
     exact = [c[n] * ((2.0 * math.sin(1.0)) ** n * math.sin(n) + 0.3 * 2.0**n) / math.factorial(n)
              for n in range(1, 5)]
