@@ -32,6 +32,7 @@ from .kernel import HeatKernelParams, density, fit_condition_certificate, tail_m
 from .points import Configuration, Window, diffuse, poisson_points, sample_poisson
 from .process import (
     OSCILLATION_MAX_SUBSTEPS,
+    _increment_blocks,
     _steps_for,
     bn_refinement_medians,
     collision_report,
@@ -46,7 +47,6 @@ from .semigroup import (
     GENERATOR_RATIO_RANGE,
     CylinderFunction,
     ExpFunctional,
-    WindowedConstant,
     WindowedCount,
     WindowedExponential,
     apply_exact_exponential,
@@ -101,8 +101,8 @@ def _is_number(x) -> bool:
 _positive = _require(lambda x: x > 0, "must be positive")
 _unit_interval = _require(lambda x: 0.0 <= x < 1.0, "must lie in [0, 1)")
 _dim = _require(lambda x: 1 <= x <= 3, "dimension must be 1, 2, or 3")
-_nonnegatives = _require(lambda xs: all(_is_number(x) and x >= 0 for x in xs),
-                         "must hold finite nonnegative numbers")
+_nonnegatives = _require(lambda xs: len(xs) >= 1 and all(_is_number(x) and x >= 0 for x in xs),
+                         "must hold at least one number, each finite and nonnegative")
 
 
 def _decreasing_positives(at_least: int):
@@ -410,7 +410,6 @@ def run_semigroup_exp(p, seed, replicas, threads):
 
 
 _INVARIANCE_FUNCTIONALS = {
-    "constant": lambda p: WindowedConstant(1.0),
     "count": lambda p: WindowedCount(p["inner_radius"]),
     "exponential": lambda p: WindowedExponential(
         GaussianBump(-abs(p["a"]), tuple([0.0] * p["dim"]), p["width"]), p["inner_radius"]
@@ -634,12 +633,16 @@ def run_collision(p, seed, replicas, threads):
 def run_tail_tau(p, seed, replicas, threads):
     dim, t = p["dim"], p["t"]
     params = HeatKernelParams(dim, t)
-    rng = substream(seed, TAG_EXPERIMENT, 4)
-    norms = np.sqrt(sq_dist(math.sqrt(2 * t) * rng.standard_normal((replicas, dim))))
+    # one step of variance 2 t per coordinate, drawn and counted one block at a time
+    exceed = [0] * len(p["r_list"])
+    for _, inc in _increment_blocks(substream(seed, TAG_EXPERIMENT, 4), 1, dim, 1, t, replicas):
+        norms = np.sqrt(sq_dist(inc[:, 0, 0]))
+        for i, r in enumerate(p["r_list"]):
+            exceed[i] += int(np.count_nonzero(norms > r))
     rows, gates = [], []
-    for r in p["r_list"]:
+    for r, count in zip(p["r_list"], exceed):
         exact = tail_mass(params, float(r))
-        emp = float(np.mean(norms > r))
+        emp = count / replicas
         se = binomial_se(exact, replicas)
         gates.append(abs(emp - exact) <= 4 * se)
         rows.append(_row(f"tail_r={r:g}", emp, se, bound=exact, note="closed form Q(d/2, r^2/4t)"))

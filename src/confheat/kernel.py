@@ -105,17 +105,20 @@ def tail_mass(params: HeatKernelParams, r):
     bad = ~(np.isfinite(radii) & (radii >= 0))
     if bad.any():
         raise ValueError(f"radius must be finite and nonnegative, got {float(radii[bad][0])!r}")
-    if params.dim == 1:
-        q = erfc(radii / (2.0 * math.sqrt(params.t)))
-    else:
-        x = radii * radii / (4.0 * params.t)
-        if params.dim == 2:
-            q = np.exp(-x)
-        elif params.dim == 3:
-            s = np.sqrt(x)
-            q = erfc(s) + 2.0 / math.sqrt(math.pi) * s * np.exp(-x)
+    # past the float range r/(2 sqrt t) and r^2/4t are inf, and every form reads 0 there
+    with np.errstate(over="ignore"):
+        if params.dim == 1:
+            q = erfc(radii / (2.0 * math.sqrt(params.t)))
         else:
-            q = gammaincc(params.dim / 2.0, x)
+            # capped at 1e300, where each form below reads 0 already, so d = 3 reads sqrt(x) e^-x = 0, not inf * 0
+            x = np.minimum(radii * radii / (4.0 * params.t), 1e300)
+            if params.dim == 2:
+                q = np.exp(-x)
+            elif params.dim == 3:
+                s = np.sqrt(x)
+                q = erfc(s) + 2.0 / math.sqrt(math.pi) * s * np.exp(-x)
+            else:
+                q = gammaincc(params.dim / 2.0, x)
     return float(q) if q.ndim == 0 else q
 
 

@@ -12,7 +12,8 @@ running sum from the start.  Each diagnostic draws all its replicas from one
 substream.
 Collisions are a pair diagnostic: exactly two particles, through their
 difference.  In d >= 2 the collision grid draws that difference alone, in one
-``_increment_blocks`` call over the whole horizon; on the line no grid is read,
+``_increment_blocks`` call over the whole horizon, and reads its squared length
+from ``special.sq_dist`` block by block; on the line no grid is read,
 and its minimum comes from its Brownian-bridge law given the endpoint, exact in
 law for the continuous path.
 Diagnostics cover: the time-t law against the exact heat law (one-sample
@@ -24,7 +25,6 @@ the reflection value).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -230,7 +230,7 @@ def collision_report(
     fraction mean(M <= 0), exact in law for the continuous path.  In d >= 2 the
     fractions take minima of |D| over the grid, time 0 included, with D drawn
     as one path of step variance 4 dt in one ``_increment_blocks`` call over the
-    whole horizon for all replicas.
+    whole horizon for all replicas, and |D|^2 read from ``sq_dist`` per block.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps or any(e <= 0 for e in eps) or any(y >= x for x, y in zip(eps, eps[1:])):
@@ -261,11 +261,7 @@ def collision_report(
     for offset, block in _increment_blocks(substream(seed, TAG_COLLISION), 1, dim, steps, 2.0 * dt, replicas):
         block[:, :, 0] += gap
         np.cumsum(block, axis=2, out=block)
-        d = block[:, 0]
-        # squared in place and summed in coordinate order: sq_dist(d) bit for bit, with fewer buffers
-        d *= d
-        dist_sq = functools.reduce(np.add, (d[..., k] for k in range(dim)))
-        np.minimum(dist_sq.min(axis=1), gap_sq, out=dmin_sq[offset:offset + len(block)])
+        np.minimum(sq_dist(block[:, 0]).min(axis=1), gap_sq, out=dmin_sq[offset:offset + len(block)])
     # sqrt is monotone, so the minimum distance is the root of the minimum square
     min_dist = np.sqrt(dmin_sq)
     return CollisionReport(tuple(eps), tuple(float(np.mean(min_dist < e)) for e in eps), None, None, None, replicas,

@@ -31,8 +31,9 @@ TAG_OSCILLATION = 19
 TAG_EXPERIMENT = 20
 TAG_MARGINAL = 21
 
-#: draws one sampling block holds: path points in ``process``, moved coordinates (for every t) in the heat-step
-#: sampler of ``semigroup.apply_mc`` and ``generator_residual``; blocks reuse one buffer, so this bounds their memory
+#: draws one sampling block holds: path points in ``process`` and in tail-tau's displacements, moved coordinates
+#: (for every t) in the heat-step sampler of ``semigroup.apply_mc`` and ``generator_residual``; blocks reuse one
+#: buffer, so this bounds their memory.  ``special.sq_dist`` sizes its scratch slab by it too
 BLOCK_POINTS = 1 << 16
 
 

@@ -35,7 +35,7 @@ from .errors import CapabilityError, EvaluationError
 from .harmonic import DClassCertificate, KernelFunction, k_transform, k_transform_product_batch, product_kernel
 from .kernel import HeatKernelParams
 from .points import Configuration, Window, poisson_points, truncation_tail_bound
-from .profiles import ConstantProfile, GaussianBump, SmoothedIndicator, gaussian_bumps
+from .profiles import GaussianBump, SmoothedIndicator, gaussian_bumps
 from .profiles import GaussianBump as SmoothBump  # noqa: F401  (former name of the cylinder test functions)
 from .rng import (
     TAG_APPLY_MC,
@@ -156,9 +156,6 @@ class ExpFunctional:
         if isinstance(self.phi, (GaussianBump, SmoothedIndicator)):
             if not (-1.0 < self.phi.amp <= 0.0):
                 raise ValueError(f"{type(self.phi).__name__} amplitude must lie in (-1, 0]")
-        elif isinstance(self.phi, ConstantProfile):
-            if self.phi.value != 0.0:
-                raise ValueError("constant phi must be identically zero")
         else:
             raise CapabilityError(f"unsupported phi family {type(self.phi).__name__}")
 

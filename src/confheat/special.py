@@ -27,11 +27,13 @@ def sq_dist(x, y=None) -> np.ndarray:
     the two differ by a few ulp.  No (..., d) difference array is formed, and
     numpy's many reductions of length d become d elementwise passes.
 
-    Memory: the output array plus at most ``rng.BLOCK_POINTS`` scratch values.
-    The first square goes straight into the output; each later one goes
-    through the scratch and is added in.  An output larger than the scratch is
-    filled slab by slab, each slab a C-order run of whole rows along its first
-    axis whose rows fit, so a slab stays in cache across the d passes.
+    One coordinate loop runs over C-order slabs of the output of at most
+    ``rng.BLOCK_POINTS`` values: runs of whole rows along one axis whose rows
+    fit, one index on each axis before it, so a slab stays in cache across the
+    d passes.  An output that fits is its own single slab, as is any output
+    for d <= 1, which needs no scratch.  The first square goes straight into
+    the slab and each later one through one scratch slab, so memory is the
+    output plus at most ``BLOCK_POINTS`` scratch values.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
@@ -43,51 +45,31 @@ def sq_dist(x, y=None) -> np.ndarray:
         if y.shape != x.shape:  # equal shapes need no broadcast (it costs more than the sum on small arrays)
             shape = np.broadcast_shapes(shape, y.shape[:-1])
     out = np.empty(shape) if d else np.zeros(shape)
+    cuts = [Ellipsis]  # one slab: the whole output
     if d > 1 and out.size > rng.BLOCK_POINTS:
-        return _sq_dist_slabs(out, x, y)
-    term = np.empty(shape) if d > 1 else None
-    for k in range(d):
-        # the first square goes straight to out, the later ones through term
-        dst = term if k else out
-        if y is None:
-            np.multiply(x[..., k], x[..., k], out=dst)
-        else:
-            np.subtract(x[..., k], y[..., k], out=dst)
-            dst *= dst
-        if k:
-            out += term
-    return out
-
-
-def _sq_dist_slabs(out, x, y) -> np.ndarray:
-    """sq_dist's coordinate loop on each C-order slab of ``out`` of at most
-    ``rng.BLOCK_POINTS`` elements, through one reused scratch: runs of whole
-    rows along the first axis whose rows fit, one index on each axis before it.
-    The one-slab case keeps the loop inline, since a call would add about 7% to
-    a (5, 2) array's time."""
-    shape, d = out.shape, x.shape[-1]
-    scratch = np.empty(rng.BLOCK_POINTS)
-    # broadcast views with the output's axes, so one index cuts an operand and the output alike
-    x = np.broadcast_to(x, (*shape, d))
-    y = None if y is None else np.broadcast_to(y, (*shape, d))
-    axis = 0
-    while math.prod(shape[axis + 1:]) > rng.BLOCK_POINTS:
-        axis += 1
-    rows = rng.block_rows(math.prod(shape[axis + 1:]))
-    for lead in np.ndindex(*shape[:axis]):
-        for start in range(0, shape[axis], rows):
-            cut = tuple(slice(i, i + 1) for i in lead) + (slice(start, start + rows),)
-            part, xs, ys = out[cut], x[cut], None if y is None else y[cut]
-            term = scratch[:part.size].reshape(part.shape)
-            for k in range(d):
-                dst = term if k else part
-                if ys is None:
-                    np.multiply(xs[..., k], xs[..., k], out=dst)
-                else:
-                    np.subtract(xs[..., k], ys[..., k], out=dst)
-                    dst *= dst
-                if k:
-                    part += term
+        # broadcast views with the output's axes, so one index cuts an operand and the output alike
+        x = np.broadcast_to(x, (*shape, d))
+        y = None if y is None else np.broadcast_to(y, (*shape, d))
+        axis = 0
+        while math.prod(shape[axis + 1:]) > rng.BLOCK_POINTS:
+            axis += 1
+        rows = rng.block_rows(math.prod(shape[axis + 1:]))
+        cuts = (tuple(slice(i, i + 1) for i in lead) + (slice(start, start + rows),)
+                for lead in np.ndindex(*shape[:axis]) for start in range(0, shape[axis], rows))
+    scratch = np.empty(min(out.size, rng.BLOCK_POINTS)) if d > 1 else None
+    for cut in cuts:
+        part, xs, ys = out[cut], x[cut], None if y is None else y[cut]
+        term = None if scratch is None else scratch[:part.size].reshape(part.shape)
+        for k in range(d):
+            # the first square goes straight to the slab, the later ones through the scratch
+            dst = term if k else part
+            if ys is None:
+                np.multiply(xs[..., k], xs[..., k], out=dst)
+            else:
+                np.subtract(xs[..., k], ys[..., k], out=dst)
+                dst *= dst
+            if k:
+                part += term
     return out
 
 

@@ -541,6 +541,9 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
         ("collision", _set("starts", [[0.0, math.inf], [0.5, 0.0]]), "params.starts"),
         ("permanent", lambda doc: doc["params"]["eta"][0].__setitem__(0, math.nan), "params.eta"),
         ("feller", _set("gamma", GAMMA_DOUBLE_SITE), "params.gamma"),
+        ("tail_tau", lambda doc: doc["params"].update(r_list=[], check_certificate=False), "params.r_list"),
+        ("invariance", _set("functional", "constant"), "params.functional"),
+        ("semigroup_exp", _set("phi", {"family": "constant", "value": 0}), "params.phi"),
     ],
     ids=["phi-no-width", "phi-unknown-family", "bump-no-width", "no-bumps", "unknown-outer",
          "box-no-hi", "feller-functional", "feller-schedule", "feller-metric", "semigroup-phi-dim",
@@ -556,7 +559,8 @@ GAMMA_DOUBLE_SITE = {"dim": 1, "window_radius": 3.0, "points": [[[0.0], 2], [[1.
          "process-coarse-below-fine", "generator-zero-bumps", "feller-zero-amp", "feller-zero-constant",
          "collision-1d-three-starts", "oscillation-substeps-over-cap", "collision-2d-three-starts",
          "collision-3d-three-starts", "process-dt-subnormal", "process-dt-past-float-range",
-         "collision-starts-inf", "permanent-eta-nan", "feller-kernel-double-site"],
+         "collision-starts-inf", "permanent-eta-nan", "feller-kernel-double-site", "tail-empty-r-list",
+         "invariance-constant", "semigroup-zero-constant"],
 )
 def test_validate_rejects_bad_nested_params(tmp_path, capsys, name, mutate, field):
     doc = shipped(name, tmp_path)
@@ -606,6 +610,17 @@ def test_tail_tau_validates_and_runs_at_every_t(tmp_path):
         doc = shipped("tail_tau", tmp_path)
         doc["params"]["t"] = t
         assert c3_row(doc) == shipped_row, t
+
+
+def test_tail_tau_radius_past_the_float_range_runs(tmp_path):
+    # r^2/4t overflows at r = 1e200: the exact tail there is 0, where d = 3 read nan and failed its gate
+    doc = shipped("tail_tau", tmp_path)
+    doc["params"].update(dim=3, t=0.25, r_list=[0.5, 1e200])
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg]) == 0
+    row = json.loads((tmp_path / "tail_tau.json").read_text())["results"][1]
+    assert row["measurement"] == "tail_r=1e+200" and row["value"] == 0.0 and row["bound"] == 0.0
 
 
 def test_allocation_failure_is_an_error_not_a_fail(tmp_path, monkeypatch, capsys):

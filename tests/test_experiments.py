@@ -1,11 +1,15 @@
 """Every experiment in the registry runs end to end on a small config."""
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import confheat.rng
 from confheat.cli import run_experiment, validate_config
 from confheat.experiments import EXPERIMENTS, ExperimentResult
+from confheat.rng import TAG_EXPERIMENT, substream
 
 POINT = {"dim": 1, "window_radius": 2.0, "points": [[[0.0], 1]]}
 PAIR = {"dim": 1, "window_radius": 2.0, "points": [[[0.0], 1], [[0.8], 1]]}
@@ -312,3 +316,37 @@ def test_inconclusive_generator_stays_inconclusive_with_ratios_out_of_band(monke
     assert result.verdict == "inconclusive"
     assert [row["measurement"] for row in result.rows] == ["generator_value", "residual_t=0.1", "residual_t=0.05",
                                                            "ratio_0"]
+
+
+def _one_draw_tail_fractions(p, seed, replicas):
+    """The tail fractions by tail-tau's former route: every replica's displacement in one (replicas, dim) draw."""
+    z = substream(seed, TAG_EXPERIMENT, 4).standard_normal((replicas, p["dim"]))
+    norms = np.linalg.norm(math.sqrt(2 * p["t"]) * z, axis=-1)
+    return [float(np.mean(norms > r)) for r in p["r_list"]]
+
+
+@pytest.mark.parametrize("block_points", [7, 64, confheat.rng.BLOCK_POINTS])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tail_tau_blocks_equal_the_one_draw_route(monkeypatch, block_points, seed):
+    # the blocks continue one stream, so the fractions are the one draw's bit for bit whatever the block size
+    monkeypatch.setattr(confheat.rng, "BLOCK_POINTS", block_points)
+    for dim, t, replicas, r_list in [(1, 0.5, 1001, [0.0, 0.5, 1.5]), (2, 0.25, 3000, [0.5, 1, 2.0]),
+                                     (3, 0.1, 777, [0.25, 0.6, 3.0])]:
+        p = {"dim": dim, "t": t, "r_list": r_list, "check_certificate": None}
+        rows = EXPERIMENTS["tail-tau"].run(p, seed, replicas, 1).rows
+        assert [row["measurement"] for row in rows] == [f"tail_r={r:g}" for r in r_list]
+        assert [row["value"] for row in rows] == _one_draw_tail_fractions(p, seed, replicas)
+
+
+def test_tail_tau_holds_one_block_whatever_the_replicas():
+    # 2e6 replicas in d = 3: the one-draw route held all 6e6 normals and their norms (61.5 MiB traced)
+    p = {"dim": 3, "t": 0.25, "r_list": [0.5, 1.0, 2.0], "check_certificate": None}
+    tracemalloc.start()
+    try:
+        EXPERIMENTS["tail-tau"].run(p, 0, 2_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block holds BLOCK_POINTS / 2 replicas (two path points each) of 3 coordinates: 768 KiB
+    block = 8 * 3 * (confheat.rng.BLOCK_POINTS // 2)
+    assert peak <= 3 * block

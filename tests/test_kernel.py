@@ -118,6 +118,15 @@ def test_tail_mass_closed_forms_against_mpmath(dim):
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_tail_mass_is_zero_where_the_exponent_overflows(dim):
+    # r^2/4t past the float range: 0 with no overflow warning (warnings are errors here), where d = 3 read nan
+    assert tail_mass(HeatKernelParams(dim, 0.25), 1e200) == 0.0
+    assert tail_mass(HeatKernelParams(dim, 1e-300), 1e200) == 0.0
+    got = tail_mass(HeatKernelParams(dim, 0.25), np.array([0.5, 1e200]))
+    assert got[0] == tail_mass(HeatKernelParams(dim, 0.25), 0.5) and got[1] == 0.0
+
+
 def test_tail_mass_normalization_exact_across_params():
     for d in (1, 2, 3):
         for t in (0.1, 1.0, 10.0):
